@@ -76,7 +76,6 @@ func main() {
 	flag.BoolVar(&opts.paper, "paper", false, "use the full single-warehouse TPC-C scale")
 	flag.StringVar(&opts.bench, "benchmark", "", "restrict to one benchmark (e.g. \"NEW ORDER\")")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel (output is identical for every -j)")
-	pipelineBench := flag.String("pipeline-bench", "", "measure suite runtime at -j 1 vs -j N and write a JSON report to this file")
 	cacheDir := cliflags.AddCacheDir(flag.CommandLine)
 	showVersion := cliflags.AddVersion(flag.CommandLine)
 	faults := cliflags.AddFaults(flag.CommandLine)
@@ -110,14 +109,6 @@ func main() {
 			os.Exit(1)
 		}
 	}()
-
-	if *pipelineBench != "" {
-		if err := runPipelineBench(*pipelineBench, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	w := os.Stdout
 	ran := false
@@ -156,6 +147,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// How the suite's simulations were satisfied, and how many programs the
+	// build cache recorded: on stderr, so stdout stays byte-identical.
+	simsRun, simsForked, simsMemo := opts.par.Sims()
+	bs := opts.par.builder.Stats()
+	fmt.Fprintf(os.Stderr, "experiments: %d simulations: %d run + %d forked + %d memoized; %d builds, %d memory hits, %d disk hits\n",
+		simsRun+simsForked+simsMemo, simsRun, simsForked, simsMemo, bs.Builds, bs.MemoryHits, bs.DiskHits)
 	if taskFails := opts.par.Failures(); failed > 0 || taskFails > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: %d experiment(s) and %d task(s) failed; results above are partial | repro: %s\n",
 			failed, taskFails, repro)

@@ -39,7 +39,7 @@ func progress(name string, sims int, start time.Time, r *runner) {
 //
 // Both are sound because sim.ResumeE guarantees byte-identical results, so
 // parDo's determinism contract — identical output for every -j — still
-// holds; only sims_run/sims_forked change, and those deterministically.
+// holds; only the run/forked/memoized split changes, and deterministically.
 type runner struct {
 	jobs    int
 	builder *workload.Builder

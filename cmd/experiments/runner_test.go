@@ -51,25 +51,31 @@ var experimentFns = []struct {
 }
 
 // TestOutputDeterministicAcrossJ is the parallel runner's core contract:
-// every figure and table renders byte-identically at -j 1 and -j 8.
+// every figure and table renders byte-identically at -j 1 and -j 8, and
+// splits its simulations into full runs, forks and memo hits identically.
 func TestOutputDeterministicAcrossJ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
 	for _, e := range experimentFns {
 		t.Run(e.name, func(t *testing.T) {
-			render := func(jobs int) string {
+			render := func(jobs int) (string, [3]int) {
 				o := tinyOptions()
 				o.par = newRunner(jobs)
 				var b strings.Builder
 				e.fn(&b, o)
-				return b.String()
+				run, forked, memoized := o.par.Sims()
+				return b.String(), [3]int{run, forked, memoized}
 			}
-			serial := render(1)
-			parallel := render(8)
+			serial, serialSplit := render(1)
+			parallel, parallelSplit := render(8)
 			if serial != parallel {
 				t.Errorf("-j 1 and -j 8 outputs differ:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
 					serial, parallel)
+			}
+			if serialSplit != parallelSplit {
+				t.Errorf("run/forked/memoized split differs: %v at -j 1, %v at -j 8",
+					serialSplit, parallelSplit)
 			}
 			if len(serial) == 0 {
 				t.Error("experiment produced no output")

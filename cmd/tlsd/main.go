@@ -45,7 +45,6 @@ func main() {
 		maxCycles    = flag.Uint64("max-cycles", 0, "default per-job cycle budget when the spec sets none (0 = unbounded)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "end-to-end wall-clock deadline per job (queue wait included) when the spec sets no timeout_ms, and the ceiling when it does; 0 = no deadline")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "shutdown grace period: jobs still live when it expires are cancelled and reported as structured \"drain\" failures")
-		benchOut     = flag.String("service-bench", "", "run the serving benchmark, write BENCH_service.json-style report to this file, and exit")
 		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		debugAddr    = flag.String("debug-addr", "", "listen address for the diagnostics server (pprof, /debug/requests); empty disables it")
@@ -70,15 +69,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
 		os.Exit(2)
-	}
-
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, *workers); err != nil {
-			fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *benchOut)
-		return
 	}
 
 	logger, err := newLogger(*logFormat, *logLevel)
@@ -206,18 +196,4 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
 	}
-}
-
-// writeBench runs the serving benchmark (3 rounds of the sweep: one cold,
-// two through the cache) and writes the report.
-func writeBench(path string, workers int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := service.WriteBench(f, workers, 3); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

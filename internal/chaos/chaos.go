@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"subthreads/internal/cas"
+	"subthreads/internal/inject"
 )
 
 // ErrInjected is the error injected disk faults carry; consumers can
@@ -147,9 +148,9 @@ func (c *Chaos) fires(cat, n, every uint64) bool {
 		return false
 	}
 	x := c.cfg.Seed ^ cat
-	_ = splitmix64(&x) // absorb the salt
+	_ = inject.SplitMix64(&x) // absorb the salt
 	x ^= n
-	return splitmix64(&x)%every == 0
+	return inject.SplitMix64(&x)%every == 0
 }
 
 // Disk implements cas.FaultInjector: the scheduled perturbation, if any,
@@ -216,15 +217,4 @@ func (c *Chaos) Stats() Stats {
 		TornWrite: c.torn.Load(),
 		Panics:    c.panics.Load(),
 	}
-}
-
-// splitmix64 is the SplitMix64 generator (shared idiom with
-// internal/inject): a tiny, well-distributed PRNG whose whole state is one
-// word, so schedules derive from a seed alone.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

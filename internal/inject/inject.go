@@ -112,16 +112,16 @@ func New(cfg Config) *Injector {
 	sched := make([]sim.Fault, 0, cfg.Faults)
 	for i := 0; i < cfg.Faults; i++ {
 		sched = append(sched, sim.Fault{
-			Cycle: 1 + splitmix64(&rng)%cfg.Window,
-			Kind:  sim.FaultKind(splitmix64(&rng) % 2),
-			CPU:   int(splitmix64(&rng) % 64),
-			Ctx:   int(splitmix64(&rng) % tls.MaxSubthreads),
+			Cycle: 1 + SplitMix64(&rng)%cfg.Window,
+			Kind:  sim.FaultKind(SplitMix64(&rng) % 2),
+			CPU:   int(SplitMix64(&rng) % 64),
+			Ctx:   int(SplitMix64(&rng) % tls.MaxSubthreads),
 		})
 	}
 	sort.SliceStable(sched, func(i, j int) bool { return sched[i].Cycle < sched[j].Cycle })
 	inj := &Injector{cfg: cfg, sched: sched, burst: cfg.LatchDelay}
 	if cfg.LatchEvery > 0 {
-		inj.phase = splitmix64(&rng) % cfg.LatchEvery
+		inj.phase = SplitMix64(&rng) % cfg.LatchEvery
 	}
 	return inj
 }
@@ -151,9 +151,11 @@ func (j *Injector) LatchDelayed(now uint64) bool {
 // Delivered reports how many scheduled faults Next has handed out.
 func (j *Injector) Delivered() uint64 { return j.events }
 
-// splitmix64 is the SplitMix64 generator: a tiny, well-distributed PRNG
-// whose whole state is one word, so schedules derive from a seed alone.
-func splitmix64(x *uint64) uint64 {
+// SplitMix64 advances the SplitMix64 generator whose whole state is *x and
+// returns the next value: a tiny, well-distributed PRNG, so schedules derive
+// from a seed alone. The injection schedule here, the chaos schedule
+// (internal/chaos) and the service client's retry jitter all draw from it.
+func SplitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
 	z := *x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

@@ -11,14 +11,16 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"subthreads/internal/inject"
 )
 
 // Client is a minimal retrying client for the daemon's job API, used by the
-// e2e suites and the future load generator. It submits synchronously
-// (?wait=1), classifies responses into permanent and retryable failures,
-// and retries the latter under a bounded budget with exponential backoff,
-// seeded jitter, and respect for the server's Retry-After — the well-
-// behaved client the service's backpressure design assumes.
+// e2e and chaos suites. It submits synchronously (?wait=1), classifies
+// responses into permanent and retryable failures, and retries the latter
+// under a bounded budget with exponential backoff, seeded jitter, and
+// respect for the server's Retry-After — the well-behaved client the
+// service's backpressure design assumes.
 type Client struct {
 	// Base is the server's base URL (no trailing slash), e.g. the
 	// httptest.Server.URL in tests or http://localhost:8080 in production.
@@ -60,7 +62,7 @@ func (e *PermanentError) Error() string {
 var ErrAlreadyTerminal = errors.New("service client: job already terminal; cancel changed nothing")
 
 // Result is one successful synchronous submission: the body plus the serving
-// metadata the daemon stamps on the response, so load generators and cluster
+// metadata the daemon stamps on the response, so callers such as the cluster
 // tests can assert hit provenance without re-parsing logs.
 type Result struct {
 	// Body is the result document, byte-identical to `tlssim -json`.
@@ -225,7 +227,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 		}
 		c.up = true
 	}
-	r := clientSplitmix(&c.rng)
+	r := inject.SplitMix64(&c.rng)
 	c.mu.Unlock()
 	jitter := 0.5 + float64(r%1024)/1024
 	return time.Duration(float64(d) * jitter)
@@ -258,14 +260,4 @@ func compact(data []byte) string {
 		s = s[:200] + "..."
 	}
 	return s
-}
-
-// clientSplitmix is the SplitMix64 step (shared idiom with internal/inject
-// and internal/chaos), giving the client deterministic jitter from a seed.
-func clientSplitmix(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

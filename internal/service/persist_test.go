@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"strings"
@@ -19,6 +20,16 @@ func openTestStore(t *testing.T, dir string) *cas.Store {
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// drain shuts s down the way SIGTERM does. A job is marked done before its
+// result is published to the store, so a restarted server must not open the
+// same directory until the first life has drained.
+func drain(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
 }
 
 // The warm-restart contract end to end: a brand-new server over the same
@@ -41,6 +52,22 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	_, coldBody := getBody(t, ts1.URL+final.ResultURL)
 	if s1.Builds() != 2 {
 		t.Fatalf("cold builds = %d, want 2 (TLS + sequential)", s1.Builds())
+	}
+	drain(t, s1)
+	// The executed job populated every in-worker stage histogram, and those
+	// stages account for no more than its submit-to-done latency.
+	m1 := s1.MetricsSnapshot()
+	var inWorker uint64
+	for name, h := range map[string]telemetry.HistogramSnapshot{
+		"build": m1.BuildLatencyMicros, "sim": m1.SimLatencyMicros, "render": m1.RenderLatencyMicros,
+	} {
+		if h.Count != 1 || h.Sum == 0 {
+			t.Errorf("%s stage histogram = %+v, want one nonzero observation", name, h)
+		}
+		inWorker += h.Sum
+	}
+	if cold := m1.ColdLatencyMicros.Sum; inWorker > cold {
+		t.Errorf("stage sum %dus exceeds cold latency %dus", inWorker, cold)
 	}
 
 	// Second life: new server, new memory, same directory. A 200 hit serves
@@ -95,11 +122,12 @@ func TestWarmRestartRebuildsFromBuiltNamespace(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("STOCK LEVEL")
 
-	_, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
 	resp := postJob(t, ts1, spec)
 	st := decodeStatus(t, resp.Body)
 	resp.Body.Close()
 	waitDone(t, ts1, st.ID)
+	drain(t, s1)
 
 	// Drop the result entry, keep the built programs.
 	r, err := spec.Resolve()
@@ -137,11 +165,12 @@ func TestPromExposesCASFamilies(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec("NEW ORDER")
 
-	_, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
 	resp := postJob(t, ts1, spec)
 	st := decodeStatus(t, resp.Body)
 	resp.Body.Close()
 	waitDone(t, ts1, st.ID)
+	drain(t, s1)
 
 	// Restarted daemon: the resubmission is a cas hit.
 	_, ts2 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})

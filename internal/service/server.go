@@ -91,8 +91,9 @@ type Options struct {
 }
 
 // Cache tiers: where a hit submission's bytes came from. The HTTP layer
-// surfaces the tier on the X-Cache-Tier response header so clients (tlsload,
-// the router tests) can assert hit provenance without re-parsing logs.
+// surfaces the tier on the X-Cache-Tier response header so clients (the
+// benchmark's load generator, the router tests) can assert hit provenance
+// without re-parsing logs.
 const (
 	// TierMemory: an existing completed job for this digest.
 	TierMemory = "memory"

@@ -621,44 +621,3 @@ func TestReproCommandRoundTrips(t *testing.T) {
 		}
 	}
 }
-
-func TestBenchReportShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the serving benchmark")
-	}
-	rep, err := RunBench(2, 2)
-	if err != nil {
-		t.Fatalf("RunBench: %v", err)
-	}
-	if rep.Jobs != rep.DistinctSpecs*2 || rep.CacheMisses != uint64(rep.DistinctSpecs) {
-		t.Errorf("bench shape off: %+v", rep)
-	}
-	if rep.CacheHitRatio <= 0 || rep.JobsPerSec <= 0 {
-		t.Errorf("bench metrics empty: %+v", rep)
-	}
-	// The stage breakdown must be populated and account for the cold path:
-	// a simulated job spends most of its time in build+sim, and the sum of
-	// the in-worker stages cannot exceed the submit-to-done mean.
-	if rep.BuildLatencyMS <= 0 || rep.SimLatencyMS <= 0 || rep.RenderLatencyMS <= 0 {
-		t.Errorf("stage breakdown empty: %+v", rep)
-	}
-	inWorker := rep.BuildLatencyMS + rep.SimLatencyMS + rep.RenderLatencyMS
-	if inWorker > rep.ColdLatencyMS {
-		t.Errorf("stage sum %.3fms exceeds cold latency %.3fms", inWorker, rep.ColdLatencyMS)
-	}
-	// The warm-restart phase: every spec served from disk, nothing rebuilt.
-	if rep.DiskWarmHits != uint64(rep.DistinctSpecs) || rep.DiskWarmBuilds != 0 {
-		t.Errorf("disk-warm phase off: %+v", rep)
-	}
-	if rep.DiskWarmHitLatencyMicros <= 0 {
-		t.Errorf("disk-warm latency empty: %+v", rep)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(rep); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	if !strings.Contains(buf.String(), "jobs_per_sec") {
-		t.Errorf("report JSON missing jobs_per_sec: %s", buf.String())
-	}
-}

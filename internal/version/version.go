@@ -74,9 +74,9 @@ func (i Info) String() string {
 	return s
 }
 
-// HostInfo is the execution environment stamped into every BENCH_*.json
-// artifact, so a regenerated benchmark records what machine and toolchain
-// produced its numbers.
+// HostInfo is the execution environment stamped into every benchmark
+// record (perfbench), so a measurement carries the machine and toolchain
+// that produced its numbers.
 type HostInfo struct {
 	GoVersion  string `json:"go_version"`
 	OS         string `json:"os"`
