@@ -80,17 +80,17 @@ type Options struct {
 type Stats struct {
 	// Hits / Misses classify Get calls; a quarantined entry counts as
 	// both Corrupt and a miss.
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Puts      uint64 `json:"puts"`
-	Evictions uint64 `json:"evictions"`
-	Corrupt   uint64 `json:"corrupt"`
+	Hits      uint64 `json:"hits" prom:"hit_total Persistent-store reads that found a valid entry."`
+	Misses    uint64 `json:"misses" prom:"miss_total Persistent-store reads that found nothing servable."`
+	Puts      uint64 `json:"puts" prom:"put_total Entries published to the persistent store."`
+	Evictions uint64 `json:"evictions" prom:"eviction_total Entries evicted to stay under the store's size cap."`
+	Corrupt   uint64 `json:"corrupt" prom:"corrupt_total Entries quarantined as corrupt or undecodable."`
 	// Entries / Bytes describe the resident set.
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
+	Entries int   `json:"entries" prom:"entries Entries resident in the persistent store."`
+	Bytes   int64 `json:"bytes" prom:"size_bytes Bytes resident in the persistent store."`
 	// LoadMicros / StoreMicros time successful disk reads and writes.
-	LoadMicros  telemetry.HistogramSnapshot `json:"load_micros"`
-	StoreMicros telemetry.HistogramSnapshot `json:"store_micros"`
+	LoadMicros  telemetry.HistogramSnapshot `json:"load_micros" prom:"load_latency_microseconds Latency of persistent-store disk reads (hits only)."`
+	StoreMicros telemetry.HistogramSnapshot `json:"store_micros" prom:"store_latency_microseconds Latency of persistent-store disk writes."`
 }
 
 // DiskFault is one injected perturbation of a disk operation. The chaos

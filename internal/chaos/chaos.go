@@ -104,10 +104,10 @@ func (c Config) String() string {
 // Stats counts the faults a schedule has actually delivered, exported on
 // the daemon's /metrics so a chaos run is observable.
 type Stats struct {
-	DiskErrs  uint64 `json:"disk_errs"`
-	DiskSlows uint64 `json:"disk_slows"`
-	TornWrite uint64 `json:"torn_writes"`
-	Panics    uint64 `json:"panics"`
+	DiskErrs  uint64 `json:"disk_errs" prom:"faults_total{kind=disk-err} Faults the -chaos schedule has delivered, by kind."`
+	DiskSlows uint64 `json:"disk_slows" prom:"faults_total{kind=disk-slow}"`
+	TornWrite uint64 `json:"torn_writes" prom:"faults_total{kind=torn-write}"`
+	Panics    uint64 `json:"panics" prom:"faults_total{kind=panic}"`
 }
 
 // Fault-category salts: distinct streams per (category, flavor) so one

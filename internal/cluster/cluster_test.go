@@ -17,6 +17,7 @@ import (
 	"subthreads/internal/report"
 	"subthreads/internal/service"
 	"subthreads/internal/sim"
+	"subthreads/internal/telemetry"
 	"subthreads/internal/workload"
 )
 
@@ -450,6 +451,9 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		t.Fatalf("GET /metrics (prom): %v", err)
 	}
 	prom := readBody(t, presp)
+	if err := telemetry.LintProm(prom); err != nil {
+		t.Errorf("exposition fails lint: %v\n%s", err, prom)
+	}
 	for _, want := range []string{
 		"tlsrouter_build_info", "tlsrouter_nodes_alive", "tlsrouter_node_breaker_state",
 		"tlsrouter_jobs_routed_total", "tlsrouter_remote_cache_hits_total",

@@ -27,24 +27,22 @@ type RemoteGroup struct {
 
 	mu       sync.Mutex
 	breakers map[string]*service.Breaker
-	stats    map[string]*peerCounters
+	stats    map[string]*PeerCounters
 }
 
-type peerCounters struct {
-	fetches uint64
-	hits    uint64
-	misses  uint64
-	errors  uint64
+// PeerCounters are one sibling link's lifetime fetch outcomes.
+type PeerCounters struct {
+	Fetches uint64 `json:"fetches" prom:"fetches_total Sibling cache probes sent."`
+	Hits    uint64 `json:"hits" prom:"fetch_hits_total Sibling cache probes that hit."`
+	Misses  uint64 `json:"misses" prom:"-"`
+	Errors  uint64 `json:"errors" prom:"fetch_errors_total Sibling cache probes that failed."`
 }
 
 // PeerStats is one sibling link's lifetime counters plus breaker state.
 type PeerStats struct {
-	URL     string               `json:"url"`
-	Fetches uint64               `json:"fetches"`
-	Hits    uint64               `json:"hits"`
-	Misses  uint64               `json:"misses"`
-	Errors  uint64               `json:"errors"`
-	Breaker service.BreakerStats `json:"breaker"`
+	URL string `json:"url" prom:"{node}"`
+	PeerCounters
+	Breaker service.BreakerStats `json:"breaker" prom:"-"`
 }
 
 // RemoteOptions configures a RemoteGroup; zero values get defaults.
@@ -79,7 +77,7 @@ func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
 		hc:       &http.Client{Timeout: opts.Timeout},
 		log:      opts.Logger,
 		breakers: make(map[string]*service.Breaker, len(peers)),
-		stats:    make(map[string]*peerCounters, len(peers)),
+		stats:    make(map[string]*PeerCounters, len(peers)),
 	}
 	for _, p := range g.peers {
 		peer := p
@@ -94,7 +92,7 @@ func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
 			})
 		}
 		g.breakers[peer] = b
-		g.stats[peer] = &peerCounters{}
+		g.stats[peer] = &PeerCounters{}
 	}
 	return g
 }
@@ -119,14 +117,14 @@ func (g *RemoteGroup) Fetch(ctx context.Context, digest string, preferred ...str
 		body, outcome := g.fetchOne(ctx, peer, digest)
 		g.mu.Lock()
 		c := g.stats[peer]
-		c.fetches++
+		c.Fetches++
 		switch outcome {
 		case fetchHit:
-			c.hits++
+			c.Hits++
 		case fetchMiss:
-			c.misses++
+			c.Misses++
 		default:
-			c.errors++
+			c.Errors++
 		}
 		g.mu.Unlock()
 		if outcome == fetchHit {
@@ -214,10 +212,7 @@ func (g *RemoteGroup) Stats() []PeerStats {
 	out := make([]PeerStats, 0, len(g.peers))
 	for _, p := range g.peers {
 		c := g.stats[p]
-		out = append(out, PeerStats{
-			URL: p, Fetches: c.fetches, Hits: c.hits, Misses: c.misses,
-			Errors: c.errors, Breaker: g.breakers[p].Stats(),
-		})
+		out = append(out, PeerStats{URL: p, PeerCounters: *c, Breaker: g.breakers[p].Stats()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out

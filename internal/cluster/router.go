@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -43,17 +41,9 @@ type Router struct {
 	mu          sync.Mutex
 	jobOwner    map[string]string // job ID -> worker base URL
 	jobOrder    []string          // FIFO eviction for jobOwner
-	perNode     map[string]*nodeCounters
-	routed      uint64
-	remoteHits  uint64
-	failovers   uint64
-	unroutable  uint64
+	perNode     map[string]*NodeCounters
+	counters    RouterCounters
 	proxyMicros telemetry.Histogram
-}
-
-type nodeCounters struct {
-	requests uint64
-	errors   uint64
 }
 
 // maxJobOwners bounds the job->owner map; beyond it the oldest routes are
@@ -107,7 +97,7 @@ func NewRouter(opts Options) (*Router, error) {
 		started:  time.Now(),
 		breakers: make(map[string]*service.Breaker, len(opts.Workers)),
 		jobOwner: make(map[string]string),
-		perNode:  make(map[string]*nodeCounters, len(opts.Workers)),
+		perNode:  make(map[string]*NodeCounters, len(opts.Workers)),
 	}
 	rt.prober = NewProber(ring, opts.Probe)
 	for _, w := range opts.Workers {
@@ -123,7 +113,7 @@ func NewRouter(opts Options) (*Router, error) {
 			})
 		}
 		rt.breakers[node] = b
-		rt.perNode[node] = &nodeCounters{}
+		rt.perNode[node] = &NodeCounters{}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
@@ -134,7 +124,7 @@ func NewRouter(opts Options) (*Router, error) {
 	mux.HandleFunc("GET /v1/cache/{digest}", rt.handleCacheGet)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	mux.HandleFunc("GET /metrics", service.MetricsHandler("tlsrouter", "router", rt.MetricsSnapshot))
 	rt.mux = mux
 	return rt, nil
 }
@@ -206,16 +196,13 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// maxSpecBytes mirrors the daemon's submission body bound.
-const maxSpecBytes = 1 << 20
-
 // handleSubmit resolves the spec to its digest, routes it, and proxies.
 // The rescue ladder when the owner cannot answer: sibling caches, then a
 // failover recompute on the next preference node, then 502.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "read body: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
 	var spec service.JobSpec
@@ -224,12 +211,12 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&spec); err != nil {
 		// Same shape and status the daemon would answer, so clients see
 		// one contract whether or not a router is in front.
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		service.WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
 	res, err := spec.Resolve()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		service.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	digest := res.Digest
@@ -237,14 +224,14 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	node, release, ok := rt.ring.Route(digest)
 	if !ok {
 		rt.mu.Lock()
-		rt.unroutable++
+		rt.counters.Unroutable++
 		rt.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "no alive workers")
+		service.WriteError(w, http.StatusServiceUnavailable, "no alive workers")
 		return
 	}
 	defer release()
 	rt.mu.Lock()
-	rt.routed++
+	rt.counters.JobsRouted++
 	rt.mu.Unlock()
 
 	pref := rt.ring.Preference(digest, len(rt.breakers))
@@ -265,7 +252,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// from there preserves byte-identity and costs one LAN fetch.
 	if body, from, ok := rt.remote.Fetch(r.Context(), digest, pref...); ok {
 		rt.mu.Lock()
-		rt.remoteHits++
+		rt.counters.RemoteCacheHits++
 		rt.mu.Unlock()
 		if rt.log != nil {
 			rt.log.LogAttrs(r.Context(), slog.LevelInfo, "submission rescued from sibling cache",
@@ -287,7 +274,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		rt.mu.Lock()
-		rt.failovers++
+		rt.counters.Failovers++
 		rt.mu.Unlock()
 		if rt.log != nil {
 			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "submission failed over",
@@ -304,7 +291,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				slog.String("corr", corrFrom(r.Context())))
 		}
 	}
-	writeError(w, http.StatusBadGateway, "no worker could serve the submission")
+	service.WriteError(w, http.StatusBadGateway, "no worker could serve the submission")
 }
 
 // proxySubmit forwards the submission to node. It reports done=true when
@@ -333,7 +320,7 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	node, ok := rt.jobOwner[id]
 	rt.mu.Unlock()
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		service.WriteError(w, http.StatusNotFound, "no such job %q", id)
 		return
 	}
 	url := node + r.URL.Path
@@ -342,7 +329,7 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		service.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	req.Header.Set(service.CorrelationHeader, corrFrom(r.Context()))
@@ -350,7 +337,7 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 		req.Header.Set("Accept", accept)
 	}
 	if !rt.relay(w, req, node, false) {
-		writeError(w, http.StatusBadGateway, "worker %s unreachable", node)
+		service.WriteError(w, http.StatusBadGateway, "worker %s unreachable", node)
 	}
 }
 
@@ -365,9 +352,9 @@ func (rt *Router) relay(w http.ResponseWriter, req *http.Request, node string, r
 	resp, err := rt.hc.Do(req)
 	rt.mu.Lock()
 	c := rt.perNode[node]
-	c.requests++
+	c.Requests++
 	if err != nil {
-		c.errors++
+		c.Errors++
 	}
 	rt.mu.Unlock()
 	if err != nil {
@@ -450,7 +437,7 @@ func (rt *Router) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	pref := rt.ring.Preference(digest, len(rt.breakers))
 	body, from, ok := rt.remote.Fetch(r.Context(), digest, pref...)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for digest %q", digest)
+		service.WriteError(w, http.StatusNotFound, "no cached result for digest %q", digest)
 		return
 	}
 	w.Header().Set("X-Job-Digest", digest)
@@ -468,7 +455,7 @@ type routerHealth struct {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, routerHealth{
+	service.WriteJSON(w, http.StatusOK, routerHealth{
 		Status:  "ok",
 		Version: version.Get(),
 		Nodes:   rt.ring.Nodes(),
@@ -484,35 +471,51 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if alive == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no alive workers")
+		service.WriteError(w, http.StatusServiceUnavailable, "no alive workers")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "alive_workers": alive})
+	service.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "alive_workers": alive})
+}
+
+// NodeCounters are one worker link's proxy outcomes.
+type NodeCounters struct {
+	Requests uint64 `json:"requests" prom:"requests_total Requests proxied to the worker."`
+	Errors   uint64 `json:"errors" prom:"errors_total Proxy transport failures against the worker."`
 }
 
 // NodeMetrics is one worker's view in the router metrics document.
 type NodeMetrics struct {
-	URL      string               `json:"url"`
-	Alive    bool                 `json:"alive"`
-	Load     int                  `json:"load"`
-	Requests uint64               `json:"requests"`
-	Errors   uint64               `json:"errors"`
-	Breaker  service.BreakerStats `json:"breaker"`
+	URL   string `json:"url" prom:"{node}"`
+	Alive bool   `json:"alive" prom:"alive Whether the worker is in the ring (1) or ejected (0)."`
+	Load  int    `json:"load" prom:"load In-flight routed submissions on the worker."`
+	NodeCounters
+	Breaker service.BreakerStats `json:"breaker" prom:"breaker_ state: Worker proxy-link circuit-breaker state (one-hot across the state label). | opens_total: Times the worker's proxy-link breaker tripped open. | short_circuits_total: Submissions diverted while the worker's proxy-link breaker was open."`
 }
 
-// RouterMetrics is the /metrics JSON document.
+// RouterCounters are the router's submission outcomes. Router keeps them
+// under its lock and RouterMetrics embeds a copy.
+type RouterCounters struct {
+	JobsRouted      uint64 `json:"jobs_routed" prom:"jobs_routed_total Submissions routed by digest."`
+	RemoteCacheHits uint64 `json:"remote_cache_hits" prom:"remote_cache_hits_total Submissions rescued from a sibling replica's cache."`
+	Failovers       uint64 `json:"failovers" prom:"failovers_total Submissions recomputed on a failover worker after the owner failed."`
+	Unroutable      uint64 `json:"unroutable" prom:"unroutable_total Submissions rejected because no worker was alive."`
+}
+
+// RouterMetrics is the /metrics document. Each field's json tag names it in
+// the JSON form and its prom tag in the Prometheus form
+// (telemetry.PromWriter.Struct); NodeCount and NodesAlive exist in the
+// Prometheus form only.
 type RouterMetrics struct {
-	UptimeSeconds      float64                     `json:"uptime_seconds"`
-	Nodes              []NodeMetrics               `json:"nodes"`
-	RingRebalances     uint64                      `json:"ring_rebalances"`
-	Probes             uint64                      `json:"probes"`
-	ProbeFailures      uint64                      `json:"probe_failures"`
-	JobsRouted         uint64                      `json:"jobs_routed"`
-	RemoteCacheHits    uint64                      `json:"remote_cache_hits"`
-	Failovers          uint64                      `json:"failovers"`
-	Unroutable         uint64                      `json:"unroutable"`
-	ProxyLatencyMicros telemetry.HistogramSnapshot `json:"proxy_latency_micros"`
-	RemotePeers        []PeerStats                 `json:"remote_peers"`
+	UptimeSeconds  float64       `json:"uptime_seconds" prom:"uptime_seconds Seconds since the router started."`
+	NodeCount      int           `json:"-" prom:"nodes Workers configured in the ring."`
+	NodesAlive     int           `json:"-" prom:"nodes_alive Workers currently alive in the ring."`
+	Nodes          []NodeMetrics `json:"nodes" prom:"node_"`
+	RingRebalances uint64        `json:"ring_rebalances" prom:"ring_rebalances_total Ring membership transitions (ejections plus readmissions)."`
+	Probes         uint64        `json:"probes" prom:"probes_total Health probes sent to workers."`
+	ProbeFailures  uint64        `json:"probe_failures" prom:"probe_failures_total Health probes that failed."`
+	RouterCounters
+	ProxyLatencyMicros telemetry.HistogramSnapshot `json:"proxy_latency_micros" prom:"proxy_latency_microseconds End-to-end latency of proxied requests."`
+	RemotePeers        []PeerStats                 `json:"remote_peers" prom:"remote_"`
 }
 
 // MetricsSnapshot assembles the router metrics document.
@@ -521,133 +524,24 @@ func (rt *Router) MetricsSnapshot() RouterMetrics {
 	rt.mu.Lock()
 	m := RouterMetrics{
 		UptimeSeconds:      time.Since(rt.started).Seconds(),
+		NodeCount:          len(nodes),
 		RingRebalances:     rt.ring.Rebalances(),
 		Probes:             rt.prober.Probes(),
 		ProbeFailures:      rt.prober.Failures(),
-		JobsRouted:         rt.routed,
-		RemoteCacheHits:    rt.remoteHits,
-		Failovers:          rt.failovers,
-		Unroutable:         rt.unroutable,
+		RouterCounters:     rt.counters,
 		ProxyLatencyMicros: rt.proxyMicros.Snapshot(),
 	}
 	for _, n := range nodes {
-		c := rt.perNode[n.URL]
+		if n.Alive {
+			m.NodesAlive++
+		}
 		m.Nodes = append(m.Nodes, NodeMetrics{
 			URL: n.URL, Alive: n.Alive, Load: n.Load,
-			Requests: c.requests, Errors: c.errors,
-			Breaker: rt.breakers[n.URL].Stats(),
+			NodeCounters: *rt.perNode[n.URL],
+			Breaker:      rt.breakers[n.URL].Stats(),
 		})
 	}
 	rt.mu.Unlock()
 	m.RemotePeers = rt.remote.Stats()
 	return m
-}
-
-// handleMetrics serves the router metrics: Prometheus text exposition
-// under Accept: text/plain (or the OpenMetrics type), JSON otherwise —
-// the same negotiation the daemon's /metrics performs.
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r.Header.Get("Accept")) {
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		rt.writeProm(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, rt.MetricsSnapshot())
-}
-
-// writeProm renders the router metrics as tlsrouter_* Prometheus
-// families; per-worker series carry a node label.
-func (rt *Router) writeProm(w io.Writer) error {
-	m := rt.MetricsSnapshot()
-	v := version.Get()
-	p := telemetry.NewPromWriter(w)
-
-	p.Gauge("tlsrouter_build_info",
-		"Build identity of the running router; the value is always 1.", 1,
-		telemetry.PromLabel{Name: "module", Value: v.Module},
-		telemetry.PromLabel{Name: "version", Value: v.Version},
-		telemetry.PromLabel{Name: "revision", Value: v.Revision},
-		telemetry.PromLabel{Name: "go", Value: v.Go})
-	p.Gauge("tlsrouter_uptime_seconds", "Seconds since the router started.", m.UptimeSeconds)
-
-	alive := 0
-	for _, n := range m.Nodes {
-		if n.Alive {
-			alive++
-		}
-	}
-	p.Gauge("tlsrouter_nodes", "Workers configured in the ring.", float64(len(m.Nodes)))
-	p.Gauge("tlsrouter_nodes_alive", "Workers currently alive in the ring.", float64(alive))
-	for _, n := range m.Nodes {
-		lbl := telemetry.PromLabel{Name: "node", Value: n.URL}
-		av := 0.0
-		if n.Alive {
-			av = 1
-		}
-		p.Gauge("tlsrouter_node_alive", "Whether the worker is in the ring (1) or ejected (0).", av, lbl)
-		p.Gauge("tlsrouter_node_load", "In-flight routed submissions on the worker.", float64(n.Load), lbl)
-		p.Counter("tlsrouter_node_requests_total", "Requests proxied to the worker.", n.Requests, lbl)
-		p.Counter("tlsrouter_node_errors_total", "Proxy transport failures against the worker.", n.Errors, lbl)
-		for _, st := range service.BreakerStateNames() {
-			sv := 0.0
-			if n.Breaker.State == st {
-				sv = 1
-			}
-			p.Gauge("tlsrouter_node_breaker_state",
-				"Worker proxy-link circuit-breaker state (one-hot across the state label).",
-				sv, lbl, telemetry.PromLabel{Name: "state", Value: st})
-		}
-		p.Counter("tlsrouter_node_breaker_opens_total",
-			"Times the worker's proxy-link breaker tripped open.", n.Breaker.Opens, lbl)
-	}
-
-	p.Counter("tlsrouter_ring_rebalances_total",
-		"Ring membership transitions (ejections plus readmissions).", m.RingRebalances)
-	p.Counter("tlsrouter_probes_total", "Health probes sent to workers.", m.Probes)
-	p.Counter("tlsrouter_probe_failures_total", "Health probes that failed.", m.ProbeFailures)
-	p.Counter("tlsrouter_jobs_routed_total", "Submissions routed by digest.", m.JobsRouted)
-	p.Counter("tlsrouter_remote_cache_hits_total",
-		"Submissions rescued from a sibling replica's cache.", m.RemoteCacheHits)
-	p.Counter("tlsrouter_failovers_total",
-		"Submissions recomputed on a failover worker after the owner failed.", m.Failovers)
-	p.Counter("tlsrouter_unroutable_total",
-		"Submissions rejected because no worker was alive.", m.Unroutable)
-	p.Histogram("tlsrouter_proxy_latency_microseconds",
-		"End-to-end latency of proxied requests.", m.ProxyLatencyMicros)
-
-	for _, ps := range m.RemotePeers {
-		lbl := telemetry.PromLabel{Name: "node", Value: ps.URL}
-		p.Counter("tlsrouter_remote_fetches_total", "Sibling cache probes sent.", ps.Fetches, lbl)
-		p.Counter("tlsrouter_remote_fetch_hits_total", "Sibling cache probes that hit.", ps.Hits, lbl)
-		p.Counter("tlsrouter_remote_fetch_errors_total", "Sibling cache probes that failed.", ps.Errors, lbl)
-	}
-	return p.Flush()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// wantsProm mirrors the daemon's /metrics content negotiation.
-func wantsProm(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(part)
-		if i := strings.IndexByte(mt, ';'); i >= 0 {
-			mt = strings.TrimSpace(mt[:i])
-		}
-		switch strings.ToLower(mt) {
-		case "text/plain", "application/openmetrics-text":
-			return true
-		}
-	}
-	return false
 }

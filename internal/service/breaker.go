@@ -167,12 +167,14 @@ func (b *Breaker) setStateLocked(to string) {
 	}
 }
 
-// BreakerStats is the /metrics view of a breaker.
+// BreakerStats is the /metrics view of a breaker. Its HELP texts describe
+// the daemon's disk-tier breaker; a section that renders another breaker
+// overrides them.
 type BreakerStats struct {
-	State               string `json:"state"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Opens               uint64 `json:"opens"`
-	ShortCircuits       uint64 `json:"short_circuits"`
+	State               string `json:"state" prom:"state{state=closed|open|half-open} Disk CAS tier circuit-breaker state (one-hot across the state label)."`
+	ConsecutiveFailures int    `json:"consecutive_failures" prom:"-"`
+	Opens               uint64 `json:"opens" prom:"opens_total Times the disk CAS tier circuit breaker tripped open."`
+	ShortCircuits       uint64 `json:"short_circuits" prom:"short_circuits_total Result-tier disk operations skipped while the breaker was open."`
 }
 
 // Stats snapshots the breaker. Safe on nil (a permanently closed circuit).
@@ -188,10 +190,4 @@ func (b *Breaker) Stats() BreakerStats {
 		Opens:               b.opens,
 		ShortCircuits:       b.shorts,
 	}
-}
-
-// BreakerStateNames lists the breaker states in the order the Prometheus
-// one-hot state gauges enumerate them.
-func BreakerStateNames() [3]string {
-	return [3]string{breakerClosed, breakerOpen, breakerHalfOpen}
 }

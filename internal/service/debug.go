@@ -67,7 +67,7 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 		j.mu.Unlock()
 	}
 	sort.Slice(reqs, func(a, b int) bool { return reqs[a].ID < reqs[b].ID })
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		InFlight int            `json:"in_flight"`
 		Jobs     []debugRequest `json:"jobs"`
 	}{len(reqs), reqs})

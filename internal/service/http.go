@@ -114,14 +114,15 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /v1/cache/{digest}", s.handleCacheGet)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /metrics", MetricsHandler("tlsd", "daemon", s.MetricsSnapshot))
 	s.mux = mux
 }
 
-// maxSpecBytes bounds a submission body; real specs are a few hundred bytes.
-const maxSpecBytes = 1 << 20
+// MaxSpecBytes bounds a submission body; real specs are a few hundred bytes.
+const MaxSpecBytes = 1 << 20
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON response body with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -129,8 +130,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes the {"error": ...} JSON body both daemons answer with.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // retrySeconds renders a Retry-After duration as whole seconds (ceiling,
@@ -164,10 +166,10 @@ func retrySeconds(d time.Duration) string {
 // result).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
 	j, info, err := s.SubmitDetailed(spec, correlationFrom(r.Context()))
@@ -179,21 +181,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case errors.As(err, &full):
 		w.Header().Set("Retry-After", retrySeconds(full.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "queue full (capacity %d); retry later", s.opts.QueueDepth)
+		WriteError(w, http.StatusTooManyRequests, "queue full (capacity %d); retry later", s.opts.QueueDepth)
 		return
 	case errors.As(err, &poisoned):
 		w.Header().Set("Retry-After", retrySeconds(poisoned.RetryAfter))
-		writeError(w, http.StatusUnprocessableEntity, "%v; retry after the quarantine expires", poisoned)
+		WriteError(w, http.StatusUnprocessableEntity, "%v; retry after the quarantine expires", poisoned)
 		return
 	case errors.As(err, &unmeetable):
 		w.Header().Set("Retry-After", retrySeconds(unmeetable.RetryAfter))
-		writeError(w, http.StatusTooManyRequests, "%v", unmeetable)
+		WriteError(w, http.StatusTooManyRequests, "%v", unmeetable)
 		return
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, "draining: admission stopped")
+		WriteError(w, http.StatusServiceUnavailable, "draining: admission stopped")
 		return
 	default:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -223,7 +225,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Asynchronous submission: the submitter wants the job to run whether
 	// or not anyone stays connected.
 	j.detach()
-	writeJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
+	WriteJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
 }
 
 // waitAndServe blocks a ?wait=1 submission until its job is terminal, then
@@ -244,7 +246,7 @@ func (s *Server) waitAndServe(w http.ResponseWriter, r *http.Request, j *Job) {
 		w.Write(j.Result())
 		return
 	}
-	writeJSON(w, http.StatusGone, j.StatusAt(time.Now()))
+	WriteJSON(w, http.StatusGone, j.StatusAt(time.Now()))
 }
 
 // handleCancel cancels a live job (DELETE /v1/jobs/{id}). Responses:
@@ -259,18 +261,18 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State() {
 	case StateDone, StateFailed:
-		writeJSON(w, http.StatusConflict, j.StatusAt(time.Now()))
+		WriteJSON(w, http.StatusConflict, j.StatusAt(time.Now()))
 		return
 	}
 	j.Cancel(errCancelRequested)
-	writeJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
+	WriteJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
 }
 
 func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 	id := r.PathValue("id")
 	j, ok := s.Job(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
+		WriteError(w, http.StatusNotFound, "no such job %q", id)
 		return nil
 	}
 	return j
@@ -287,12 +289,12 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if !validDigest(digest) {
-		writeError(w, http.StatusNotFound, "no cached result for %q", digest)
+		WriteError(w, http.StatusNotFound, "no cached result for %q", digest)
 		return
 	}
 	body, tier, ok := s.CachedResult(digest)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no cached result for %s", digest)
+		WriteError(w, http.StatusNotFound, "no cached result for %s", digest)
 		return
 	}
 	w.Header().Set("X-Cache-Tier", tier)
@@ -319,7 +321,7 @@ func validDigest(s string) bool {
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.job(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.StatusAt(time.Now()))
+		WriteJSON(w, http.StatusOK, j.StatusAt(time.Now()))
 	}
 }
 
@@ -339,9 +341,9 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(j.Result())
 	case StateFailed:
-		writeJSON(w, http.StatusGone, j.StatusAt(time.Now()))
+		WriteJSON(w, http.StatusGone, j.StatusAt(time.Now()))
 	default:
-		writeJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
+		WriteJSON(w, http.StatusAccepted, j.StatusAt(time.Now()))
 	}
 }
 
@@ -360,7 +362,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
+		WriteError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -427,32 +429,46 @@ type health struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	n := s.submitted
+	n := s.counters.JobsSubmitted
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, health{Status: "ok", Version: version.Get(), Jobs: n})
+	WriteJSON(w, http.StatusOK, health{Status: "ok", Version: version.Get(), Jobs: n})
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.Draining() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// handleMetrics serves the metrics snapshot in the representation the
-// client asked for: Prometheus text exposition when the Accept header names
-// text/plain or the OpenMetrics type, the historical JSON document
-// otherwise (a browser's or curl's */* keeps getting JSON, so existing
-// scrapers and the smoke script are unchanged).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsProm(r.Header.Get("Accept")) {
+// MetricsHandler serves /metrics for tlsd and tlsrouter alike, in the
+// representation the client asked for: Prometheus text exposition when the
+// Accept header names text/plain or the OpenMetrics type, the snapshot's
+// JSON document otherwise (a browser's or curl's */* keeps getting JSON).
+// The exposition is the always-1 <namespace>_build_info gauge carrying the
+// build identity, then every prom-tagged field of the snapshot under
+// <namespace>_; role names the process in the build_info HELP text.
+func MetricsHandler[M any](namespace, role string, snapshot func() M) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !wantsProm(r.Header.Get("Accept")) {
+			WriteJSON(w, http.StatusOK, snapshot())
+			return
+		}
+		v := version.Get()
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		w.WriteHeader(http.StatusOK)
-		s.writeProm(w)
-		return
+		p := telemetry.NewPromWriter(w)
+		p.Gauge(namespace+"_build_info",
+			"Build identity of the running "+role+"; the value is always 1.", 1,
+			telemetry.PromLabel{Name: "module", Value: v.Module},
+			telemetry.PromLabel{Name: "version", Value: v.Version},
+			telemetry.PromLabel{Name: "revision", Value: v.Revision},
+			telemetry.PromLabel{Name: "modified", Value: strconv.FormatBool(v.Modified)},
+			telemetry.PromLabel{Name: "go", Value: v.Go})
+		p.Struct(namespace+"_", snapshot())
+		_ = p.Flush() // the status is sent; a write error only truncates this scrape
 	}
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
 }
 
 // wantsProm reports whether an Accept header asks for Prometheus text

@@ -554,7 +554,7 @@ func TestClientStopsOnPermanentFailure(t *testing.T) {
 	var calls atomic.Int64
 	backend := newStubServer(t, func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		writeError(w, http.StatusUnprocessableEntity, "quarantined")
+		WriteError(w, http.StatusUnprocessableEntity, "quarantined")
 	})
 	c := &Client{Base: backend.URL, Retries: 4, BaseDelay: time.Millisecond}
 	_, err := c.Run(context.Background(), tinySpec("NEW ORDER"))

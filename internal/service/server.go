@@ -149,28 +149,8 @@ type Server struct {
 
 	// Metrics (guarded by mu). Latencies reuse the telemetry histogram so
 	// /metrics speaks the same snapshot schema as the simulator's metrics.
-	submitted     uint64
-	completed     uint64
-	failed        uint64
-	cacheHits     uint64 // digest hit on a completed job: result served as-is
-	deduped       uint64 // digest hit on a queued/running job: attached, no new work
-	diskHits      uint64 // digest hit in the persistent store: served from disk
-	remoteHits    uint64 // digest hit in a sibling replica's cache: served remotely
-	cacheProbes   uint64 // GET /v1/cache/{digest} sibling probes answered
-	probeHits     uint64 // sibling probes that found a stored result
-	cacheMisses   uint64
-	rejected      uint64
-	timedOut      uint64 // jobs abandoned on their deadline ("timeout" failures)
-	cancelled     uint64 // jobs abandoned by disconnect/DELETE/drain
-	poisonRejects uint64 // submissions fast-failed on a quarantined digest
-	deadlineRej   uint64 // submissions rejected as unable to meet their deadline
-	snapHits      uint64 // checkpoint tier: jobs forked from a stored snapshot
-	snapMisses    uint64 // checkpoint tier: probes that found no snapshot
-	snapPuts      uint64 // checkpoint tier: snapshots published to the store
-	snapCorrupt   uint64 // checkpoint tier: snapshots quarantined as unusable
-	jobsForked    uint64 // executed jobs whose main sim forked from a snapshot
-	jobsReplayed  uint64 // executed jobs whose main sim ran in full
-	inFlight      int
+	counters        Counters
+	inFlight        int
 	coldMicros      telemetry.Histogram // submit -> terminal, simulated jobs
 	hitMicros       telemetry.Histogram // lookup time of memory cache-hit submissions
 	diskHitMicros   telemetry.Histogram // lookup time of disk-warm hit submissions
@@ -341,7 +321,7 @@ func (s *Server) SubmitDetailed(spec JobSpec, corr string) (j *Job, info SubmitI
 // served a TierRemote hit ("" otherwise).
 func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) (j *Job, tier, from string, queueLen int, err error) {
 	s.mu.Lock()
-	s.submitted++
+	s.counters.JobsSubmitted++
 	if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
 		s.mu.Unlock()
 		return prev, t, "", len(s.queue), nil
@@ -350,7 +330,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	// fast-fails here instead of burning another worker. Checked before
 	// the disk probe too — a quarantined digest has no stored result.
 	if pe := s.poisonedLocked(r.Digest, start); pe != nil {
-		s.poisonRejects++
+		s.counters.JobsRejectedPoisoned++
 		s.mu.Unlock()
 		return nil, "", "", 0, pe
 	}
@@ -367,7 +347,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 				return prev, t, "", len(s.queue), nil
 			}
 			j = s.installFinishedLocked(corr, spec, r, start, body, now)
-			s.diskHits++
+			s.counters.CacheDiskHits++
 			s.diskHitMicros.Observe(uint64(time.Since(start).Microseconds()))
 			return j, TierDisk, "", len(s.queue), nil
 		}
@@ -382,7 +362,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 				return prev, t, "", len(s.queue), nil
 			}
 			j = s.installFinishedLocked(corr, spec, r, start, body, now)
-			s.remoteHits++
+			s.counters.CacheRemoteHits++
 			s.remoteHitMicros.Observe(uint64(time.Since(start).Microseconds()))
 			queueLen = len(s.queue)
 			s.mu.Unlock()
@@ -413,7 +393,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	if timeout > 0 {
 		if svc, ok := s.meanServiceLocked(); ok {
 			if wait := s.backlogWaitLocked(svc); wait+svc > timeout {
-				s.deadlineRej++
+				s.counters.JobsRejectedDeadline++
 				return nil, "", "", 0, &UnmeetableDeadlineError{
 					Deadline:   timeout,
 					Estimate:   wait + svc,
@@ -422,7 +402,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 			}
 		}
 	}
-	s.cacheMisses++
+	s.counters.CacheMisses++
 	s.nextID++
 	flightEvents := 0
 	if s.opts.FlightDir != "" {
@@ -433,8 +413,8 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	select {
 	case s.queue <- j:
 	default:
-		s.rejected++
-		s.cacheMisses-- // never admitted; keep the hit ratio honest
+		s.counters.JobsRejected++
+		s.counters.CacheMisses-- // never admitted; keep the hit ratio honest
 		j.release()
 		return nil, "", "", 0, &QueueFullError{RetryAfter: s.retryAfterLocked()}
 	}
@@ -468,11 +448,11 @@ func (s *Server) memoryHitLocked(digest string, start time.Time) (*Job, string) 
 		return nil, ""
 	}
 	if prev.State() == StateDone {
-		s.cacheHits++
+		s.counters.CacheHits++
 		s.hitMicros.Observe(uint64(time.Since(start).Microseconds()))
 		return prev, TierMemory
 	}
-	s.deduped++
+	s.counters.DedupedInFlight++
 	return prev, TierDedup
 }
 
@@ -483,19 +463,19 @@ func (s *Server) memoryHitLocked(digest string, start time.Time) (*Job, string) 
 // sibling probing N replicas costs N lookups, not N simulations.
 func (s *Server) CachedResult(digest string) (body []byte, tier string, ok bool) {
 	s.mu.Lock()
-	s.cacheProbes++
+	s.counters.CacheProbes++
 	prev := s.byDigest[digest]
 	s.mu.Unlock()
 	if prev != nil && prev.State() == StateDone {
 		s.mu.Lock()
-		s.probeHits++
+		s.counters.CacheProbeHits++
 		s.mu.Unlock()
 		return prev.Result(), TierMemory, true
 	}
 	if s.breaker.Allow() {
 		if body, ok := s.store.Get(casResultNS, digest); ok {
 			s.mu.Lock()
-			s.probeHits++
+			s.counters.CacheProbeHits++
 			s.mu.Unlock()
 			return body, TierDisk, true
 		}
@@ -615,11 +595,11 @@ func (s *Server) watchCancel(j *Job) {
 	j.release()
 
 	s.mu.Lock()
-	s.failed++
+	s.counters.JobsFailed++
 	if failure.Kind == "timeout" {
-		s.timedOut++
+		s.counters.JobsTimedOut++
 	} else {
-		s.cancelled++
+		s.counters.JobsCancelled++
 	}
 	// The digest is free again immediately: a resubmission starts fresh
 	// instead of attaching to a corpse.
@@ -663,12 +643,12 @@ func (s *Server) runJob(j *Job) {
 	s.mu.Lock()
 	s.inFlight--
 	if failure != nil {
-		s.failed++
+		s.counters.JobsFailed++
 		switch failure.Kind {
 		case "timeout":
-			s.timedOut++
+			s.counters.JobsTimedOut++
 		case "cancelled", "drain":
-			s.cancelled++
+			s.counters.JobsCancelled++
 		}
 		// A failed run is not a servable result: drop its digest claim so
 		// a resubmission retries instead of replaying the failure forever.
@@ -681,7 +661,7 @@ func (s *Server) runJob(j *Job) {
 			s.notePoisonLocked(j.res.Digest, failure, finished)
 		}
 	} else {
-		s.completed++
+		s.counters.JobsCompleted++
 		delete(s.poison, j.res.Digest)
 	}
 	for st := stage(0); st < numStages; st++ {
@@ -901,85 +881,73 @@ func (s *Server) dumpFlight(j *Job) string {
 	return path
 }
 
+// Counters are the daemon's event counts. Server keeps them under its lock
+// and Metrics embeds a copy, so each is declared once for both /metrics
+// forms.
+type Counters struct {
+	JobsSubmitted        uint64 `json:"jobs_submitted" prom:"jobs_submitted_total Job submissions admitted or rejected."`
+	JobsCompleted        uint64 `json:"jobs_completed" prom:"jobs_completed_total Jobs that finished with a servable result."`
+	JobsFailed           uint64 `json:"jobs_failed" prom:"jobs_failed_total Jobs that ended in a structured failure."`
+	JobsRejected         uint64 `json:"jobs_rejected_queue_full" prom:"jobs_rejected_total Submissions rejected because the queue was full."`
+	JobsTimedOut         uint64 `json:"jobs_timed_out" prom:"jobs_timeout_total Jobs abandoned on their end-to-end deadline."`
+	JobsCancelled        uint64 `json:"jobs_cancelled" prom:"jobs_cancelled_total Jobs abandoned by client disconnect, DELETE, or shutdown drain."`
+	JobsRejectedPoisoned uint64 `json:"jobs_rejected_poisoned" prom:"jobs_rejected_poisoned_total Submissions fast-failed on a quarantined digest."`
+	JobsRejectedDeadline uint64 `json:"jobs_rejected_deadline" prom:"jobs_rejected_deadline_total Submissions rejected as provably unable to meet their deadline."`
+
+	CacheHits       uint64 `json:"cache_hits" prom:"cache_hits_total Submissions served from the in-memory result cache."`
+	CacheDiskHits   uint64 `json:"cache_disk_hits" prom:"cache_disk_hits_total Submissions served from the persistent result store."`
+	CacheRemoteHits uint64 `json:"cache_remote_hits" prom:"cache_remote_hits_total Submissions served from a sibling replica's cache."`
+	CacheMisses     uint64 `json:"cache_misses" prom:"cache_misses_total Submissions that required a new simulation."`
+	DedupedInFlight uint64 `json:"deduped_in_flight" prom:"cache_deduped_total Submissions attached to an already in-flight duplicate."`
+	CacheProbes     uint64 `json:"cache_probes" prom:"cache_probes_total Sibling-cache probes answered (GET /v1/cache/{digest})."`
+	CacheProbeHits  uint64 `json:"cache_probe_hits" prom:"cache_probe_hits_total Sibling-cache probes that found a stored result."`
+
+	SnapshotHits    uint64 `json:"snapshot_hits" prom:"snapshot_hit_total Jobs forked from a stored machine checkpoint."`
+	SnapshotMisses  uint64 `json:"snapshot_misses" prom:"snapshot_miss_total Checkpoint probes that found no stored snapshot."`
+	SnapshotPuts    uint64 `json:"snapshot_puts" prom:"snapshot_put_total Machine checkpoints published to the persistent store."`
+	SnapshotCorrupt uint64 `json:"snapshot_corrupt" prom:"snapshot_corrupt_total Machine checkpoints quarantined as undecodable or inapplicable."`
+	JobsForked      uint64 `json:"jobs_forked" prom:"jobs_forked_total Executed jobs whose main simulation forked from a checkpoint."`
+	JobsReplayed    uint64 `json:"jobs_replayed" prom:"jobs_replayed_total Executed jobs whose main simulation ran in full."`
+}
+
 // Metrics is the /metrics snapshot: queue pressure, worker occupancy, cache
 // effectiveness, job outcomes, and latency distributions (microseconds,
-// telemetry histogram schema).
+// telemetry histogram schema). Each field's json tag names it in the JSON
+// form and its prom tag in the Prometheus form (telemetry.PromWriter.Struct).
 type Metrics struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Workers       int     `json:"workers"`
-	QueueDepth    int     `json:"queue_depth"`
-	QueueCapacity int     `json:"queue_capacity"`
-	InFlight      int     `json:"in_flight"`
+	UptimeSeconds float64 `json:"uptime_seconds" prom:"uptime_seconds Seconds since the daemon started."`
+	Workers       int     `json:"workers" prom:"workers Simulation worker-pool size."`
+	QueueDepth    int     `json:"queue_depth" prom:"queue_depth Jobs waiting in the admission queue."`
+	QueueCapacity int     `json:"queue_capacity" prom:"queue_capacity Admission queue capacity."`
+	InFlight      int     `json:"in_flight" prom:"jobs_in_flight Jobs currently simulating."`
 
-	JobsSubmitted uint64 `json:"jobs_submitted"`
-	JobsCompleted uint64 `json:"jobs_completed"`
-	JobsFailed    uint64 `json:"jobs_failed"`
-	JobsRejected  uint64 `json:"jobs_rejected_queue_full"`
-	// Deadline/cancellation outcomes and degraded-mode rejections.
-	JobsTimedOut         uint64 `json:"jobs_timed_out"`
-	JobsCancelled        uint64 `json:"jobs_cancelled"`
-	JobsRejectedPoisoned uint64 `json:"jobs_rejected_poisoned"`
-	JobsRejectedDeadline uint64 `json:"jobs_rejected_deadline"`
-	PoisonedDigests      int    `json:"poisoned_digests"`
+	Counters
+	PoisonedDigests int     `json:"poisoned_digests" prom:"poisoned_digests Digests currently in the poison quarantine window."`
+	CacheEntries    int     `json:"cache_entries" prom:"cache_entries Distinct digests with a live job or stored result."`
+	CacheHitRatio   float64 `json:"cache_hit_ratio" prom:"cache_hit_ratio Fraction of classified submissions served without new work (0 until the first job)."`
 
-	CacheEntries    int     `json:"cache_entries"`
-	CacheHits       uint64  `json:"cache_hits"`
-	CacheDiskHits   uint64  `json:"cache_disk_hits"`
-	CacheRemoteHits uint64  `json:"cache_remote_hits"`
-	CacheMisses     uint64  `json:"cache_misses"`
-	DedupedInFlight uint64  `json:"deduped_in_flight"`
-	CacheHitRatio   float64 `json:"cache_hit_ratio"`
-	// Sibling-cache probes answered by this node (GET /v1/cache/{digest})
-	// and how many found a stored result.
-	CacheProbes    uint64 `json:"cache_probes"`
-	CacheProbeHits uint64 `json:"cache_probe_hits"`
-
-	// Checkpoint tier: machine-state snapshots forked from / probed /
-	// published / quarantined, and the executed-job fork-vs-replay split.
-	SnapshotHits    uint64 `json:"snapshot_hits"`
-	SnapshotMisses  uint64 `json:"snapshot_misses"`
-	SnapshotPuts    uint64 `json:"snapshot_puts"`
-	SnapshotCorrupt uint64 `json:"snapshot_corrupt"`
-	JobsForked      uint64 `json:"jobs_forked"`
-	JobsReplayed    uint64 `json:"jobs_replayed"`
-
-	ColdLatencyMicros      telemetry.HistogramSnapshot `json:"cold_latency_micros"`
-	HitLatencyMicros       telemetry.HistogramSnapshot `json:"cache_hit_latency_micros"`
-	DiskHitLatencyMicros   telemetry.HistogramSnapshot `json:"disk_hit_latency_micros"`
-	RemoteHitLatencyMicros telemetry.HistogramSnapshot `json:"remote_hit_latency_micros"`
+	ColdLatencyMicros      telemetry.HistogramSnapshot `json:"cold_latency_micros" prom:"job_cold_latency_microseconds Submit-to-terminal latency of executed jobs."`
+	HitLatencyMicros       telemetry.HistogramSnapshot `json:"cache_hit_latency_micros" prom:"cache_hit_latency_microseconds Lookup latency of memory cache-hit submissions."`
+	DiskHitLatencyMicros   telemetry.HistogramSnapshot `json:"disk_hit_latency_micros" prom:"cache_disk_hit_latency_microseconds Lookup latency of disk-warm hit submissions (includes the store read)."`
+	RemoteHitLatencyMicros telemetry.HistogramSnapshot `json:"remote_hit_latency_micros" prom:"cache_remote_hit_latency_microseconds Lookup latency of sibling-cache hit submissions (includes the network fetch)."`
 
 	// CAS is the persistent store's own view — hits, misses, evictions,
 	// quarantined entries, resident set, and disk I/O latencies. nil when
 	// the daemon runs without a cache directory.
-	CAS *cas.Stats `json:"cas,omitempty"`
+	CAS *cas.Stats `json:"cas,omitempty" prom:"cas_"`
 	// Breaker is the disk-tier circuit breaker's state and counters. nil
 	// without a persistent store.
-	Breaker *BreakerStats `json:"cas_breaker,omitempty"`
+	Breaker *BreakerStats `json:"cas_breaker,omitempty" prom:"cas_breaker_"`
 	// Chaos counts the faults the -chaos schedule has delivered. nil when
 	// chaos is off.
-	Chaos *chaos.Stats `json:"chaos,omitempty"`
+	Chaos *chaos.Stats `json:"chaos,omitempty" prom:"chaos_"`
 
 	// Per-stage breakdown of the cold path, observed once per executed job:
 	// queue wait, workload build, simulation, result render.
-	QueueWaitMicros     telemetry.HistogramSnapshot `json:"queue_wait_micros"`
-	BuildLatencyMicros  telemetry.HistogramSnapshot `json:"build_latency_micros"`
-	SimLatencyMicros    telemetry.HistogramSnapshot `json:"sim_latency_micros"`
-	RenderLatencyMicros telemetry.HistogramSnapshot `json:"render_latency_micros"`
-}
-
-// stageSnapshot returns the snapshot of one stage histogram, indexed the
-// same way the Prometheus exposition labels them.
-func (m *Metrics) stageSnapshot(st stage) telemetry.HistogramSnapshot {
-	switch st {
-	case stageQueue:
-		return m.QueueWaitMicros
-	case stageBuild:
-		return m.BuildLatencyMicros
-	case stageSim:
-		return m.SimLatencyMicros
-	default:
-		return m.RenderLatencyMicros
-	}
+	QueueWaitMicros     telemetry.HistogramSnapshot `json:"queue_wait_micros" prom:"job_stage_latency_microseconds{stage=queue} Executed-job latency by pipeline stage (queue wait, workload build, simulation, result render)."`
+	BuildLatencyMicros  telemetry.HistogramSnapshot `json:"build_latency_micros" prom:"job_stage_latency_microseconds{stage=build}"`
+	SimLatencyMicros    telemetry.HistogramSnapshot `json:"sim_latency_micros" prom:"job_stage_latency_microseconds{stage=sim}"`
+	RenderLatencyMicros telemetry.HistogramSnapshot `json:"render_latency_micros" prom:"job_stage_latency_microseconds{stage=render}"`
 }
 
 // MetricsSnapshot captures the current serving metrics.
@@ -987,38 +955,14 @@ func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := Metrics{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Workers:       s.opts.Workers,
-		QueueDepth:    len(s.queue),
-		QueueCapacity: s.opts.QueueDepth,
-		InFlight:      s.inFlight,
-
-		JobsSubmitted: s.submitted,
-		JobsCompleted: s.completed,
-		JobsFailed:    s.failed,
-		JobsRejected:  s.rejected,
-
-		JobsTimedOut:         s.timedOut,
-		JobsCancelled:        s.cancelled,
-		JobsRejectedPoisoned: s.poisonRejects,
-		JobsRejectedDeadline: s.deadlineRej,
-		PoisonedDigests:      len(s.poison),
-
+		UptimeSeconds:   time.Since(s.started).Seconds(),
+		Workers:         s.opts.Workers,
+		QueueDepth:      len(s.queue),
+		QueueCapacity:   s.opts.QueueDepth,
+		InFlight:        s.inFlight,
+		Counters:        s.counters,
+		PoisonedDigests: len(s.poison),
 		CacheEntries:    len(s.byDigest),
-		CacheHits:       s.cacheHits,
-		CacheDiskHits:   s.diskHits,
-		CacheRemoteHits: s.remoteHits,
-		CacheMisses:     s.cacheMisses,
-		DedupedInFlight: s.deduped,
-		CacheProbes:     s.cacheProbes,
-		CacheProbeHits:  s.probeHits,
-
-		SnapshotHits:    s.snapHits,
-		SnapshotMisses:  s.snapMisses,
-		SnapshotPuts:    s.snapPuts,
-		SnapshotCorrupt: s.snapCorrupt,
-		JobsForked:      s.jobsForked,
-		JobsReplayed:    s.jobsReplayed,
 
 		ColdLatencyMicros:      s.coldMicros.Snapshot(),
 		HitLatencyMicros:       s.hitMicros.Snapshot(),

@@ -55,7 +55,7 @@ func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolv
 				return res, nil
 			}
 		} else {
-			s.bumpSnap(&s.snapMisses)
+			s.bumpSnap(&s.counters.SnapshotMisses)
 		}
 	}
 
@@ -73,7 +73,7 @@ func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolv
 	s.noteSim(false)
 	if err == nil && captured != nil && s.breaker.Allow() {
 		s.store.Put(casSnapNS, key, captured.Encode())
-		s.bumpSnap(&s.snapPuts)
+		s.bumpSnap(&s.counters.SnapshotPuts)
 		s.jlog(slog.LevelInfo, "snapshot published",
 			slog.String("correlation_id", j.corr),
 			slog.String("job", j.id),
@@ -92,7 +92,7 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 	if err == nil {
 		var res *sim.Result
 		if res, err = sim.ResumeE(cfg, built.Program, snap); err == nil {
-			s.bumpSnap(&s.snapHits)
+			s.bumpSnap(&s.counters.SnapshotHits)
 			s.noteSim(true)
 			s.jlog(slog.LevelInfo, "job forked from snapshot",
 				slog.String("correlation_id", j.corr),
@@ -102,7 +102,7 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 			return res, nil
 		}
 	}
-	s.bumpSnap(&s.snapCorrupt)
+	s.bumpSnap(&s.counters.SnapshotCorrupt)
 	s.store.Quarantine(casSnapNS, key, err)
 	s.jlog(slog.LevelWarn, "snapshot quarantined",
 		slog.String("correlation_id", j.corr),
@@ -123,9 +123,9 @@ func (s *Server) bumpSnap(c *uint64) {
 func (s *Server) noteSim(forked bool) {
 	s.mu.Lock()
 	if forked {
-		s.jobsForked++
+		s.counters.JobsForked++
 	} else {
-		s.jobsReplayed++
+		s.counters.JobsReplayed++
 	}
 	s.mu.Unlock()
 }

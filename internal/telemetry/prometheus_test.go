@@ -101,41 +101,6 @@ func TestPromWriterRejectsRetypedFamily(t *testing.T) {
 	}
 }
 
-func TestSnapshotWriteProm(t *testing.T) {
-	m := NewMetrics()
-	m.Emit(Event{Kind: EpochStart, Epoch: 1, Cycle: 10})
-	m.Emit(Event{Kind: EpochCommit, Epoch: 1, Cycle: 50})
-	m.Emit(Event{Kind: PrimaryViolation, Epoch: 1, Cycle: 30, Depth: 2, Instrs: 100})
-
-	var buf bytes.Buffer
-	if err := m.Snapshot().WriteProm(&buf, "tlssim"); err != nil {
-		t.Fatalf("WriteProm: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`tlssim_events_total{kind="epoch-start"} 1`,
-		`tlssim_events_total{kind="violation-primary"} 1`,
-		"# TYPE tlssim_epoch_lifetime_cycles histogram",
-		"tlssim_violation_rewind_depth_count 1",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("WriteProm output missing %q:\n%s", want, out)
-		}
-	}
-	if err := LintProm(buf.Bytes()); err != nil {
-		t.Errorf("LintProm: %v", err)
-	}
-
-	// Determinism: two renderings of the same snapshot are byte-identical.
-	var buf2 bytes.Buffer
-	if err := m.Snapshot().WriteProm(&buf2, "tlssim"); err != nil {
-		t.Fatalf("WriteProm: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("WriteProm output is not deterministic")
-	}
-}
-
 func TestLintPromRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"nan value":          "# TYPE x gauge\nx NaN\n",
@@ -154,6 +119,8 @@ func TestLintPromRejectsMalformed(t *testing.T) {
 		"missing inf bucket": "# TYPE h histogram\nh_sum 9\nh_count 5\n",
 		"bare histogram sample": "# TYPE h histogram\nh 1\n" +
 			`h_bucket{le="+Inf"} 1` + "\nh_sum 1\nh_count 1\n",
+		"interleaved families": "# TYPE a gauge\na{n=\"1\"} 1\n" +
+			"# TYPE b gauge\nb{n=\"1\"} 1\na{n=\"2\"} 1\nb{n=\"2\"} 1\n",
 	}
 	for name, doc := range cases {
 		if err := LintProm([]byte(doc)); err == nil {
@@ -187,5 +154,148 @@ func TestLintPromFile(t *testing.T) {
 	}
 	if err := LintProm(data); err != nil {
 		t.Fatalf("%s is not valid Prometheus text exposition: %v", path, err)
+	}
+}
+
+type promTestBreaker struct {
+	State string `prom:"state{state=closed|open} Breaker state (one-hot)."`
+	Opens uint64 `prom:"opens_total Times the breaker opened."`
+}
+
+type promTestNode struct {
+	URL     string          `prom:"{node}"`
+	Up      bool            `prom:"up Whether the node is up."`
+	Breaker promTestBreaker `prom:"breaker_ state: Node link breaker state (one-hot)."`
+}
+
+type promTestStore struct {
+	Bytes int64 `prom:"size_bytes Bytes stored."`
+}
+
+type promTestCounters struct {
+	Jobs uint64 `prom:"jobs_total Jobs run."`
+}
+
+type promTestMetrics struct {
+	promTestCounters
+	Ratio   float64           `prom:"hit_ratio Hit ratio."`
+	Queue   HistogramSnapshot `prom:"stage_micros{stage=queue} Latency by stage."`
+	Sim     HistogramSnapshot `prom:"stage_micros{stage=sim}"`
+	Nodes   []promTestNode    `prom:"node_"`
+	Store   *promTestStore    `prom:"store_"`
+	Breaker *promTestBreaker  `prom:"breaker_"`
+	Note    string            `prom:"-"`
+	private int
+}
+
+type promTestUntagged struct {
+	Depth int
+}
+
+// TestPromWriterStruct pins the tag-driven walker: counters, gauges and
+// histograms, constant labels sharing a family, one-hot strings, embedded
+// structs in place, per-element labels rendered family-major across a
+// slice, HELP overrides, and nil sections left out.
+func TestPromWriterStruct(t *testing.T) {
+	var h Histogram
+	h.Observe(3)
+	full := promTestMetrics{
+		promTestCounters: promTestCounters{Jobs: 7},
+		Ratio:            0.5,
+		Queue:            h.Snapshot(),
+		Nodes: []promTestNode{
+			{URL: "a", Up: true, Breaker: promTestBreaker{State: "closed"}},
+			{URL: "b", Breaker: promTestBreaker{State: "open", Opens: 2}},
+		},
+		Store:   &promTestStore{Bytes: 42},
+		Breaker: &promTestBreaker{State: "open", Opens: 1},
+		Note:    "json only",
+	}
+	cases := []struct {
+		name string
+		v    any
+		want []string
+		err  bool
+	}{
+		{name: "every field kind", v: &full, want: []string{
+			"# HELP x_jobs_total Jobs run.",
+			"# TYPE x_jobs_total counter",
+			"x_jobs_total 7",
+			"# HELP x_hit_ratio Hit ratio.",
+			"# TYPE x_hit_ratio gauge",
+			"x_hit_ratio 0.5",
+			"# HELP x_stage_micros Latency by stage.",
+			"# TYPE x_stage_micros histogram",
+			`x_stage_micros_bucket{stage="queue",le="3"} 1`,
+			`x_stage_micros_bucket{stage="queue",le="+Inf"} 1`,
+			`x_stage_micros_sum{stage="queue"} 3`,
+			`x_stage_micros_count{stage="queue"} 1`,
+			`x_stage_micros_bucket{stage="sim",le="+Inf"} 0`,
+			`x_stage_micros_sum{stage="sim"} 0`,
+			`x_stage_micros_count{stage="sim"} 0`,
+			"# HELP x_node_up Whether the node is up.",
+			"# TYPE x_node_up gauge",
+			`x_node_up{node="a"} 1`,
+			`x_node_up{node="b"} 0`,
+			"# HELP x_node_breaker_state Node link breaker state (one-hot).",
+			"# TYPE x_node_breaker_state gauge",
+			`x_node_breaker_state{node="a",state="closed"} 1`,
+			`x_node_breaker_state{node="a",state="open"} 0`,
+			`x_node_breaker_state{node="b",state="closed"} 0`,
+			`x_node_breaker_state{node="b",state="open"} 1`,
+			"# HELP x_node_breaker_opens_total Times the breaker opened.",
+			"# TYPE x_node_breaker_opens_total counter",
+			`x_node_breaker_opens_total{node="a"} 0`,
+			`x_node_breaker_opens_total{node="b"} 2`,
+			"# HELP x_store_size_bytes Bytes stored.",
+			"# TYPE x_store_size_bytes gauge",
+			"x_store_size_bytes 42",
+			"# HELP x_breaker_state Breaker state (one-hot).",
+			"# TYPE x_breaker_state gauge",
+			`x_breaker_state{state="closed"} 0`,
+			`x_breaker_state{state="open"} 1`,
+			"# HELP x_breaker_opens_total Times the breaker opened.",
+			"# TYPE x_breaker_opens_total counter",
+			"x_breaker_opens_total 1",
+		}},
+		{name: "nil sections", v: promTestMetrics{}, want: []string{
+			"# HELP x_jobs_total Jobs run.",
+			"# TYPE x_jobs_total counter",
+			"x_jobs_total 0",
+			"# HELP x_hit_ratio Hit ratio.",
+			"# TYPE x_hit_ratio gauge",
+			"x_hit_ratio 0",
+			"# HELP x_stage_micros Latency by stage.",
+			"# TYPE x_stage_micros histogram",
+			`x_stage_micros_bucket{stage="queue",le="+Inf"} 0`,
+			`x_stage_micros_sum{stage="queue"} 0`,
+			`x_stage_micros_count{stage="queue"} 0`,
+			`x_stage_micros_bucket{stage="sim",le="+Inf"} 0`,
+			`x_stage_micros_sum{stage="sim"} 0`,
+			`x_stage_micros_count{stage="sim"} 0`,
+		}},
+		{name: "untagged field", v: promTestUntagged{Depth: 1}, err: true},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		p := NewPromWriter(&buf)
+		p.Struct("x_", tc.v)
+		err := p.Flush()
+		if tc.err {
+			if err == nil {
+				t.Errorf("%s: walker accepted it:\n%s", tc.name, buf.String())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got, want := buf.String(), strings.Join(tc.want, "\n")+"\n"; got != want {
+			t.Errorf("%s: exposition output:\n%s\nwant:\n%s", tc.name, got, want)
+		}
+		if err := LintProm(buf.Bytes()); err != nil {
+			t.Errorf("%s: LintProm: %v", tc.name, err)
+		}
 	}
 }

@@ -12,6 +12,8 @@ import (
 // scraper would choke on:
 //
 //   - HELP/TYPE comment lines are well-formed and each family is typed once;
+//   - each family's lines form one group: no line of a family follows a
+//     line of another family after the family's own lines began;
 //   - every sample line parses (metric name, optional labels, float value)
 //     with legal metric and label name characters;
 //   - every sample belongs to a declared family (histogram samples may use
@@ -22,6 +24,7 @@ import (
 func LintProm(data []byte) error {
 	l := promLint{
 		types:   make(map[string]string),
+		ended:   make(map[string]bool),
 		buckets: make(map[string]float64),
 		infs:    make(map[string]float64),
 		counts:  make(map[string]float64),
@@ -36,6 +39,8 @@ func LintProm(data []byte) error {
 
 type promLint struct {
 	types   map[string]string  // family -> type
+	group   string             // family of the current line group
+	ended   map[string]bool    // families whose group is over
 	buckets map[string]float64 // family + label set (minus le) -> last cumulative count
 	infs    map[string]float64 // family + label set -> +Inf bucket value
 	counts  map[string]float64 // family + label set -> _count value
@@ -62,6 +67,7 @@ func (l *promLint) comment(line string) error {
 		if len(fields) < 3 || !validMetricName(fields[2]) {
 			return fmt.Errorf("malformed HELP comment %q", line)
 		}
+		return l.enter(fields[2])
 	case "TYPE":
 		if len(fields) != 4 {
 			return fmt.Errorf("malformed TYPE comment %q", line)
@@ -79,7 +85,21 @@ func (l *promLint) comment(line string) error {
 			return fmt.Errorf("family %s retyped as %s (was %s)", name, typ, prev)
 		}
 		l.types[name] = typ
+		return l.enter(name)
 	}
+	return nil
+}
+
+// enter moves to the line group of family, which must not have ended.
+func (l *promLint) enter(family string) error {
+	if family == l.group {
+		return nil
+	}
+	if l.ended[family] {
+		return fmt.Errorf("family %s is split: its lines resume after another family's", family)
+	}
+	l.ended[l.group] = true
+	l.group = family
 	return nil
 }
 
@@ -114,6 +134,9 @@ func (l *promLint) sample(line string) error {
 	typ, ok := l.types[family]
 	if !ok {
 		return fmt.Errorf("sample %s has no TYPE declaration", name)
+	}
+	if err := l.enter(family); err != nil {
+		return err
 	}
 	if typ != "histogram" {
 		return nil
