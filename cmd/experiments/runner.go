@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"subthreads/internal/cas"
 	"subthreads/internal/inject"
 	"subthreads/internal/sim"
 	"subthreads/internal/workload"
@@ -52,9 +54,8 @@ type runner struct {
 	paranoid  bool
 	injectCfg *inject.Config
 
-	mu    sync.Mutex
-	memo  map[simKey]*memoEntry
-	snaps map[simKey]*snapEntry
+	memo  cas.Memo[simKey, *sim.Result]   // exact runs, by FullDigest
+	snaps cas.Memo[simKey, *sim.Snapshot] // prefix checkpoints, by PrefixDigest
 
 	// Simulation accounting: full runs executed, runs forked from a prefix
 	// snapshot, and exact-duplicate results served from the memo. The split
@@ -78,30 +79,11 @@ type simKey struct {
 	digest string
 }
 
-// memoEntry is a single-flight slot for one exact simulation.
-type memoEntry struct {
-	once sync.Once
-	res  *sim.Result
-}
-
-// snapEntry is a single-flight slot for one prefix group's checkpoint; snap
-// stays nil when the capturing run produced no forkable snapshot (no leading
-// barrier, speculative state at the boundary, or a panic).
-type snapEntry struct {
-	once sync.Once
-	snap *sim.Snapshot
-}
-
 func newRunner(jobs int) *runner {
 	if jobs < 1 {
 		jobs = 1
 	}
-	return &runner{
-		jobs:    jobs,
-		builder: workload.NewBuilder(),
-		memo:    make(map[simKey]*memoEntry),
-		snaps:   make(map[simKey]*snapEntry),
-	}
+	return &runner{jobs: jobs, builder: workload.NewBuilder()}
 }
 
 // Sims reports the full / forked / memoized simulation split.
@@ -213,21 +195,18 @@ func (r *runner) runSeqConfig(spec workload.Spec, cfg sim.Config) runOut {
 func (r *runner) runOn(spec workload.Spec, sequential bool, cfg sim.Config) runOut {
 	built := r.builder.Build(spec, sequential)
 	cfg = r.apply(cfg)
-	e := r.memoEntry(simKey{spec, sequential, sim.FullDigest(cfg)})
-	executed := false
-	e.once.Do(func() {
-		executed = true
-		e.res = r.simulate(spec, sequential, cfg, built.Program)
+	res, executed := r.memo.Do(simKey{spec, sequential, sim.FullDigest(cfg)}, func() *sim.Result {
+		return r.simulate(spec, sequential, cfg, built.Program)
 	})
 	if !executed {
-		if e.res == nil {
+		if res == nil {
 			// The winning task panicked; fail this duplicate the same way a
 			// fresh run would have.
 			panic(fmt.Sprintf("experiments: duplicate of a failed simulation (spec %+v)", spec))
 		}
 		r.simsMemo.Add(1)
 	}
-	return runOut{e.res, built}
+	return runOut{res, built}
 }
 
 // simulate executes one distinct simulation, forking from the prefix group's
@@ -240,54 +219,33 @@ func (r *runner) simulate(spec workload.Spec, sequential bool, cfg sim.Config, p
 		r.simsRun.Add(1)
 		return sim.Run(cfg, prog)
 	}
-	g := r.snapEntry(simKey{spec, sequential, sim.PrefixDigest(cfg)})
 	var res *sim.Result
-	captured := false
-	g.once.Do(func() {
-		captured = true
-		runCfg := cfg
-		runCfg.SnapshotAtPrefix = true
-		runCfg.SnapshotSink = func(s *sim.Snapshot) {
-			if s.Forkable {
-				g.snap = s
-			}
-		}
+	var err error
+	snap, captured := r.snaps.Do(simKey{spec, sequential, sim.PrefixDigest(cfg)}, func() (snap *sim.Snapshot) {
 		r.simsRun.Add(1)
-		res = sim.Run(runCfg, prog)
+		res, snap, err = sim.RunCapture(cfg, prog)
+		return snap
 	})
 	if captured {
+		if err != nil {
+			panic(err)
+		}
 		return res
 	}
-	if g.snap != nil {
-		if res, err := sim.ResumeE(cfg, prog, g.snap); err == nil {
+	if snap != nil {
+		// sim.ResumeE's rule: a *sim.RunError is the forked run's own
+		// outcome and fails this task; any other error means the
+		// checkpoint does not apply, and the run replays in full.
+		res, err = sim.ResumeE(cfg, prog, snap)
+		if err == nil || errors.As(err, new(*sim.RunError)) {
 			r.simsForked.Add(1)
+			if err != nil {
+				panic(err)
+			}
 			return res
-		} else {
-			fmt.Fprintf(os.Stderr, "experiments: prefix fork failed (%v); replaying in full\n", err)
 		}
+		fmt.Fprintf(os.Stderr, "experiments: prefix fork failed (%v); replaying in full\n", err)
 	}
 	r.simsRun.Add(1)
 	return sim.Run(cfg, prog)
-}
-
-func (r *runner) memoEntry(k simKey) *memoEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.memo[k]
-	if !ok {
-		e = &memoEntry{}
-		r.memo[k] = e
-	}
-	return e
-}
-
-func (r *runner) snapEntry(k simKey) *snapEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.snaps[k]
-	if !ok {
-		e = &snapEntry{}
-		r.snaps[k] = e
-	}
-	return e
 }

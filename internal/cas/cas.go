@@ -1,9 +1,11 @@
-// Package cas is the persistent tier of the repo's content-addressed
-// caches: a size-bounded on-disk store of immutable byte entries keyed by
-// (namespace, digest). The in-memory tiers stay where they are today — the
-// workload build cache keeps decoded programs, the serving daemon keeps
-// completed jobs — and this store sits beneath them, so a restarted or
-// freshly scaled-out process is warm from byte one.
+// Package cas holds the tiers of the repo's content-addressed caches. Store
+// is the persistent tier: a size-bounded on-disk store of immutable byte
+// entries keyed by (namespace, digest), so a restarted or freshly scaled-out
+// process is warm from byte one. Memo is the memory tier above it, a keyed
+// single-flight cache of decoded values (built programs, exact simulation
+// results, prefix checkpoints), and Load is the one path from a stored entry
+// to a decoded value. The serving daemon's job table stays its own memory
+// tier: it tracks live jobs, not just values.
 //
 // Guarantees:
 //
@@ -474,9 +476,10 @@ func (s *Store) evictLocked(keep string) []string {
 }
 
 // Quarantine removes an entry whose bytes validated but whose domain decode
-// failed (e.g. an old workload encoding version): it is renamed aside,
-// counted as corrupt, and logged, so the caller's rebuild overwrites a
-// clean slot. Safe on a nil store.
+// failed (Load calls it then, e.g. for an old workload encoding version) or
+// whose decoded value does not apply: it is renamed aside, counted as
+// corrupt, and logged, so the caller's rebuild overwrites a clean slot.
+// Safe on a nil store.
 func (s *Store) Quarantine(namespace, key string, reason error) {
 	if s == nil {
 		return

@@ -172,8 +172,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	j, info, err := s.SubmitDetailed(spec, correlationFrom(r.Context()))
-	hit := info.Hit
+	j, tier, err := s.Submit(spec, correlationFrom(r.Context()))
+	hit := tier != ""
 	var poisoned *PoisonedError
 	var unmeetable *UnmeetableDeadlineError
 	var full *QueueFullError
@@ -207,7 +207,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// X-Cache-Tier names where the bytes came from (memory, disk, or a
 		// sibling replica's cache) so clients can assert hit provenance.
 		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("X-Cache-Tier", info.Tier)
+		w.Header().Set("X-Cache-Tier", tier)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(j.Result())
 		return

@@ -191,7 +191,6 @@ func New(opts Options) *Server {
 		poison:   make(map[string]*poisonEntry),
 	}
 	s.builder.SetStore(opts.Store)
-	s.builder.SetLogger(opts.Logger)
 	if opts.Store != nil {
 		s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerSlowCall)
 		s.breaker.OnChange(func(from, to string) {
@@ -230,34 +229,15 @@ func (s *Server) normalize(spec JobSpec) JobSpec {
 // Submit admits a spec. On a digest hit it returns the existing job —
 // completed (a cache hit: the stored result serves without re-simulation)
 // or still in flight (deduplicated: the submission attaches to the one run)
-// — otherwise it enqueues a new job. hit reports whether the job already
-// existed. Errors: *BadSpecError, *QueueFullError (errors.Is ErrQueueFull),
-// *PoisonedError, *UnmeetableDeadlineError, ErrDraining.
-func (s *Server) Submit(spec JobSpec) (j *Job, hit bool, err error) {
-	return s.SubmitCorrelated(spec, "")
-}
-
-// SubmitCorrelated is Submit with an explicit correlation ID: corr tags
-// this submission's lifecycle log lines and, when the submission creates a
-// new job, becomes the job's correlation ID (stamped on its SSE events and
-// flight record). "" generates a fresh ID.
-func (s *Server) SubmitCorrelated(spec JobSpec, corr string) (j *Job, hit bool, err error) {
-	j, info, err := s.SubmitDetailed(spec, corr)
-	return j, info.Hit, err
-}
-
-// SubmitInfo describes how a submission was satisfied: whether it hit an
-// existing result or run, and which cache tier served it (TierMemory,
-// TierDedup, TierDisk, TierRemote; "" for a miss that enqueued new work).
-type SubmitInfo struct {
-	Hit  bool
-	Tier string
-}
-
-// SubmitDetailed is SubmitCorrelated plus hit provenance — the HTTP layer
-// uses the tier to stamp the X-Cache-Tier response header, and the cluster
-// tests use it to pin where bytes came from.
-func (s *Server) SubmitDetailed(spec JobSpec, corr string) (j *Job, info SubmitInfo, err error) {
+// — otherwise it enqueues a new job. tier names the cache tier that served
+// a hit (TierMemory, TierDedup, TierDisk, TierRemote), which the HTTP layer
+// stamps as the X-Cache-Tier header; "" is a miss that enqueued new work.
+// corr tags this submission's lifecycle log lines and, when the submission
+// creates a new job, becomes the job's correlation ID (stamped on its SSE
+// events and flight record); "" generates a fresh ID. Errors:
+// *BadSpecError, *QueueFullError (errors.Is ErrQueueFull), *PoisonedError,
+// *UnmeetableDeadlineError, ErrDraining.
+func (s *Server) Submit(spec JobSpec, corr string) (j *Job, tier string, err error) {
 	if corr == "" {
 		corr = NewCorrelationID()
 	}
@@ -265,11 +245,10 @@ func (s *Server) SubmitDetailed(spec JobSpec, corr string) (j *Job, info SubmitI
 	start := time.Now()
 	r, err := spec.Resolve()
 	if err != nil {
-		return nil, SubmitInfo{}, &BadSpecError{Err: err}
+		return nil, "", &BadSpecError{Err: err}
 	}
 
 	j, tier, from, queueLen, err := s.admit(spec, r, corr, start)
-	info = SubmitInfo{Hit: tier != "", Tier: tier}
 	switch {
 	case err != nil:
 		s.jlog(slog.LevelWarn, "job rejected",
@@ -308,10 +287,10 @@ func (s *Server) SubmitDetailed(spec JobSpec, corr string) (j *Job, info SubmitI
 			slog.String("job_correlation_id", j.corr),
 			slog.String("digest", r.Digest))
 	}
-	return j, info, err
+	return j, tier, err
 }
 
-// admit is the tiered core of SubmitDetailed: memory (an existing job for
+// admit is the tiered core of Submit: memory (an existing job for
 // this digest), then the persistent store (a result computed by an earlier
 // process — or an earlier life of this one), then the sibling replicas'
 // caches (a result computed anywhere in the cluster), then a real enqueue.

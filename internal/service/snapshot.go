@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 
+	"subthreads/internal/cas"
 	"subthreads/internal/sim"
 	"subthreads/internal/workload"
 )
@@ -40,9 +42,9 @@ func snapshotKey(spec workload.Spec, cfg sim.Config) string {
 // simTLS runs a job's main (TLS-configured) simulation through the snapshot
 // tier. Fault-injected jobs never fork (a checkpoint would skip scheduled
 // faults) and sequential-software jobs have no speculative suffix worth
-// forking into; both replay in full. A corrupt or inapplicable checkpoint is
-// quarantined and the job falls back to a full replay — the tier can only
-// ever save work, never fail a job.
+// forking into; both replay in full. A checkpoint that fails to decode or
+// apply is quarantined and the job falls back to a full replay — the tier
+// can only ever save work, never fail a job.
 func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolved) (*sim.Result, error) {
 	if cfg.Inject != nil || r.Exp.SequentialSoftware() || s.store == nil {
 		s.noteSim(false)
@@ -50,48 +52,42 @@ func (s *Server) simTLS(j *Job, cfg sim.Config, built *workload.Built, r *Resolv
 	}
 	key := snapshotKey(r.Spec, cfg)
 	if s.breaker.Allow() {
-		if data, ok := s.store.Get(casSnapNS, key); ok {
-			if res, err := s.forkFrom(j, cfg, built, key, data); err == nil {
-				return res, nil
-			}
-		} else {
-			s.bumpSnap(&s.counters.SnapshotMisses)
+		if res, forked, err := s.forkFrom(j, cfg, built, key); forked {
+			return res, err
 		}
 	}
 
 	// Full replay; capture the prefix checkpoint on the way through and
 	// publish it for the next run of this {workload, prefix} group.
-	var captured *sim.Snapshot
-	runCfg := cfg
-	runCfg.SnapshotAtPrefix = true
-	runCfg.SnapshotSink = func(snap *sim.Snapshot) {
-		if snap.Forkable {
-			captured = snap
-		}
-	}
-	res, err := sim.RunE(runCfg, built.Program)
+	res, snap, err := sim.RunCapture(cfg, built.Program)
 	s.noteSim(false)
-	if err == nil && captured != nil && s.breaker.Allow() {
-		s.store.Put(casSnapNS, key, captured.Encode())
+	if err == nil && snap != nil && s.breaker.Allow() {
+		s.store.Put(casSnapNS, key, snap.Encode())
 		s.bumpSnap(&s.counters.SnapshotPuts)
 		s.jlog(slog.LevelInfo, "snapshot published",
 			slog.String("correlation_id", j.corr),
 			slog.String("job", j.id),
 			slog.String("snapshot", key),
-			slog.Uint64("cycle", captured.Cycle))
+			slog.Uint64("cycle", snap.Cycle))
 	}
 	return res, err
 }
 
-// forkFrom resumes a job's simulation from stored checkpoint bytes. Any
-// failure — undecodable frame, or a frame that no longer applies to this
-// program — quarantines the entry and returns the error so the caller
-// replays in full.
-func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key string, data []byte) (*sim.Result, error) {
-	snap, err := sim.DecodeSnapshot(data)
+// forkFrom resumes a job's simulation from the stored checkpoint under key.
+// forked is false when the caller must replay in full: no checkpoint, or one
+// that fails to decode or apply, which is quarantined. Once the checkpoint
+// applies, the resumed run's outcome is the job's (see sim.ResumeE): a
+// *sim.RunError — deadline, cycle budget, audit — fails the job, and the
+// checkpoint stays.
+func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key string) (res *sim.Result, forked bool, err error) {
+	snap, err := cas.Load(s.store, casSnapNS, key, sim.DecodeSnapshot)
+	if errors.Is(err, cas.ErrNotFound) {
+		s.bumpSnap(&s.counters.SnapshotMisses)
+		return nil, false, nil
+	}
 	if err == nil {
-		var res *sim.Result
-		if res, err = sim.ResumeE(cfg, built.Program, snap); err == nil {
+		res, err = sim.ResumeE(cfg, built.Program, snap)
+		if err == nil || errors.As(err, new(*sim.RunError)) {
 			s.bumpSnap(&s.counters.SnapshotHits)
 			s.noteSim(true)
 			s.jlog(slog.LevelInfo, "job forked from snapshot",
@@ -99,17 +95,17 @@ func (s *Server) forkFrom(j *Job, cfg sim.Config, built *workload.Built, key str
 				slog.String("job", j.id),
 				slog.String("snapshot", key),
 				slog.Uint64("cycle", snap.Cycle))
-			return res, nil
+			return res, true, err
 		}
+		s.store.Quarantine(casSnapNS, key, err)
 	}
 	s.bumpSnap(&s.counters.SnapshotCorrupt)
-	s.store.Quarantine(casSnapNS, key, err)
 	s.jlog(slog.LevelWarn, "snapshot quarantined",
 		slog.String("correlation_id", j.corr),
 		slog.String("job", j.id),
 		slog.String("snapshot", key),
 		slog.String("error", err.Error()))
-	return nil, err
+	return nil, false, nil
 }
 
 func (s *Server) bumpSnap(c *uint64) {

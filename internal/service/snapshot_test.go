@@ -5,9 +5,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"subthreads/internal/sim"
 	"subthreads/internal/telemetry"
 )
 
@@ -118,6 +120,58 @@ func TestCorruptSnapshotQuarantinedNeverFatal(t *testing.T) {
 	runJobSpec(t, ts3, squash)
 	if m := s3.MetricsSnapshot(); m.SnapshotHits != 1 {
 		t.Fatalf("self-heal: snapshot_hits = %d, want 1", m.SnapshotHits)
+	}
+}
+
+// A forked job abandoned on its own cycle budget fails with that kind and
+// keeps the checkpoint: the checkpoint applied, only the resumed run ran out
+// of budget, so there is nothing to quarantine and no full replay to run.
+func TestForkedBudgetFailureKeepsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	base := tinySpec("NEW ORDER")
+	store := openTestStore(t, dir)
+	s1, ts1 := newTestServer(t, Options{Workers: 1, Store: store})
+	runJobSpec(t, ts1, base) // publishes a checkpoint
+
+	r, err := base.Resolve()
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	data, ok := store.Get(casSnapNS, snapshotKey(r.Spec, r.Cfg))
+	if !ok {
+		t.Fatal("no published checkpoint")
+	}
+	snap, err := sim.DecodeSnapshot(data)
+	if err != nil {
+		t.Fatalf("decode published checkpoint: %v", err)
+	}
+
+	// A fork-safe variant whose budget runs out shortly after the fork.
+	budget := base
+	budget.Spacing = 2500
+	budget.MaxCycles = snap.Cycle + 1000
+	resp := postJob(t, ts1, budget)
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	final := waitDone(t, ts1, st.ID)
+	if final.State != StateFailed || final.Failure == nil || final.Failure.Kind != "max-cycles" {
+		t.Fatalf("budget job = %s %+v, want failed with kind max-cycles", final.State, final.Failure)
+	}
+	m := s1.MetricsSnapshot()
+	if m.SnapshotCorrupt != 0 || m.SnapshotHits != 1 || m.JobsForked != 1 || m.JobsReplayed != 1 {
+		t.Fatalf("after budget job: corrupt=%d hits=%d forked=%d replayed=%d, want 0/1/1/1",
+			m.SnapshotCorrupt, m.SnapshotHits, m.JobsForked, m.JobsReplayed)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, casSnapNS, "*", "*.quarantined")); len(q) != 0 {
+		t.Fatalf("healthy checkpoint quarantined: %v", q)
+	}
+
+	// The checkpoint still serves the next dominated spec.
+	squash := base
+	squash.Overflow = "squash"
+	runJobSpec(t, ts1, squash)
+	if m := s1.MetricsSnapshot(); m.SnapshotHits != 2 || m.JobsForked != 2 {
+		t.Fatalf("after squash job: snapshot_hits=%d jobs_forked=%d, want 2/2", m.SnapshotHits, m.JobsForked)
 	}
 }
 

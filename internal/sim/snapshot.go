@@ -274,10 +274,34 @@ func (m *machine) forkable() bool {
 		r.LatchDeadlockBreaks == 0 && r.L1Invalidations == 0 && r.EpochCount == 0
 }
 
+// RunCapture is RunE that also captures the run's prefix checkpoint: the
+// Forkable snapshot taken at the end of the program's leading barrier
+// prefix, or nil when there is none (no leading barrier, fault injection,
+// speculative state at the boundary). The checkpoint is returned even when
+// the run fails later on, since the prefix it holds completed.
+func RunCapture(cfg Config, prog *Program) (*Result, *Snapshot, error) {
+	var snap *Snapshot
+	cfg.SnapshotAtPrefix = true
+	cfg.SnapshotSink = func(s *Snapshot) {
+		if s.Forkable {
+			snap = s
+		}
+	}
+	res, err := RunE(cfg, prog)
+	return res, snap, err
+}
+
 // ResumeE resumes a run from a snapshot: restore when cfg matches the
 // capturing configuration exactly (by FullDigest), fork when the snapshot is
 // Forkable and cfg agrees on the prefix-invariant parameters. The returned
 // Result is byte-identical to the uninterrupted run under cfg.
+//
+// Errors come in two kinds, and callers treat them differently. A *RunError
+// is the resumed run's own outcome — audit, watchdog, cycle budget, or
+// cancellation, exactly as RunE would have ended — so it fails the caller's
+// task and the snapshot stays valid. Any other error means the snapshot does
+// not apply to cfg and prog (fingerprint or digest mismatch, a corrupt
+// payload) and nothing ran: drop the snapshot and replay in full.
 //
 // Restoring a run that was captured under fault injection requires cfg to
 // carry a fresh injector built from the identical schedule (digests cannot

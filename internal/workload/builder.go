@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"log/slog"
-	"sync"
 	"sync/atomic"
 
 	"subthreads/internal/cas"
@@ -21,21 +19,13 @@ type buildKey struct {
 	Sequential bool
 }
 
-// buildEntry is a single-flight cell: the first caller runs the fill (disk
-// probe, then Build) inside the once; every concurrent or later caller waits
-// on it and shares the result.
-type buildEntry struct {
-	once  sync.Once
-	built *Built
-}
-
 // Builder memoizes Build results so that every sweep replaying the same
 // binary against different hardware configurations pays for one database
 // load + trace recording. A Built program is read-only under sim.Run (see
 // TestBuiltImmutable), so one cached program can back any number of
 // concurrent machines.
 //
-// With SetStore, the memory map gains a persistent tier underneath: a miss
+// With SetStore, the memory tier gains a persistent tier underneath: a miss
 // first probes the content-addressed store for a serialized Built (decoded
 // without touching the database engine at all — the warm-restart path), and
 // only a disk miss runs the real Build, whose result is then published for
@@ -44,13 +34,10 @@ type buildEntry struct {
 // A Builder is safe for concurrent use. The zero value is ready to use
 // (memory-only).
 type Builder struct {
-	mu    sync.Mutex
-	cache map[buildKey]*buildEntry
+	memo  cas.Memo[buildKey, *Built]
+	store *cas.Store // nil = no persistent tier
 
-	store  *cas.Store // nil = no persistent tier
-	logger *slog.Logger
-
-	calls    atomic.Int64 // every Build call
+	memHits  atomic.Int64 // calls that shared a filled or in-flight entry
 	builds   atomic.Int64 // fills that ran the real Build
 	diskHits atomic.Int64 // fills served by decoding a store entry
 }
@@ -62,51 +49,28 @@ func NewBuilder() *Builder { return &Builder{} }
 // serving traffic; entries already memoized stay in memory either way.
 func (b *Builder) SetStore(s *cas.Store) { b.store = s }
 
-// SetLogger directs the builder's structured diagnostics (disk-entry decode
-// failures) to l. A nil logger disables logging.
-func (b *Builder) SetLogger(l *slog.Logger) { b.logger = l }
-
 // Build returns the memoized program for (spec, sequential), building it on
 // first use. Concurrent callers with the same key block until the one fill
 // in flight — disk load or real build — completes.
 func (b *Builder) Build(spec Spec, sequential bool) *Built {
-	b.calls.Add(1)
-	key := buildKey{Spec: spec, Sequential: sequential}
-	b.mu.Lock()
-	if b.cache == nil {
-		b.cache = make(map[buildKey]*buildEntry)
-	}
-	e := b.cache[key]
-	if e == nil {
-		e = &buildEntry{}
-		b.cache[key] = e
-	}
-	b.mu.Unlock()
-	e.once.Do(func() {
-		e.built = b.fill(spec, sequential)
+	built, filled := b.memo.Do(buildKey{Spec: spec, Sequential: sequential}, func() *Built {
+		return b.fill(spec, sequential)
 	})
-	return e.built
+	if !filled {
+		b.memHits.Add(1)
+	}
+	return built
 }
 
 // fill resolves a memory miss: disk first, then the real build (publishing
-// the result for the next process). A disk entry that fails to decode is
-// quarantined — never fatal — and the build runs as if it were absent.
+// the result for the next process). A disk entry that fails to decode — e.g.
+// one written by a different builtVersion under a stale key — is quarantined
+// by cas.Load, never fatal, and the build runs as if it were absent.
 func (b *Builder) fill(spec Spec, sequential bool) *Built {
 	diskKey := CacheKey(spec, sequential)
-	if data, ok := b.store.Get(casNamespace, diskKey); ok {
-		built, err := DecodeBuilt(data)
-		if err == nil {
-			b.diskHits.Add(1)
-			return built
-		}
-		// The frame checksum was intact but the domain decode failed —
-		// e.g. an entry written by a different builtVersion under a stale
-		// key, or an encoder bug. Quarantine it and rebuild.
-		b.store.Quarantine(casNamespace, diskKey, err)
-		if b.logger != nil {
-			b.logger.Warn("built cache entry undecodable, rebuilding",
-				"key", diskKey, "sequential", sequential, "err", err)
-		}
+	if built, err := cas.Load(b.store, casNamespace, diskKey, DecodeBuilt); err == nil {
+		b.diskHits.Add(1)
+		return built
 	}
 	b.builds.Add(1)
 	built := Build(spec, sequential)
@@ -127,8 +91,7 @@ type BuildStats struct {
 
 // Stats returns the tier breakdown so far.
 func (b *Builder) Stats() BuildStats {
-	calls, builds, disk := int(b.calls.Load()), int(b.builds.Load()), int(b.diskHits.Load())
-	return BuildStats{MemoryHits: calls - builds - disk, DiskHits: disk, Builds: builds}
+	return BuildStats{MemoryHits: int(b.memHits.Load()), DiskHits: int(b.diskHits.Load()), Builds: b.Builds()}
 }
 
 // Builds reports how many actual (non-cached) Build calls the cache has
@@ -141,13 +104,5 @@ func (b *Builder) Builds() int { return int(b.builds.Load()) }
 func (b *Builder) Run(spec Spec, e Experiment) (*sim.Result, *Built) {
 	built := b.Build(spec, e.SequentialSoftware())
 	res := sim.Run(Machine(e), built.Program)
-	return res, built
-}
-
-// RunConfig is workload.RunConfig through the cache: the TLS-transformed
-// program on a custom machine.
-func (b *Builder) RunConfig(spec Spec, cfg sim.Config) (*sim.Result, *Built) {
-	built := b.Build(spec, false)
-	res := sim.Run(cfg, built.Program)
 	return res, built
 }

@@ -68,13 +68,12 @@ func TestBuilderCorruptEntryFallsBack(t *testing.T) {
 	// Replace the entry's payload with a frame that passes the cas checksum
 	// but fails the domain decode (wrong magic).
 	key := CacheKey(spec, true)
-	s2 := openStore(t, dir, cas.Options{})
+	var logbuf strings.Builder
+	s2 := openStore(t, dir, cas.Options{Logger: slog.New(slog.NewTextHandler(&logbuf, nil))})
 	s2.Put(casNamespace, key, []byte("XXXX not a built frame"))
 
-	var logbuf strings.Builder
 	b2 := NewBuilder()
 	b2.SetStore(s2)
-	b2.SetLogger(slog.New(slog.NewTextHandler(&logbuf, nil)))
 	built := b2.Build(spec, true)
 	if built == nil {
 		t.Fatal("Build returned nil on corrupt entry")
@@ -82,8 +81,8 @@ func TestBuilderCorruptEntryFallsBack(t *testing.T) {
 	if st := b2.Stats(); st.Builds != 1 || st.DiskHits != 0 {
 		t.Fatalf("stats = %+v, want fallback build", st)
 	}
-	if !strings.Contains(logbuf.String(), "undecodable") {
-		t.Fatalf("no structured fallback log, got %q", logbuf.String())
+	if log := logbuf.String(); !strings.Contains(log, "cas entry quarantined") || !strings.Contains(log, key) {
+		t.Fatalf("no structured quarantine log naming the entry, got %q", log)
 	}
 	// Quarantine left debris for debugging, and the rebuild republished.
 	matches, _ := filepath.Glob(filepath.Join(dir, casNamespace, "*", "*.quarantined"))
