@@ -26,7 +26,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"subthreads/internal/cliflags"
@@ -102,7 +101,7 @@ func main() {
 	}
 	opts.par.injectCfg = icfg
 
-	repro := "go run ./cmd/experiments " + strings.Join(os.Args[1:], " ")
+	repro := cliflags.Repro("experiments", os.Args[1:])
 	defer func() {
 		if p := recover(); p != nil {
 			fmt.Fprintf(os.Stderr, "experiments: fatal: %v | repro: %s\n", p, repro)

@@ -1,15 +1,18 @@
-// Package cliflags factors the flag wiring shared by every command —
-// tlssim, tlsprof, tlstrace, experiments, and tlsd — so the hardening
-// switches (-paranoid, -inject), the telemetry captures (-trace-out,
-// -metrics-out), and -version behave identically everywhere instead of
-// being re-implemented per main.
+// Package cliflags factors the flag wiring shared by the commands — tlssim,
+// experiments, and tlsd — so the hardening switches (-paranoid, -inject), the
+// persistent cache (-cache-dir), the repro line printed with every failure,
+// and -version behave identically everywhere instead of being re-implemented
+// per main. tlssim's telemetry captures (-trace-out, -metrics-out,
+// -events-out) live here too.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
+	"strings"
 
 	"subthreads/internal/cas"
 	"subthreads/internal/chaos"
@@ -49,107 +52,74 @@ func (f *Faults) Config() (*inject.Config, error) {
 	return &c, nil
 }
 
-// Apply arms cfg with the selected hardening: the auditor, a fresh injector
-// (injectors are single-use — call Apply once per simulation), and the
-// default forward-progress watchdog whenever faults are injected.
-func (f *Faults) Apply(cfg *sim.Config) error {
-	cfg.Paranoid = f.Paranoid
-	ic, err := f.Config()
-	if err != nil {
-		return err
-	}
-	if ic != nil {
-		cfg.Inject = inject.New(*ic)
-		if cfg.WatchdogCycles == 0 {
-			cfg.WatchdogCycles = inject.DefaultWatchdog
-		}
-	}
-	return nil
-}
-
-// Outputs is the telemetry-capture flag pair: a Chrome trace-event timeline
-// and a metrics snapshot.
+// Outputs is the telemetry-capture flag set: a Chrome trace-event timeline,
+// a metrics snapshot, and the raw event stream as JSON Lines.
 type Outputs struct {
 	TraceOut   string
 	MetricsOut string
+	EventsOut  string
 
-	demand  bool
 	buf     *telemetry.Buffer
 	metrics *telemetry.Metrics
 }
 
-// AddOutputs registers -trace-out and -metrics-out on fs. traceDefault lets
-// tlstrace default to writing a timeline while the other commands default
-// to none.
-func AddOutputs(fs *flag.FlagSet, traceDefault string) *Outputs {
+// AddOutputs registers -trace-out, -metrics-out and -events-out on fs.
+func AddOutputs(fs *flag.FlagSet) *Outputs {
 	o := &Outputs{}
-	fs.StringVar(&o.TraceOut, "trace-out", traceDefault,
+	fs.StringVar(&o.TraceOut, "trace-out", "",
 		"write a Chrome trace-event timeline (ui.perfetto.dev)")
 	fs.StringVar(&o.MetricsOut, "metrics-out", "",
 		"write a telemetry metrics snapshot as JSON")
+	fs.StringVar(&o.EventsOut, "events-out", "",
+		"write the raw telemetry event stream as JSON Lines")
 	return o
 }
 
-// Demand forces the event buffer and metrics sinks on even when no output
-// file was requested — for commands that print live statistics regardless.
-func (o *Outputs) Demand() { o.demand = true }
-
 // Attach installs the sinks the selected outputs need on cfg.Telemetry,
-// preserving any emitter already configured; extra sinks (e.g. a JSONL
-// stream) ride along. When nothing is captured, cfg.Telemetry is left
-// untouched, keeping the zero-overhead nil-emitter path.
-func (o *Outputs) Attach(cfg *sim.Config, extra ...telemetry.Emitter) {
-	if o.TraceOut != "" || o.demand {
+// preserving any emitter already configured. When nothing is captured,
+// cfg.Telemetry is left untouched, keeping the zero-overhead nil-emitter
+// path.
+func (o *Outputs) Attach(cfg *sim.Config) {
+	sinks := []telemetry.Emitter{cfg.Telemetry}
+	if o.TraceOut != "" || o.EventsOut != "" {
 		o.buf = &telemetry.Buffer{}
-	}
-	if o.MetricsOut != "" || o.demand {
-		o.metrics = telemetry.NewMetrics()
-	}
-	sinks := append([]telemetry.Emitter{cfg.Telemetry}, extra...)
-	if o.buf != nil {
 		sinks = append(sinks, o.buf)
 	}
-	if o.metrics != nil {
+	if o.MetricsOut != "" {
+		o.metrics = telemetry.NewMetrics()
 		sinks = append(sinks, o.metrics)
 	}
 	cfg.Telemetry = telemetry.Multi(sinks...)
 }
 
-// Events returns the captured event stream (nil unless Attach armed the
-// buffer).
-func (o *Outputs) Events() []telemetry.Event {
-	if o.buf == nil {
-		return nil
-	}
-	return o.buf.Events
-}
-
-// Metrics returns the metrics sink (nil unless Attach armed it).
-func (o *Outputs) Metrics() *telemetry.Metrics { return o.metrics }
-
 // Write renders the requested output files, resolving instrumentation-site
 // PCs through name (may be nil).
 func (o *Outputs) Write(name func(isa.PC) string) error {
 	if o.TraceOut != "" {
-		if err := writeFile(o.TraceOut, func(f *os.File) error {
+		if err := WriteFile(o.TraceOut, func(f io.Writer) error {
 			return telemetry.WriteChromeTrace(f, o.buf.Events, telemetry.TraceOptions{SiteName: name})
 		}); err != nil {
 			return err
 		}
 	}
 	if o.MetricsOut != "" {
-		if err := writeFile(o.MetricsOut, func(f *os.File) error {
+		if err := WriteFile(o.MetricsOut, func(f io.Writer) error {
 			return o.metrics.WriteJSON(f)
 		}); err != nil {
 			return err
 		}
 	}
+	if o.EventsOut != "" {
+		return WriteFile(o.EventsOut, func(f io.Writer) error {
+			return telemetry.EncodeJSONL(f, o.buf.Events)
+		})
+	}
 	return nil
 }
 
-// writeFile creates path, runs write on it, and closes it, reporting the
+// WriteFile creates path, runs write on it, and closes it, reporting the
 // first error.
-func writeFile(path string, write func(*os.File) error) error {
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -224,4 +194,38 @@ func HandleVersion(show bool) {
 		fmt.Println(version.Get().String())
 		os.Exit(0)
 	}
+}
+
+// Repro is the shell command line that re-runs ./cmd/<command> with args,
+// printed with every structured failure so it is one paste away from a
+// debugger. Arguments a POSIX shell would split or expand are double-quoted,
+// so the line splits back into exactly args.
+func Repro(command string, args []string) string {
+	words := []string{"go", "run", "./cmd/" + command}
+	for _, a := range args {
+		words = append(words, shellQuote(a))
+	}
+	return strings.Join(words, " ")
+}
+
+// shellInert are the bytes a POSIX shell gives no meaning inside a word.
+const shellInert = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_=,.:/+@%"
+
+// shellQuote returns s as one shell word: unchanged when every byte is
+// inert, otherwise double-quoted with the four bytes that stay special
+// inside double quotes backslash-escaped.
+func shellQuote(s string) string {
+	if s != "" && strings.Trim(s, shellInert) == "" {
+		return s
+	}
+	var b strings.Builder
+	b.WriteByte('"')
+	for _, r := range s {
+		if strings.ContainsRune("\"\\$`", r) {
+			b.WriteByte('\\')
+		}
+		b.WriteRune(r)
+	}
+	b.WriteByte('"')
+	return b.String()
 }

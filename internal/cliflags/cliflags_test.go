@@ -1,45 +1,19 @@
 package cliflags
 
 import (
+	"bytes"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
-	"subthreads/internal/inject"
 	"subthreads/internal/sim"
 	"subthreads/internal/telemetry"
 	"subthreads/internal/version"
 )
-
-func TestFaultsApply(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := AddFaults(fs)
-	if err := fs.Parse([]string{"-paranoid", "-inject", "seed=1,faults=5,window=60000"}); err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := sim.DefaultConfig()
-	if err := f.Apply(&cfg); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if !cfg.Paranoid {
-		t.Error("-paranoid not applied")
-	}
-	if cfg.Inject == nil {
-		t.Error("-inject built no injector")
-	}
-	if cfg.WatchdogCycles != inject.DefaultWatchdog {
-		t.Errorf("watchdog = %d, want the injection default %d", cfg.WatchdogCycles, inject.DefaultWatchdog)
-	}
-
-	// Injectors are single-use: a second Apply must arm a fresh one.
-	cfg2 := sim.DefaultConfig()
-	if err := f.Apply(&cfg2); err != nil {
-		t.Fatalf("second Apply: %v", err)
-	}
-	if cfg2.Inject == cfg.Inject {
-		t.Error("Apply reused a consumed injector")
-	}
-}
 
 func TestFaultsBadSpec(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
@@ -50,34 +24,74 @@ func TestFaultsBadSpec(t *testing.T) {
 	if _, err := f.Config(); err == nil {
 		t.Error("Config accepted an unparsable -inject spec")
 	}
-	cfg := sim.DefaultConfig()
-	if err := f.Apply(&cfg); err == nil {
-		t.Error("Apply accepted an unparsable -inject spec")
-	}
 }
 
 func TestOutputsAttachPreservesExistingSink(t *testing.T) {
+	dir := t.TempDir()
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	o := AddOutputs(fs, "")
-	if err := fs.Parse(nil); err != nil {
+	o := AddOutputs(fs)
+	events := filepath.Join(dir, "e.jsonl")
+	metrics := filepath.Join(dir, "m.json")
+	if err := fs.Parse([]string{"-events-out", events, "-metrics-out", metrics}); err != nil {
 		t.Fatal(err)
 	}
-	o.Demand() // force capture even with no -trace-out/-metrics-out
 
 	existing := &telemetry.Buffer{}
 	cfg := sim.DefaultConfig()
 	cfg.Telemetry = existing
 	o.Attach(&cfg)
 
-	cfg.Telemetry.Emit(telemetry.Event{Cycle: 7})
+	ev := telemetry.Event{Cycle: 7}
+	cfg.Telemetry.Emit(ev)
 	if got := len(existing.Events); got != 1 {
 		t.Errorf("pre-existing sink saw %d events, want 1", got)
 	}
-	if got := len(o.Events()); got != 1 {
-		t.Errorf("demanded capture saw %d events, want 1", got)
+	if err := o.Write(nil); err != nil {
+		t.Fatalf("Write: %v", err)
 	}
-	if o.Metrics() == nil {
-		t.Error("Demand did not force the metrics layer")
+	var want bytes.Buffer
+	if err := telemetry.EncodeJSONL(&want, []telemetry.Event{ev}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(events); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-events-out = %q, %v; want %q", got, err, want.Bytes())
+	}
+	if _, err := os.Stat(metrics); err != nil {
+		t.Errorf("-metrics-out not written: %v", err)
+	}
+
+	// With no output requested the nil emitter stays nil: the zero-overhead
+	// path.
+	off := sim.DefaultConfig()
+	AddOutputs(flag.NewFlagSet("off", flag.ContinueOnError)).Attach(&off)
+	if off.Telemetry != nil {
+		t.Errorf("no output requested, yet Telemetry = %T", off.Telemetry)
+	}
+}
+
+// TestReproSplitsBack pastes the repro line into a real shell and requires
+// it to split back into exactly the original arguments.
+func TestReproSplitsBack(t *testing.T) {
+	args := []string{
+		"-benchmark", "NEW ORDER", "-experiment", "NO SUB-THREAD", "-txns", "3",
+		"-inject", "seed=1,faults=5,window=60000", "-trace-out", "traces/t.json",
+		"", `quote"back\slash`, "$HOME", "`id`", "it's", "tab\there", "*", "a;b",
+	}
+	line := Repro("tlssim", args)
+	if !strings.Contains(line, `-benchmark "NEW ORDER"`) {
+		t.Errorf("repro %q does not quote the benchmark name", line)
+	}
+	if !strings.Contains(line, " -txns 3 ") {
+		t.Errorf("repro %q quotes a plain argument", line)
+	}
+	out, err := exec.Command("sh", "-c", "set -- "+line+`; for a in "$@"; do printf '%s\0' "$a"; done`).Output()
+	if err != nil {
+		t.Fatalf("sh: %v", err)
+	}
+	got := strings.Split(strings.TrimSuffix(string(out), "\x00"), "\x00")
+	want := append([]string{"go", "run", "./cmd/tlssim"}, args...)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("repro %q splits into\n  %q\nwant\n  %q", line, got, want)
 	}
 }
 

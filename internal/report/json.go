@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"io"
 
 	"subthreads/internal/sim"
@@ -99,8 +98,4 @@ func FromResult(r *sim.Result) ResultJSON {
 
 // WriteJSON writes a sim.Result to w as indented JSON. Output is
 // deterministic: encoding/json sorts the breakdown map's keys.
-func WriteJSON(w io.Writer, r *sim.Result) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(FromResult(r))
-}
+func WriteJSON(w io.Writer, r *sim.Result) error { return writeIndented(w, FromResult(r)) }

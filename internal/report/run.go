@@ -83,8 +83,12 @@ func BuildRun(p RunParams, res, seq *sim.Result) Run {
 // for identical measurements (encoding/json sorts the breakdown map keys),
 // which is what lets the daemon's content-addressed cache serve stored
 // bodies verbatim.
-func WriteRun(w io.Writer, r Run) error {
+func WriteRun(w io.Writer, r Run) error { return writeIndented(w, r) }
+
+// writeIndented is the one JSON encoding of every report document: two-space
+// indent, trailing newline.
+func writeIndented(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(v)
 }

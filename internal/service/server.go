@@ -16,8 +16,6 @@ import (
 
 	"subthreads/internal/cas"
 	"subthreads/internal/chaos"
-	"subthreads/internal/inject"
-	"subthreads/internal/report"
 	"subthreads/internal/sim"
 	"subthreads/internal/telemetry"
 	"subthreads/internal/workload"
@@ -712,11 +710,7 @@ func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
 	}
 
 	r := j.res
-	cfg := r.Cfg
-	if r.Inject != nil {
-		// Injectors are single-use: arm a fresh schedule per run.
-		cfg.Inject = inject.New(*r.Inject)
-	}
+	cfg := r.Config()
 	if j.ctx != nil {
 		// The serving deadline / disconnect signal, polled by the sim loop
 		// every CancelPollCycles. context.Cause is nil while the context
@@ -768,17 +762,8 @@ func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
 	}
 
 	j.enterStage(stageRender, t)
-	run := report.BuildRun(report.RunParams{
-		Benchmark:  r.Spec.Bench.String(),
-		Experiment: r.Exp.String(),
-		CPUs:       cfg.CPUs,
-		Subthreads: cfg.TLS.SubthreadsPerEpoch,
-		Spacing:    cfg.SubthreadSpacing,
-		Epochs:     built.Stats.Epochs,
-		Coverage:   built.Stats.Coverage,
-	}, res, seqRes)
 	var buf bytes.Buffer
-	err = report.WriteRun(&buf, run)
+	err = r.WriteResult(&buf, built, res, seqRes)
 	j.leaveStage(stageRender, t)
 	if err != nil {
 		return nil, &Failure{Kind: "encode", Error: err.Error(), Repro: r.ReproCommand()}

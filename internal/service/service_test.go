@@ -187,6 +187,38 @@ func TestResolveCanonicalDigest(t *testing.T) {
 
 func ptr[T any](v T) *T { return &v }
 
+// TestResolveArmsFaults: -paranoid and -inject resolve into an audited
+// machine under the default forward-progress watchdog, and every Config arms
+// a fresh injector — injectors are single-use.
+func TestResolveArmsFaults(t *testing.T) {
+	r, err := JobSpec{Benchmark: "NEW ORDER", Paranoid: true, Inject: "seed=1,faults=5,window=60000"}.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	cfg := r.Config()
+	if !cfg.Paranoid {
+		t.Error("paranoid not applied")
+	}
+	if cfg.Inject == nil {
+		t.Error("inject built no injector")
+	}
+	if cfg.WatchdogCycles != inject.DefaultWatchdog {
+		t.Errorf("watchdog = %d, want the injection default %d", cfg.WatchdogCycles, inject.DefaultWatchdog)
+	}
+	if again := r.Config(); again.Inject == cfg.Inject {
+		t.Error("Config reused a consumed injector")
+	}
+
+	// An explicit watchdog wins over the injection default.
+	r, err = JobSpec{Benchmark: "NEW ORDER", Inject: "seed=1,faults=5,window=60000", Watchdog: 2000}.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	if r.Cfg.WatchdogCycles != 2000 {
+		t.Errorf("watchdog = %d, want the spec's 2000", r.Cfg.WatchdogCycles)
+	}
+}
+
 func TestEndToEndSubmitPollResultEvents(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2, QueueDepth: 8})
 	spec := tinySpec("NEW ORDER")

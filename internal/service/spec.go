@@ -15,27 +15,32 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strconv"
-	"strings"
 
+	"subthreads/internal/cliflags"
 	"subthreads/internal/db"
 	"subthreads/internal/inject"
+	"subthreads/internal/report"
 	"subthreads/internal/sim"
 	"subthreads/internal/tls"
 	"subthreads/internal/tpcc"
 	"subthreads/internal/workload"
 )
 
-// JobSpec is the wire form of one simulation request (POST /v1/jobs). Each
-// field mirrors the matching cmd/tlssim flag and takes the same default
-// when omitted, so every job has a direct CLI repro command. Pointer fields
-// distinguish "omitted" from an explicit zero.
+// JobSpec is the wire form of one simulation request (POST /v1/jobs) and of
+// one cmd/tlssim command line: tlssim fills a JobSpec from its flags, one
+// flag per field, and resolves it here, so the CLI and the daemon share one
+// validation, one set of defaults and one digest, and every job has a direct
+// CLI repro command. Pointer fields distinguish "omitted" from an explicit
+// zero.
 type JobSpec struct {
 	// Benchmark names the workload (tlssim -list); required.
 	Benchmark string `json:"benchmark"`
 	// Experiment is the machine/software configuration; default BASELINE.
 	Experiment string `json:"experiment,omitempty"`
-	// Txns is the measured transaction count; default 8.
+	// Txns is the measured transaction count; 0 is "omitted" and takes
+	// the default 8.
 	Txns int `json:"txns,omitempty"`
 	// Warmup is the warm-up transaction count; default 2.
 	Warmup *int `json:"warmup,omitempty"`
@@ -199,14 +204,39 @@ func (r *Resolved) digest() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// Config is the machine configuration for one run of r: r.Cfg with a fresh
+// injector armed when the spec injects faults. Injectors are single-use (a
+// consumed fault schedule), so call Config once per simulation.
+func (r *Resolved) Config() sim.Config {
+	cfg := r.Cfg
+	if r.Inject != nil {
+		cfg.Inject = inject.New(*r.Inject)
+	}
+	return cfg
+}
+
+// WriteResult renders r's result document from its measured run and the
+// sequential reference: the bytes tlsd serves and `tlssim -json` prints.
+func (r *Resolved) WriteResult(w io.Writer, built *workload.Built, res, seq *sim.Result) error {
+	return report.WriteRun(w, report.BuildRun(report.RunParams{
+		Benchmark:  r.Spec.Bench.String(),
+		Experiment: r.Exp.String(),
+		CPUs:       r.Cfg.CPUs,
+		Subthreads: r.Cfg.TLS.SubthreadsPerEpoch,
+		Spacing:    r.Cfg.SubthreadSpacing,
+		Epochs:     built.Stats.Epochs,
+		Coverage:   built.Stats.Coverage,
+	}, res, seq))
+}
+
 // ReproCommand is the cmd/tlssim invocation that reproduces this job —
 // attached to every structured failure so a daemon-side watchdog trip or
-// audit abort is one paste away from a local debugger.
+// audit abort is one paste away from a local debugger. It spells out every
+// digest field, so tlssim resolves it to this job's digest.
 func (r *Resolved) ReproCommand() string {
 	args := []string{
-		"go", "run", "./cmd/tlssim",
-		"-benchmark", strconv.Quote(r.Spec.Bench.String()),
-		"-experiment", strconv.Quote(r.Exp.String()),
+		"-benchmark", r.Spec.Bench.String(),
+		"-experiment", r.Exp.String(),
 		"-txns", strconv.Itoa(r.Spec.Txns),
 		"-warmup", strconv.Itoa(r.Spec.Warmup),
 		"-seed", strconv.FormatInt(r.Spec.Seed, 10),
@@ -228,8 +258,13 @@ func (r *Resolved) ReproCommand() string {
 		args = append(args, "-paranoid")
 	}
 	if r.Inject != nil {
-		args = append(args, "-inject", strconv.Quote(r.Inject.String()))
+		args = append(args, "-inject", r.Inject.String())
 	}
-	args = append(args, "-json")
-	return strings.Join(args, " ")
+	if r.Cfg.WatchdogCycles != 0 {
+		args = append(args, "-watchdog-cycles", strconv.FormatUint(r.Cfg.WatchdogCycles, 10))
+	}
+	if r.Cfg.MaxCycles != 0 {
+		args = append(args, "-max-cycles", strconv.FormatUint(r.Cfg.MaxCycles, 10))
+	}
+	return cliflags.Repro("tlssim", append(args, "-json"))
 }

@@ -74,7 +74,10 @@ func (b *Builder) fill(spec Spec, sequential bool) *Built {
 	}
 	b.builds.Add(1)
 	built := Build(spec, sequential)
-	b.store.Put(casNamespace, diskKey, EncodeBuilt(built))
+	if b.store != nil {
+		// Encoding costs up to a quarter of a build; only a store keeps it.
+		b.store.Put(casNamespace, diskKey, EncodeBuilt(built))
+	}
 	return built
 }
 

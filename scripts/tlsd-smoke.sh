@@ -6,7 +6,8 @@
 # `tlssim -json` for the same spec; resubmit to require a content-addressed
 # cache hit; scrape /metrics in both JSON and Prometheus form and lint the
 # exposition; force a structured failure and require its flight-recorder
-# dump; then SIGTERM the daemon and require a clean drain (exit 0).
+# dump and a repro line that reproduces it; then SIGTERM the daemon and
+# require a clean drain (exit 0).
 # Finally restart the daemon over the same -cache-dir and require the
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms.
@@ -151,6 +152,18 @@ case "$FLIGHT" in
     exit 1
     ;;
 esac
+
+# The failure's repro line, run exactly as printed, must reproduce the
+# failure locally: tlssim exits 1 and names the watchdog on stderr.
+REPRO=$(curl -fsS "http://$ADDR/v1/jobs/$FAILJOB" |
+    sed -n 's/.*"repro": *"\(\(\\.\|[^"\\]\)*\)".*/\1/p' | head -1 | sed 's/\\\(["\\]\)/\1/g')
+STATUS=0
+sh -c "$REPRO" >/dev/null 2>"$TMP/repro.err" || STATUS=$?
+if [ "$STATUS" != 1 ] || ! grep -q watchdog "$TMP/repro.err"; then
+    echo "tlsd-smoke: failure repro exited $STATUS without the watchdog failure: $REPRO" >&2
+    cat "$TMP/repro.err" >&2
+    exit 1
+fi
 
 # The structured log stream carries the lifecycle with correlation IDs.
 for NEEDLE in '"msg":"job enqueued"' '"msg":"job completed"' '"msg":"job failed"' \
