@@ -23,11 +23,13 @@ package check
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
 	"subthreads/internal/sim"
+	"subthreads/internal/trace"
 	"subthreads/internal/workload"
 )
 
@@ -48,12 +50,16 @@ type Image map[mem.Addr]Cell
 // serial semantics — and returns the resulting memory image.
 func SerialImage(prog *sim.Program) Image {
 	img := make(Image)
+	var c trace.Cursor
 	for i, u := range prog.Units {
-		var done uint64
-		for _, ev := range u.Trace.Events() {
-			done += uint64(ev.N)
+		c.Reset(u.Trace)
+		for {
+			ev, ok := c.Next(math.MaxUint32)
+			if !ok {
+				break
+			}
 			if ev.Kind == isa.Store {
-				img[ev.Addr.Word()] = Cell{Unit: uint64(i), Seq: done}
+				img[ev.Addr.Word()] = Cell{Unit: uint64(i), Seq: c.Done()}
 			}
 		}
 	}

@@ -249,7 +249,8 @@ func TestWorkStackAddressesArePrivateAndSmall(t *testing.T) {
 	c1 := e.NewCtx(b1, 1)
 	c1.Work("x", 3600)
 	lines0 := map[mem.Addr]bool{}
-	for _, ev := range b0.Finish().Events() {
+	for _, p := range b0.Finish().Events() {
+		ev := p.Event()
 		if ev.Kind.IsMemory() {
 			lines0[ev.Addr.Line()] = true
 		}
@@ -257,7 +258,8 @@ func TestWorkStackAddressesArePrivateAndSmall(t *testing.T) {
 	if len(lines0) > ctxStackLines {
 		t.Errorf("slot 0 touched %d lines, want <= %d", len(lines0), ctxStackLines)
 	}
-	for _, ev := range b1.Finish().Events() {
+	for _, p := range b1.Finish().Events() {
+		ev := p.Event()
 		if ev.Kind.IsMemory() && lines0[ev.Addr.Line()] {
 			t.Fatalf("slots share stack line %v", ev.Addr.Line())
 		}
@@ -290,7 +292,8 @@ func TestLogTailDependenceRemovedByPerEpochLog(t *testing.T) {
 	shared := newTestEnv(OptNone())
 	trShared := recordOp(shared, 0, func(c *Ctx) { shared.log.record(c, 8) })
 	tailStores := 0
-	for _, ev := range trShared.Events() {
+	for _, p := range trShared.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && ev.Addr.Line() == shared.log.tail.Line() {
 			tailStores++
 		}
@@ -305,7 +308,8 @@ func TestLogTailDependenceRemovedByPerEpochLog(t *testing.T) {
 	tr0 := recordOp(private, 0, func(c *Ctx) { private.log.record(c, 8) })
 	tr1 := recordOp(private, 1, func(c *Ctx) { private.log.record(c, 8) })
 	lines0 := map[mem.Addr]bool{}
-	for _, ev := range tr0.Events() {
+	for _, p := range tr0.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && private.logReg.Contains(ev.Addr) {
 			lines0[ev.Addr.Line()] = true
 		}
@@ -313,7 +317,8 @@ func TestLogTailDependenceRemovedByPerEpochLog(t *testing.T) {
 			t.Fatal("PerEpochLog still stored the shared tail in the loop body")
 		}
 	}
-	for _, ev := range tr1.Events() {
+	for _, p := range tr1.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && lines0[ev.Addr.Line()] {
 			t.Fatal("two contexts share a log buffer line")
 		}
@@ -327,7 +332,8 @@ func lockStores(e *Env, c *Ctx, tree *Tree, key int64) int {
 	c.SetRecorder(b)
 	c.Lock(tree, key, true)
 	n := 0
-	for _, ev := range b.Finish().Events() {
+	for _, p := range b.Finish().Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && e.misc.Contains(ev.Addr) {
 			n++
 		}
@@ -366,7 +372,8 @@ func TestAllocatorDependenceRemovedByPerCPUAlloc(t *testing.T) {
 	sharedEnv := newTestEnv(OptNone())
 	tr := recordOp(sharedEnv, 0, func(c *Ctx) { sharedEnv.NewRow(c, 2) })
 	hit := false
-	for _, ev := range tr.Events() {
+	for _, p := range tr.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && ev.Addr == sharedEnv.alloc.word {
 			hit = true
 		}
@@ -379,7 +386,8 @@ func TestAllocatorDependenceRemovedByPerCPUAlloc(t *testing.T) {
 	tr0 := recordOp(priv, 0, func(c *Ctx) { priv.NewRow(c, 2) })
 	tr1 := recordOp(priv, 1, func(c *Ctx) { priv.NewRow(c, 2) })
 	touched := func(tr *trace.Trace, a mem.Addr) bool {
-		for _, ev := range tr.Events() {
+		for _, p := range tr.Events() {
+			ev := p.Event()
 			if ev.Kind.IsMemory() && ev.Addr == a {
 				return true
 			}
@@ -408,7 +416,8 @@ func TestPoolStoresRemovedByPinlessReads(t *testing.T) {
 	// Count stores to pool metadata (frame/LRU lines live in misc).
 	poolStores := func(e *Env, tr *trace.Trace) int {
 		n := 0
-		for _, ev := range tr.Events() {
+		for _, p := range tr.Events() {
+			ev := p.Event()
 			if ev.Kind == isa.Store && e.misc.Contains(ev.Addr) {
 				n++
 			}
@@ -434,7 +443,8 @@ func TestInsertEmitsLeafHeaderStore(t *testing.T) {
 	})
 	pc := e.PCs.Site("orderline.hdr.count.store")
 	found := false
-	for _, ev := range tr.Events() {
+	for _, p := range tr.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && ev.PC == pc {
 			found = true
 		}
@@ -525,7 +535,8 @@ func TestGetForUpdateEmitsDirtyAccounting(t *testing.T) {
 
 	countDirty := func(tr *trace.Trace) int {
 		n := 0
-		for _, ev := range tr.Events() {
+		for _, p := range tr.Events() {
+			ev := p.Event()
 			if ev.Kind == isa.Store && ev.PC == pcDirty {
 				n++
 			}
@@ -561,7 +572,8 @@ func TestCommitFlushCleansDirtyPages(t *testing.T) {
 	c.Begin()
 	tree.GetForUpdate(c, 1)
 	n := 0
-	for _, ev := range b.Finish().Events() {
+	for _, p := range b.Finish().Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && ev.PC == pcDirty {
 			n++
 		}
@@ -665,7 +677,8 @@ func TestScanCrossesLeaves(t *testing.T) {
 	// Leaf-chain walks emit header loads for each subsequent leaf.
 	pcHdr := e.PCs.Site("t.hdr.count.load")
 	hdrLoads := 0
-	for _, ev := range b.Finish().Events() {
+	for _, p := range b.Finish().Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Load && ev.PC == pcHdr {
 			hdrLoads++
 		}
@@ -686,7 +699,8 @@ func TestSplitEmitsPageTraffic(t *testing.T) {
 	})
 	pcCopy := e.PCs.Site("t.split.copy.store")
 	n := 0
-	for _, ev := range tr.Events() {
+	for _, p := range tr.Events() {
+		ev := p.Event()
 		if ev.Kind == isa.Store && ev.PC == pcCopy {
 			n++
 		}

@@ -234,9 +234,11 @@ func (m *machine) applySquashesFrom(caller *core, sqs []tls.Squash) (selfSquashe
 	return selfSquashed
 }
 
-// finish assembles the Result after the run loop ends.
+// finish assembles the Result after the run loop ends. It returns a copy, so
+// a Result that outlives its run does not keep the machine alive.
 func (m *machine) finish() *Result {
-	m.res.TLS = m.engine.Stats
-	m.res.Pairs = m.pairs
-	return &m.res
+	res := m.res
+	res.TLS = m.engine.Stats
+	res.Pairs = m.pairs
+	return &res
 }

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
@@ -788,5 +790,38 @@ func TestICacheModel(t *testing.T) {
 	}
 	if off.Cycles >= big.Cycles {
 		t.Errorf("I-cache model cost nothing: %d vs %d", big.Cycles, off.Cycles)
+	}
+}
+
+// TestResultDoesNotPinMachine: a Result outlives its run (the experiment
+// runner memoizes every one), so it must not keep the machine's caches, line
+// tables, predictor tables and cores reachable. finish is the one place
+// RunE, RunCapture and ResumeE get their Result from.
+func TestResultDoesNotPinMachine(t *testing.T) {
+	freed := make(chan struct{})
+	res := func() *Result {
+		m := newMachine(testConfig(), &Program{Units: []Unit{
+			{Trace: producerTrace(100, 0x1000, 1, 100)},
+			{Trace: consumerTrace(50, 0x1000, 2, 100)},
+		}})
+		runtime.SetFinalizer(m, func(*machine) { close(freed) })
+		if err := m.run(); err != nil {
+			t.Fatal(err)
+		}
+		res := m.finish()
+		m.release()
+		return res
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(res)
+			return
+		case <-deadline:
+			t.Fatal("machine still reachable from its Result after GC")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }

@@ -399,7 +399,8 @@ func TestStockLevelAggregationEmission(t *testing.T) {
 		if !seg.Iter {
 			continue
 		}
-		for _, ev := range seg.Trace.Events() {
+		for _, p := range seg.Trace.Events() {
+			ev := p.Event()
 			if ev.Addr >= d.aggBase && ev.Addr < d.aggBase+mem.Addr(d.aggBuckets*mem.LineSize) {
 				aggStores++
 			}

@@ -1,6 +1,9 @@
 package trace
 
-import "subthreads/internal/isa"
+import (
+	"subthreads/internal/isa"
+	"subthreads/internal/mem"
+)
 
 // Pos is a saved cursor position — the state a sub-thread checkpoint needs to
 // restart execution from (the register-file backup of §2.2 is modeled as
@@ -70,29 +73,27 @@ func (c *Cursor) Next(maxALU uint32) (ev Event, ok bool) {
 	if c.AtEnd() {
 		return Event{}, false
 	}
-	e := c.t.events[c.pos.idx]
-	if e.Kind == isa.ALU {
-		remaining := e.N - c.pos.off
-		n := remaining
-		if maxALU < n {
-			n = maxALU
-		}
-		if n == 0 {
-			// Caller has no issue slots; treat as a 0-instruction peek miss.
-			return Event{}, false
-		}
-		c.pos.off += n
-		c.pos.done += uint64(n)
-		if c.pos.off == e.N {
-			c.pos.idx++
-			c.pos.off = 0
-		}
-		return Event{Kind: isa.ALU, N: n}, true
+	p := &c.t.events[c.pos.idx]
+	if p.kind != isa.ALU {
+		c.pos.idx++
+		c.pos.done++
+		return Event{Kind: p.kind, PC: p.pc, Addr: mem.Addr(p.arg), N: 1, Taken: p.taken}, true
 	}
-	c.pos.idx++
-	c.pos.done++
-	e.N = 1
-	return e, true
+	n := p.arg - c.pos.off
+	if maxALU < n {
+		n = maxALU
+	}
+	if n == 0 {
+		// Caller has no issue slots; treat as a 0-instruction peek miss.
+		return Event{}, false
+	}
+	c.pos.off += n
+	c.pos.done += uint64(n)
+	if c.pos.off == p.arg {
+		c.pos.idx++
+		c.pos.off = 0
+	}
+	return Event{Kind: isa.ALU, N: n}, true
 }
 
 // Peek returns the next event kind without consuming it. ok is false at end.
@@ -100,7 +101,7 @@ func (c *Cursor) Peek() (k isa.Kind, ok bool) {
 	if c.AtEnd() {
 		return 0, false
 	}
-	return c.t.events[c.pos.idx].Kind, true
+	return c.t.events[c.pos.idx].kind, true
 }
 
 // PeekEvent returns the next event in full without consuming it. For ALU
@@ -109,7 +110,7 @@ func (c *Cursor) PeekEvent() (ev Event, ok bool) {
 	if c.AtEnd() {
 		return Event{}, false
 	}
-	ev = c.t.events[c.pos.idx]
+	ev = c.t.events[c.pos.idx].Event()
 	ev.N -= c.pos.off
 	return ev, true
 }

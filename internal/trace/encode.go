@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"subthreads/internal/isa"
-	"subthreads/internal/mem"
 )
 
 // Compact binary encoding of a Trace, used by the persistent build-artifact
@@ -21,7 +20,8 @@ import (
 
 // maxEvents bounds a single trace's decoded event count (a sanity cap so a
 // corrupted-but-well-framed length cannot force a giant allocation; real
-// traces are a few hundred thousand events).
+// traces run to a few million events: at -txns 3 one NEW ORDER 150
+// sequential unit holds about 1.3M).
 const maxEvents = 1 << 28
 
 // AppendBinary appends the compact encoding of t to buf and returns the
@@ -29,21 +29,21 @@ const maxEvents = 1 << 28
 func (t *Trace) AppendBinary(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t.events)))
 	for i := range t.events {
-		e := &t.events[i]
-		buf = append(buf, byte(e.Kind))
-		switch e.Kind {
+		p := &t.events[i]
+		buf = append(buf, byte(p.kind))
+		switch p.kind {
 		case isa.ALU:
-			buf = binary.AppendUvarint(buf, uint64(e.N))
+			buf = binary.AppendUvarint(buf, uint64(p.arg))
 		case isa.Branch:
-			buf = binary.AppendUvarint(buf, uint64(e.PC))
+			buf = binary.AppendUvarint(buf, uint64(p.pc))
 			taken := byte(0)
-			if e.Taken {
+			if p.taken {
 				taken = 1
 			}
 			buf = append(buf, taken)
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
-			buf = binary.AppendUvarint(buf, uint64(e.PC))
-			buf = binary.AppendUvarint(buf, uint64(e.Addr))
+			buf = binary.AppendUvarint(buf, uint64(p.pc))
+			buf = binary.AppendUvarint(buf, uint64(p.arg))
 		default:
 			// Long-latency ops (IntMul, IntDiv, FP*) carry only their kind.
 		}
@@ -62,9 +62,12 @@ func DecodeBinary(data []byte) (*Trace, []byte, error) {
 	if n > maxEvents {
 		return nil, nil, fmt.Errorf("trace: implausible event count %d", n)
 	}
-	b := Builder{}
-	b.t.events = make([]Event, 0, n)
-	for i := uint64(0); i < n; i++ {
+	if n > uint64(len(data)) {
+		// Every event costs at least its kind byte.
+		return nil, nil, fmt.Errorf("trace: %d events truncated to %d bytes", n, len(data))
+	}
+	t := &Trace{events: make([]Packed, n)}
+	for i := range t.events {
 		if len(data) == 0 {
 			return nil, nil, fmt.Errorf("trace: truncated at event %d/%d", i, n)
 		}
@@ -73,18 +76,18 @@ func DecodeBinary(data []byte) (*Trace, []byte, error) {
 		if int(kind) >= isa.NumKinds {
 			return nil, nil, fmt.Errorf("trace: unknown event kind %d", kind)
 		}
-		e := Event{Kind: kind, N: 1}
+		p, run := Packed{kind: kind}, uint32(1)
 		switch kind {
 		case isa.ALU:
-			var run uint64
-			run, data, err = uvarint(data, "alu run")
+			var v uint64
+			v, data, err = uvarint(data, "alu run")
 			if err != nil {
 				return nil, nil, err
 			}
-			if run == 0 || run > 1<<32-1 {
-				return nil, nil, fmt.Errorf("trace: bad alu run length %d", run)
+			if v == 0 || v > 1<<32-1 {
+				return nil, nil, fmt.Errorf("trace: bad alu run length %d", v)
 			}
-			e.N = uint32(run)
+			p.arg, run = uint32(v), uint32(v)
 		case isa.Branch:
 			var pc uint64
 			pc, data, err = uvarint(data, "branch pc")
@@ -97,7 +100,7 @@ func DecodeBinary(data []byte) (*Trace, []byte, error) {
 			if pc > 1<<32-1 {
 				return nil, nil, fmt.Errorf("trace: branch pc %d out of range", pc)
 			}
-			e.PC, e.Taken = isa.PC(pc), data[0] != 0
+			p.pc, p.taken = isa.PC(pc), data[0] != 0
 			data = data[1:]
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
 			var pc, addr uint64
@@ -112,13 +115,14 @@ func DecodeBinary(data []byte) (*Trace, []byte, error) {
 			if pc > 1<<32-1 || addr > 1<<32-1 {
 				return nil, nil, fmt.Errorf("trace: pc %d / addr %d out of range", pc, addr)
 			}
-			e.PC, e.Addr = isa.PC(pc), mem.Addr(addr)
+			p.pc, p.arg = isa.PC(pc), uint32(addr)
 		}
-		// push (not the merging ALU method) preserves the recorded event
-		// sequence exactly while recomputing instrs and per-kind counts.
-		b.push(e)
+		// The recorded sequence is kept exactly (no ALU merging), while
+		// instrs and per-kind counts are recomputed from it.
+		t.events[i] = p
+		t.count(kind, run)
 	}
-	return b.Finish(), data, nil
+	return t, data, nil
 }
 
 // uvarint consumes one varint from data, naming the field in errors.

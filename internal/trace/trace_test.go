@@ -30,8 +30,8 @@ func TestBuilderMergesALURuns(t *testing.T) {
 	if len(evs) != 8 {
 		t.Fatalf("got %d events, want 8: %v", len(evs), evs)
 	}
-	if evs[2].Kind != isa.ALU || evs[2].N != 7 {
-		t.Errorf("ALU runs did not merge: %v", evs[2])
+	if ev := evs[2].Event(); ev.Kind != isa.ALU || ev.N != 7 {
+		t.Errorf("ALU runs did not merge: %v", ev)
 	}
 	if tr.Instrs() != 10+1+7+1+1+1+1+1 {
 		t.Errorf("Instrs = %d", tr.Instrs())

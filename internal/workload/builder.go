@@ -5,6 +5,7 @@ import (
 
 	"subthreads/internal/cas"
 	"subthreads/internal/sim"
+	"subthreads/internal/tpcc"
 )
 
 // casNamespace is where serialized Built programs live inside a cas.Store,
@@ -17,6 +18,21 @@ const casNamespace = "built"
 type buildKey struct {
 	Spec       Spec
 	Sequential bool
+}
+
+// keyOf returns the key of the program Build(spec, sequential) records. A
+// SEQUENTIAL build runs the unoptimized engine and records each transaction
+// as one flat trace, so neither OptLevel nor the loop DELIVERY OUTER
+// parallelizes reaches its program: they fold to 0 and DELIVERY, and every
+// spec that records the same SEQUENTIAL program shares one build.
+func keyOf(spec Spec, sequential bool) buildKey {
+	if sequential {
+		spec.OptLevel = 0
+		if spec.Bench == tpcc.DeliveryOuter {
+			spec.Bench = tpcc.Delivery
+		}
+	}
+	return buildKey{Spec: spec, Sequential: sequential}
 }
 
 // Builder memoizes Build results so that every sweep replaying the same
@@ -50,11 +66,12 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) SetStore(s *cas.Store) { b.store = s }
 
 // Build returns the memoized program for (spec, sequential), building it on
-// first use. Concurrent callers with the same key block until the one fill
-// in flight — disk load or real build — completes.
+// first use. Concurrent callers with the same key (keyOf) block until the
+// one fill in flight — disk load or real build — completes.
 func (b *Builder) Build(spec Spec, sequential bool) *Built {
-	built, filled := b.memo.Do(buildKey{Spec: spec, Sequential: sequential}, func() *Built {
-		return b.fill(spec, sequential)
+	key := keyOf(spec, sequential)
+	built, filled := b.memo.Do(key, func() *Built {
+		return b.fill(key)
 	})
 	if !filled {
 		b.memHits.Add(1)
@@ -66,14 +83,14 @@ func (b *Builder) Build(spec Spec, sequential bool) *Built {
 // the result for the next process). A disk entry that fails to decode — e.g.
 // one written by a different builtVersion under a stale key — is quarantined
 // by cas.Load, never fatal, and the build runs as if it were absent.
-func (b *Builder) fill(spec Spec, sequential bool) *Built {
-	diskKey := CacheKey(spec, sequential)
+func (b *Builder) fill(key buildKey) *Built {
+	diskKey := CacheKey(key.Spec, key.Sequential)
 	if built, err := cas.Load(b.store, casNamespace, diskKey, DecodeBuilt); err == nil {
 		b.diskHits.Add(1)
 		return built
 	}
 	b.builds.Add(1)
-	built := Build(spec, sequential)
+	built := Build(key.Spec, key.Sequential)
 	if b.store != nil {
 		// Encoding costs up to a quarter of a build; only a store keeps it.
 		b.store.Put(casNamespace, diskKey, EncodeBuilt(built))

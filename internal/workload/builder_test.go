@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -131,6 +132,72 @@ func TestBuiltConcurrentRuns(t *testing.T) {
 	for i := len(cfgs); i < len(results); i++ {
 		if !reflect.DeepEqual(results[i], results[i%len(cfgs)]) {
 			t.Errorf("run %d differs from its config's first run", i)
+		}
+	}
+}
+
+// TestSequentialBuildKeyedByProgram: a SEQUENTIAL build records the flat
+// program on the unoptimized engine, which neither DELIVERY OUTER's loop
+// choice nor the OptLevel reaches, so those specs share one build. Their TLS
+// builds, which both reach, stay distinct.
+func TestSequentialBuildKeyedByProgram(t *testing.T) {
+	b := NewBuilder()
+	del, outer := tinySpec(tpcc.Delivery), tinySpec(tpcc.DeliveryOuter)
+	seqDel := b.Build(del, true)
+	if b.Build(outer, true) != seqDel {
+		t.Error("DELIVERY OUTER's SEQUENTIAL build is not DELIVERY's")
+	}
+	if n := b.Builds(); n != 1 {
+		t.Errorf("Builds() = %d for the two DELIVERY SEQUENTIAL builds, want 1", n)
+	}
+
+	opt0, opt5 := tinySpec(tpcc.NewOrder), tinySpec(tpcc.NewOrder)
+	opt0.OptLevel, opt5.OptLevel = 0, 5
+	seqNO := b.Build(opt0, true)
+	if b.Build(opt5, true) != seqNO {
+		t.Error("SEQUENTIAL builds at OptLevel 0 and 5 differ")
+	}
+	if n := b.Builds(); n != 2 {
+		t.Errorf("Builds() = %d after two SEQUENTIAL programs, want 2", n)
+	}
+
+	// Sharing is sound: each spec's own build records the same program.
+	if !bytes.Equal(EncodeBuilt(Build(outer, true)), EncodeBuilt(seqDel)) {
+		t.Error("DELIVERY OUTER's own SEQUENTIAL build differs from DELIVERY's")
+	}
+	if !bytes.Equal(EncodeBuilt(Build(opt5, true)), EncodeBuilt(seqNO)) {
+		t.Error("the OptLevel 5 SEQUENTIAL build differs from the OptLevel 0 one")
+	}
+
+	specs := []Spec{del, outer, opt0, opt5}
+	seen := map[*Built]bool{seqDel: true, seqNO: true}
+	for _, s := range specs {
+		built := b.Build(s, false)
+		if seen[built] {
+			t.Errorf("TLS build of %v (opt %d) shares another build", s.Bench, s.OptLevel)
+		}
+		seen[built] = true
+	}
+	if n := b.Builds(); n != 2+len(specs) {
+		t.Errorf("Builds() = %d, want %d", n, 2+len(specs))
+	}
+
+	// The persistent tier's key agrees with the memo's.
+	type call struct {
+		spec Spec
+		seq  bool
+	}
+	var calls []call
+	for _, s := range specs {
+		calls = append(calls, call{s, true}, call{s, false})
+	}
+	for _, x := range calls {
+		for _, y := range calls {
+			sameMemo := keyOf(x.spec, x.seq) == keyOf(y.spec, y.seq)
+			if sameDisk := CacheKey(x.spec, x.seq) == CacheKey(y.spec, y.seq); sameMemo != sameDisk {
+				t.Errorf("%v/%d seq=%v vs %v/%d seq=%v: memo keys equal %v, CacheKeys equal %v",
+					x.spec.Bench, x.spec.OptLevel, x.seq, y.spec.Bench, y.spec.OptLevel, y.seq, sameMemo, sameDisk)
+			}
 		}
 	}
 }

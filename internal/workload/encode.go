@@ -17,9 +17,7 @@ import (
 // content-addressed cache: everything the serving and reporting paths read
 // from a Built — the unit/trace program, the derived statistics, the PC
 // registry, the functional digest, and the per-transaction outputs — in a
-// compact custom frame (no gob/reflection). The db.Env is deliberately not
-// captured: nothing reads it after Build returns, and a decoded Built
-// carries Env == nil.
+// compact custom frame (no gob/reflection).
 //
 // The frame:
 //
@@ -53,15 +51,16 @@ const (
 )
 
 // CacheKey is the canonical content address of the Built program for
-// (spec, sequential): the SHA-256 of the canonical JSON of the spec, the
-// software mode, and the encoding version. Two processes (or two runs of
-// one process) that would Build the same binary share a key.
+// (spec, sequential): the SHA-256 of the canonical JSON of its build key
+// (keyOf) and the encoding version. Two processes (or two runs of one
+// process) that would Build the same binary share a key.
 func CacheKey(spec Spec, sequential bool) string {
+	k := keyOf(spec, sequential)
 	c := struct {
 		V          int  `json:"v"`
 		Spec       Spec `json:"spec"`
 		Sequential bool `json:"sequential"`
-	}{builtVersion, spec, sequential}
+	}{builtVersion, k.Spec, k.Sequential}
 	b, err := json.Marshal(c)
 	if err != nil {
 		// Spec is plain data; failure here is a programming error.
@@ -117,9 +116,8 @@ func EncodeBuilt(b *Built) []byte {
 }
 
 // DecodeBuilt parses the binary cache format back into a Built. The result
-// is read-only shareable exactly like a fresh Build (and its Env is nil —
-// nothing reads the environment after a build). Truncated or inconsistent
-// input returns an error, never a panic.
+// is read-only shareable exactly like a fresh Build. Truncated or
+// inconsistent input returns an error, never a panic.
 func DecodeBuilt(data []byte) (*Built, error) {
 	if len(data) < len(builtMagic)+1 {
 		return nil, fmt.Errorf("workload: built frame truncated (%d bytes)", len(data))

@@ -58,7 +58,6 @@ type Built struct {
 	Program *sim.Program
 	Stats   Stats
 	PCs     *isa.PCRegistry
-	Env     *db.Env
 
 	// Digest is the FNV-1a hash of the final database state after the
 	// full (warm-up + measured) transaction stream, and Outputs the
@@ -103,7 +102,6 @@ func Build(spec Spec, sequential bool) *Built {
 	b := &Built{
 		Program: &sim.Program{},
 		PCs:     env.PCs,
-		Env:     env,
 	}
 	st := &b.Stats
 	st.Txns = spec.Txns
