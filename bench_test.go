@@ -61,20 +61,25 @@ func BenchmarkTable2(b *testing.B) {
 // once through the shared build cache and every iteration is one pure
 // sim.Run over it — `go test -bench=BenchmarkSimulate -benchmem` is the
 // allocation guard for the de-allocated inner loop (allocs/op here is
-// allocations per run, excluding the build).
+// allocations per run, excluding the build). SEQUENTIAL times one core over
+// the sequential build; the other legs time four. Each leg reports simulated
+// Mcycles per host second, perfbench's sim.mcycles_per_s unit.
 func BenchmarkSimulate(b *testing.B) {
 	builder := subthreads.NewBuilder()
-	for _, e := range []subthreads.Experiment{subthreads.NoSubthread, subthreads.Baseline} {
+	for _, e := range []subthreads.Experiment{subthreads.Sequential, subthreads.NoSubthread, subthreads.Baseline} {
 		b.Run(e.String(), func(b *testing.B) {
-			built := builder.Build(benchSpec(subthreads.NewOrder), false)
+			built := builder.Build(benchSpec(subthreads.NewOrder), e.SequentialSoftware())
 			cfg := subthreads.Machine(e)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var res *subthreads.Result
+			var cycles uint64
 			for i := 0; i < b.N; i++ {
 				res = subthreads.Simulate(cfg, built.Program)
+				cycles += res.Cycles
 			}
 			b.ReportMetric(float64(res.EpochCount), "epochs")
+			b.ReportMetric(float64(cycles)/1e6/b.Elapsed().Seconds(), "Mcycles/s")
 		})
 	}
 }

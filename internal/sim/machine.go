@@ -22,9 +22,10 @@ type core struct {
 	elt    *profile.ExposedLoadTable
 
 	// Current work.
-	unit   int // index into program units; -1 when idle
-	epoch  *tls.Epoch
-	cursor *trace.Cursor
+	unit    int  // index into program units; -1 when idle
+	barrier bool // the unit is a barrier (prog.Units[unit].Barrier)
+	epoch   *tls.Epoch
+	cursor  *trace.Cursor
 
 	// Sub-thread checkpoints: checkpoints[ctx] is the trace position the
 	// context restarts from; ctxCycles[ctx] accrues cycles for failed-
@@ -231,8 +232,12 @@ func (m *machine) run() error {
 				m.injectFault(f)
 			}
 		}
+		// Only a core's own step sets syncing (a squash may clear it), so
+		// when no core syncs after its step none syncs at the cycle's end.
+		syncing := false
 		for _, c := range m.cores {
 			m.step(c)
+			syncing = syncing || c.syncing
 		}
 		m.cycle++
 		if m.err != nil {
@@ -272,11 +277,13 @@ func (m *machine) run() error {
 		// a synchronization wait for too long, break the cycle by
 		// squashing the youngest epoch that holds a latch.
 		busy, stuck := 0, 0
-		for _, c := range m.cores {
-			if c.epoch != nil && !c.done {
-				busy++
-				if c.syncing && !c.predSync {
-					stuck++
+		if syncing { // otherwise no core is stuck
+			for _, c := range m.cores {
+				if c.epoch != nil && !c.done {
+					busy++
+					if c.syncing && !c.predSync {
+						stuck++
+					}
 				}
 			}
 		}
@@ -453,7 +460,7 @@ func (m *machine) step(c *core) {
 		return
 	}
 	// Barrier units execute only when non-speculative.
-	if m.prog.Units[c.unit].Barrier && m.engine.Oldest() != c.epoch {
+	if c.barrier && m.engine.Oldest() != c.epoch {
 		m.accrue(c, Idle)
 		return
 	}
@@ -468,6 +475,7 @@ func (m *machine) tryStart(c *core) bool {
 	}
 	u := m.prog.Units[m.nextUnit]
 	c.unit = m.nextUnit
+	c.barrier = u.Barrier
 	m.nextUnit++
 	if u.Barrier {
 		m.barrierLive = true
@@ -509,7 +517,7 @@ func (m *machine) finishEpoch(c *core) {
 		m.accrue(c, Idle) // waiting to commit
 		return
 	}
-	if m.prog.Units[c.unit].Barrier {
+	if c.barrier {
 		m.barrierLive = false
 	}
 	committed, sqs := m.engine.CommitOldest()
@@ -520,7 +528,7 @@ func (m *machine) finishEpoch(c *core) {
 		m.tel.Emit(telemetry.Event{
 			Cycle: m.cycle, CPU: c.id, Kind: telemetry.EpochCommit,
 			Epoch: committed.ID, Ctx: committed.CurCtx,
-			Barrier: m.prog.Units[c.unit].Barrier,
+			Barrier: c.barrier,
 			Instrs:  c.cursor.Trace().Instrs(),
 		})
 	}
@@ -530,6 +538,7 @@ func (m *machine) finishEpoch(c *core) {
 	m.committed++
 	c.epoch = nil
 	c.unit = -1
+	c.barrier = false
 	if m.cfg.CommitPenalty > 0 {
 		c.stallUntil = m.cycle + m.cfg.CommitPenalty
 		c.stallCat = Busy
@@ -568,102 +577,111 @@ func (m *machine) retrySync(c *core) {
 				Epoch: c.epoch.ID, Ctx: c.epoch.CurCtx, Addr: c.syncAddr,
 			})
 		}
-		// Consume the latch-acquire event we peeked at.
-		ev, ok := c.cursor.Next(1)
-		if !ok || ev.Kind != isa.LatchAcquire {
+		// Consume the latch-acquire entry the wait began at.
+		if p, ok := c.cursor.Head(); !ok || p.Kind() != isa.LatchAcquire {
 			panic("sim: latch wait desynchronized from trace")
 		}
+		c.cursor.Step()
 		m.execute(c)
 		return
 	}
 	m.accrue(c, Sync)
 }
 
-// execute runs one issue cycle of the core's trace.
+// execute runs one issue cycle of the core's trace. Each pass of the loop
+// reads the entry at the cursor once: an ALU run is consumed in one call
+// clipped to the issue budget, any other entry by a one-step advance, and a
+// trace.Event is decoded only for the accesses and latches that take one.
 func (m *machine) execute(c *core) {
+	// finishEpoch is the only caller of CommitOldest, so no commit
+	// happens while a core issues: the epoch's status holds for the call.
+	spec := m.engine.Speculative(c.epoch)
+	cur := c.cursor
 	budget := uint32(m.cfg.CPU.IssueWidth)
 	memUsed := false
 	issued := false
-	cat := Busy
 
-	for budget > 0 {
-		if c.stallUntil > m.cycle {
-			break
-		}
-		kind, ok := c.cursor.Peek()
+	for budget > 0 && c.stallUntil <= m.cycle {
+		p, ok := cur.Head()
 		if !ok {
 			c.done = true
 			c.epoch.Completed = true
 			break
 		}
-		if kind.IsMemory() && memUsed {
-			break // one data-cache access per cycle
-		}
-		if kind == isa.LatchAcquire {
-			// Peek-first: the event is only consumed once granted.
-			ev := peekEvent(c.cursor)
-			if m.latchDelayed() || !m.engine.AcquireLatch(c.epoch, ev.Addr) {
-				if !issued {
-					c.syncing = true
-					c.predSync = false
-					c.syncAddr = ev.Addr
-					c.syncPC = ev.PC
-					if m.tel != nil {
-						m.tel.Emit(telemetry.Event{
-							Cycle: m.cycle, CPU: c.id, Kind: telemetry.LatchStall,
-							Epoch: c.epoch.ID, Ctx: c.epoch.CurCtx, Addr: ev.Addr,
-						})
+		kind := p.Kind()
+		n := uint32(1)
+		if kind == isa.ALU {
+			n = cur.TakeALU(budget)
+		} else {
+			if kind.IsMemory() && memUsed {
+				break // one data-cache access per cycle
+			}
+			if kind == isa.LatchAcquire {
+				// Peek-first: the entry is only consumed once granted.
+				ev := p.Event()
+				if m.latchDelayed() || !m.engine.AcquireLatch(c.epoch, ev.Addr) {
+					if !issued {
+						c.syncing = true
+						c.predSync = false
+						c.syncAddr = ev.Addr
+						c.syncPC = ev.PC
+						if m.tel != nil {
+							m.tel.Emit(telemetry.Event{
+								Cycle: m.cycle, CPU: c.id, Kind: telemetry.LatchStall,
+								Epoch: c.epoch.ID, Ctx: c.epoch.CurCtx, Addr: ev.Addr,
+							})
+						}
+						m.accrue(c, Sync)
+						return
 					}
-					m.accrue(c, Sync)
-					return
+					break
 				}
-				break
-			}
-			if m.tel != nil {
-				m.tel.Emit(telemetry.Event{
-					Cycle: m.cycle, CPU: c.id, Kind: telemetry.LatchAcquired,
-					Epoch: c.epoch.ID, Ctx: c.epoch.CurCtx, Addr: ev.Addr,
-				})
-			}
-			c.cursor.Next(1)
-			budget--
-			issued = true
-			m.maybeSpawn(c)
-			continue
-		}
-
-		// Predictor-guided sub-thread placement (§5.1): checkpoint
-		// immediately before a load that is predicted to be violated,
-		// so a violation rewinds almost nothing.
-		if kind == isa.Load && m.spawnPred != nil && m.engine.Speculative(c.epoch) {
-			ev := peekEvent(c.cursor)
-			lastCkpt := c.checkpoints[len(c.checkpoints)-1].Done()
-			if m.spawnPred.ShouldSync(ev.PC) && c.cursor.Done() >= lastCkpt+200 {
-				m.spawn(c)
-			}
-		}
-
-		// Predictor-driven synchronization happens before the load
-		// issues.
-		if kind == isa.Load && m.pred != nil && m.engine.Speculative(c.epoch) {
-			ev := peekEvent(c.cursor)
-			if m.pred.ShouldSync(ev.PC) && !m.engine.ProducerWrote(c.epoch, ev.Addr) {
-				if !issued {
-					c.syncing = true
-					c.predSync = true
-					c.syncAddr = ev.Addr
-					c.syncPC = ev.PC
-					m.res.PredictorSyncs++
-					m.accrue(c, Sync)
-					return
+				if m.tel != nil {
+					m.tel.Emit(telemetry.Event{
+						Cycle: m.cycle, CPU: c.id, Kind: telemetry.LatchAcquired,
+						Epoch: c.epoch.ID, Ctx: c.epoch.CurCtx, Addr: ev.Addr,
+					})
 				}
-				break
+				cur.Step()
+				budget--
+				issued = true
+				if c.atSpawnPoint() {
+					m.maybeSpawn(c, spec)
+				}
+				continue
 			}
+			if kind == isa.Load && spec && (m.spawnPred != nil || m.pred != nil) {
+				ev := p.Event()
+				// Predictor-guided sub-thread placement (§5.1):
+				// checkpoint immediately before a load that is
+				// predicted to be violated, so a violation rewinds
+				// almost nothing.
+				if m.spawnPred != nil && m.spawnPred.ShouldSync(ev.PC) &&
+					cur.Done() >= c.checkpoints[len(c.checkpoints)-1].Done()+200 {
+					m.spawn(c)
+				}
+				// Predictor-driven synchronization happens before
+				// the load issues.
+				if m.pred != nil && m.pred.ShouldSync(ev.PC) && !m.engine.ProducerWrote(c.epoch, ev.Addr) {
+					if !issued {
+						c.syncing = true
+						c.predSync = true
+						c.syncAddr = ev.Addr
+						c.syncPC = ev.PC
+						m.res.PredictorSyncs++
+						m.accrue(c, Sync)
+						return
+					}
+					break
+				}
+			}
+			cur.Step()
 		}
+		budget -= n
 
-		ev, _ := c.cursor.Next(budget)
 		if c.ifetch != nil {
-			if stall := c.ifetch.fetch(m, ev.PC, ev.N); stall > 0 {
+			// An ALU run's PC is 0: it continues the current site.
+			if stall := c.ifetch.fetch(m, p.PC(), n); stall > 0 {
 				until := m.cycle + stall
 				if until > c.stallUntil {
 					c.stallUntil = until
@@ -672,30 +690,26 @@ func (m *machine) execute(c *core) {
 			}
 		}
 		selfSquashed := false
-		switch ev.Kind {
+		switch kind {
 		case isa.ALU:
-			budget -= ev.N
 		case isa.IntMul, isa.IntDiv, isa.FPOp, isa.FPDiv, isa.FPSqrt:
-			budget--
-			if lat := m.cfg.CPU.Lat.Of(ev.Kind); lat > 1 {
+			if lat := m.cfg.CPU.Lat.Of(kind); lat > 1 {
 				c.stallUntil = m.cycle + uint64(lat)
 				c.stallCat = Busy
 				budget = 0
 			}
 		case isa.Branch:
-			budget--
 			m.res.Branches++
-			if !c.gshare.Predict(ev.PC, ev.Taken) {
+			if !c.gshare.Predict(p.PC(), p.Taken()) {
 				m.res.Mispredicts++
 				c.stallUntil = m.cycle + 1 + uint64(m.cfg.CPU.Lat.MispredictPenalty)
 				c.stallCat = Busy
 				budget = 0
 			}
 		case isa.Load:
-			budget--
 			memUsed = true
 			var lat uint64
-			lat, selfSquashed = m.load(c, ev)
+			lat, selfSquashed = m.load(c, p.Event())
 			if !selfSquashed && lat > m.cfg.Mem.L1HitLat {
 				if m.cfg.NonBlockingLoads && m.cycle >= c.missUntil {
 					// Run ahead under the miss until the
@@ -713,11 +727,10 @@ func (m *machine) execute(c *core) {
 				}
 			}
 		case isa.Store:
-			budget--
 			memUsed = true
-			selfSquashed = m.store(c, ev)
+			selfSquashed = m.store(c, p.Event())
 		case isa.LatchRelease:
-			budget--
+			ev := p.Event()
 			m.engine.ReleaseLatch(c.epoch, ev.Addr)
 			if m.tel != nil {
 				m.tel.Emit(telemetry.Event{
@@ -726,11 +739,11 @@ func (m *machine) execute(c *core) {
 				})
 			}
 		default:
-			panic(fmt.Sprintf("sim: unhandled event kind %v", ev.Kind))
+			panic(fmt.Sprintf("sim: unhandled event kind %v", kind))
 		}
 		issued = true
 		if m.cfg.NonBlockingLoads && m.cycle < c.missUntil {
-			c.missBudget -= int(ev.N)
+			c.missBudget -= int(n)
 			if c.missBudget <= 0 {
 				// Reorder buffer full: wait out the miss.
 				if c.missUntil > c.stallUntil {
@@ -746,27 +759,20 @@ func (m *machine) execute(c *core) {
 			m.accrue(c, Failed)
 			return
 		}
-		if m.engine.Speculative(c.epoch) {
-			m.res.SpecInstrs += uint64(ev.N)
+		if spec {
+			m.res.SpecInstrs += uint64(n)
 		}
-		m.maybeSpawn(c)
-		if c.stallUntil > m.cycle {
-			break
+		if c.atSpawnPoint() {
+			m.maybeSpawn(c, spec)
 		}
 	}
-	m.accrue(c, cat)
+	m.accrue(c, Busy)
 }
 
 // latchDelayed reports whether the fault injector suppresses latch grants on
 // this cycle (delayed-latch-grant perturbation).
 func (m *machine) latchDelayed() bool {
 	return m.cfg.Inject != nil && m.cfg.Inject.LatchDelayed(m.cycle)
-}
-
-// peekEvent returns the next raw event without consuming it.
-func peekEvent(c *trace.Cursor) trace.Event {
-	ev, _ := c.PeekEvent()
-	return ev
 }
 
 // effectiveSpacing computes the sub-thread spacing for an epoch: the
@@ -793,24 +799,23 @@ func (m *machine) effectiveSpacing(t *trace.Trace) uint64 {
 	}
 }
 
-// maybeSpawn starts a new sub-thread when the spacing policy says so (§5.1),
-// while hardware contexts remain and the epoch is still speculative.
-func (m *machine) maybeSpawn(c *core) {
-	if c.spacing == 0 || c.epoch == nil {
-		return
-	}
-	if c.cursor.Done() < c.nextSpawnAt {
-		return
-	}
-	if !m.engine.Speculative(c.epoch) {
+// atSpawnPoint reports whether the cursor has reached the next periodic
+// sub-thread spawn point.
+func (c *core) atSpawnPoint() bool {
+	return c.cursor.Done() >= c.nextSpawnAt && c.spacing != 0
+}
+
+// maybeSpawn starts a new sub-thread at a spawn point (§5.1), while hardware
+// contexts remain and the epoch is still speculative (spec).
+func (m *machine) maybeSpawn(c *core, spec bool) {
+	switch {
+	case !spec:
 		c.nextSpawnAt = ^uint64(0) // homefree: no more checkpoints needed
-		return
-	}
-	if !m.spawn(c) {
+	case !m.spawn(c):
 		c.nextSpawnAt = ^uint64(0) // contexts exhausted
-		return
+	default:
+		c.nextSpawnAt += c.spacing
 	}
-	c.nextSpawnAt += c.spacing
 }
 
 // spawn performs the sub-thread start: engine context, checkpoint capture,

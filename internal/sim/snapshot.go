@@ -602,10 +602,14 @@ func (m *machine) restoreCore(r *snapbin.Reader, c *core) {
 		r.Failf("core %d: epoch index %d not live", c.id, epochIdx)
 		return
 	}
+	// The barrier flag is derived from the unit, not encoded in the frame.
+	var t *trace.Trace
+	c.barrier = false
 	if c.unit >= 0 {
-		t := m.prog.Units[c.unit].Trace
+		u := m.prog.Units[c.unit]
+		t, c.barrier = u.Trace, u.Barrier
 		pos := restorePos(r)
-		if r.Err() == nil && (pos.Index() < 0 || pos.Done() > t.Instrs()) {
+		if r.Err() == nil && !t.ValidPos(pos) {
 			r.Failf("core %d: cursor position out of range", c.id)
 			return
 		}
@@ -615,7 +619,14 @@ func (m *machine) restoreCore(r *snapbin.Reader, c *core) {
 	nCk := r.Count("core checkpoints", tls.MaxSubthreads)
 	c.checkpoints = c.checkpoints[:0]
 	for i := 0; i < nCk && r.Err() == nil; i++ {
-		c.checkpoints = append(c.checkpoints, restorePos(r))
+		// An idle core's checkpoints are its last unit's, unused until
+		// tryStart resets them.
+		pos := restorePos(r)
+		if r.Err() == nil && t != nil && !t.ValidPos(pos) {
+			r.Failf("core %d: checkpoint %d out of range", c.id, i)
+			return
+		}
+		c.checkpoints = append(c.checkpoints, pos)
 	}
 	nCtx := r.Count("core ctx cycles", tls.MaxSubthreads)
 	c.ctxCycles = c.ctxCycles[:0]

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
+	"subthreads/internal/snapbin"
 	"subthreads/internal/tls"
 	"subthreads/internal/trace"
 )
@@ -386,6 +388,68 @@ func TestSnapshotCorruptionIsAnErrorNeverAPanic(t *testing.T) {
 	bad[len(snapMagic)] = 99
 	if _, err := DecodeSnapshot(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("corrupt version: err = %v", err)
+	}
+}
+
+// recode restores snap's machine, lets mutate edit it and encodes it again:
+// a payload that decodes field by field but describes an impossible machine.
+func recode(t *testing.T, cfg Config, prog *Program, snap *Snapshot, mutate func(*machine)) *Snapshot {
+	t.Helper()
+	m := newMachine(cfg, prog)
+	defer m.release()
+	r := snapbin.NewReader(snap.payload)
+	m.restoreState(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	mutate(m)
+	w := snapbin.NewWriter(len(snap.payload))
+	m.appendState(w)
+	out := *snap
+	out.payload = w.Bytes()
+	return &out
+}
+
+// TestSnapshotRejectsPositionPastRun: a cursor or checkpoint offset past the
+// end of its ALU run would leave the core issuing a full width every cycle
+// without ever finishing the run. ResumeE must refuse such a payload as
+// corrupt, with an error that is not a RunError, and run nothing.
+func TestSnapshotRejectsPositionPastRun(t *testing.T) {
+	prog := violationProgram()
+	cfg := testConfig()
+	cfg.MaxCycles = 2_000_000 // ends the run a missed check would start
+	snap := captureAt(t, cfg, prog, 1600)
+	if same := recode(t, cfg, prog, snap, func(*machine) {}); string(same.payload) != string(snap.payload) {
+		t.Fatal("restoring and re-encoding a snapshot changed its payload")
+	}
+	pastRun := func(t *testing.T, p trace.Pos, tr *trace.Trace) trace.Pos {
+		if tr.Events()[p.Index()].Kind() != isa.ALU {
+			t.Fatalf("scenario broken: position %+v is not inside an ALU run", p)
+		}
+		return trace.MakePos(p.Index(), p.Offset()+4000, p.Done())
+	}
+	cases := map[string]func(*testing.T, *machine){
+		"cursor": func(t *testing.T, m *machine) {
+			c := m.cores[0]
+			c.cursor.Seek(pastRun(t, c.cursor.Pos(), c.cursor.Trace()))
+		},
+		"checkpoint": func(t *testing.T, m *machine) {
+			c := m.cores[1]
+			c.checkpoints[0] = pastRun(t, c.checkpoints[0], c.cursor.Trace())
+		},
+	}
+	for name, mutate := range cases {
+		t.Run(name, func(t *testing.T) {
+			bad := recode(t, cfg, prog, snap, func(m *machine) { mutate(t, m) })
+			_, err := ResumeE(cfg, prog, bad)
+			var re *RunError
+			if err == nil || errors.As(err, &re) {
+				t.Fatalf("ResumeE = %v, want a corrupt-payload error", err)
+			}
+			if !strings.Contains(err.Error(), "out of range") {
+				t.Errorf("ResumeE error %q does not name the bad position", err)
+			}
+		})
 	}
 }
 

@@ -25,10 +25,26 @@ func (p Pos) Offset() uint32 { return p.off }
 
 // MakePos reconstructs a position from its components — the inverse of
 // Index/Offset/Done, used by the whole-machine snapshot codec to restore
-// cursor and checkpoint state. The caller is responsible for the components
-// describing a real position in the trace being walked.
+// cursor and checkpoint state. Check a position from outside the process
+// with Trace.ValidPos before a cursor seeks to it.
 func MakePos(idx int, off uint32, done uint64) Pos {
 	return Pos{idx: idx, off: off, done: done}
+}
+
+// ValidPos reports whether a cursor over t can hold p: its index lies within
+// the trace or at its end, its offset is below the run length for an ALU
+// run and 0 for a one-instruction entry and at the end, and it counts no
+// more instructions done than t holds. TakeALU subtracts the offset from the
+// run length, so a position past its run would never finish it.
+func (t *Trace) ValidPos(p Pos) bool {
+	switch {
+	case p.idx < 0 || p.idx > len(t.events) || p.done > t.instrs:
+		return false
+	case p.idx < len(t.events) && t.events[p.idx].kind == isa.ALU:
+		return p.off < t.events[p.idx].arg
+	default:
+		return p.off == 0
+	}
 }
 
 // Cursor walks a Trace, supporting checkpoint (Pos) and rewind (Seek).
@@ -65,6 +81,38 @@ func (c *Cursor) Seek(p Pos) { c.pos = p }
 // Rewind returns the cursor to the start of the trace.
 func (c *Cursor) Rewind() { c.pos = Pos{} }
 
+// Head returns the entry at the cursor without consuming it; ok is false at
+// the end of the trace. An ALU run may be partly consumed already (see
+// Pos.Offset).
+func (c *Cursor) Head() (p Packed, ok bool) {
+	if c.pos.idx >= len(c.t.events) {
+		return Packed{}, false
+	}
+	return c.t.events[c.pos.idx], true
+}
+
+// TakeALU consumes up to max instructions of the ALU run at the cursor and
+// returns how many it consumed, so a 4-wide core can consume a long run
+// across several cycles. The entry at the cursor must be an ALU run.
+func (c *Cursor) TakeALU(max uint32) uint32 {
+	run := c.t.events[c.pos.idx].arg
+	n := min(run-c.pos.off, max)
+	c.pos.off += n
+	c.pos.done += uint64(n)
+	if c.pos.off == run {
+		c.pos.idx++
+		c.pos.off = 0
+	}
+	return n
+}
+
+// Step consumes the entry at the cursor, which must be a one-instruction
+// (non-ALU) entry.
+func (c *Cursor) Step() {
+	c.pos.idx++
+	c.pos.done++
+}
+
 // Next consumes and returns the next event. For ALU runs it consumes at most
 // maxALU instructions and returns an event with the clipped run length, so a
 // 4-wide core can consume a long run across several cycles. ok is false at
@@ -94,23 +142,4 @@ func (c *Cursor) Next(maxALU uint32) (ev Event, ok bool) {
 		c.pos.off = 0
 	}
 	return Event{Kind: isa.ALU, N: n}, true
-}
-
-// Peek returns the next event kind without consuming it. ok is false at end.
-func (c *Cursor) Peek() (k isa.Kind, ok bool) {
-	if c.AtEnd() {
-		return 0, false
-	}
-	return c.t.events[c.pos.idx].kind, true
-}
-
-// PeekEvent returns the next event in full without consuming it. For ALU
-// runs the returned N is the remaining run length.
-func (c *Cursor) PeekEvent() (ev Event, ok bool) {
-	if c.AtEnd() {
-		return Event{}, false
-	}
-	ev = c.t.events[c.pos.idx].Event()
-	ev.N -= c.pos.off
-	return ev, true
 }

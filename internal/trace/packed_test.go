@@ -107,8 +107,8 @@ func recordRandom(r Recorder, b *Builder, rng *rand.Rand) {
 }
 
 // TestPackedMatchesReference: a seeded random recording decodes to exactly
-// the Events a plain recorder appends, through Events, every Cursor
-// accessor and the codec.
+// the Events a plain recorder appends, through Events, every Cursor and
+// Packed accessor and the codec.
 func TestPackedMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -166,9 +166,10 @@ func checkEvents(t *testing.T, what string, tr *Trace, want []Event) {
 	}
 }
 
-// walkCursor steps a Cursor over tr with random ALU clipping, checking
-// Peek, PeekEvent, Next, Done and Pos against a model position in want, and
-// now and then seeks back to a saved position and replays from it.
+// walkCursor steps a Cursor over tr with random ALU clipping, checking Head
+// and the Packed accessors, Next, TakeALU, Step, Done, Pos and ValidPos
+// against a model position in want, and now and then seeks back to a saved
+// position and replays from it.
 func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 	t.Helper()
 	type model struct {
@@ -186,12 +187,12 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 	seeks := 0
 	for m.idx < len(want) {
 		w := want[m.idx]
-		w.N -= m.off
-		if k, ok := c.Peek(); !ok || k != w.Kind {
-			t.Fatalf("at %+v: Peek = %v,%v, want %v", m, k, ok, w.Kind)
+		p, ok := c.Head()
+		if !ok || p.Event() != w || p.Kind() != w.Kind || p.PC() != w.PC || p.Taken() != w.Taken {
+			t.Fatalf("at %+v: Head = %v,%v, want %v", m, p, ok, w)
 		}
-		if ev, ok := c.PeekEvent(); !ok || ev != w {
-			t.Fatalf("at %+v: PeekEvent = %v,%v, want %v", m, ev, ok, w)
+		if !tr.ValidPos(c.Pos()) {
+			t.Fatalf("at %+v: ValidPos(%+v) = false", m, c.Pos())
 		}
 		if w.Kind == isa.ALU {
 			if ev, ok := c.Next(0); ok {
@@ -199,6 +200,7 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			}
 		}
 		maxALU := 1 + uint32(rng.Intn(8))
+		w.N -= m.off
 		if w.Kind == isa.ALU {
 			w.N = min(w.N, maxALU)
 			m.off += w.N
@@ -209,11 +211,22 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			m.idx++
 		}
 		m.done += uint64(w.N)
-		if ev, ok := c.Next(maxALU); !ok || ev != w {
-			t.Fatalf("Next(%d) = %v,%v, want %v", maxALU, ev, ok, w)
+		// The simulator consumes through TakeALU and Step; Next is
+		// their composition, and both must agree.
+		switch {
+		case rng.Intn(2) == 0:
+			if ev, ok := c.Next(maxALU); !ok || ev != w {
+				t.Fatalf("Next(%d) = %v,%v, want %v", maxALU, ev, ok, w)
+			}
+		case w.Kind == isa.ALU:
+			if n := c.TakeALU(maxALU); n != w.N {
+				t.Fatalf("TakeALU(%d) = %d, want %d", maxALU, n, w.N)
+			}
+		default:
+			c.Step()
 		}
 		if p := c.Pos(); c.Done() != m.done || p.Done() != m.done || p.Index() != m.idx || p.Offset() != m.off {
-			t.Fatalf("after Next: pos %+v done %d, want %+v", p, c.Done(), m)
+			t.Fatalf("after consuming: pos %+v done %d, want %+v", p, c.Done(), m)
 		}
 		switch r := rng.Intn(100); {
 		case r < 2:
@@ -225,8 +238,11 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			seeks++
 		}
 	}
-	if !c.AtEnd() || c.Done() != tr.Instrs() {
+	if !c.AtEnd() || c.Done() != tr.Instrs() || !tr.ValidPos(c.Pos()) {
 		t.Fatalf("walk ended at done %d (at end %v), trace has %d", c.Done(), c.AtEnd(), tr.Instrs())
+	}
+	if p, ok := c.Head(); ok {
+		t.Fatalf("Head past the end returned %v", p)
 	}
 	if _, ok := c.Next(8); ok {
 		t.Fatal("Next past the end returned ok")

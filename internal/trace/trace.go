@@ -48,6 +48,16 @@ type Packed struct {
 	taken bool
 }
 
+// Kind reports the entry's kind.
+func (p Packed) Kind() isa.Kind { return p.kind }
+
+// PC reports the entry's instrumentation site; it is 0 for ALU runs and
+// long-latency ops.
+func (p Packed) PC() isa.PC { return p.pc }
+
+// Taken reports a branch entry's outcome.
+func (p Packed) Taken() bool { return p.taken }
+
 // Event decodes p.
 func (p Packed) Event() Event {
 	if p.kind == isa.ALU {

@@ -176,15 +176,25 @@ func TestCursorRewind(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
+func TestCursorHead(t *testing.T) {
 	tr := buildSample()
 	c := NewCursor(tr)
-	if k, ok := c.Peek(); !ok || k != isa.ALU {
-		t.Errorf("Peek = %v,%v", k, ok)
+	if p, ok := c.Head(); !ok || p.Kind() != isa.ALU {
+		t.Errorf("Head = %v,%v", p, ok)
 	}
 	c.Next(100) // consume the ALU run
-	if k, ok := c.Peek(); !ok || k != isa.Load {
-		t.Errorf("Peek after run = %v,%v", k, ok)
+	p, ok := c.Head()
+	if !ok || p.Kind() != isa.Load || p.PC() != 1 || p.Event().Addr != 0x100 {
+		t.Errorf("Head after run = %v,%v", p, ok)
+	}
+	if c.Done() != 10 {
+		t.Errorf("Head consumed: Done = %d, want 10", c.Done())
+	}
+	c.Step() // the load
+	c.TakeALU(100)
+	c.Step() // the store
+	if p, ok := c.Head(); !ok || p.Kind() != isa.Branch || p.PC() != 3 || !p.Taken() {
+		t.Errorf("Head at branch = %v,%v", p, ok)
 	}
 }
 
@@ -255,27 +265,59 @@ func TestEventString(t *testing.T) {
 	}
 }
 
-func TestPeekEvent(t *testing.T) {
+func TestCursorTakeALU(t *testing.T) {
 	b := NewBuilder()
 	b.ALU(10)
 	b.Load(5, 0x40)
 	c := NewCursor(b.Finish())
-	ev, ok := c.PeekEvent()
-	if !ok || ev.Kind != isa.ALU || ev.N != 10 {
-		t.Fatalf("PeekEvent = %v,%v", ev, ok)
+	if n := c.TakeALU(4); n != 4 {
+		t.Fatalf("TakeALU(4) = %d", n)
 	}
-	c.Next(4) // consume part of the run
-	ev, _ = c.PeekEvent()
-	if ev.N != 6 {
-		t.Errorf("mid-run PeekEvent N = %d, want remaining 6", ev.N)
+	// A partly consumed run stays at the head, its offset in Pos.
+	if p, ok := c.Head(); !ok || p.Kind() != isa.ALU || c.Pos().Offset() != 4 {
+		t.Errorf("mid-run Head = %v,%v at offset %d", p, ok, c.Pos().Offset())
 	}
-	c.Next(100)
-	ev, _ = c.PeekEvent()
-	if ev.Kind != isa.Load || ev.Addr != 0x40 {
-		t.Errorf("PeekEvent after run = %v", ev)
+	if n := c.TakeALU(100); n != 6 {
+		t.Errorf("TakeALU(100) = %d, want the remaining 6", n)
 	}
-	c.Next(1)
-	if _, ok := c.PeekEvent(); ok {
-		t.Error("PeekEvent at end returned ok")
+	if p := c.Pos(); p.Index() != 1 || p.Offset() != 0 || p.Done() != 10 {
+		t.Errorf("after the run: pos %+v", p)
+	}
+	if p, ok := c.Head(); !ok || p.Event() != (Event{Kind: isa.Load, PC: 5, Addr: 0x40, N: 1}) {
+		t.Errorf("Head after run = %v,%v", p, ok)
+	}
+	c.Step()
+	if _, ok := c.Head(); ok || !c.AtEnd() || c.Done() != 11 {
+		t.Errorf("Head at end returned ok (done %d)", c.Done())
+	}
+}
+
+func TestValidPos(t *testing.T) {
+	tr := buildSample() // alu(10), load, alu(7), store, branch, idiv, latch-acq, latch-rel
+	end := len(tr.Events())
+	cases := []struct {
+		idx  int
+		off  uint32
+		done uint64
+		want bool
+	}{
+		{0, 0, 0, true},
+		{0, 9, 9, true},
+		{0, 10, 10, false}, // past the run: it would never end
+		{0, 4000, 10, false},
+		{1, 0, 10, true},
+		{1, 1, 11, false}, // one-instruction entries have no offset
+		{2, 6, 17, true},
+		{2, 7, 18, false},
+		{end, 0, tr.Instrs(), true},
+		{end, 1, tr.Instrs(), false},
+		{end + 1, 0, tr.Instrs(), false},
+		{-1, 0, 0, false},
+		{1, 0, tr.Instrs() + 1, false},
+	}
+	for _, c := range cases {
+		if got := tr.ValidPos(MakePos(c.idx, c.off, c.done)); got != c.want {
+			t.Errorf("ValidPos(%d, %d, %d) = %v, want %v", c.idx, c.off, c.done, got, c.want)
+		}
 	}
 }
