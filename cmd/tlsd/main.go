@@ -27,7 +27,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,7 +48,7 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		debugAddr    = flag.String("debug-addr", "", "listen address for the diagnostics server (pprof, /debug/requests); empty disables it")
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
-		flightEvents = flag.Int("flight-events", 4096, "telemetry events retained per job for the flight recorder")
+		flightEvents = flag.Int("flight-events", 4096, "telemetry events the flight recorder dumps from the tail of a failed job's stream")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
 		cacheDir     = cliflags.AddCacheDir(flag.CommandLine)
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
@@ -71,7 +70,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := cliflags.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
 		os.Exit(2)
@@ -100,7 +99,7 @@ func main() {
 		JobTimeout:       *jobTimeout,
 		Chaos:            chaosSched,
 	}
-	if peerURLs := splitPeers(*peers); len(peerURLs) > 0 {
+	if peerURLs := cliflags.SplitURLs(*peers); len(peerURLs) > 0 {
 		// The remote cache tier: before recomputing a digest that missed
 		// memory and disk, ask the siblings' caches. Each link has its own
 		// breaker, so a sick sibling degrades to recompute.
@@ -165,35 +164,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("tlsd: drained, bye")
-}
-
-// splitPeers parses the -peers list: comma-separated base URLs, trailing
-// slashes trimmed so URL concatenation stays uniform.
-func splitPeers(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		u := strings.TrimRight(strings.TrimSpace(part), "/")
-		if u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// newLogger builds the daemon's structured logger on stderr, so the log
-// stream never mixes with the human status lines on stdout.
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %v", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
-	}
 }

@@ -18,11 +18,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,13 +45,13 @@ func main() {
 	flag.Parse()
 	cliflags.HandleVersion(*showVersion)
 
-	urls := splitWorkers(*workers)
+	urls := cliflags.SplitURLs(*workers)
 	if len(urls) == 0 {
 		fmt.Fprintln(os.Stderr, "tlsrouter: -workers is required (comma-separated tlsd base URLs)")
 		os.Exit(2)
 	}
 
-	logger, err := newLogger(*logFormat, *logLevel)
+	logger, err := cliflags.NewLogger(*logFormat, *logLevel)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsrouter: %v\n", err)
 		os.Exit(2)
@@ -101,35 +99,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("tlsrouter: bye")
-}
-
-// splitWorkers parses the -workers list: comma-separated base URLs,
-// trailing slashes trimmed so URL concatenation stays uniform.
-func splitWorkers(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		u := strings.TrimRight(strings.TrimSpace(part), "/")
-		if u != "" {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// newLogger builds the router's structured logger on stderr (same
-// discipline as tlsd: logs never mix with stdout status lines).
-func newLogger(format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %v", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
-	}
 }

@@ -1,13 +1,12 @@
 package cache
 
 import (
-	"subthreads/internal/mem"
 	"subthreads/internal/snapbin"
 )
 
 // Snapshot codecs: the cache hierarchy's complete runtime state — tag-store
 // contents including LRU order, victim-cache contents, bank reservations, and
-// statistics — rendered to and from the snapbin frame. Geometry (sets, ways,
+// statistics — streamed to and from the snapbin frame. Geometry (sets, ways,
 // capacities) is NOT serialized: it is configuration, and the restore target
 // is always freshly constructed from the same (or a prefix-compatible)
 // config. LRU order is implicit in slice order (MRU first), so sets and the
@@ -17,96 +16,54 @@ import (
 // it (the 2MB L2 holds 65536 entries).
 const maxSnapEntries = 1 << 22
 
-// AppendState serializes the tag store's contents, LRU order, and stats.
-func (c *Cache) AppendState(w *snapbin.Writer) {
-	w.Uvarint(c.Hits)
-	w.Uvarint(c.Misses)
-	w.Uvarint(c.Evictions)
-	for _, set := range c.sets {
-		w.Uvarint(uint64(len(set)))
-		for _, e := range set {
-			w.Uvarint(uint64(e.Line))
-			w.Varint(int64(e.Ver))
-		}
-	}
-}
-
-// RestoreState rebuilds the tag store from r into a cache constructed with
-// the same geometry. Occupancy beyond Ways or entries outside the set they
-// are framed under latch a decode error.
-func (c *Cache) RestoreState(r *snapbin.Reader) {
-	c.Hits = r.Uvarint("cache hits")
-	c.Misses = r.Uvarint("cache misses")
-	c.Evictions = r.Uvarint("cache evictions")
+// State streams the tag store's contents, LRU order, and stats. Restoring
+// needs a cache of the same geometry: occupancy beyond Ways or an entry
+// outside the set it is framed under latches a decode error.
+func (c *Cache) State(s *snapbin.Stream) {
+	s.Uvarint(&c.Hits, "cache hits")
+	s.Uvarint(&c.Misses, "cache misses")
+	s.Uvarint(&c.Evictions, "cache evictions")
 	for i := range c.sets {
-		n := r.Count("cache set", c.cfg.Ways)
-		set := c.sets[i][:0]
-		for j := 0; j < n && r.Err() == nil; j++ {
-			e := Entry{
-				Line: mem.Addr(r.Uvarint("cache line")),
-				Ver:  Ver(r.Varint("cache ver")),
-			}
-			if r.Err() == nil && c.setIndex(e.Line) != i {
-				r.Failf("cache %q: line %v framed under set %d", c.cfg.Name, e.Line, i)
+		snapbin.Slice(s, &c.sets[i], "cache set", c.cfg.Ways)
+		for j := range c.sets[i] {
+			e := &c.sets[i][j]
+			entryState(s, e)
+			if s.Reading() && s.Err() == nil && c.setIndex(e.Line) != i {
+				s.Failf("cache %q: line %v framed under set %d", c.cfg.Name, e.Line, i)
 				return
 			}
-			set = append(set, e)
-		}
-		c.sets[i] = set
-		if r.Err() != nil {
-			return
 		}
 	}
 }
 
-// AppendState serializes the victim cache's contents (MRU first) and stats.
-func (v *Victim) AppendState(w *snapbin.Writer) {
-	w.Uvarint(v.Hits)
-	w.Uvarint(v.Misses)
-	w.Uvarint(v.Evictions)
-	w.Uvarint(uint64(len(v.entries)))
-	for _, e := range v.entries {
-		w.Uvarint(uint64(e.Line))
-		w.Varint(int64(e.Ver))
+// State streams the victim cache's contents (MRU first) and stats; the
+// restore target's capacity bounds the entry count.
+func (v *Victim) State(s *snapbin.Stream) {
+	s.Uvarint(&v.Hits, "victim hits")
+	s.Uvarint(&v.Misses, "victim misses")
+	s.Uvarint(&v.Evictions, "victim evictions")
+	snapbin.Slice(s, &v.entries, "victim entries", v.capacity)
+	for i := range v.entries {
+		entryState(s, &v.entries[i])
 	}
 }
 
-// RestoreState rebuilds the victim cache from r. The restore target's
-// capacity bounds the entry count; a frame that exceeds it (config drift or
-// corruption) latches an error.
-func (v *Victim) RestoreState(r *snapbin.Reader) {
-	v.Hits = r.Uvarint("victim hits")
-	v.Misses = r.Uvarint("victim misses")
-	v.Evictions = r.Uvarint("victim evictions")
-	n := r.Count("victim entries", v.capacity)
-	v.entries = v.entries[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		v.entries = append(v.entries, Entry{
-			Line: mem.Addr(r.Uvarint("victim line")),
-			Ver:  Ver(r.Varint("victim ver")),
-		})
-	}
+func entryState(s *snapbin.Stream, e *Entry) {
+	snapbin.Uvarint(s, &e.Line, "cache line")
+	snapbin.Varint(s, &e.Ver, "cache ver")
 }
 
-// AppendState serializes the bank reservation horizon and conflict count.
-func (b *Banks) AppendState(w *snapbin.Writer) {
-	w.Uvarint(uint64(len(b.nextFree)))
-	for _, v := range b.nextFree {
-		w.Uvarint(v)
-	}
-	w.Uvarint(b.Conflicts)
-}
-
-// RestoreState rebuilds bank reservations; the bank count must match the
-// restore target's configuration.
-func (b *Banks) RestoreState(r *snapbin.Reader) {
-	n := r.Count("banks", maxSnapEntries)
-	if r.Err() == nil && n != len(b.nextFree) {
-		r.Failf("banks: frame has %d banks, config has %d", n, len(b.nextFree))
+// State streams the bank reservation horizon and conflict count; the bank
+// count must match the restore target's configuration.
+func (b *Banks) State(s *snapbin.Stream) {
+	n := len(b.nextFree)
+	s.Len(&n, "banks", maxSnapEntries)
+	if s.Reading() && s.Err() == nil && n != len(b.nextFree) {
+		s.Failf("banks: frame has %d banks, config has %d", n, len(b.nextFree))
 		return
 	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		b.nextFree[i] = r.Uvarint("bank next-free")
+	for i := range b.nextFree {
+		s.Uvarint(&b.nextFree[i], "bank next-free")
 	}
-	b.Conflicts = r.Uvarint("bank conflicts")
+	s.Uvarint(&b.Conflicts, "bank conflicts")
 }

@@ -29,7 +29,6 @@
 package cas
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"subthreads/internal/snapbin"
 	"subthreads/internal/telemetry"
 )
 
@@ -565,31 +565,35 @@ func (s *Store) Dir() string {
 
 // encodeEntry frames a payload with the versioned header and checksum.
 func encodeEntry(payload []byte) []byte {
-	buf := make([]byte, headerSize, headerSize+len(payload))
-	copy(buf, entryMagic)
-	buf[4] = entryVersion
-	binary.LittleEndian.PutUint64(buf[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[16:], checksum(payload))
-	return append(buf, payload...)
+	w := snapbin.NewWriter(headerSize + len(payload))
+	w.Raw([]byte(entryMagic))
+	w.U8(entryVersion)
+	w.Raw(make([]byte, 3)) // reserved
+	w.U64(uint64(len(payload)))
+	w.U64(checksum(payload))
+	w.Raw(payload)
+	return w.Bytes()
 }
 
 // decodeEntry validates the frame and returns the payload.
 func decodeEntry(raw []byte) ([]byte, error) {
-	if len(raw) < headerSize {
+	r := snapbin.NewReader(raw)
+	magic := r.Raw(len(entryMagic), "magic")
+	version := r.U8("version")
+	r.Raw(3, "reserved")
+	n, sum := r.U64("payload length"), r.U64("checksum")
+	switch {
+	case r.Err() != nil:
 		return nil, fmt.Errorf("truncated header (%d bytes)", len(raw))
-	}
-	if string(raw[:4]) != entryMagic {
+	case string(magic) != entryMagic:
 		return nil, errors.New("bad magic")
+	case version != entryVersion:
+		return nil, fmt.Errorf("entry version %d, want %d", version, entryVersion)
+	case n != uint64(r.Remaining()):
+		return nil, fmt.Errorf("payload length %d, have %d bytes", n, r.Remaining())
 	}
-	if raw[4] != entryVersion {
-		return nil, fmt.Errorf("entry version %d, want %d", raw[4], entryVersion)
-	}
-	n := binary.LittleEndian.Uint64(raw[8:])
-	if n != uint64(len(raw)-headerSize) {
-		return nil, fmt.Errorf("payload length %d, have %d bytes", n, len(raw)-headerSize)
-	}
-	payload := raw[headerSize:]
-	if sum := checksum(payload); sum != binary.LittleEndian.Uint64(raw[16:]) {
+	payload := r.Raw(r.Remaining(), "payload")
+	if checksum(payload) != sum {
 		return nil, errors.New("checksum mismatch")
 	}
 	return payload, nil

@@ -2,6 +2,7 @@ package cas
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"log/slog"
 	"os"
@@ -40,6 +41,21 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if st.Entries != 1 || st.Bytes != int64(headerSize+len(payload)) {
 		t.Fatalf("stats = %+v, want 1 entry of %d bytes", st, headerSize+len(payload))
+	}
+}
+
+// TestEntryFramePinned pins the entry header's bytes: stores written by one
+// build are read by the next, so a change that moves a byte must bump
+// entryVersion.
+func TestEntryFramePinned(t *testing.T) {
+	payload := []byte("the exact bytes that were stored")
+	const header = "746c6373010000002000000000000000ddaf29c1f97311b2"
+	frame := encodeEntry(payload)
+	if got := hex.EncodeToString(frame[:headerSize]); got != header || !bytes.Equal(frame[headerSize:], payload) {
+		t.Fatalf("entry header %s, want %s", got, header)
+	}
+	if got, err := decodeEntry(frame); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("decodeEntry = %q, %v", got, err)
 	}
 }
 

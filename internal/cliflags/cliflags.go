@@ -1,9 +1,10 @@
 // Package cliflags factors the flag wiring shared by the commands — tlssim,
-// experiments, and tlsd — so the hardening switches (-paranoid, -inject), the
-// persistent cache (-cache-dir), the repro line printed with every failure,
-// and -version behave identically everywhere instead of being re-implemented
-// per main. tlssim's telemetry captures (-trace-out, -metrics-out,
-// -events-out) live here too.
+// experiments, tlsd and tlsrouter — so the hardening switches (-paranoid,
+// -inject), the persistent cache (-cache-dir), the repro line printed with
+// every failure, the daemons' logger (-log-format, -log-level) and URL lists
+// (-peers, -workers), and -version behave identically everywhere instead of
+// being re-implemented per main. tlssim's telemetry captures (-trace-out,
+// -metrics-out, -events-out) live here too.
 package cliflags
 
 import (
@@ -228,4 +229,37 @@ func shellQuote(s string) string {
 	}
 	b.WriteByte('"')
 	return b.String()
+}
+
+// NewLogger builds a daemon's structured logger on stderr, so the log
+// stream never mixes with the human status lines on stdout (tlsd's
+// and tlsrouter's -log-format and -log-level).
+func NewLogger(format, level string) (*slog.Logger, error) {
+	var lvl slog.Level
+	if err := lvl.UnmarshalText([]byte(level)); err != nil {
+		return nil, fmt.Errorf("bad -log-level %q: %v", level, err)
+	}
+	opts := &slog.HandlerOptions{Level: lvl}
+	switch format {
+	case "text":
+		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
+	default:
+		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
+	}
+}
+
+// SplitURLs parses a comma-separated list of base URLs (tlsd's -peers,
+// tlsrouter's -workers), trailing slashes trimmed so URL concatenation
+// stays uniform.
+func SplitURLs(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		u := strings.TrimRight(strings.TrimSpace(part), "/")
+		if u != "" {
+			out = append(out, u)
+		}
+	}
+	return out
 }

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -461,5 +463,87 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("prom exposition missing family %s", want)
 		}
+	}
+}
+
+// lockedBuffer serializes concurrent log writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// accessLine returns the first "http access" record in b, decoded.
+func accessLine(t *testing.T, b *lockedBuffer) map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	dec := json.NewDecoder(bytes.NewReader(b.buf.Bytes()))
+	for dec.More() {
+		var m map[string]any
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("log line is not JSON: %v", err)
+		}
+		if m["msg"] == "http access" {
+			return m
+		}
+	}
+	t.Fatalf("no http access line in:\n%s", b.buf.String())
+	return nil
+}
+
+// TestRouterAccessLogMatchesTlsd: the router fronts requests with tlsd's own
+// middleware, so its access line carries tlsd's message and attribute names
+// (plus component=router) and the client's correlation ID.
+func TestRouterAccessLogMatchesTlsd(t *testing.T) {
+	var wlog, rlog lockedBuffer
+	s := service.New(service.Options{Workers: 1, QueueDepth: 1,
+		Logger: slog.New(slog.NewJSONHandler(&wlog, nil))})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	rt, err := NewRouter(Options{Workers: []string{ts.URL},
+		Logger: slog.New(slog.NewJSONHandler(&rlog, nil))})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	for _, c := range []struct{ base, corr string }{{ts.URL, "worker-1"}, {rts.URL, "router-1"}} {
+		req, _ := http.NewRequest(http.MethodGet, c.base+"/healthz", nil)
+		req.Header.Set(service.CorrelationHeader, c.corr)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s/healthz: %v", c.base, err)
+		}
+		readBody(t, resp)
+		if got := resp.Header.Get(service.CorrelationHeader); got != c.corr {
+			t.Errorf("%s echoed correlation %q, want %q", c.base, got, c.corr)
+		}
+	}
+
+	worker, router := accessLine(t, &wlog), accessLine(t, &rlog)
+	if router["component"] != "router" || router["correlation_id"] != "router-1" ||
+		router["path"] != "/healthz" || router["status"] != float64(http.StatusOK) {
+		t.Errorf("router access line = %v", router)
+	}
+	delete(router, "component")
+	for k := range worker {
+		if _, ok := router[k]; !ok {
+			t.Errorf("router access line lacks tlsd's %q: %v", k, router)
+		}
+	}
+	for k := range router {
+		if _, ok := worker[k]; !ok {
+			t.Errorf("router access line has %q, which tlsd's lacks: %v", k, worker)
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown: %v", err)
 	}
 }

@@ -139,61 +139,15 @@ func (rt *Router) Close() { rt.prober.Stop() }
 // Ring exposes the routing ring (tests pin placement through it).
 func (rt *Router) Ring() *Ring { return rt.ring }
 
-// Handler is the router's HTTP surface, wrapped in the same correlation
-// and access-log middleware discipline as the daemon's.
-func (rt *Router) Handler() http.Handler { return rt.observed(rt.mux) }
-
-// observed assigns or validates the request's correlation ID, echoes it
-// on the response, and emits one access-log line per request.
-func (rt *Router) observed(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		corr := service.SanitizeCorrelation(r.Header.Get(service.CorrelationHeader))
-		if corr == "" {
-			corr = service.NewCorrelationID()
-		}
-		w.Header().Set(service.CorrelationHeader, corr)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r.WithContext(withCorr(r.Context(), corr)))
-		if rt.log != nil {
-			rt.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
-				slog.String("component", "router"),
-				slog.String("corr", corr),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", sw.code),
-				slog.Int64("dur_us", time.Since(start).Microseconds()))
-		}
-	})
-}
-
-type corrKey struct{}
-
-func withCorr(ctx context.Context, corr string) context.Context {
-	return context.WithValue(ctx, corrKey{}, corr)
-}
-
-func corrFrom(ctx context.Context) string {
-	corr, _ := ctx.Value(corrKey{}).(string)
-	return corr
-}
-
-// statusWriter records the response code and forwards Flush so SSE
-// proxying streams instead of buffering.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+// Handler is the router's HTTP surface behind the daemon's own front:
+// the same correlation contract and the same access-log line, tagged
+// component=router.
+func (rt *Router) Handler() http.Handler {
+	log := rt.log
+	if log != nil {
+		log = log.With(slog.String("component", "router"))
 	}
+	return service.Observed(log, rt.mux)
 }
 
 // handleSubmit resolves the spec to its digest, routes it, and proxies.
@@ -244,7 +198,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if rt.ring.SetAlive(node, false) && rt.log != nil {
 			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "worker ejected on proxy failure",
 				slog.String("component", "router"), slog.String("node", node),
-				slog.String("corr", corrFrom(r.Context())))
+				slog.String("correlation_id", service.CorrelationFrom(r.Context())))
 		}
 	}
 
@@ -257,7 +211,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if rt.log != nil {
 			rt.log.LogAttrs(r.Context(), slog.LevelInfo, "submission rescued from sibling cache",
 				slog.String("component", "router"), slog.String("digest", digest),
-				slog.String("peer", from), slog.String("corr", corrFrom(r.Context())))
+				slog.String("peer", from), slog.String("correlation_id", service.CorrelationFrom(r.Context())))
 		}
 		w.Header().Set("X-Job-Digest", digest)
 		w.Header().Set("X-Cache", "hit")
@@ -280,7 +234,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "submission failed over",
 				slog.String("component", "router"), slog.String("digest", digest),
 				slog.String("from", node), slog.String("to", cand),
-				slog.String("corr", corrFrom(r.Context())))
+				slog.String("correlation_id", service.CorrelationFrom(r.Context())))
 		}
 		if done := rt.proxySubmit(w, r, cand, payload); done {
 			return
@@ -288,7 +242,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if rt.ring.SetAlive(cand, false) && rt.log != nil {
 			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "worker ejected on proxy failure",
 				slog.String("component", "router"), slog.String("node", cand),
-				slog.String("corr", corrFrom(r.Context())))
+				slog.String("correlation_id", service.CorrelationFrom(r.Context())))
 		}
 	}
 	service.WriteError(w, http.StatusBadGateway, "no worker could serve the submission")
@@ -308,7 +262,7 @@ func (rt *Router) proxySubmit(w http.ResponseWriter, r *http.Request, node strin
 		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(service.CorrelationHeader, corrFrom(r.Context()))
+	req.Header.Set(service.CorrelationHeader, service.CorrelationFrom(r.Context()))
 	return rt.relay(w, req, node, true)
 }
 
@@ -332,7 +286,7 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	req.Header.Set(service.CorrelationHeader, corrFrom(r.Context()))
+	req.Header.Set(service.CorrelationHeader, service.CorrelationFrom(r.Context()))
 	if accept := r.Header.Get("Accept"); accept != "" {
 		req.Header.Set("Accept", accept)
 	}

@@ -6,24 +6,17 @@ import "subthreads/internal/snapbin"
 // verbatim (it is trained state, not configuration), plus history and the
 // outcome counters. Geometry comes from the restore target's construction.
 
-// AppendState serializes the predictor's trained counters and statistics.
-func (g *GShare) AppendState(w *snapbin.Writer) {
-	w.Blob(g.table)
-	w.Uvarint(uint64(g.history))
-	w.Uvarint(g.Predictions)
-	w.Uvarint(g.Mispredicts)
-}
-
-// RestoreState rebuilds the predictor from r; the table size must match the
-// restore target's geometry.
-func (g *GShare) RestoreState(r *snapbin.Reader) {
-	tbl := r.Blob("gshare table", 1<<30)
-	if r.Err() == nil && len(tbl) != len(g.table) {
-		r.Failf("gshare: frame table is %d entries, config has %d", len(tbl), len(g.table))
+// State streams the predictor's trained counters and statistics; restoring
+// needs a table of the same size.
+func (g *GShare) State(s *snapbin.Stream) {
+	n := len(g.table)
+	s.Len(&n, "gshare table", 1<<30)
+	if s.Reading() && s.Err() == nil && n != len(g.table) {
+		s.Failf("gshare: frame table is %d entries, config has %d", n, len(g.table))
 		return
 	}
-	copy(g.table, tbl)
-	g.history = uint32(r.Uvarint("gshare history"))
-	g.Predictions = r.Uvarint("gshare predictions")
-	g.Mispredicts = r.Uvarint("gshare mispredicts")
+	s.Raw(g.table, "gshare table")
+	snapbin.Uvarint(s, &g.history, "gshare history")
+	s.Uvarint(&g.Predictions, "gshare predictions")
+	s.Uvarint(&g.Mispredicts, "gshare mispredicts")
 }

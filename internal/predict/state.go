@@ -1,8 +1,6 @@
 package predict
 
 import (
-	"sort"
-
 	"subthreads/internal/isa"
 	"subthreads/internal/snapbin"
 )
@@ -12,32 +10,15 @@ import (
 
 const maxSnapPCs = 1 << 22
 
-// AppendState serializes the predictor's confidence table and counters.
-func (p *Predictor) AppendState(w *snapbin.Writer) {
-	pcs := make([]isa.PC, 0, len(p.conf))
-	for pc := range p.conf {
-		pcs = append(pcs, pc)
-	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	w.Uvarint(uint64(len(pcs)))
-	for _, pc := range pcs {
-		w.Uvarint(uint64(pc))
-		w.U8(p.conf[pc])
-	}
-	w.Uvarint(p.Trained)
-	w.Uvarint(p.Decayed)
-}
-
-// RestoreState rebuilds the predictor from r.
-func (p *Predictor) RestoreState(r *snapbin.Reader) {
-	n := r.Count("predictor pcs", maxSnapPCs)
-	clear(p.conf)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		pc := isa.PC(r.Uvarint("predictor pc"))
-		p.conf[pc] = r.U8("predictor confidence")
-	}
-	p.Trained = r.Uvarint("predictor trained")
-	p.Decayed = r.Uvarint("predictor decayed")
+// State streams the predictor's confidence table and counters.
+func (p *Predictor) State(s *snapbin.Stream) {
+	snapbin.Map(s, p.conf, "predictor pcs", maxSnapPCs, func(s *snapbin.Stream, pc isa.PC, conf uint8) (isa.PC, uint8) {
+		snapbin.Uvarint(s, &pc, "predictor pc")
+		s.U8(&conf, "predictor confidence")
+		return pc, conf
+	})
+	s.Uvarint(&p.Trained, "predictor trained")
+	s.Uvarint(&p.Decayed, "predictor decayed")
 }
 
 // Empty reports whether the predictor carries no trained state at all — the

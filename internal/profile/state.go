@@ -1,10 +1,8 @@
 package profile
 
 import (
-	"sort"
+	"cmp"
 
-	"subthreads/internal/isa"
-	"subthreads/internal/mem"
 	"subthreads/internal/snapbin"
 )
 
@@ -14,85 +12,56 @@ import (
 
 const maxSnapPairs = 1 << 22
 
-// AppendState serializes the table's live entries.
-func (t *ExposedLoadTable) AppendState(w *snapbin.Writer) {
+// State streams the table's live entries as (slot, tag, pc); a slot outside
+// the restore target's geometry latches an error.
+func (t *ExposedLoadTable) State(s *snapbin.Stream) {
 	live := 0
 	for i := range t.tags {
 		if t.tags[i] != 0 || t.pcs[i] != 0 {
 			live++
 		}
 	}
-	w.Uvarint(uint64(live))
-	for i := range t.tags {
-		if t.tags[i] != 0 || t.pcs[i] != 0 {
-			w.Uvarint(uint64(i))
-			w.Uvarint(uint64(t.tags[i]))
-			w.Uvarint(uint64(t.pcs[i]))
-		}
+	if s.Reading() {
+		t.Reset()
 	}
-}
-
-// RestoreState rebuilds the table from r; slot indexes outside the restore
-// target's geometry latch an error.
-func (t *ExposedLoadTable) RestoreState(r *snapbin.Reader) {
-	t.Reset()
-	n := r.Count("exposed-load entries", len(t.tags))
-	for i := 0; i < n && r.Err() == nil; i++ {
-		slot := r.Uvarint("exposed-load slot")
-		if r.Err() == nil && slot >= uint64(len(t.tags)) {
-			r.Failf("exposed-load slot %d out of range (%d entries)", slot, len(t.tags))
+	s.Len(&live, "exposed-load entries", len(t.tags))
+	for k, slot := 0, uint64(0); k < live; k, slot = k+1, slot+1 {
+		for !s.Reading() && t.tags[slot] == 0 && t.pcs[slot] == 0 {
+			slot++
+		}
+		s.Uvarint(&slot, "exposed-load slot")
+		if s.Reading() && s.Err() == nil && slot >= uint64(len(t.tags)) {
+			s.Failf("exposed-load slot %d out of range (%d entries)", slot, len(t.tags))
 			return
 		}
-		tag := mem.Addr(r.Uvarint("exposed-load tag"))
-		pc := isa.PC(r.Uvarint("exposed-load pc"))
-		if r.Err() == nil {
-			t.tags[slot] = tag
-			t.pcs[slot] = pc
-		}
+		snapbin.Uvarint(s, &t.tags[slot], "exposed-load tag")
+		snapbin.Uvarint(s, &t.pcs[slot], "exposed-load pc")
 	}
 }
 
-// AppendState serializes the pair list's entries and reclaim count.
-func (l *PairList) AppendState(w *snapbin.Writer) {
-	pairs := make([]Pair, 0, len(l.pairs))
-	for p := range l.pairs {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].LoadPC != pairs[j].LoadPC {
-			return pairs[i].LoadPC < pairs[j].LoadPC
-		}
-		return pairs[i].StorePC < pairs[j].StorePC
-	})
-	w.Uvarint(uint64(len(pairs)))
-	for _, p := range pairs {
-		st := l.pairs[p]
-		w.Uvarint(uint64(p.LoadPC))
-		w.Uvarint(uint64(p.StorePC))
-		w.Uvarint(st.FailedCycles)
-		w.Uvarint(st.Violations)
-	}
-	w.Uvarint(l.Reclaimed)
+// State streams the pair list's entries and reclaim count; an entry count
+// above the restore target's capacity latches an error.
+func (l *PairList) State(s *snapbin.Stream) {
+	snapbin.MapFunc(s, l.pairs, "pair-list entries", min(l.capacity, maxSnapPairs), comparePairs,
+		func(s *snapbin.Stream, p Pair, st *PairStat) (Pair, *PairStat) {
+			snapbin.Uvarint(s, &p.LoadPC, "pair load pc")
+			snapbin.Uvarint(s, &p.StorePC, "pair store pc")
+			if s.Reading() {
+				st = &PairStat{Pair: p}
+			}
+			s.Uvarint(&st.FailedCycles, "pair failed cycles")
+			s.Uvarint(&st.Violations, "pair violations")
+			return p, st
+		})
+	s.Uvarint(&l.Reclaimed, "pair reclaimed")
 }
 
-// RestoreState rebuilds the pair list from r; entry counts above the restore
-// target's capacity latch an error.
-func (l *PairList) RestoreState(r *snapbin.Reader) {
-	n := r.Count("pair-list entries", min(l.capacity, maxSnapPairs))
-	clear(l.pairs)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		p := Pair{
-			LoadPC:  isa.PC(r.Uvarint("pair load pc")),
-			StorePC: isa.PC(r.Uvarint("pair store pc")),
-		}
-		st := &PairStat{Pair: p}
-		st.FailedCycles = r.Uvarint("pair failed cycles")
-		st.Violations = r.Uvarint("pair violations")
-		if r.Err() == nil {
-			l.pairs[p] = st
-		}
+// comparePairs orders pairs by load PC, then store PC.
+func comparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.LoadPC, b.LoadPC); c != 0 {
+		return c
 	}
-	l.Reclaimed = r.Uvarint("pair reclaimed")
+	return cmp.Compare(a.StorePC, b.StorePC)
 }
 
 // Empty reports whether the profile carries no state — the forkability test

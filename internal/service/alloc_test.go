@@ -67,7 +67,7 @@ func TestServingHotPathStaysWithinAllocBudget(t *testing.T) {
 	}
 	// Warm the shared build cache so the measurement sees only the per-run
 	// serving path: simulate, sequential reference, render.
-	warm := newJob("warm", "c", spec, r, time.Now(), 0)
+	warm := newJob("warm", "c", spec, r, time.Now())
 	if _, failure := s.execute(warm); failure != nil {
 		t.Fatalf("warm-up failed: %+v", failure)
 	}
@@ -77,7 +77,7 @@ func TestServingHotPathStaysWithinAllocBudget(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(3, func() {
-		j := newJob("bench", "c", spec, r, time.Now(), 0)
+		j := newJob("bench", "c", spec, r, time.Now())
 		if _, failure := s.execute(j); failure != nil {
 			t.Fatalf("job failed: %+v", failure)
 		}
@@ -101,14 +101,14 @@ func BenchmarkExecuteObservabilityOff(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Resolve: %v", err)
 	}
-	warm := newJob("warm", "c", spec, r, time.Now(), 0)
+	warm := newJob("warm", "c", spec, r, time.Now())
 	if _, failure := s.execute(warm); failure != nil {
 		b.Fatalf("warm-up failed: %+v", failure)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j := newJob("bench", "c", spec, r, time.Now(), 0)
+		j := newJob("bench", "c", spec, r, time.Now())
 		if _, failure := s.execute(j); failure != nil {
 			b.Fatalf("job failed: %+v", failure)
 		}

@@ -33,15 +33,16 @@ type httpMux = *http.ServeMux
 //
 // Every route declares its method, so a wrong-method request is a uniform
 // 405 with an Allow header, and every response names its Content-Type.
-func (s *Server) Handler() http.Handler { return s.observed(s.mux) }
+func (s *Server) Handler() http.Handler { return Observed(s.log, s.mux) }
 
-// observed wraps next with the observability middleware: it accepts or
-// generates the X-Correlation-ID, echoes it on the response, threads it
-// through the request context into job admission, and writes one structured
-// access-log line per request (method, path, status, bytes, latency,
-// correlation ID). With logging disabled the middleware still maintains the
-// correlation contract.
-func (s *Server) observed(next http.Handler) http.Handler {
+// Observed is the front both daemons put before their routes (tlsd's
+// Handler and tlsrouter's): it accepts a log-safe X-Correlation-ID or
+// generates one, echoes it on the response, threads it through the request
+// context (CorrelationFrom), and writes one structured "http access" line
+// per request to log (method, path, status, bytes, latency_ms,
+// correlation_id). A nil log keeps the correlation contract and logs
+// nothing.
+func Observed(log *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		corr := sanitizeCorrelation(r.Header.Get(CorrelationHeader))
 		if corr == "" {
@@ -53,10 +54,10 @@ func (s *Server) observed(next http.Handler) http.Handler {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
-		if s.log == nil {
+		if log == nil {
 			return
 		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "http access",
+		log.LogAttrs(r.Context(), slog.LevelInfo, "http access",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status()),
@@ -67,7 +68,8 @@ func (s *Server) observed(next http.Handler) http.Handler {
 }
 
 // statusWriter captures the response status and body size for the access
-// log. It forwards Flush so the SSE endpoint still streams through it.
+// log. It forwards Flush so SSE streams (served or proxied) still stream
+// through it.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -172,7 +174,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	j, tier, err := s.Submit(spec, correlationFrom(r.Context()))
+	j, tier, err := s.Submit(spec, CorrelationFrom(r.Context()))
 	hit := tier != ""
 	var poisoned *PoisonedError
 	var unmeetable *UnmeetableDeadlineError

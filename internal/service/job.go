@@ -66,11 +66,9 @@ type Job struct {
 	res  *Resolved
 
 	// fan retains the job's full telemetry stream and feeds the SSE
-	// endpoint; it is closed when the job finishes, completing the stream.
+	// endpoint and the flight recorder; it is closed when the job finishes,
+	// completing the stream.
 	fan *telemetry.Fanout
-	// flight is the bounded ring of recent telemetry events dumped when the
-	// job fails with a structured error; nil when the recorder is disabled.
-	flight *telemetry.Ring
 
 	// done is closed when the job reaches a terminal state.
 	done chan struct{}
@@ -107,8 +105,8 @@ type Job struct {
 	detached bool
 }
 
-func newJob(id, corr string, spec JobSpec, r *Resolved, now time.Time, flightEvents int) *Job {
-	j := &Job{
+func newJob(id, corr string, spec JobSpec, r *Resolved, now time.Time) *Job {
+	return &Job{
 		id:        id,
 		corr:      corr,
 		res:       r,
@@ -119,10 +117,6 @@ func newJob(id, corr string, spec JobSpec, r *Resolved, now time.Time, flightEve
 		stageFrom: now,
 		submitted: now,
 	}
-	if flightEvents > 0 {
-		j.flight = telemetry.NewRing(flightEvents)
-	}
-	return j
 }
 
 // Cancellation causes: the cause a job context was cancelled with selects

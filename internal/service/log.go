@@ -49,11 +49,6 @@ func sanitizeCorrelation(s string) string {
 	return s
 }
 
-// SanitizeCorrelation applies the daemon's correlation-ID rules for other
-// layers (the cluster router validates a client-supplied ID with the same
-// rules before logging or forwarding it): the ID if log-safe, "" otherwise.
-func SanitizeCorrelation(s string) string { return sanitizeCorrelation(s) }
-
 // corrKey keys the correlation ID in a request context.
 type corrKey struct{}
 
@@ -61,9 +56,9 @@ func withCorrelation(ctx context.Context, corr string) context.Context {
 	return context.WithValue(ctx, corrKey{}, corr)
 }
 
-// correlationFrom returns the request's correlation ID ("" outside the
-// observability middleware).
-func correlationFrom(ctx context.Context) string {
+// CorrelationFrom returns the request's correlation ID ("" outside
+// Observed).
+func CorrelationFrom(ctx context.Context) string {
 	corr, _ := ctx.Value(corrKey{}).(string)
 	return corr
 }

@@ -389,14 +389,14 @@ func TestDebugSurface(t *testing.T) {
 func TestFlightRecorderDumpsOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	var sb syncBuffer
-	_, ts := newTestServer(t, Options{
+	s, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4, FlightDir: dir, FlightEvents: 64,
 		Logger: slog.New(slog.NewJSONHandler(&sb, nil)),
 	})
 
 	// The acceptance scenario: a seeded injection run whose forward-progress
-	// watchdog trips deterministically mid-run, so the ring has a telemetry
-	// tail when the structured failure dumps it.
+	// watchdog trips deterministically mid-run, so the stream has a
+	// telemetry tail when the structured failure dumps it.
 	spec := tinySpec("NEW ORDER")
 	spec.Inject = "seed=1,faults=5,window=60000"
 	spec.Watchdog = 2000
@@ -425,33 +425,52 @@ func TestFlightRecorderDumpsOnFailure(t *testing.T) {
 	if filepath.Dir(path) != dir || !strings.Contains(filepath.Base(path), corr) {
 		t.Errorf("flight record %q not under %s with correlation %s", path, dir, corr)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("flight record unreadable: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(data) == 0 || len(lines) == 0 {
-		t.Fatalf("flight record is empty")
-	}
-	if len(lines) > 64 {
-		t.Errorf("flight record has %d events, ring bound is 64", len(lines))
-	}
-	for i, line := range lines {
-		var ev struct {
-			Kind string `json:"kind"`
+	// The dump is the tail of the stream the SSE endpoint replays: all of
+	// it when it is short, as here.
+	dumpIsTail := func(id, path string, long bool) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("flight record unreadable: %v", err)
 		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Kind == "" {
-			t.Fatalf("flight record line %d is not a telemetry event: %v\n%s", i, err, line)
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s not found", id)
+		}
+		evs := j.Events().Events()
+		if len(evs) == 0 || (len(evs) > 64) != long {
+			t.Fatalf("job %s streamed %d events: the scenario no longer covers its case", id, len(evs))
+		}
+		var want bytes.Buffer
+		if err := telemetry.EncodeJSONL(&want, evs[max(0, len(evs)-64):]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want.Bytes()) {
+			t.Errorf("flight record of %s is not the stream's last 64 of %d events:\n got %d bytes\nwant %d bytes",
+				id, len(evs), len(data), want.Len())
 		}
 	}
+	dumpIsTail(st.ID, path, false)
 
 	// The failure log line references the dump by path and correlation ID.
-	failed := findLog(logLines(t, &sb), "job failed", map[string]string{
-		"correlation_id": corr, "job": st.ID, "flight_record": path, "kind": "watchdog",
-	})
-	if failed == nil {
-		t.Errorf("no failure log referencing the flight record:\n%s", sb.String())
+	// The worker writes it after the job turns terminal, so wait for it.
+	waitFor(t, func() bool {
+		return findLog(logLines(t, &sb), "job failed", map[string]string{
+			"correlation_id": corr, "job": st.ID, "flight_record": path, "kind": "watchdog",
+		}) != nil
+	}, "no failure log referencing the flight record")
+
+	// A run that dies late has streamed more than the tail holds.
+	late := tinySpec("NEW ORDER")
+	late.MaxCycles = 150_000
+	resp = postJob(t, ts, late)
+	st = decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	final = waitDone(t, ts, st.ID)
+	if final.State != StateFailed || final.Failure.Kind != "max-cycles" {
+		t.Fatalf("late failure: %+v, want failed with max-cycles", final)
 	}
+	dumpIsTail(st.ID, final.Failure.FlightRecord, true)
 }
 
 func TestFlightRecorderDisabledByDefault(t *testing.T) {

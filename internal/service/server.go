@@ -41,13 +41,13 @@ type Options struct {
 	// default — disables logging entirely: every logging site reduces to
 	// one branch, keeping the embedded serving path allocation-clean.
 	Logger *slog.Logger
-	// FlightDir enables the failure flight recorder: each job keeps a
-	// bounded ring of its most recent telemetry events, and a job that
-	// fails with a structured *sim.RunError dumps the ring as JSONL into
-	// this directory (filename <job>-<correlation>.jsonl, path logged and
-	// attached to the failure). "" disables the recorder.
+	// FlightDir enables the failure flight recorder: a job that fails with
+	// a structured *sim.RunError dumps the tail of its telemetry stream
+	// (the one the SSE endpoint replays) as JSONL into this directory
+	// (filename <job>-<correlation>.jsonl, path logged and attached to the
+	// failure). "" disables the recorder.
 	FlightDir string
-	// FlightEvents caps the per-job flight ring; default 4096.
+	// FlightEvents is the length of the dumped tail; default 4096.
 	FlightEvents int
 	// Store is the persistent content-addressed tier shared by the build
 	// cache and the result cache. With a store, a restarted daemon serves
@@ -381,11 +381,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	}
 	s.counters.CacheMisses++
 	s.nextID++
-	flightEvents := 0
-	if s.opts.FlightDir != "" {
-		flightEvents = s.opts.FlightEvents
-	}
-	j = newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start, flightEvents)
+	j = newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start)
 	j.arm(timeout, start)
 	select {
 	case s.queue <- j:
@@ -407,7 +403,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 // memory hits. Caller holds s.mu.
 func (s *Server) installFinishedLocked(corr string, spec JobSpec, r *Resolved, start time.Time, body []byte, now time.Time) *Job {
 	s.nextID++
-	j := newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start, 0)
+	j := newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start)
 	j.finish(body, nil, now)
 	s.jobs[j.id] = j
 	s.byDigest[r.Digest] = j
@@ -719,11 +715,6 @@ func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
 		cfg.Cancel = func() error { return context.Cause(jctx) }
 	}
 	cfg.Telemetry = j.fan
-	if j.flight != nil {
-		// The flight ring rides alongside the SSE fan-out: same stream,
-		// bounded retention, dumped only on a structured failure.
-		cfg.Telemetry = telemetry.Multi(j.fan, j.flight)
-	}
 
 	t := time.Now()
 	if f := s.abortedFailure(j, 0); f != nil {
@@ -812,11 +803,11 @@ func (s *Server) abortedFailure(j *Job, cycle uint64) *Failure {
 	}
 }
 
-// dumpFlight writes the job's flight-recorder ring as JSONL under
-// Options.FlightDir and returns the path ("" when the recorder is disabled
+// dumpFlight writes the last Options.FlightEvents events of the job's
+// telemetry stream as JSONL under Options.FlightDir and returns the path ("" when the recorder is disabled
 // or the dump fails — the job's failure is never masked by a dump error).
 func (s *Server) dumpFlight(j *Job) string {
-	if j.flight == nil {
+	if s.opts.FlightDir == "" {
 		return ""
 	}
 	if err := os.MkdirAll(s.opts.FlightDir, 0o755); err != nil {
@@ -829,7 +820,8 @@ func (s *Server) dumpFlight(j *Job) string {
 	path := filepath.Join(s.opts.FlightDir, j.id+"-"+j.corr+".jsonl")
 	f, err := os.Create(path)
 	if err == nil {
-		err = telemetry.EncodeJSONL(f, j.flight.Events())
+		evs := j.fan.Events()
+		err = telemetry.EncodeJSONL(f, evs[max(0, len(evs)-s.opts.FlightEvents):])
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -187,3 +187,25 @@ func TestIssuePathsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixCheckpointPinned pins the bytes of a real prefix checkpoint: the
+// frame RunCapture takes at the end of NEW ORDER's warm-up barrier, which
+// carries the warmed caches, banks and predictors that a sweep forks from.
+func TestPrefixCheckpointPinned(t *testing.T) {
+	spec := workload.DefaultSpec(tpcc.NewOrder)
+	spec.Scale = tpcc.Scale{Districts: 4, CustomersPerDistrict: 60, Items: 400, OrdersPerDistrict: 30}
+	spec.Txns = 1
+	spec.Warmup = 1
+	p := workload.Build(spec, false).Program
+	prog := &sim.Program{Units: append(p.Units[:4:4], p.Units[len(p.Units)-1])}
+	_, snap, err := sim.RunCapture(workload.Machine(workload.Baseline), prog)
+	if err != nil || snap == nil {
+		t.Fatalf("RunCapture: snapshot %v, err %v", snap != nil, err)
+	}
+	const wantLen, wantSum = 281978, "375a65c8a1091a4b"
+	frame := snap.Encode()
+	sum := sha256.Sum256(frame)
+	if got := hex.EncodeToString(sum[:8]); got != wantSum || len(frame) != wantLen {
+		t.Errorf("prefix checkpoint: %d bytes, digest %s; want %d bytes, digest %s", len(frame), got, wantLen, wantSum)
+	}
+}

@@ -5,10 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"subthreads/internal/cpu"
-	"subthreads/internal/isa"
 	"subthreads/internal/mem"
 	"subthreads/internal/predict"
 	"subthreads/internal/snapbin"
@@ -238,7 +236,7 @@ func (m *machine) captureSnapshot() {
 		progLeading:  uint64(m.snapLeading),
 	}
 	w := snapbin.NewWriter(1 << 16)
-	m.appendState(w)
+	m.state(snapbin.Capture(w))
 	s.payload = w.Bytes()
 	m.cfg.SnapshotSink(s)
 }
@@ -338,7 +336,7 @@ func ResumeE(cfg Config, prog *Program, snap *Snapshot) (*Result, error) {
 
 	m := newMachine(cfg, prog)
 	r := snapbin.NewReader(snap.payload)
-	m.restoreState(r)
+	m.state(snapbin.Restore(r))
 	if err := r.Done(); err != nil {
 		m.release()
 		return nil, fmt.Errorf("sim: snapshot payload: %w", err)
@@ -387,337 +385,240 @@ func (m *machine) refork() {
 	}
 }
 
-// appendState serializes the complete machine: everything that influences
-// the remainder of the run, in a fixed field order.
-func (m *machine) appendState(w *snapbin.Writer) {
-	w.Uvarint(m.cycle)
-	w.Int(m.nextUnit)
-	w.Bool(m.barrierLive)
-	w.Int(m.committed)
-	w.Int(m.wdLastCommitted)
-	w.Uvarint(m.wdLastCommitAt)
-	w.Bool(m.wdSyncRun)
-	w.Uvarint(m.wdAllSyncSince)
-
-	// Result counters. TLS stats and the pair list are excluded: finish()
-	// repopulates both from the restored engine and profile state.
-	w.Uvarint(m.res.Cycles)
-	for _, v := range m.res.Breakdown {
-		w.Uvarint(v)
-	}
-	w.Uvarint(m.res.CommittedInstrs)
-	w.Uvarint(m.res.RewoundInstrs)
-	w.Uvarint(m.res.SpecInstrs)
-	w.Int(m.res.EpochCount)
-	w.Uvarint(m.res.Branches)
-	w.Uvarint(m.res.Mispredicts)
-	w.Uvarint(m.res.L1Hits)
-	w.Uvarint(m.res.L1Misses)
-	w.Uvarint(m.res.L2Hits)
-	w.Uvarint(m.res.L2Misses)
-	w.Uvarint(m.res.MemAccesses)
-	w.Uvarint(m.res.LatchDeadlockBreaks)
-	w.Uvarint(m.res.PredictorSyncs)
-	w.Uvarint(m.res.InjectedFaults)
-	w.Uvarint(m.res.OverflowWaits)
-	w.Uvarint(m.res.L1Invalidations)
-	w.Uvarint(m.res.L1IHits)
-	w.Uvarint(m.res.L1IMisses)
-
-	m.engine.AppendState(w)
-	m.l2Banks.AppendState(w)
-	m.memBanks.AppendState(w)
-
-	w.Bool(m.pred != nil)
-	if m.pred != nil {
-		m.pred.AppendState(w)
-	}
-	w.Bool(m.spawnPred != nil)
-	if m.spawnPred != nil {
-		m.spawnPred.AppendState(w)
-	}
-	m.pairs.AppendState(w)
-
-	// Chip-wide touched code lines (ModelICache), sorted for determinism.
-	lines := make([]mem.Addr, 0, len(m.iTouched))
-	for l := range m.iTouched {
-		lines = append(lines, l)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.Uvarint(uint64(len(lines)))
-	for _, l := range lines {
-		w.Uvarint(uint64(l))
-	}
-
-	w.Int(m.engine.OrderIndex(m.lastToken))
-
-	w.Uvarint(uint64(len(m.cores)))
-	for _, c := range m.cores {
-		m.appendCore(w, c)
-	}
-}
-
-// restoreState rebuilds the machine from r; any decode or validation failure
-// latches in the reader for the caller to surface.
-func (m *machine) restoreState(r *snapbin.Reader) {
-	m.cycle = r.Uvarint("machine cycle")
-	m.nextUnit = r.Int("machine next unit")
-	m.barrierLive = r.Bool("machine barrier live")
-	m.committed = r.Int("machine committed")
-	m.wdLastCommitted = r.Int("machine wd committed")
-	m.wdLastCommitAt = r.Uvarint("machine wd commit-at")
-	m.wdSyncRun = r.Bool("machine wd sync-run")
-	m.wdAllSyncSince = r.Uvarint("machine wd sync-since")
-	if r.Err() == nil && (m.nextUnit < 0 || m.nextUnit > len(m.prog.Units) ||
+// state streams the complete machine: everything that influences the
+// remainder of the run, in a fixed field order. A restore failure latches in
+// the stream for the caller to surface.
+func (m *machine) state(s *snapbin.Stream) {
+	s.Uvarint(&m.cycle, "machine cycle")
+	s.Int(&m.nextUnit, "machine next unit")
+	s.Bool(&m.barrierLive, "machine barrier live")
+	s.Int(&m.committed, "machine committed")
+	s.Int(&m.wdLastCommitted, "machine wd committed")
+	s.Uvarint(&m.wdLastCommitAt, "machine wd commit-at")
+	s.Bool(&m.wdSyncRun, "machine wd sync-run")
+	s.Uvarint(&m.wdAllSyncSince, "machine wd sync-since")
+	if s.Reading() && s.Err() == nil && (m.nextUnit < 0 || m.nextUnit > len(m.prog.Units) ||
 		m.committed < 0 || m.committed > len(m.prog.Units)) {
-		r.Failf("machine unit indexes out of range (next %d, committed %d, %d units)",
+		s.Failf("machine unit indexes out of range (next %d, committed %d, %d units)",
 			m.nextUnit, m.committed, len(m.prog.Units))
 		return
 	}
 
-	m.res.Cycles = r.Uvarint("res cycles")
-	for i := range m.res.Breakdown {
-		m.res.Breakdown[i] = r.Uvarint("res breakdown")
+	// Result counters. TLS stats and the pair list are excluded: finish()
+	// repopulates both from the restored engine and profile state.
+	res := &m.res
+	s.Uvarint(&res.Cycles, "res cycles")
+	for i := range res.Breakdown {
+		s.Uvarint(&res.Breakdown[i], "res breakdown")
 	}
-	m.res.CommittedInstrs = r.Uvarint("res committed instrs")
-	m.res.RewoundInstrs = r.Uvarint("res rewound instrs")
-	m.res.SpecInstrs = r.Uvarint("res spec instrs")
-	m.res.EpochCount = r.Int("res epoch count")
-	m.res.Branches = r.Uvarint("res branches")
-	m.res.Mispredicts = r.Uvarint("res mispredicts")
-	m.res.L1Hits = r.Uvarint("res l1 hits")
-	m.res.L1Misses = r.Uvarint("res l1 misses")
-	m.res.L2Hits = r.Uvarint("res l2 hits")
-	m.res.L2Misses = r.Uvarint("res l2 misses")
-	m.res.MemAccesses = r.Uvarint("res mem accesses")
-	m.res.LatchDeadlockBreaks = r.Uvarint("res deadlock breaks")
-	m.res.PredictorSyncs = r.Uvarint("res predictor syncs")
-	m.res.InjectedFaults = r.Uvarint("res injected faults")
-	m.res.OverflowWaits = r.Uvarint("res overflow waits")
-	m.res.L1Invalidations = r.Uvarint("res l1 invalidations")
-	m.res.L1IHits = r.Uvarint("res l1i hits")
-	m.res.L1IMisses = r.Uvarint("res l1i misses")
+	s.Uvarint(&res.CommittedInstrs, "res committed instrs")
+	s.Uvarint(&res.RewoundInstrs, "res rewound instrs")
+	s.Uvarint(&res.SpecInstrs, "res spec instrs")
+	s.Int(&res.EpochCount, "res epoch count")
+	s.Uvarint(&res.Branches, "res branches")
+	s.Uvarint(&res.Mispredicts, "res mispredicts")
+	s.Uvarint(&res.L1Hits, "res l1 hits")
+	s.Uvarint(&res.L1Misses, "res l1 misses")
+	s.Uvarint(&res.L2Hits, "res l2 hits")
+	s.Uvarint(&res.L2Misses, "res l2 misses")
+	s.Uvarint(&res.MemAccesses, "res mem accesses")
+	s.Uvarint(&res.LatchDeadlockBreaks, "res deadlock breaks")
+	s.Uvarint(&res.PredictorSyncs, "res predictor syncs")
+	s.Uvarint(&res.InjectedFaults, "res injected faults")
+	s.Uvarint(&res.OverflowWaits, "res overflow waits")
+	s.Uvarint(&res.L1Invalidations, "res l1 invalidations")
+	s.Uvarint(&res.L1IHits, "res l1i hits")
+	s.Uvarint(&res.L1IMisses, "res l1i misses")
 
-	m.engine.RestoreState(r)
-	m.l2Banks.RestoreState(r)
-	m.memBanks.RestoreState(r)
+	m.engine.State(s)
+	m.l2Banks.State(s)
+	m.memBanks.State(s)
+	predictorState(s, m.pred, "predictor present")
+	predictorState(s, m.spawnPred, "spawn predictor present")
+	m.pairs.State(s)
 
-	// Predictor presence in the frame follows the capturing config; the
-	// restore target's presence follows its own. They only diverge on a
-	// fork, where the forkable contract guarantees the state is empty, so
-	// a frame-present/target-absent predictor decodes into a discard.
-	if r.Bool("predictor present") {
-		if m.pred != nil {
-			m.pred.RestoreState(r)
-		} else {
-			predict.New().RestoreState(r)
-		}
-	}
-	if r.Bool("spawn predictor present") {
-		if m.spawnPred != nil {
-			m.spawnPred.RestoreState(r)
-		} else {
-			predict.New().RestoreState(r)
-		}
-	}
-	m.pairs.RestoreState(r)
+	// Chip-wide touched code lines (ModelICache), in ascending order.
+	snapbin.Map(s, m.iTouched, "itouched lines", maxSnapPayload, func(s *snapbin.Stream, line mem.Addr, _ bool) (mem.Addr, bool) {
+		snapbin.Uvarint(s, &line, "itouched line")
+		return line, true
+	})
 
-	n := r.Count("itouched lines", maxSnapPayload)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.iTouched[mem.Addr(r.Uvarint("itouched line"))] = true
+	last := m.engine.OrderIndex(m.lastToken)
+	s.Int(&last, "last token")
+	if s.Reading() {
+		m.lastToken = m.engine.EpochAt(last)
 	}
 
-	m.lastToken = m.engine.EpochAt(r.Int("last token"))
-
-	if nc := r.Count("cores", len(m.cores)); r.Err() == nil && nc != len(m.cores) {
-		r.Failf("frame has %d cores, config has %d", nc, len(m.cores))
+	n := len(m.cores)
+	s.Len(&n, "cores", len(m.cores))
+	if s.Reading() && s.Err() == nil && n != len(m.cores) {
+		s.Failf("frame has %d cores, config has %d", n, len(m.cores))
 		return
 	}
 	for _, c := range m.cores {
-		m.restoreCore(r, c)
-		if r.Err() != nil {
+		m.coreState(s, c)
+		if s.Err() != nil {
 			return
 		}
 	}
 }
 
-func (m *machine) appendCore(w *snapbin.Writer, c *core) {
-	w.Int(c.unit)
-	w.Int(m.engine.OrderIndex(c.epoch))
-	if c.unit >= 0 {
-		appendPos(w, c.cursor.Pos())
+// predictorState streams a predictor the configuration may leave out. Its
+// presence in the frame follows the capturing config and the restore
+// target's follows its own. They only diverge on a fork, where the forkable
+// contract guarantees the state is empty, so a predictor the frame has and
+// the target lacks decodes into a discard.
+func predictorState(s *snapbin.Stream, p *predict.Predictor, field string) {
+	present := p != nil
+	s.Bool(&present, field)
+	if !present {
+		return
 	}
-	w.Uvarint(uint64(len(c.checkpoints)))
-	for _, p := range c.checkpoints {
-		appendPos(w, p)
+	if p == nil {
+		p = predict.New()
 	}
-	w.Uvarint(uint64(len(c.ctxCycles)))
-	for _, b := range c.ctxCycles {
-		for _, v := range b {
-			w.Uvarint(v)
-		}
-	}
-	w.U64(c.nextSpawnAt) // fixed width: ^0 is a live sentinel value
-	w.Uvarint(c.spacing)
-	w.Bool(c.overflowWait)
-	w.Uvarint(c.overflowCommits)
-	w.Uvarint(c.missUntil)
-	w.Int(c.missBudget)
-	w.Uvarint(c.stallUntil)
-	w.Int(int(c.stallCat))
-	w.Bool(c.done)
-	w.Bool(c.syncing)
-	w.Uvarint(uint64(c.syncPC))
-	w.Uvarint(uint64(c.syncAddr))
-	w.Bool(c.predSync)
-	c.gshare.AppendState(w)
-	c.l1.AppendState(w)
-	c.elt.AppendState(w)
-	appendLineSet(w, c.l1Flags)
-	entries := c.l1Mod.all()
-	w.Uvarint(uint64(len(entries)))
-	for _, en := range entries {
-		w.Uvarint(uint64(en.line))
-		w.Int(int(en.ctx))
-	}
-	// ifetch presence is config-implied (Mem.ModelICache is
-	// prefix-invariant), so capture and restore always agree on it.
-	if c.ifetch != nil {
-		w.Uvarint(uint64(c.ifetch.curSite))
-		w.Int(c.ifetch.curLine)
-		w.Uvarint(uint64(c.ifetch.sinceFet))
-		c.ifetch.l1i.AppendState(w)
-	}
+	p.State(s)
 }
 
-func (m *machine) restoreCore(r *snapbin.Reader, c *core) {
-	c.unit = r.Int("core unit")
-	if r.Err() == nil && (c.unit < -1 || c.unit >= len(m.prog.Units)) {
-		r.Failf("core %d: unit %d out of range", c.id, c.unit)
+func (m *machine) coreState(s *snapbin.Stream, c *core) {
+	s.Int(&c.unit, "core unit")
+	if s.Reading() && s.Err() == nil && (c.unit < -1 || c.unit >= len(m.prog.Units)) {
+		s.Failf("core %d: unit %d out of range", c.id, c.unit)
 		return
 	}
-	epochIdx := r.Int("core epoch")
-	c.epoch = m.engine.EpochAt(epochIdx)
-	if r.Err() == nil && epochIdx >= 0 && c.epoch == nil {
-		r.Failf("core %d: epoch index %d not live", c.id, epochIdx)
-		return
+	epochIdx := m.engine.OrderIndex(c.epoch)
+	s.Int(&epochIdx, "core epoch")
+	if s.Reading() {
+		c.epoch = m.engine.EpochAt(epochIdx)
+		if s.Err() == nil && epochIdx >= 0 && c.epoch == nil {
+			s.Failf("core %d: epoch index %d not live", c.id, epochIdx)
+			return
+		}
 	}
-	// The barrier flag is derived from the unit, not encoded in the frame.
 	var t *trace.Trace
-	c.barrier = false
 	if c.unit >= 0 {
-		u := m.prog.Units[c.unit]
-		t, c.barrier = u.Trace, u.Barrier
-		pos := restorePos(r)
-		if r.Err() == nil && !t.ValidPos(pos) {
-			r.Failf("core %d: cursor position out of range", c.id)
-			return
+		t = m.prog.Units[c.unit].Trace
+		var pos trace.Pos
+		if !s.Reading() {
+			pos = c.cursor.Pos()
 		}
-		c.cursor = trace.NewCursor(t)
-		c.cursor.Seek(pos)
+		posState(s, &pos)
+		if s.Reading() {
+			if s.Err() == nil && !t.ValidPos(pos) {
+				s.Failf("core %d: cursor position out of range", c.id)
+				return
+			}
+			c.cursor = trace.NewCursor(t)
+			c.cursor.Seek(pos)
+		}
 	}
-	nCk := r.Count("core checkpoints", tls.MaxSubthreads)
-	c.checkpoints = c.checkpoints[:0]
-	for i := 0; i < nCk && r.Err() == nil; i++ {
+	if s.Reading() {
+		// The barrier flag is derived from the unit, not encoded in the
+		// frame.
+		c.barrier = t != nil && m.prog.Units[c.unit].Barrier
+	}
+	snapbin.Slice(s, &c.checkpoints, "core checkpoints", tls.MaxSubthreads)
+	for i := range c.checkpoints {
 		// An idle core's checkpoints are its last unit's, unused until
 		// tryStart resets them.
-		pos := restorePos(r)
-		if r.Err() == nil && t != nil && !t.ValidPos(pos) {
-			r.Failf("core %d: checkpoint %d out of range", c.id, i)
+		posState(s, &c.checkpoints[i])
+		if s.Reading() && s.Err() == nil && t != nil && !t.ValidPos(c.checkpoints[i]) {
+			s.Failf("core %d: checkpoint %d out of range", c.id, i)
 			return
 		}
-		c.checkpoints = append(c.checkpoints, pos)
 	}
-	nCtx := r.Count("core ctx cycles", tls.MaxSubthreads)
-	c.ctxCycles = c.ctxCycles[:0]
-	for i := 0; i < nCtx && r.Err() == nil; i++ {
-		var b Breakdown
-		for j := range b {
-			b[j] = r.Uvarint("core ctx breakdown")
+	snapbin.Slice(s, &c.ctxCycles, "core ctx cycles", tls.MaxSubthreads)
+	for i := range c.ctxCycles {
+		for j := range c.ctxCycles[i] {
+			s.Uvarint(&c.ctxCycles[i][j], "core ctx breakdown")
 		}
-		c.ctxCycles = append(c.ctxCycles, b)
 	}
-	c.nextSpawnAt = r.U64("core next spawn")
-	c.spacing = r.Uvarint("core spacing")
-	c.overflowWait = r.Bool("core overflow wait")
-	c.overflowCommits = r.Uvarint("core overflow commits")
-	c.missUntil = r.Uvarint("core miss until")
-	c.missBudget = r.Int("core miss budget")
-	c.stallUntil = r.Uvarint("core stall until")
-	cat := r.Int("core stall cat")
-	if r.Err() == nil && (cat < 0 || cat >= int(NumCategories)) {
-		r.Failf("core %d: stall category %d out of range", c.id, cat)
+	s.U64(&c.nextSpawnAt, "core next spawn") // fixed width: ^0 is a live sentinel value
+	s.Uvarint(&c.spacing, "core spacing")
+	s.Bool(&c.overflowWait, "core overflow wait")
+	s.Uvarint(&c.overflowCommits, "core overflow commits")
+	s.Uvarint(&c.missUntil, "core miss until")
+	s.Int(&c.missBudget, "core miss budget")
+	s.Uvarint(&c.stallUntil, "core stall until")
+	snapbin.Varint(s, &c.stallCat, "core stall cat")
+	if s.Reading() && s.Err() == nil && (c.stallCat < 0 || c.stallCat >= NumCategories) {
+		s.Failf("core %d: stall category %d out of range", c.id, c.stallCat)
 		return
 	}
-	c.stallCat = Category(cat)
-	c.done = r.Bool("core done")
-	c.syncing = r.Bool("core syncing")
-	c.syncPC = isa.PC(r.Uvarint("core sync pc"))
-	c.syncAddr = mem.Addr(r.Uvarint("core sync addr"))
-	c.predSync = r.Bool("core pred sync")
-	c.gshare.RestoreState(r)
-	c.l1.RestoreState(r)
-	c.elt.RestoreState(r)
-	restoreLineSet(r, c.l1Flags)
-	c.l1Mod.clear()
-	nMod := r.Count("core l1 mod", maxSnapPayload)
-	for i := 0; i < nMod && r.Err() == nil; i++ {
-		line := mem.Addr(r.Uvarint("core mod line"))
-		ctx := r.Int("core mod ctx")
-		if r.Err() == nil {
-			c.l1Mod.noteWrite(line, ctx)
+	s.Bool(&c.done, "core done")
+	s.Bool(&c.syncing, "core syncing")
+	snapbin.Uvarint(s, &c.syncPC, "core sync pc")
+	snapbin.Uvarint(s, &c.syncAddr, "core sync addr")
+	s.Bool(&c.predSync, "core pred sync")
+	c.gshare.State(s)
+	c.l1.State(s)
+	c.elt.State(s)
+	lineSetState(s, c.l1Flags)
+
+	// Speculatively written lines with their earliest writing context, in
+	// insertion order.
+	var mods []modEntry
+	if s.Reading() {
+		c.l1Mod.clear()
+	} else {
+		mods = c.l1Mod.all()
+	}
+	snapbin.Slice(s, &mods, "core l1 mod", maxSnapPayload)
+	for i := range mods {
+		snapbin.Uvarint(s, &mods[i].line, "core mod line")
+		snapbin.Varint(s, &mods[i].ctx, "core mod ctx")
+		if s.Reading() && s.Err() == nil {
+			c.l1Mod.noteWrite(mods[i].line, int(mods[i].ctx))
 		}
 	}
-	if c.ifetch != nil {
-		c.ifetch.curSite = isa.PC(r.Uvarint("ifetch site"))
-		c.ifetch.curLine = r.Int("ifetch line")
-		c.ifetch.sinceFet = uint32(r.Uvarint("ifetch since"))
-		c.ifetch.l1i.RestoreState(r)
+
+	// ifetch presence is config-implied (Mem.ModelICache is
+	// prefix-invariant), so capture and restore always agree on it.
+	if f := c.ifetch; f != nil {
+		snapbin.Uvarint(s, &f.curSite, "ifetch site")
+		s.Int(&f.curLine, "ifetch line")
+		snapbin.Uvarint(s, &f.sinceFet, "ifetch since")
+		f.l1i.State(s)
 	}
 }
 
-func appendPos(w *snapbin.Writer, p trace.Pos) {
-	w.Int(p.Index())
-	w.Uvarint(uint64(p.Offset()))
-	w.Uvarint(p.Done())
+func posState(s *snapbin.Stream, p *trace.Pos) {
+	idx, off, done := p.Index(), p.Offset(), p.Done()
+	s.Int(&idx, "pos index")
+	snapbin.Uvarint(s, &off, "pos offset")
+	s.Uvarint(&done, "pos done")
+	if s.Reading() {
+		*p = trace.MakePos(idx, off, done)
+	}
 }
 
-func restorePos(r *snapbin.Reader) trace.Pos {
-	idx := r.Int("pos index")
-	off := uint32(r.Uvarint("pos offset"))
-	done := r.Uvarint("pos done")
-	return trace.MakePos(idx, off, done)
-}
-
-// appendLineSet serializes a generation-stamped line set as its member line
+// lineSetState streams a generation-stamped line set as its member line
 // indexes; page order makes the encoding ascending and deterministic.
-func appendLineSet(w *snapbin.Writer, s *lineSet) {
-	count := uint64(0)
-	for _, pg := range s.pages {
+func lineSetState(s *snapbin.Stream, ls *lineSet) {
+	n := 0
+	for _, pg := range ls.pages {
 		for _, stamp := range pg {
-			if stamp == s.gen {
-				count++
+			if stamp == ls.gen {
+				n++
 			}
 		}
 	}
-	w.Uvarint(count)
-	for p, pg := range s.pages {
-		if pg == nil {
-			continue
+	s.Len(&n, "line set", maxSnapPayload)
+	if s.Reading() {
+		ls.clear()
+		for i := 0; i < n && s.Err() == nil; i++ {
+			var idx uint64
+			s.Uvarint(&idx, "line set member")
+			ls.add(mem.Addr(idx * mem.LineSize))
 		}
+		return
+	}
+	for p, pg := range ls.pages {
 		for i, stamp := range pg {
-			if stamp == s.gen {
-				w.Uvarint(uint64(uint32(p)<<corePageShift | uint32(i)))
+			if stamp == ls.gen {
+				idx := uint64(uint32(p)<<corePageShift | uint32(i))
+				s.Uvarint(&idx, "line set member")
 			}
 		}
-	}
-}
-
-func restoreLineSet(r *snapbin.Reader, s *lineSet) {
-	s.clear()
-	n := r.Count("line set", maxSnapPayload)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		idx := r.Uvarint("line set member")
-		s.add(mem.Addr(idx * mem.LineSize))
 	}
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -70,12 +73,17 @@ func violationProgram() *Program {
 	return &Program{Units: units}
 }
 
-func TestSnapshotRestoreByteIdentity(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func() Config
-		prog func() *Program
-	}{
+// restoreScenario is one protocol path a checkpoint must survive.
+type restoreScenario struct {
+	name string
+	cfg  func() Config
+	prog func() *Program
+}
+
+// restoreScenarios covers violations, both overflow policies, a latch
+// deadlock, both predictors and the I-cache model with non-blocking loads.
+func restoreScenarios() []restoreScenario {
+	return []restoreScenario{
 		{"violations", testConfig, violationProgram},
 		{"all-or-nothing", func() Config {
 			cfg := testConfig()
@@ -162,13 +170,20 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 			return &Program{Units: []Unit{{Trace: b.Finish()}, {Trace: aluTrace(9000)}}}
 		}},
 	}
-	for _, tc := range cases {
+}
+
+// captureFractions are the points of a scenario's run, as divisors of its
+// cycle count, that the restore and frame-pin tests capture at.
+var captureFractions = []uint64{4, 2}
+
+func TestSnapshotRestoreByteIdentity(t *testing.T) {
+	for _, tc := range restoreScenarios() {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := RunE(tc.cfg(), tc.prog())
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
 			}
-			for _, frac := range []uint64{4, 2} {
+			for _, frac := range captureFractions {
 				cycle := want.Cycles / frac
 				if cycle == 0 {
 					continue
@@ -184,20 +199,73 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestoreWithInjection(t *testing.T) {
-	faults := func() []Fault {
-		return []Fault{
-			{Cycle: 500, Kind: FaultSquash, CPU: 1, Ctx: 3},
-			{Cycle: 900, Kind: FaultOverflow, CPU: 2},
-			{Cycle: 1300, Kind: FaultSquash, CPU: 0, Ctx: 1},
-			{Cycle: 4200, Kind: FaultSquash, CPU: 2, Ctx: 0},
+// injectionConfig is testConfig with a fresh injector on a fixed schedule.
+func injectionConfig() Config {
+	cfg := testConfig()
+	cfg.Inject = &stubInjector{faults: []Fault{
+		{Cycle: 500, Kind: FaultSquash, CPU: 1, Ctx: 3},
+		{Cycle: 900, Kind: FaultOverflow, CPU: 2},
+		{Cycle: 1300, Kind: FaultSquash, CPU: 0, Ctx: 1},
+		{Cycle: 4200, Kind: FaultSquash, CPU: 2, Ctx: 0},
+	}, latchEvery: 64, latchDelay: 4}
+	return cfg
+}
+
+// TestSnapshotFramesPinned pins the bytes of the snapshot frame: the
+// SHA-256 of Encode for every restore scenario at each capture fraction,
+// for the injection scenario at cycle 1000 and for forkProgram's prefix
+// checkpoint. The CAS and tlsd's snapshot tier keep these frames across
+// restarts, so a change that moves one byte must bump snapVersion and
+// re-pin.
+func TestSnapshotFramesPinned(t *testing.T) {
+	want := map[string]string{
+		"violations/4":      "7e3368a3c6ddf19c",
+		"violations/2":      "f268c2fa272fd335",
+		"all-or-nothing/4":  "147c555387a2842c",
+		"all-or-nothing/2":  "9c8749c71524d4e8",
+		"overflow-squash/4": "550f62597698904a",
+		"overflow-squash/2": "4b2baed6aa0b1d1b",
+		"overflow-stall/4":  "95df18cd6bb67666",
+		"overflow-stall/2":  "a1c40dd3d072e43b",
+		"latch-deadlock/4":  "616438aea19127ba",
+		"latch-deadlock/2":  "2e5d6e4be118e348",
+		"predictor/4":       "5cb707daa410278b",
+		"predictor/2":       "29bfc7138924e39a",
+		"spawn-predictor/4": "c98374d5471b74c3",
+		"spawn-predictor/2": "337558a8734edb09",
+		"icache-mlp/4":      "0368ae0d7189387d",
+		"icache-mlp/2":      "c716b0f5ac2de4c5",
+		"injection/1000":    "40f91e13a6a0f6fb",
+		"fork-prefix":       "deb5a3499f967bea",
+	}
+	got := map[string]string{}
+	pin := func(name string, s *Snapshot) {
+		sum := sha256.Sum256(s.Encode())
+		got[name] = hex.EncodeToString(sum[:8])
+	}
+	for _, tc := range restoreScenarios() {
+		full, err := RunE(tc.cfg(), tc.prog())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, frac := range captureFractions {
+			pin(fmt.Sprintf("%s/%d", tc.name, frac), captureAt(t, tc.cfg(), tc.prog(), full.Cycles/frac))
 		}
 	}
-	mkCfg := func() Config {
-		cfg := testConfig()
-		cfg.Inject = &stubInjector{faults: faults(), latchEvery: 64, latchDelay: 4}
-		return cfg
+	pin("injection/1000", captureAt(t, injectionConfig(), violationProgram(), 1000))
+	pin("fork-prefix", capturePrefix(t, testConfig(), forkProgram()))
+	for name, sum := range got {
+		if sum != want[name] {
+			t.Errorf("%s: frame digest %s, want %s", name, sum, want[name])
+		}
 	}
+	if len(got) != len(want) {
+		t.Errorf("pinned %d frames, want %d", len(got), len(want))
+	}
+}
+
+func TestSnapshotRestoreWithInjection(t *testing.T) {
+	mkCfg := injectionConfig
 	prog := violationProgram()
 	want, err := RunE(mkCfg(), prog)
 	if err != nil {
@@ -398,13 +466,13 @@ func recode(t *testing.T, cfg Config, prog *Program, snap *Snapshot, mutate func
 	m := newMachine(cfg, prog)
 	defer m.release()
 	r := snapbin.NewReader(snap.payload)
-	m.restoreState(r)
+	m.state(snapbin.Restore(r))
 	if err := r.Done(); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	mutate(m)
 	w := snapbin.NewWriter(len(snap.payload))
-	m.appendState(w)
+	m.state(snapbin.Capture(w))
 	out := *snap
 	out.payload = w.Bytes()
 	return &out

@@ -2,6 +2,7 @@ package snapbin
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -101,5 +102,105 @@ func TestTrailing(t *testing.T) {
 	_ = r.U8("one")
 	if err := r.Done(); err == nil {
 		t.Fatal("want trailing-bytes error")
+	}
+}
+
+func TestCountCappedByRemaining(t *testing.T) {
+	w := NewWriter(8)
+	w.Uvarint(5)
+	w.U8(1)
+	r := NewReader(w.Bytes())
+	if n := r.Count("items", 1024); n != 0 || r.Err() == nil {
+		t.Fatalf("Count = %d, err %v: want an error for 5 elements in 1 byte", n, r.Err())
+	}
+}
+
+func TestFailDropsRestOfFrame(t *testing.T) {
+	r := NewReader([]byte{1, 2, 3})
+	r.Failf("semantic check")
+	if v := r.U8("after"); v != 0 || r.Remaining() != 0 || r.Err().Error() != "semantic check" {
+		t.Fatalf("read after Fail = %d, %d bytes left, err %v", v, r.Remaining(), r.Err())
+	}
+}
+
+// unit is a State-declared type exercising every Stream helper.
+type unit struct {
+	count  uint64
+	slot   int
+	live   bool
+	tag    uint8
+	wide   uint64
+	line   uint32
+	ver    int16
+	arr    [3]byte
+	lines  []uint32
+	byAddr map[uint32]int16
+}
+
+func (u *unit) State(s *Stream) {
+	s.Uvarint(&u.count, "count")
+	s.Int(&u.slot, "slot")
+	s.Bool(&u.live, "live")
+	s.U8(&u.tag, "tag")
+	s.U64(&u.wide, "wide")
+	Uvarint(s, &u.line, "line")
+	Varint(s, &u.ver, "ver")
+	s.Raw(u.arr[:], "arr")
+	Slice(s, &u.lines, "lines", 16)
+	for i := range u.lines {
+		Uvarint(s, &u.lines[i], "lines entry")
+	}
+	Map(s, u.byAddr, "by addr", 16, func(s *Stream, k uint32, v int16) (uint32, int16) {
+		Uvarint(s, &k, "key")
+		Varint(s, &v, "value")
+		return k, v
+	})
+}
+
+func capture(u *unit) []byte {
+	w := NewWriter(0)
+	u.State(Capture(w))
+	return w.Bytes()
+}
+
+func TestStreamRoundTrip(t *testing.T) {
+	want := &unit{count: 300, slot: -1, live: true, tag: 9, wide: 1 << 63, line: 0xdead,
+		ver: -2, arr: [3]byte{1, 2, 3}, lines: []uint32{7, 1 << 20},
+		byAddr: map[uint32]int16{5: -1, 1: 4, 300: 2}}
+	frame := capture(want)
+
+	got := &unit{lines: []uint32{9, 9, 9, 9}, byAddr: map[uint32]int16{77: 7}}
+	r := NewReader(frame)
+	got.State(Restore(r))
+	if err := r.Done(); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored %+v, want %+v", got, want)
+	}
+	if again := capture(got); !bytes.Equal(again, frame) {
+		t.Fatal("capturing a restored value changed its bytes")
+	}
+}
+
+// Map order follows keys, not insertion or iteration order.
+func TestMapBytesIndependentOfInsertionOrder(t *testing.T) {
+	a, b := &unit{byAddr: map[uint32]int16{}}, &unit{byAddr: map[uint32]int16{}}
+	for i := uint32(0); i < 64; i++ {
+		a.byAddr[i] = int16(i)
+		b.byAddr[63-i] = int16(63 - i)
+	}
+	if !bytes.Equal(capture(a), capture(b)) {
+		t.Fatal("equal maps encoded differently")
+	}
+}
+
+func TestStreamRestoreRejectsOversizedSlice(t *testing.T) {
+	w := NewWriter(0)
+	(&unit{lines: make([]uint32, 17), byAddr: map[uint32]int16{}}).State(Capture(w))
+	r := NewReader(w.Bytes())
+	(&unit{byAddr: map[uint32]int16{}}).State(Restore(r))
+	if r.Err() == nil {
+		t.Fatal("restored 17 lines past a cap of 16")
 	}
 }

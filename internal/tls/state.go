@@ -1,7 +1,8 @@
 package tls
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"subthreads/internal/cache"
 	"subthreads/internal/mem"
@@ -21,233 +22,146 @@ import (
 
 const maxSnapLines = 1 << 24
 
-// AppendState serializes the engine's complete architectural state.
-func (g *Engine) AppendState(w *snapbin.Writer) {
-	w.Uvarint(g.PrimaryViolations)
-	w.Uvarint(g.SecondaryViolations)
-	w.Uvarint(g.OverflowSquashes)
-	w.Uvarint(g.OverflowStalls)
-	w.Uvarint(g.ExposedLoads)
-	w.Uvarint(g.SpecStores)
-	w.Uvarint(g.SubthreadStarts)
-	w.Uvarint(g.Commits)
-	w.Uvarint(g.nextID)
+// State streams the engine's complete architectural state. Restoring needs
+// a freshly constructed engine, and the configuration is NOT restored: it
+// belongs to the restore target, which is what lets a forkable snapshot
+// restore under a different sub-thread configuration.
+func (g *Engine) State(s *snapbin.Stream) {
+	s.Uvarint(&g.PrimaryViolations, "tls primary violations")
+	s.Uvarint(&g.SecondaryViolations, "tls secondary violations")
+	s.Uvarint(&g.OverflowSquashes, "tls overflow squashes")
+	s.Uvarint(&g.OverflowStalls, "tls overflow stalls")
+	s.Uvarint(&g.ExposedLoads, "tls exposed loads")
+	s.Uvarint(&g.SpecStores, "tls spec stores")
+	s.Uvarint(&g.SubthreadStarts, "tls subthread starts")
+	s.Uvarint(&g.Commits, "tls commits")
+	s.Uvarint(&g.nextID, "tls next id")
 
-	// Live epochs, oldest first.
-	w.Uvarint(uint64(len(g.order)))
-	for _, e := range g.order {
-		w.Uvarint(e.ID)
-		w.Int(e.Slot)
-		w.Int(e.CurCtx)
-		w.Bool(e.Completed)
-		w.Uvarint(e.Violations)
-		appendSMMap(w, e.startTable)
-		for ctx := 0; ctx < MaxSubthreads; ctx++ {
-			lines := e.ctxLines[ctx]
-			w.Uvarint(uint64(len(lines)))
-			for _, line := range lines {
-				w.Uvarint(uint64(line))
+	// Live epochs, oldest first. Restore builds them directly rather than
+	// through StartEpoch: the restored IDs predate nextID, which
+	// StartEpoch correctly rejects for live registration.
+	snapbin.Slice(s, &g.order, "tls epochs", g.cfg.CPUs)
+	for i := range g.order {
+		if s.Reading() {
+			g.order[i] = &Epoch{startTable: make(map[uint64]*[MaxSubthreads]uint8)}
+		}
+		e := g.order[i]
+		s.Uvarint(&e.ID, "epoch id")
+		s.Int(&e.Slot, "epoch slot")
+		s.Int(&e.CurCtx, "epoch ctx")
+		s.Bool(&e.Completed, "epoch completed")
+		s.Uvarint(&e.Violations, "epoch violations")
+		if s.Reading() && s.Err() == nil && (e.Slot < 0 || e.Slot >= g.cfg.CPUs || e.CurCtx < 0 || e.CurCtx >= MaxSubthreads) {
+			s.Failf("epoch %d: slot %d / ctx %d out of range", e.ID, e.Slot, e.CurCtx)
+		}
+		snapbin.Map(s, e.startTable, "start table", maxSnapLines, smEntry)
+		for ctx := range e.ctxLines {
+			lines := &e.ctxLines[ctx]
+			snapbin.Slice(s, lines, "epoch ctx lines", maxSnapLines)
+			for j := range *lines {
+				snapbin.Uvarint(s, &(*lines)[j], "epoch line")
 			}
 		}
-		w.Uvarint(uint64(len(e.latches)))
-		for _, hl := range e.latches {
-			w.Uvarint(uint64(hl.addr))
-			w.Int(hl.ctx)
+		snapbin.Slice(s, &e.latches, "epoch latches", maxSnapLines)
+		for j := range e.latches {
+			snapbin.Uvarint(s, &e.latches[j].addr, "held latch addr")
+			s.Int(&e.latches[j].ctx, "held latch ctx")
 		}
 	}
 
 	// Latch table: only held latches carry state (a free latchState is
-	// behaviorally identical to an absent entry).
-	type heldEntry struct {
-		addr mem.Addr
-		ls   *latchState
-	}
-	var held []heldEntry
-	for addr, ls := range g.latches {
-		if ls.holder != nil {
-			held = append(held, heldEntry{addr, ls})
+	// behaviorally identical to an absent entry), holders as commit-order
+	// indexes.
+	held := g.heldLatches()
+	snapbin.Slice(s, &held, "tls latches", maxSnapLines)
+	for i := range held {
+		h := &held[i]
+		snapbin.Uvarint(s, &h.addr, "latch addr")
+		s.Int(&h.holder, "latch holder")
+		s.Int(&h.ctx, "latch holder ctx")
+		s.Int(&h.depth, "latch depth")
+		if !s.Reading() || s.Err() != nil {
+			continue
 		}
-	}
-	sort.Slice(held, func(i, j int) bool { return held[i].addr < held[j].addr })
-	w.Uvarint(uint64(len(held)))
-	for _, h := range held {
-		w.Uvarint(uint64(h.addr))
-		w.Int(g.orderIndex(h.ls.holder))
-		w.Int(h.ls.holderCtx)
-		w.Int(h.ls.depth)
+		if h.holder < 0 || h.holder >= len(g.order) {
+			s.Failf("latch %v: holder index %d out of range", h.addr, h.holder)
+			continue
+		}
+		g.latches[h.addr] = &latchState{holder: g.order[h.holder], holderCtx: h.ctx, depth: h.depth}
 	}
 
 	// L2 directory, ascending line order (forEach contract).
-	lineCount := uint64(0)
-	g.lines.forEach(func(mem.Addr, *lineMeta) { lineCount++ })
-	w.Uvarint(lineCount)
-	g.lines.forEach(func(line mem.Addr, lm *lineMeta) {
-		w.Uvarint(uint64(line))
-		appendLoadMap(w, lm.load)
-		appendSMMap(w, lm.store)
-	})
-
-	g.L2.AppendState(w)
-	g.Victim.AppendState(w)
-}
-
-// RestoreState rebuilds the engine's architectural state from r into a
-// freshly-constructed engine. The configuration is NOT restored: it belongs
-// to the restore target, which is what lets a forkable snapshot restore under
-// a different sub-thread configuration.
-func (g *Engine) RestoreState(r *snapbin.Reader) {
-	g.PrimaryViolations = r.Uvarint("tls primary violations")
-	g.SecondaryViolations = r.Uvarint("tls secondary violations")
-	g.OverflowSquashes = r.Uvarint("tls overflow squashes")
-	g.OverflowStalls = r.Uvarint("tls overflow stalls")
-	g.ExposedLoads = r.Uvarint("tls exposed loads")
-	g.SpecStores = r.Uvarint("tls spec stores")
-	g.SubthreadStarts = r.Uvarint("tls subthread starts")
-	g.Commits = r.Uvarint("tls commits")
-	g.nextID = r.Uvarint("tls next id")
-
-	// Epochs are reconstructed directly rather than through StartEpoch:
-	// the restored IDs predate nextID, which StartEpoch correctly rejects
-	// for live registration.
-	nEpochs := r.Count("tls epochs", g.cfg.CPUs)
-	g.order = g.order[:0]
-	for i := 0; i < nEpochs && r.Err() == nil; i++ {
-		e := &Epoch{
-			ID:         r.Uvarint("epoch id"),
-			Slot:       r.Int("epoch slot"),
-			CurCtx:     r.Int("epoch ctx"),
-			Completed:  r.Bool("epoch completed"),
-			Violations: r.Uvarint("epoch violations"),
-			startTable: make(map[uint64]*[MaxSubthreads]uint8),
-		}
-		if r.Err() == nil && (e.Slot < 0 || e.Slot >= g.cfg.CPUs || e.CurCtx < 0 || e.CurCtx >= MaxSubthreads) {
-			r.Failf("epoch %d: slot %d / ctx %d out of range", e.ID, e.Slot, e.CurCtx)
-			return
-		}
-		restoreSMMap(r, e.startTable, "start table")
-		for ctx := 0; ctx < MaxSubthreads; ctx++ {
-			n := r.Count("epoch ctx lines", maxSnapLines)
-			for j := 0; j < n && r.Err() == nil; j++ {
-				e.ctxLines[ctx] = append(e.ctxLines[ctx], mem.Addr(r.Uvarint("epoch line")))
+	n := g.lines.live()
+	s.Len(&n, "tls lines", maxSnapLines)
+	if s.Reading() {
+		for i := 0; i < n && s.Err() == nil; i++ {
+			var line mem.Addr
+			lm := &lineMeta{
+				load:  make(map[uint64]uint32),
+				store: make(map[uint64]*[MaxSubthreads]uint8),
+			}
+			lineState(s, &line, lm)
+			if s.Err() == nil {
+				g.lines.set(line, lm)
 			}
 		}
-		nLatch := r.Count("epoch latches", maxSnapLines)
-		for j := 0; j < nLatch && r.Err() == nil; j++ {
-			e.latches = append(e.latches, heldLatch{
-				addr: mem.Addr(r.Uvarint("held latch addr")),
-				ctx:  r.Int("held latch ctx"),
-			})
-		}
-		g.order = append(g.order, e)
+	} else {
+		g.lines.forEach(func(line mem.Addr, lm *lineMeta) { lineState(s, &line, lm) })
 	}
 
-	nHeld := r.Count("tls latches", maxSnapLines)
-	for i := 0; i < nHeld && r.Err() == nil; i++ {
-		addr := mem.Addr(r.Uvarint("latch addr"))
-		holder := r.Int("latch holder")
-		ls := &latchState{
-			holderCtx: r.Int("latch holder ctx"),
-			depth:     r.Int("latch depth"),
-		}
-		if r.Err() != nil {
-			return
-		}
-		if holder < 0 || holder >= len(g.order) {
-			r.Failf("latch %v: holder index %d out of range", addr, holder)
-			return
-		}
-		ls.holder = g.order[holder]
-		g.latches[addr] = ls
-	}
-
-	nLines := r.Count("tls lines", maxSnapLines)
-	for i := 0; i < nLines && r.Err() == nil; i++ {
-		line := mem.Addr(r.Uvarint("tls line"))
-		lm := &lineMeta{
-			load:  make(map[uint64]uint32),
-			store: make(map[uint64]*[MaxSubthreads]uint8),
-		}
-		restoreLoadMap(r, lm.load)
-		restoreSMMap(r, lm.store, "store masks")
-		if r.Err() == nil {
-			g.lines.set(line, lm)
-		}
-	}
-
-	g.L2.RestoreState(r)
-	g.Victim.RestoreState(r)
+	g.L2.State(s)
+	g.Victim.State(s)
 }
 
-// appendSMMap serializes a map of per-context byte arrays in ascending key
-// order (start tables and SM masks share the shape).
-func appendSMMap(w *snapbin.Writer, m map[uint64]*[MaxSubthreads]uint8) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Uvarint(k)
-		w.Raw(m[k][:])
-	}
+// heldLatchState is one held latch as the frame records it.
+type heldLatchState struct {
+	addr               mem.Addr
+	holder, ctx, depth int
 }
 
-func restoreSMMap(r *snapbin.Reader, m map[uint64]*[MaxSubthreads]uint8, field string) {
-	n := r.Count(field, maxSnapLines)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.Uvarint(field + " key")
-		raw := r.Raw(MaxSubthreads, field+" bytes")
-		if r.Err() == nil {
-			arr := new([MaxSubthreads]uint8)
-			copy(arr[:], raw)
-			m[k] = arr
+// heldLatches lists the held latches in ascending address order.
+func (g *Engine) heldLatches() []heldLatchState {
+	var held []heldLatchState
+	for addr, ls := range g.latches {
+		if ls.holder != nil {
+			held = append(held, heldLatchState{addr, g.OrderIndex(ls.holder), ls.holderCtx, ls.depth})
 		}
 	}
+	slices.SortFunc(held, func(a, b heldLatchState) int { return cmp.Compare(a.addr, b.addr) })
+	return held
 }
 
-// appendLoadMap serializes SL bitmasks in ascending epoch-ID order.
-func appendLoadMap(w *snapbin.Writer, m map[uint64]uint32) {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		w.Uvarint(k)
-		w.Uvarint(uint64(m[k]))
-	}
+// lineState streams one directory entry: its line, SL bitmasks and SM masks.
+func lineState(s *snapbin.Stream, line *mem.Addr, lm *lineMeta) {
+	snapbin.Uvarint(s, line, "tls line")
+	snapbin.Map(s, lm.load, "load bits", maxSnapLines, func(s *snapbin.Stream, id uint64, bits uint32) (uint64, uint32) {
+		s.Uvarint(&id, "load bits key")
+		snapbin.Uvarint(s, &bits, "load bits value")
+		return id, bits
+	})
+	snapbin.Map(s, lm.store, "store masks", maxSnapLines, smEntry)
 }
 
-func restoreLoadMap(r *snapbin.Reader, m map[uint64]uint32) {
-	n := r.Count("load bits", maxSnapLines)
-	for i := 0; i < n && r.Err() == nil; i++ {
-		k := r.Uvarint("load bits key")
-		v := uint32(r.Uvarint("load bits value"))
-		if r.Err() == nil {
-			m[k] = v
-		}
+// smEntry streams one per-context byte array keyed by epoch ID (start
+// tables and SM masks share the shape).
+func smEntry(s *snapbin.Stream, id uint64, arr *[MaxSubthreads]uint8) (uint64, *[MaxSubthreads]uint8) {
+	s.Uvarint(&id, "sm key")
+	if s.Reading() {
+		arr = new([MaxSubthreads]uint8)
 	}
+	s.Raw(arr[:], "sm bytes")
+	return id, arr
 }
 
-// orderIndex maps a live epoch to its commit-order index, or -1.
-func (g *Engine) orderIndex(e *Epoch) int {
+// OrderIndex maps a live epoch to its commit-order index (-1 for nil or a
+// retired epoch) — the serialized form of an epoch pointer.
+func (g *Engine) OrderIndex(e *Epoch) int {
 	for i, live := range g.order {
 		if live == e {
 			return i
 		}
 	}
 	return -1
-}
-
-// OrderIndex maps a live epoch to its commit-order index (-1 for nil or a
-// retired epoch) — the serialized form of an epoch pointer.
-func (g *Engine) OrderIndex(e *Epoch) int {
-	if e == nil {
-		return -1
-	}
-	return g.orderIndex(e)
 }
 
 // EpochAt returns the live epoch at a commit-order index, or nil when the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"subthreads/internal/isa"
+	"subthreads/internal/snapbin"
 )
 
 // sampleTrace exercises every event kind, including back-to-back ALU runs
@@ -25,15 +26,21 @@ func sampleTrace() *Trace {
 	return b.Finish()
 }
 
+// encode renders traces back to back into one frame.
+func encode(ts ...*Trace) []byte {
+	w := snapbin.NewWriter(0)
+	for _, t := range ts {
+		t.Encode(w)
+	}
+	return w.Bytes()
+}
+
 func TestBinaryRoundTrip(t *testing.T) {
 	want := sampleTrace()
-	enc := want.AppendBinary(nil)
-	got, rest, err := DecodeBinary(enc)
-	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("DecodeBinary left %d bytes unconsumed", len(rest))
+	r := snapbin.NewReader(encode(want))
+	got := Decode(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
 	if !reflect.DeepEqual(got.Events(), want.Events()) {
 		t.Fatalf("events round-trip mismatch:\n got %v\nwant %v", got.Events(), want.Events())
@@ -55,19 +62,11 @@ func TestBinaryConcatenation(t *testing.T) {
 	b.ALU(42)
 	second := b.Finish()
 
-	buf := a.AppendBinary(nil)
-	buf = second.AppendBinary(buf)
-
-	gotA, rest, err := DecodeBinary(buf)
-	if err != nil {
-		t.Fatalf("decode first: %v", err)
-	}
-	gotB, rest, err := DecodeBinary(rest)
-	if err != nil {
-		t.Fatalf("decode second: %v", err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d trailing bytes", len(rest))
+	r := snapbin.NewReader(encode(a, second))
+	gotA := Decode(r)
+	gotB := Decode(r)
+	if err := r.Done(); err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(gotA.Events(), a.Events()) || !reflect.DeepEqual(gotB.Events(), second.Events()) {
 		t.Fatal("concatenated traces decoded out of order")
@@ -76,7 +75,7 @@ func TestBinaryConcatenation(t *testing.T) {
 
 // Garbage and truncation must produce errors, never panics.
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid := sampleTrace().AppendBinary(nil)
+	valid := encode(sampleTrace())
 	cases := map[string][]byte{
 		"empty":          {},
 		"truncated":      valid[:len(valid)/2],
@@ -87,8 +86,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"missing events": {5},
 	}
 	for name, data := range cases {
-		if _, _, err := DecodeBinary(data); err == nil {
-			t.Errorf("%s: DecodeBinary accepted malformed input", name)
+		r := snapbin.NewReader(data)
+		if tr := Decode(r); tr != nil || r.Err() == nil {
+			t.Errorf("%s: Decode accepted malformed input", name)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"subthreads/internal/isa"
 	"subthreads/internal/mem"
+	"subthreads/internal/snapbin"
 )
 
 func TestPackedIs12Bytes(t *testing.T) {
@@ -125,16 +126,17 @@ func TestPackedMatchesReference(t *testing.T) {
 		checkEvents(t, "Events", tr, want)
 		walkCursor(t, tr, want, rng)
 
-		enc := tr.AppendBinary(nil)
-		dec, rest, err := DecodeBinary(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("seed %d: DecodeBinary: %v (%d bytes left)", seed, err, len(rest))
+		enc := encode(tr)
+		r := snapbin.NewReader(enc)
+		dec := Decode(r)
+		if err := r.Done(); err != nil {
+			t.Fatalf("seed %d: Decode: %v", seed, err)
 		}
 		if !reflect.DeepEqual(dec, tr) {
 			t.Fatalf("seed %d: codec round trip changed the trace", seed)
 		}
 		checkEvents(t, "decoded", dec, want)
-		if again := dec.AppendBinary(nil); string(again) != string(enc) {
+		if again := encode(dec); string(again) != string(enc) {
 			t.Fatalf("seed %d: re-encoding a decoded trace changed its bytes", seed)
 		}
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 
 	"subthreads/internal/isa"
 	"subthreads/internal/sim"
+	"subthreads/internal/snapbin"
 	"subthreads/internal/trace"
 )
 
@@ -17,7 +17,7 @@ import (
 // content-addressed cache: everything the serving and reporting paths read
 // from a Built — the unit/trace program, the derived statistics, the PC
 // registry, the functional digest, and the per-transaction outputs — in a
-// compact custom frame (no gob/reflection).
+// compact custom frame (no gob/reflection) written and read through snapbin.
 //
 // The frame:
 //
@@ -30,7 +30,7 @@ import (
 //	                  zig-zag varint values
 //	pcs               uvarint name count, then length-prefixed names
 //	program           uvarint unit count, then per unit 1 flag byte
-//	                  (bit0 = barrier) + the trace (trace.AppendBinary)
+//	                  (bit0 = barrier) + the trace (Trace.Encode)
 //
 // builtVersion participates in CacheKey, so an encoding change simply
 // misses old entries instead of having to parse them; a same-version entry
@@ -73,215 +73,99 @@ func CacheKey(spec Spec, sequential bool) string {
 // EncodeBuilt renders b in the versioned binary cache format.
 func EncodeBuilt(b *Built) []byte {
 	// Programs run to a few MB of events; start with a roomy buffer.
-	buf := make([]byte, 0, 1<<16)
-	buf = append(buf, builtMagic...)
-	buf = append(buf, builtVersion)
+	w := snapbin.NewWriter(1 << 16)
+	w.Raw([]byte(builtMagic))
+	w.U8(builtVersion)
 
 	st := &b.Stats
-	buf = binary.AppendUvarint(buf, uint64(st.Txns))
-	buf = binary.AppendUvarint(buf, uint64(st.Epochs))
-	buf = binary.AppendUvarint(buf, st.TotalInstrs)
-	buf = binary.AppendUvarint(buf, st.IterInstrs)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.Coverage))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.AvgThreadSize))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.ThreadsPerTxn))
+	w.Uvarint(uint64(st.Txns))
+	w.Uvarint(uint64(st.Epochs))
+	w.Uvarint(st.TotalInstrs)
+	w.Uvarint(st.IterInstrs)
+	w.U64(math.Float64bits(st.Coverage))
+	w.U64(math.Float64bits(st.AvgThreadSize))
+	w.U64(math.Float64bits(st.ThreadsPerTxn))
 
-	buf = binary.LittleEndian.AppendUint64(buf, b.Digest)
+	w.U64(b.Digest)
 
-	buf = binary.AppendUvarint(buf, uint64(len(b.Outputs)))
+	w.Uvarint(uint64(len(b.Outputs)))
 	for _, vals := range b.Outputs {
-		buf = binary.AppendUvarint(buf, uint64(len(vals)))
+		w.Uvarint(uint64(len(vals)))
 		for _, v := range vals {
-			buf = binary.AppendVarint(buf, v)
+			w.Varint(v)
 		}
 	}
 
 	names := b.PCs.Names()
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
+	w.Uvarint(uint64(len(names)))
 	for _, n := range names {
-		buf = binary.AppendUvarint(buf, uint64(len(n)))
-		buf = append(buf, n...)
+		w.String(n)
 	}
 
-	buf = binary.AppendUvarint(buf, uint64(len(b.Program.Units)))
+	w.Uvarint(uint64(len(b.Program.Units)))
 	for _, u := range b.Program.Units {
 		flags := byte(0)
 		if u.Barrier {
 			flags |= 1
 		}
-		buf = append(buf, flags)
-		buf = u.Trace.AppendBinary(buf)
+		w.U8(flags)
+		u.Trace.Encode(w)
 	}
-	return buf
+	return w.Bytes()
 }
 
 // DecodeBuilt parses the binary cache format back into a Built. The result
 // is read-only shareable exactly like a fresh Build. Truncated or
 // inconsistent input returns an error, never a panic.
 func DecodeBuilt(data []byte) (*Built, error) {
-	if len(data) < len(builtMagic)+1 {
-		return nil, fmt.Errorf("workload: built frame truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(builtMagic)]) != builtMagic {
+	r := snapbin.NewReader(data)
+	if magic := r.Raw(len(builtMagic), "built magic"); r.Err() == nil && string(magic) != builtMagic {
 		return nil, fmt.Errorf("workload: bad built magic")
 	}
-	if v := data[len(builtMagic)]; v != builtVersion {
+	if v := r.U8("built version"); r.Err() == nil && v != builtVersion {
 		return nil, fmt.Errorf("workload: built encoding version %d, want %d", v, builtVersion)
 	}
-	data = data[len(builtMagic)+1:]
 
-	d := &builtDecoder{data: data}
 	b := &Built{Program: &sim.Program{}}
 	st := &b.Stats
-	st.Txns = int(d.uvarint("txns"))
-	st.Epochs = int(d.uvarint("epochs"))
-	st.TotalInstrs = d.uvarint("total instrs")
-	st.IterInstrs = d.uvarint("iter instrs")
-	st.Coverage = d.float64("coverage")
-	st.AvgThreadSize = d.float64("avg thread size")
-	st.ThreadsPerTxn = d.float64("threads per txn")
-	b.Digest = d.uint64("digest")
+	st.Txns = int(r.Uvarint("txns"))
+	st.Epochs = int(r.Uvarint("epochs"))
+	st.TotalInstrs = r.Uvarint("total instrs")
+	st.IterInstrs = r.Uvarint("iter instrs")
+	st.Coverage = math.Float64frombits(r.U64("coverage"))
+	st.AvgThreadSize = math.Float64frombits(r.U64("avg thread size"))
+	st.ThreadsPerTxn = math.Float64frombits(r.U64("threads per txn"))
+	b.Digest = r.U64("digest")
 
-	ntxn := d.uvarint("output txns")
-	if d.err == nil && ntxn > maxOutputs {
-		d.fail(fmt.Errorf("implausible output count %d", ntxn))
-	}
-	if d.err == nil {
-		b.Outputs = make([][]int64, 0, ntxn)
-	}
-	for i := uint64(0); i < ntxn && d.err == nil; i++ {
-		nvals := d.uvarint("output values")
-		if nvals > maxOutputs {
-			d.fail(fmt.Errorf("implausible output width %d", nvals))
-			break
+	b.Outputs = make([][]int64, r.Count("output txns", maxOutputs))
+	for i := range b.Outputs {
+		vals := make([]int64, r.Count("output values", maxOutputs))
+		for j := range vals {
+			vals[j] = r.Varint("output value")
 		}
-		vals := make([]int64, 0, nvals)
-		for j := uint64(0); j < nvals && d.err == nil; j++ {
-			vals = append(vals, d.varint("output value"))
-		}
-		b.Outputs = append(b.Outputs, vals)
+		b.Outputs[i] = vals
 	}
 
-	nnames := d.uvarint("pc names")
-	if d.err == nil && nnames > maxNames {
-		d.fail(fmt.Errorf("implausible name count %d", nnames))
-	}
-	names := make([]string, 0, min(nnames, maxNames))
-	for i := uint64(0); i < nnames && d.err == nil; i++ {
-		names = append(names, d.str("pc name"))
+	names := make([]string, r.Count("pc names", maxNames))
+	for i := range names {
+		names[i] = r.String("pc name", maxNameLen)
 	}
 	b.PCs = isa.PCRegistryFromNames(names)
 
-	nunits := d.uvarint("units")
-	if d.err == nil && nunits > maxUnits {
-		d.fail(fmt.Errorf("implausible unit count %d", nunits))
-	}
-	if d.err == nil {
-		b.Program.Units = make([]sim.Unit, 0, nunits)
-	}
-	for i := uint64(0); i < nunits && d.err == nil; i++ {
-		flags := d.byte("unit flags")
-		if d.err != nil {
+	b.Program.Units = make([]sim.Unit, r.Count("units", maxUnits))
+	for i := range b.Program.Units {
+		flags := r.U8("unit flags")
+		t := trace.Decode(r)
+		if t == nil {
 			break
 		}
-		t, rest, err := trace.DecodeBinary(d.data)
-		if err != nil {
-			d.fail(err)
-			break
-		}
-		d.data = rest
-		b.Program.Units = append(b.Program.Units, sim.Unit{Trace: t, Barrier: flags&1 != 0})
+		b.Program.Units[i] = sim.Unit{Trace: t, Barrier: flags&1 != 0}
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("workload: %w", d.err)
-	}
-	if len(d.data) != 0 {
-		return nil, fmt.Errorf("workload: %d trailing bytes after built frame", len(d.data))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("workload: built frame: %w", err)
 	}
 	if b.PCs.Len() != len(names) {
 		return nil, fmt.Errorf("workload: duplicate pc names in built frame")
 	}
 	return b, nil
-}
-
-// builtDecoder is a cursor with sticky error handling over the frame body.
-type builtDecoder struct {
-	data []byte
-	err  error
-}
-
-func (d *builtDecoder) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *builtDecoder) uvarint(field string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 {
-		d.fail(fmt.Errorf("bad varint for %s", field))
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
-}
-
-func (d *builtDecoder) varint(field string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data)
-	if n <= 0 {
-		d.fail(fmt.Errorf("bad varint for %s", field))
-		return 0
-	}
-	d.data = d.data[n:]
-	return v
-}
-
-func (d *builtDecoder) uint64(field string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) < 8 {
-		d.fail(fmt.Errorf("truncated %s", field))
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.data)
-	d.data = d.data[8:]
-	return v
-}
-
-func (d *builtDecoder) float64(field string) float64 {
-	return math.Float64frombits(d.uint64(field))
-}
-
-func (d *builtDecoder) byte(field string) byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) == 0 {
-		d.fail(fmt.Errorf("truncated %s", field))
-		return 0
-	}
-	v := d.data[0]
-	d.data = d.data[1:]
-	return v
-}
-
-func (d *builtDecoder) str(field string) string {
-	n := d.uvarint(field + " length")
-	if d.err != nil {
-		return ""
-	}
-	if n > maxNameLen || uint64(len(d.data)) < n {
-		d.fail(fmt.Errorf("bad length %d for %s", n, field))
-		return ""
-	}
-	s := string(d.data[:n])
-	d.data = d.data[n:]
-	return s
 }

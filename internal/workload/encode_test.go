@@ -2,6 +2,8 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -107,6 +109,34 @@ func TestEncodeBuiltDeterministic(t *testing.T) {
 	enc2 := EncodeBuilt(dec)
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatal("encode(decode(encode(b))) != encode(b)")
+	}
+}
+
+// TestBuiltFramesPinned pins the bytes of the Built frame for NEW ORDER and
+// DELIVERY, TLS and SEQUENTIAL, at -txns 3 -warmup 1. The CAS keeps these
+// frames across restarts under a key that folds in builtVersion, so a change
+// that moves one byte must bump builtVersion and re-pin.
+func TestBuiltFramesPinned(t *testing.T) {
+	for _, c := range []struct {
+		bench      tpcc.Benchmark
+		sequential bool
+		size       int
+		sum        string
+	}{
+		{tpcc.NewOrder, false, 1871049, "10215ad74e7136c8"},
+		{tpcc.NewOrder, true, 1906050, "0b0b9ff9b37a1e27"},
+		{tpcc.Delivery, false, 8696021, "79696bb2dc7bcf7b"},
+		{tpcc.Delivery, true, 8706617, "72e4500a1bcadc8a"},
+	} {
+		spec := DefaultSpec(c.bench)
+		spec.Txns = 3
+		spec.Warmup = 1
+		enc := EncodeBuilt(Build(spec, c.sequential))
+		sum := sha256.Sum256(enc)
+		if got := hex.EncodeToString(sum[:8]); got != c.sum || len(enc) != c.size {
+			t.Errorf("%v sequential=%v: %d bytes, digest %s; want %d bytes, digest %s",
+				c.bench, c.sequential, len(enc), got, c.size, c.sum)
+		}
 	}
 }
 
