@@ -48,10 +48,6 @@ func (e *Env) NewCtx(rec trace.Recorder, slot int) *Ctx {
 	}
 }
 
-// SetRecorder redirects subsequent emission (used when one logical context
-// spans several recorded traces).
-func (c *Ctx) SetRecorder(rec trace.Recorder) { c.rec = rec }
-
 // Env returns the owning environment.
 func (c *Ctx) Env() *Env { return c.env }
 

@@ -329,7 +329,7 @@ func TestLogTailDependenceRemovedByPerEpochLog(t *testing.T) {
 // to shared lock-table metadata.
 func lockStores(e *Env, c *Ctx, tree *Tree, key int64) int {
 	b := trace.NewBuilder()
-	c.SetRecorder(b)
+	c.rec = b
 	c.Lock(tree, key, true)
 	n := 0
 	for _, p := range b.Finish().Events() {
@@ -486,7 +486,7 @@ func TestRowFieldAddresses(t *testing.T) {
 		t.Error("fields not 8 bytes apart")
 	}
 	b := trace.NewBuilder()
-	c.SetRecorder(b)
+	c.rec = b
 	r.WriteField(c, 2, 99)
 	if v := r.ReadField(c, 2); v != 99 {
 		t.Errorf("ReadField = %d", v)

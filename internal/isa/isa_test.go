@@ -83,3 +83,25 @@ func TestPCRegistry(t *testing.T) {
 		t.Errorf("Len = %d, want 2", r.Len())
 	}
 }
+
+// A trace entry holds a PC of at most MaxPC, so the registry issues MaxPC
+// and refuses the site after it, leaving itself as it was. The test starts
+// the registry at MaxPC rather than register 2^27 sites.
+func TestPCRegistryStopsAtMaxPC(t *testing.T) {
+	r := NewPCRegistry()
+	r.next = MaxPC
+	if pc := r.Site("last"); pc != MaxPC {
+		t.Fatalf("Site issued %d, want MaxPC %d", pc, MaxPC)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Site issued a PC past MaxPC")
+			}
+		}()
+		r.Site("one too many")
+	}()
+	if r.Len() != 1 || r.Site("last") != MaxPC {
+		t.Errorf("refused site changed the registry: Len %d", r.Len())
+	}
+}

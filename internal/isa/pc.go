@@ -1,11 +1,18 @@
 package isa
 
+import "fmt"
+
 // PC is a synthetic program counter. The workload substrate registers one PC
 // per static instrumentation site (a named load, store, or branch in the
 // database engine), so the profiling support of §3.1 — which reports
 // load/store PC pairs to the programmer — has stable, human-readable PCs to
 // work with.
 type PC uint32
+
+// MaxPC is the largest PC a registry issues. A trace entry packs its PC into
+// 27 bits (internal/trace), so the registry stops there; real programs
+// register a few hundred sites.
+const MaxPC PC = 1<<27 - 1
 
 // PCRegistry assigns stable PCs to named instrumentation sites. It is not
 // safe for concurrent use; the simulator is single-goroutine by design
@@ -28,12 +35,16 @@ func NewPCRegistry() *PCRegistry {
 
 // Site returns the PC for name, assigning a fresh one on first use.
 // PCs are assigned densely starting at 1, spaced by 4 when converted with
-// Addr to resemble real instruction addresses.
+// Addr to resemble real instruction addresses. Site panics rather than
+// issue a PC past MaxPC.
 func (r *PCRegistry) Site(name string) PC {
 	if pc, ok := r.byName[name]; ok {
 		return pc
 	}
 	pc := r.next
+	if pc > MaxPC {
+		panic(fmt.Sprintf("isa: more than %d instrumentation sites", MaxPC))
+	}
 	r.next++
 	r.byName[name] = pc
 	r.names = append(r.names, name)

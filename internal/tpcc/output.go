@@ -12,7 +12,7 @@ package tpcc
 func (d *DB) out(vs ...int64) { d.lastOut = append(d.lastOut, vs...) }
 
 // LastOutput returns a copy of the client-visible output of the most recent
-// RunTxn call.
+// RunTxn or Warm call.
 func (d *DB) LastOutput() []int64 {
 	return append([]int64(nil), d.lastOut...)
 }

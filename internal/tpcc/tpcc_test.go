@@ -1,10 +1,14 @@
 package tpcc
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"subthreads/internal/db"
 	"subthreads/internal/mem"
+	"subthreads/internal/trace"
 )
 
 func tinyScale() Scale {
@@ -408,5 +412,41 @@ func TestStockLevelAggregationEmission(t *testing.T) {
 	}
 	if aggStores == 0 {
 		t.Error("stock level iterations never touch the shared aggregation workspace")
+	}
+}
+
+// Warm leaves the database, its PCs and the next recorded transaction
+// exactly as RunTxn does, and records nothing on the way: it allocates less
+// than half of what the entries RunTxn recorded take alone, where recording
+// them costs twice that (the Builder's chunks and Finish's copy).
+func TestWarmRecordsNothing(t *testing.T) {
+	for _, b := range []Benchmark{NewOrder, Payment, OrderStatus, Delivery, DeliveryOuter, StockLevel} {
+		for _, mode := range []Mode{ModeFlat, ModeTLS} {
+			rec, warm := loadTiny(t, db.OptAll()), loadTiny(t, db.OptAll())
+			ins := GenInputs(b, tinyScale(), 5, 3)
+			var entries uint64
+			for _, in := range ins[:2] {
+				for _, seg := range rec.RunTxn(in, mode) {
+					entries += uint64(len(seg.Trace.Events()))
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, in := range ins[:2] {
+				warm.Warm(in, mode)
+			}
+			runtime.ReadMemStats(&after)
+			n, size := after.TotalAlloc-before.TotalAlloc, entries*uint64(unsafe.Sizeof(trace.Packed(0)))
+			if n >= size/2 {
+				t.Errorf("%v mode %d: Warm allocated %d bytes; the %d entries RunTxn recorded take %d", b, mode, n, entries, size)
+			}
+			if warm.Env.StateDigest() != rec.Env.StateDigest() ||
+				!reflect.DeepEqual(warm.Env.PCs.Names(), rec.Env.PCs.Names()) {
+				t.Errorf("%v mode %d: Warm left another database state or PC registry than RunTxn", b, mode)
+			}
+			if !reflect.DeepEqual(warm.RunTxn(ins[2], mode), rec.RunTxn(ins[2], mode)) {
+				t.Errorf("%v mode %d: the transaction after Warm recorded another trace", b, mode)
+			}
+		}
 	}
 }

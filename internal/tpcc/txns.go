@@ -39,29 +39,35 @@ const (
 )
 
 // emitter drives one transaction execution, cutting the recorded stream into
-// segments at loop boundaries.
+// segments at loop boundaries. Its one Builder records every segment of the
+// transaction, reset after each cut; an unrecorded execution has none and
+// emits into trace.Null.
 type emitter struct {
 	d       *DB
 	mode    Mode
 	segs    []Segment
-	b       *trace.Builder
+	b       *trace.Builder // nil when the execution is not recorded
+	rec     trace.Recorder // b, or trace.Null
 	curIter bool
 	serial  *db.Ctx
 	txn     *db.Txn
 	iterIdx int
 }
 
-func newEmitter(d *DB, mode Mode) *emitter {
-	em := &emitter{d: d, mode: mode, b: trace.NewBuilder()}
-	em.serial = d.Env.NewCtx(em.b, serialSlot)
+func newEmitter(d *DB, mode Mode, b *trace.Builder) *emitter {
+	em := &emitter{d: d, mode: mode, b: b, rec: trace.Null{}}
+	if b != nil {
+		em.rec = b
+	}
+	em.serial = d.Env.NewCtx(em.rec, serialSlot)
 	return em
 }
 
 // cut closes the current segment (if non-empty) and starts a new one.
 func (em *emitter) cut(nextIter bool) {
-	if em.b.Instrs() > 0 {
+	if em.b != nil && em.b.Instrs() > 0 {
 		em.segs = append(em.segs, Segment{Trace: em.b.Finish(), Iter: em.curIter})
-		em.b = trace.NewBuilder()
+		em.b.Reset()
 	}
 	em.curIter = nextIter
 }
@@ -83,7 +89,7 @@ func (em *emitter) beginIter() *db.Ctx {
 	nslots := em.d.Env.Config().Contexts
 	slot := 1 + em.iterIdx%(nslots-1)
 	em.iterIdx++
-	c := em.d.Env.NewCtx(em.b, slot)
+	c := em.d.Env.NewCtx(em.rec, slot)
 	c.AttachTxn(em.txn)
 	c.Work("tls.spawn", tlsSpawnOverhead)
 	return c
@@ -103,7 +109,6 @@ func (em *emitter) endLoop() *db.Ctx {
 		return em.serial
 	}
 	em.cut(false)
-	em.serial.SetRecorder(em.b)
 	return em.serial
 }
 
@@ -118,31 +123,43 @@ func (em *emitter) finish() []Segment {
 // execution would — the simulator's job is to preserve precisely these
 // semantics under speculation.
 func (d *DB) RunTxn(in Input, mode Mode) []Segment {
+	return d.run(in, newEmitter(d, mode, trace.NewBuilder()))
+}
+
+// Warm executes one transaction exactly as RunTxn does, leaving the same
+// database state and registering the same PCs, but records nothing: the
+// warm-up that precedes a measured stream.
+func (d *DB) Warm(in Input, mode Mode) {
+	d.run(in, newEmitter(d, mode, nil))
+}
+
+// run executes in through em and returns the segments em recorded.
+func (d *DB) run(in Input, em *emitter) []Segment {
 	d.lastOut = d.lastOut[:0]
 	switch in.Bench {
 	case NewOrder, NewOrder150:
-		return d.newOrder(in, mode)
+		d.newOrder(in, em)
 	case Payment:
-		return d.payment(in, mode)
+		d.payment(in, em)
 	case OrderStatus:
-		return d.orderStatus(in, mode)
+		d.orderStatus(in, em)
 	case Delivery:
-		return d.delivery(in, mode, false)
+		d.delivery(in, em, false)
 	case DeliveryOuter:
-		return d.delivery(in, mode, true)
+		d.delivery(in, em, true)
 	case StockLevel:
-		return d.stockLevel(in, mode)
+		d.stockLevel(in, em)
 	default:
 		panic(fmt.Sprintf("tpcc: unknown benchmark %v", in.Bench))
 	}
+	return em.finish()
 }
 
 // newOrder is the TPC-C NEW ORDER transaction with its per-order-line loop
 // parallelized — the paper's flagship workload (§1, §4.1). Each order line
 // reads ITEM, reads and updates STOCK, and inserts an ORDER_LINE row.
-func (d *DB) newOrder(in Input, mode Mode) []Segment {
+func (d *DB) newOrder(in Input, em *emitter) {
 	sqlRow := d.Env.Config().Costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 
 	c.Work("sql.neworder.begin", sqlRow)
@@ -190,7 +207,7 @@ func (d *DB) newOrder(in Input, mode Mode) []Segment {
 				delete(d.lastOrder, CustKey(in.D, in.C))
 			}
 			d.out(-1) // rolled back
-			return em.finish()
+			return
 		}
 		price := irow.ReadField(ic, IPrice)
 
@@ -229,16 +246,14 @@ func (d *DB) newOrder(in Input, mode Mode) []Segment {
 	c = em.endLoop()
 	c.Work("sql.neworder.total", sqlRow/2)
 	c.Commit()
-	return em.finish()
 }
 
 // payment is TPC-C PAYMENT: warehouse/district YTD updates and a customer
 // payment, with the customer selected by last name. The parallelized loop is
 // the last-name candidate scan — short, which is why the paper finds PAYMENT
 // "lacks significant parallelism in the transaction code".
-func (d *DB) payment(in Input, mode Mode) []Segment {
+func (d *DB) payment(in Input, em *emitter) {
 	sqlRow := d.Env.Config().Costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 
 	c.Work("sql.payment.warehouse", sqlRow)
@@ -279,14 +294,12 @@ func (d *DB) payment(in Input, mode Mode) []Segment {
 	hrow.WriteField(c, 0, CustKey(in.D, chosen))
 	d.History.Insert(c, d.histSeq, hrow)
 	c.Commit()
-	return em.finish()
 }
 
 // orderStatus is TPC-C ORDER STATUS: look up a customer by last name, then
 // read their most recent order and its lines. Like PAYMENT, the only loop
 // worth parallelizing (the candidate scan) is short.
-func (d *DB) orderStatus(in Input, mode Mode) []Segment {
-	em := newEmitter(d, mode)
+func (d *DB) orderStatus(in Input, em *emitter) {
 	c := em.begin()
 	c.Work("sql.orderstatus.setup", 6000)
 
@@ -323,7 +336,6 @@ func (d *DB) orderStatus(in Input, mode Mode) []Segment {
 		}
 	}
 	c.Commit()
-	return em.finish()
 }
 
 // delivery is TPC-C DELIVERY: for each of the 10 districts, deliver the
@@ -332,10 +344,9 @@ func (d *DB) orderStatus(in Input, mode Mode) []Segment {
 // paper parallelizes either the inner per-order-line loop (63% coverage,
 // ~33k-instruction threads) or the outer per-district loop (99% coverage,
 // ~490k-instruction threads).
-func (d *DB) delivery(in Input, mode Mode, outer bool) []Segment {
+func (d *DB) delivery(in Input, em *emitter, outer bool) {
 	costs := d.Env.Config().Costs
 	sqlRow := costs.SQLRow
-	em := newEmitter(d, mode)
 	c := em.begin()
 	c.Work("sql.delivery.begin", sqlRow/2)
 
@@ -416,7 +427,6 @@ func (d *DB) delivery(in Input, mode Mode, outer bool) []Segment {
 
 	c = em.endLoop()
 	c.Commit()
-	return em.finish()
 }
 
 // stockLevel is TPC-C STOCK LEVEL: join the order lines of the district's 20
@@ -424,8 +434,7 @@ func (d *DB) delivery(in Input, mode Mode, outer bool) []Segment {
 // parallelized loop is per recent order; the work is read-only, which is why
 // this transaction approaches the NO SPECULATION upper bound once its cache
 // behaviour allows.
-func (d *DB) stockLevel(in Input, mode Mode) []Segment {
-	em := newEmitter(d, mode)
+func (d *DB) stockLevel(in Input, em *emitter) {
 	c := em.begin()
 	c.Work("sql.stocklevel.district", 4000)
 	drow, _ := d.District.Get(c, int64(in.D))
@@ -479,7 +488,6 @@ func (d *DB) stockLevel(in Input, mode Mode) []Segment {
 	c.Work("sql.stocklevel.count", 2000+len(distinct)*20)
 	d.out(int64(len(distinct)))
 	c.Commit()
-	return em.finish()
 }
 
 // lastNameCandidates returns the customers in the input's district matching

@@ -40,8 +40,8 @@ func (t *Trace) ValidPos(p Pos) bool {
 	switch {
 	case p.idx < 0 || p.idx > len(t.events) || p.done > t.instrs:
 		return false
-	case p.idx < len(t.events) && t.events[p.idx].kind == isa.ALU:
-		return p.off < t.events[p.idx].arg
+	case p.idx < len(t.events) && t.events[p.idx].Kind() == isa.ALU:
+		return p.off < t.events[p.idx].arg()
 	default:
 		return p.off == 0
 	}
@@ -86,7 +86,7 @@ func (c *Cursor) Rewind() { c.pos = Pos{} }
 // Pos.Offset).
 func (c *Cursor) Head() (p Packed, ok bool) {
 	if c.pos.idx >= len(c.t.events) {
-		return Packed{}, false
+		return 0, false
 	}
 	return c.t.events[c.pos.idx], true
 }
@@ -95,7 +95,7 @@ func (c *Cursor) Head() (p Packed, ok bool) {
 // returns how many it consumed, so a 4-wide core can consume a long run
 // across several cycles. The entry at the cursor must be an ALU run.
 func (c *Cursor) TakeALU(max uint32) uint32 {
-	run := c.t.events[c.pos.idx].arg
+	run := c.t.events[c.pos.idx].arg()
 	n := min(run-c.pos.off, max)
 	c.pos.off += n
 	c.pos.done += uint64(n)
@@ -121,13 +121,14 @@ func (c *Cursor) Next(maxALU uint32) (ev Event, ok bool) {
 	if c.AtEnd() {
 		return Event{}, false
 	}
-	p := &c.t.events[c.pos.idx]
-	if p.kind != isa.ALU {
+	p := c.t.events[c.pos.idx]
+	if k := p.Kind(); k != isa.ALU {
 		c.pos.idx++
 		c.pos.done++
-		return Event{Kind: p.kind, PC: p.pc, Addr: mem.Addr(p.arg), N: 1, Taken: p.taken}, true
+		return Event{Kind: k, PC: p.PC(), Addr: mem.Addr(p.arg()), N: 1, Taken: p.Taken()}, true
 	}
-	n := p.arg - c.pos.off
+	run := p.arg()
+	n := run - c.pos.off
 	if maxALU < n {
 		n = maxALU
 	}
@@ -137,7 +138,7 @@ func (c *Cursor) Next(maxALU uint32) (ev Event, ok bool) {
 	}
 	c.pos.off += n
 	c.pos.done += uint64(n)
-	if c.pos.off == p.arg {
+	if c.pos.off == run {
 		c.pos.idx++
 		c.pos.off = 0
 	}

@@ -28,18 +28,17 @@ const maxEvents = 1 << 28
 // Encode appends the compact encoding of t to w.
 func (t *Trace) Encode(w *snapbin.Writer) {
 	w.Uvarint(uint64(len(t.events)))
-	for i := range t.events {
-		p := &t.events[i]
-		w.U8(byte(p.kind))
-		switch p.kind {
+	for _, p := range t.events {
+		w.U8(byte(p.Kind()))
+		switch p.Kind() {
 		case isa.ALU:
-			w.Uvarint(uint64(p.arg))
+			w.Uvarint(uint64(p.arg()))
 		case isa.Branch:
-			w.Uvarint(uint64(p.pc))
-			w.Bool(p.taken)
+			w.Uvarint(uint64(p.PC()))
+			w.Bool(p.Taken())
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
-			w.Uvarint(uint64(p.pc))
-			w.Uvarint(uint64(p.arg))
+			w.Uvarint(uint64(p.PC()))
+			w.Uvarint(uint64(p.arg()))
 		default:
 			// Long-latency ops (IntMul, IntDiv, FP*) carry only their kind.
 		}
@@ -47,8 +46,8 @@ func (t *Trace) Encode(w *snapbin.Writer) {
 }
 
 // Decode decodes one trace from r. Every field is bounds-checked: a
-// truncated or inconsistent stream latches an error in r and returns nil,
-// never panics.
+// truncated or inconsistent stream, or a PC past isa.MaxPC, latches an
+// error in r and returns nil, never panics.
 func Decode(r *snapbin.Reader) *Trace {
 	// Count caps the events at the bytes left: each costs at least its
 	// kind byte.
@@ -63,36 +62,39 @@ func Decode(r *snapbin.Reader) *Trace {
 			r.Failf("trace: unknown event kind %d", kind)
 			return nil
 		}
-		p, run := Packed{kind: kind}, uint32(1)
+		var pc, arg uint64
+		taken, run := false, uint32(1)
 		switch kind {
 		case isa.ALU:
-			v := r.Uvarint("alu run")
-			if v == 0 || v > math.MaxUint32 {
-				r.Failf("trace: bad alu run length %d", v)
+			arg = r.Uvarint("alu run")
+			if arg == 0 || arg > math.MaxUint32 {
+				r.Failf("trace: bad alu run length %d", arg)
 				return nil
 			}
-			p.arg, run = uint32(v), uint32(v)
+			run = uint32(arg)
 		case isa.Branch:
-			pc := r.Uvarint("branch pc")
-			p.taken = r.U8("branch outcome") != 0
-			if pc > math.MaxUint32 {
-				r.Failf("trace: branch pc %d out of range", pc)
-				return nil
-			}
-			p.pc = isa.PC(pc)
+			pc = r.Uvarint("branch pc")
+			taken = r.U8("branch outcome") != 0
 		case isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease:
-			pc, addr := r.Uvarint("mem pc"), r.Uvarint("mem addr")
-			if pc > math.MaxUint32 || addr > math.MaxUint32 {
-				r.Failf("trace: pc %d / addr %d out of range", pc, addr)
+			pc, arg = r.Uvarint("mem pc"), r.Uvarint("mem addr")
+			if arg > math.MaxUint32 {
+				r.Failf("trace: addr %d out of range", arg)
 				return nil
 			}
-			p.pc, p.arg = isa.PC(pc), uint32(addr)
 		}
 		if r.Err() != nil {
 			return nil
 		}
+		if pc > uint64(isa.MaxPC) {
+			r.Failf("trace: pc %d past the largest issued pc %d", pc, isa.MaxPC)
+			return nil
+		}
 		// The recorded sequence is kept exactly (no ALU merging), while
 		// instrs and per-kind counts are recomputed from it.
+		p := pack(kind, isa.PC(pc), uint32(arg))
+		if taken {
+			p |= takenBit
+		}
 		t.events[i] = p
 		t.count(kind, run)
 	}

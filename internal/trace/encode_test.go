@@ -92,3 +92,32 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// A PC past isa.MaxPC does not fit an entry: Decode rejects it with an
+// error, whatever kind carries it, and accepts isa.MaxPC itself.
+func TestDecodeRejectsPCPastBound(t *testing.T) {
+	frame := func(kind isa.Kind, pc uint64) []byte {
+		w := snapbin.NewWriter(0)
+		w.Uvarint(1)
+		w.U8(byte(kind))
+		w.Uvarint(pc)
+		if kind == isa.Branch {
+			w.Bool(true)
+		} else {
+			w.Uvarint(0x1000)
+		}
+		return w.Bytes()
+	}
+	for _, kind := range []isa.Kind{isa.Branch, isa.Load, isa.Store, isa.LatchAcquire, isa.LatchRelease} {
+		r := snapbin.NewReader(frame(kind, uint64(isa.MaxPC)))
+		if tr := Decode(r); r.Done() != nil || tr.Events()[0].PC() != isa.MaxPC || tr.Events()[0].Kind() != kind {
+			t.Errorf("%v at pc %d: Decode gave %v, %v", kind, isa.MaxPC, tr, r.Err())
+		}
+		for _, pc := range []uint64{uint64(isa.MaxPC) + 1, 1 << 32} {
+			r := snapbin.NewReader(frame(kind, pc))
+			if tr := Decode(r); tr != nil || r.Err() == nil {
+				t.Errorf("%v at pc %d: Decode accepted it", kind, pc)
+			}
+		}
+	}
+}

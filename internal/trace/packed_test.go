@@ -11,9 +11,9 @@ import (
 	"subthreads/internal/snapbin"
 )
 
-func TestPackedIs12Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(Packed{}); n != 12 {
-		t.Fatalf("Packed is %d bytes, want 12", n)
+func TestPackedIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Packed(0)); n != 8 {
+		t.Fatalf("Packed is %d bytes, want 8", n)
 	}
 }
 
@@ -74,12 +74,14 @@ func (b both) Branch(pc isa.PC, taken bool)       { b[0].Branch(pc, taken); b[1]
 func (b both) LatchAcquire(pc isa.PC, a mem.Addr) { b[0].LatchAcquire(pc, a); b[1].LatchAcquire(pc, a) }
 func (b both) LatchRelease(pc isa.PC, a mem.Addr) { b[0].LatchRelease(pc, a); b[1].LatchRelease(pc, a) }
 
-// recordRandom drives r with a seeded sequence over every kind, full-range
-// PCs and addresses, and back-to-back ALU calls (merges, and ALU(0), which
-// records nothing). The sequence fills several chunks, and every chunk ends
-// with an ALU run that the next call merges into from across the boundary.
+// recordRandom drives r with a seeded sequence over every kind, PCs up to
+// isa.MaxPC, full-range addresses, and back-to-back ALU calls (merges, and
+// ALU(0), which records nothing). The sequence fills several chunks, and
+// every chunk ends with an ALU run that the next call merges into from
+// across the boundary.
 func recordRandom(r Recorder, b *Builder, rng *rand.Rand) {
 	word := func() uint32 { return rng.Uint32() }
+	pc := func() isa.PC { return isa.PC(rng.Int63n(int64(isa.MaxPC) + 1)) }
 	for b.n < 4*chunkEvents+100 {
 		if b.n%chunkEvents == chunkEvents-2 {
 			r.Op(isa.IntMul)
@@ -92,15 +94,15 @@ func recordRandom(r Recorder, b *Builder, rng *rand.Rand) {
 				r.ALU(uint32(rng.Intn(12)))
 			}
 		case isa.Load:
-			r.Load(isa.PC(word()), mem.Addr(word()))
+			r.Load(pc(), mem.Addr(word()))
 		case isa.Store:
-			r.Store(isa.PC(word()), mem.Addr(word()))
+			r.Store(pc(), mem.Addr(word()))
 		case isa.Branch:
-			r.Branch(isa.PC(word()), rng.Intn(2) == 0)
+			r.Branch(pc(), rng.Intn(2) == 0)
 		case isa.LatchAcquire:
-			r.LatchAcquire(isa.PC(word()), mem.Addr(word()))
+			r.LatchAcquire(pc(), mem.Addr(word()))
 		case isa.LatchRelease:
-			r.LatchRelease(isa.PC(word()), mem.Addr(word()))
+			r.LatchRelease(pc(), mem.Addr(word()))
 		default:
 			r.Op(k)
 		}

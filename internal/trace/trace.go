@@ -37,33 +37,45 @@ func (e Event) String() string {
 	}
 }
 
-// Packed is the in-memory form of one trace entry, 12 bytes where Event
-// takes 20. Its one 32-bit argument is the address for memory and latch
-// kinds, the run length for ALU runs and zero otherwise, so a non-ALU entry
-// decodes to an Event field by field, whatever its kind.
-type Packed struct {
-	pc    isa.PC
-	arg   uint32
-	kind  isa.Kind
-	taken bool
+// Packed is the in-memory form of one trace entry, one 64-bit word where
+// Event takes 20 bytes. The low 32 bits hold the entry's argument: the
+// address for memory and latch kinds, the run length for ALU runs and zero
+// otherwise. Above it sit a 27-bit PC (isa.MaxPC bounds every issued PC),
+// the 4-bit kind and the branch outcome, so a non-ALU entry decodes to an
+// Event field by field, whatever its kind.
+type Packed uint64
+
+const (
+	pcShift   = 32
+	kindShift = pcShift + 27
+	takenBit  = Packed(1) << 63
+)
+
+// pack builds an entry. It masks pc to its 27 bits, so an entry keeps its
+// kind whatever PC a caller passes.
+func pack(k isa.Kind, pc isa.PC, arg uint32) Packed {
+	return Packed(arg) | Packed(pc&isa.MaxPC)<<pcShift | Packed(k)<<kindShift
 }
 
 // Kind reports the entry's kind.
-func (p Packed) Kind() isa.Kind { return p.kind }
+func (p Packed) Kind() isa.Kind { return isa.Kind(p >> kindShift & 0xf) }
 
 // PC reports the entry's instrumentation site; it is 0 for ALU runs and
 // long-latency ops.
-func (p Packed) PC() isa.PC { return p.pc }
+func (p Packed) PC() isa.PC { return isa.PC(p>>pcShift) & isa.MaxPC }
 
 // Taken reports a branch entry's outcome.
-func (p Packed) Taken() bool { return p.taken }
+func (p Packed) Taken() bool { return p&takenBit != 0 }
+
+// arg reports the entry's argument: an address, or an ALU run's length.
+func (p Packed) arg() uint32 { return uint32(p) }
 
 // Event decodes p.
 func (p Packed) Event() Event {
-	if p.kind == isa.ALU {
-		return Event{Kind: isa.ALU, N: p.arg}
+	if p.Kind() == isa.ALU {
+		return Event{Kind: isa.ALU, N: p.arg()}
 	}
-	return Event{Kind: p.kind, PC: p.pc, Addr: mem.Addr(p.arg), N: 1, Taken: p.taken}
+	return Event{Kind: p.Kind(), PC: p.PC(), Addr: mem.Addr(p.arg()), N: 1, Taken: p.Taken()}
 }
 
 func (p Packed) String() string { return p.Event().String() }
@@ -107,12 +119,14 @@ type Recorder interface {
 	LatchRelease(pc isa.PC, addr mem.Addr)
 }
 
-// chunkEvents is the size of one Builder chunk: 1,024 entries, 12 KiB.
+// chunkEvents is the size of one Builder chunk: 1,024 entries, 8 KiB.
 const chunkEvents = 1 << 10
 
 // Builder accumulates events into a Trace, merging consecutive ALU runs. It
 // appends into fixed-size chunks, so recording never copies what it already
-// holds; Finish copies the chunks once into an exact-size trace.
+// holds; Finish copies the chunks once into an exact-size trace. PCs are
+// those an isa.PCRegistry issues: a PC past isa.MaxPC is recorded modulo
+// 2^27.
 type Builder struct {
 	chunks []*[chunkEvents]Packed // allocated chunks; the first n entries are recorded
 	n      int
@@ -150,17 +164,17 @@ func (b *Builder) push(p Packed, n uint32) {
 	}
 	b.chunks[c][i] = p
 	b.n++
-	b.t.count(p.kind, n)
+	b.t.count(p.Kind(), n)
 }
 
 // Load implements Recorder.
 func (b *Builder) Load(pc isa.PC, addr mem.Addr) {
-	b.push(Packed{kind: isa.Load, pc: pc, arg: uint32(addr)}, 1)
+	b.push(pack(isa.Load, pc, uint32(addr)), 1)
 }
 
 // Store implements Recorder.
 func (b *Builder) Store(pc isa.PC, addr mem.Addr) {
-	b.push(Packed{kind: isa.Store, pc: pc, arg: uint32(addr)}, 1)
+	b.push(pack(isa.Store, pc, uint32(addr)), 1)
 }
 
 // ALU implements Recorder, merging into a preceding ALU run when possible.
@@ -169,33 +183,37 @@ func (b *Builder) ALU(n uint32) {
 		return
 	}
 	if b.n > 0 {
-		if last := &b.chunks[(b.n-1)/chunkEvents][(b.n-1)%chunkEvents]; last.kind == isa.ALU {
-			last.arg += n
+		if last := &b.chunks[(b.n-1)/chunkEvents][(b.n-1)%chunkEvents]; last.Kind() == isa.ALU {
+			*last = pack(isa.ALU, 0, last.arg()+n)
 			b.t.count(isa.ALU, n)
 			return
 		}
 	}
-	b.push(Packed{kind: isa.ALU, arg: n}, n)
+	b.push(pack(isa.ALU, 0, n), n)
 }
 
 // Op implements Recorder.
 func (b *Builder) Op(k isa.Kind) {
-	b.push(Packed{kind: k}, 1)
+	b.push(pack(k, 0, 0), 1)
 }
 
 // Branch implements Recorder.
 func (b *Builder) Branch(pc isa.PC, taken bool) {
-	b.push(Packed{kind: isa.Branch, pc: pc, taken: taken}, 1)
+	p := pack(isa.Branch, pc, 0)
+	if taken {
+		p |= takenBit
+	}
+	b.push(p, 1)
 }
 
 // LatchAcquire implements Recorder.
 func (b *Builder) LatchAcquire(pc isa.PC, addr mem.Addr) {
-	b.push(Packed{kind: isa.LatchAcquire, pc: pc, arg: uint32(addr)}, 1)
+	b.push(pack(isa.LatchAcquire, pc, uint32(addr)), 1)
 }
 
 // LatchRelease implements Recorder.
 func (b *Builder) LatchRelease(pc isa.PC, addr mem.Addr) {
-	b.push(Packed{kind: isa.LatchRelease, pc: pc, arg: uint32(addr)}, 1)
+	b.push(pack(isa.LatchRelease, pc, uint32(addr)), 1)
 }
 
 // Null is a Recorder that discards everything.

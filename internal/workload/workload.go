@@ -93,10 +93,10 @@ func Build(spec Spec, sequential bool) *Built {
 		mode = tpcc.ModeFlat
 	}
 
-	// Warm-up transactions advance database state; their traces are
-	// discarded (the paper starts timing after warm-up).
+	// Warm-up transactions advance database state and are not recorded
+	// (the paper starts timing after warm-up).
 	for _, in := range inputs[:spec.Warmup] {
-		database.RunTxn(in, mode)
+		database.Warm(in, mode)
 	}
 
 	b := &Built{
