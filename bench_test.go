@@ -89,9 +89,9 @@ func BenchmarkSimulate(b *testing.B) {
 // prefix snapshot (its allocs/op must stay within noise of plain Simulate —
 // the capture cost is one buffer serialization amortized over the whole
 // run); "restore" is one decode-plus-fork of the captured snapshot followed
-// by simulation of the remaining program, the warm-start path of
-// cmd/experiments sweeps and tlsd re-runs, with an allocation budget of its
-// own (it rebuilds the machine state the plain path builds incrementally).
+// by simulation of the remaining program, the warm-start path of tlsd
+// re-runs, with an allocation budget of its own (it rebuilds the machine
+// state the plain path builds incrementally).
 func BenchmarkSnapshot(b *testing.B) {
 	builder := subthreads.NewBuilder()
 	built := builder.Build(benchSpec(subthreads.NewOrder), false)

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,84 +39,100 @@ import (
 )
 
 type options struct {
-	txns     int
-	warmup   int
-	seed     int64
-	paper    bool
-	bench    string
-	paranoid bool
-	inject   string
+	txns   int
+	warmup int
+	seed   int64
+	paper  bool
+	bench  string
 	// par is the shared worker pool + build cache (-j); nil means serial
 	// with a private cache (see options.runner).
 	par *runner
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns its exit status: 0 on success;
+// 2 for a usage error — a bad flag, a stray argument, or transaction counts
+// workload.CheckCounts rejects, all caught before any experiment starts; 1
+// when an experiment or one of its tasks failed.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table1    = flag.Bool("table1", false, "print Table 1 (simulation parameters)")
-		table2    = flag.Bool("table2", false, "run Table 2 (benchmark statistics)")
-		figure5   = flag.Bool("figure5", false, "run Figure 5 (overall performance)")
-		figure6   = flag.Bool("figure6", false, "run Figure 6 (sub-thread sweep)")
-		figure4   = flag.Bool("figure4", false, "run the Figure 4 start-table ablation")
-		tuning    = flag.Bool("tuning", false, "run the §3 iterative tuning narrative")
-		predictor = flag.Bool("predictor", false, "run the §2.2 dependence-predictor comparison")
-		victim    = flag.Bool("victim", false, "run the §2.1 victim-cache size sweep")
-		sweep     = flag.Bool("sweep", false, "run the §1 synthetic thread-size x dependence sweep")
-		spawn     = flag.Bool("spawn", false, "run the §5.1 sub-thread placement policy ablation")
-		l1track   = flag.Bool("l1track", false, "run the §2.2 L1 sub-thread tracking ablation")
-		ckptCost  = flag.Bool("checkpoint-cost", false, "run the §2.2 register-backup cost sweep")
-		mlp       = flag.Bool("mlp", false, "run the blocking vs non-blocking loads core-model ablation")
-		icache    = flag.Bool("icache", false, "run the instruction-cache core-model ablation")
-		all       = flag.Bool("all", false, "run everything")
+		table1    = fs.Bool("table1", false, "print Table 1 (simulation parameters)")
+		table2    = fs.Bool("table2", false, "run Table 2 (benchmark statistics)")
+		figure5   = fs.Bool("figure5", false, "run Figure 5 (overall performance)")
+		figure6   = fs.Bool("figure6", false, "run Figure 6 (sub-thread sweep)")
+		figure4   = fs.Bool("figure4", false, "run the Figure 4 start-table ablation")
+		tuning    = fs.Bool("tuning", false, "run the §3 iterative tuning narrative")
+		predictor = fs.Bool("predictor", false, "run the §2.2 dependence-predictor comparison")
+		victim    = fs.Bool("victim", false, "run the §2.1 victim-cache size sweep")
+		sweep     = fs.Bool("sweep", false, "run the §1 synthetic thread-size x dependence sweep")
+		spawn     = fs.Bool("spawn", false, "run the §5.1 sub-thread placement policy ablation")
+		l1track   = fs.Bool("l1track", false, "run the §2.2 L1 sub-thread tracking ablation")
+		ckptCost  = fs.Bool("checkpoint-cost", false, "run the §2.2 register-backup cost sweep")
+		mlp       = fs.Bool("mlp", false, "run the blocking vs non-blocking loads core-model ablation")
+		icache    = fs.Bool("icache", false, "run the instruction-cache core-model ablation")
+		all       = fs.Bool("all", false, "run everything")
 		opts      options
 	)
-	flag.IntVar(&opts.txns, "txns", 8, "measured transactions per benchmark")
-	flag.IntVar(&opts.warmup, "warmup", 2, "warm-up transactions before timing")
-	flag.Int64Var(&opts.seed, "seed", 42, "input generation seed")
-	flag.BoolVar(&opts.paper, "paper", false, "use the full single-warehouse TPC-C scale")
-	flag.StringVar(&opts.bench, "benchmark", "", "restrict to one benchmark (e.g. \"NEW ORDER\")")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel (output is identical for every -j)")
-	cacheDir := cliflags.AddCacheDir(flag.CommandLine)
-	showVersion := cliflags.AddVersion(flag.CommandLine)
-	faults := cliflags.AddFaults(flag.CommandLine)
-	flag.Parse()
+	fs.IntVar(&opts.txns, "txns", 8, "measured transactions per benchmark")
+	fs.IntVar(&opts.warmup, "warmup", 2, "warm-up transactions before timing")
+	fs.Int64Var(&opts.seed, "seed", 42, "input generation seed")
+	fs.BoolVar(&opts.paper, "paper", false, "use the full single-warehouse TPC-C scale")
+	fs.StringVar(&opts.bench, "benchmark", "", "restrict to one benchmark (e.g. \"NEW ORDER\")")
+	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel (output is identical for every -j)")
+	cacheDir := cliflags.AddCacheDir(fs)
+	showVersion := cliflags.AddVersion(fs)
+	faults := cliflags.AddFaults(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	err := cliflags.NoArgs(fs)
+	if err == nil {
+		err = workload.CheckCounts(opts.txns, opts.warmup)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
+	}
 	cliflags.HandleVersion(*showVersion)
-	opts.paranoid = faults.Paranoid
-	opts.inject = faults.Inject
 	opts.par = newRunner(*jobs)
-	opts.par.paranoid = opts.paranoid
+	opts.par.paranoid = faults.Paranoid
 	// With -cache-dir, the suite's shared build cache gains the persistent
 	// tier: a re-run (or a different command over the same directory) decodes
 	// recorded programs from disk instead of rebuilding them.
 	store, err := cliflags.OpenStore(*cacheDir, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
 	defer store.Close()
 	opts.par.builder.SetStore(store)
 	icfg, err := faults.Config()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 2
 	}
 	opts.par.injectCfg = icfg
 
-	repro := cliflags.Repro("experiments", os.Args[1:])
+	repro := cliflags.Repro("experiments", args)
 	defer func() {
 		if p := recover(); p != nil {
-			fmt.Fprintf(os.Stderr, "experiments: fatal: %v | repro: %s\n", p, repro)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "experiments: fatal: %v | repro: %s\n", p, repro)
+			code = 1
 		}
 	}()
 
-	w := os.Stdout
 	ran := false
 	failed := 0
 	// Each experiment runs under its own recover so one failure (e.g. a
 	// watchdog abort under -inject surfacing through a nil task result)
 	// reports and moves on: the suite always emits every result it can.
-	run := func(enabled bool, name string, fn func(io.Writer, options)) {
+	experiment := func(enabled bool, name string, fn func(io.Writer, options)) {
 		if !(enabled || *all) {
 			return
 		}
@@ -123,40 +140,41 @@ func main() {
 		defer func() {
 			if p := recover(); p != nil {
 				failed++
-				fmt.Fprintf(os.Stderr, "experiments: %s failed: %v (continuing with remaining experiments)\n", name, p)
+				fmt.Fprintf(stderr, "experiments: %s failed: %v (continuing with remaining experiments)\n", name, p)
 			}
 		}()
-		fn(w, opts)
+		fn(stdout, opts)
 	}
-	run(*table1, "table1", printTable1)
-	run(*table2, "table2", runTable2)
-	run(*figure5, "figure5", runFigure5)
-	run(*figure6, "figure6", runFigure6)
-	run(*figure4, "figure4", runFigure4)
-	run(*tuning, "tuning", runTuning)
-	run(*predictor, "predictor", runPredictor)
-	run(*victim, "victim", runVictim)
-	run(*sweep, "sweep", runSweep)
-	run(*spawn, "spawn", runSpawn)
-	run(*l1track, "l1track", runL1Track)
-	run(*ckptCost, "checkpoint-cost", runCheckpointCost)
-	run(*mlp, "mlp", runMLP)
-	run(*icache, "icache", runICache)
+	experiment(*table1, "table1", printTable1)
+	experiment(*table2, "table2", runTable2)
+	experiment(*figure5, "figure5", runFigure5)
+	experiment(*figure6, "figure6", runFigure6)
+	experiment(*figure4, "figure4", runFigure4)
+	experiment(*tuning, "tuning", runTuning)
+	experiment(*predictor, "predictor", runPredictor)
+	experiment(*victim, "victim", runVictim)
+	experiment(*sweep, "sweep", runSweep)
+	experiment(*spawn, "spawn", runSpawn)
+	experiment(*l1track, "l1track", runL1Track)
+	experiment(*ckptCost, "checkpoint-cost", runCheckpointCost)
+	experiment(*mlp, "mlp", runMLP)
+	experiment(*icache, "icache", runICache)
 	if !ran {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
 	}
 	// How the suite's simulations were satisfied, and how many programs the
 	// build cache recorded: on stderr, so stdout stays byte-identical.
-	simsRun, simsForked, simsMemo := opts.par.Sims()
+	simsRun, simsMemo := opts.par.Sims()
 	bs := opts.par.builder.Stats()
-	fmt.Fprintf(os.Stderr, "experiments: %d simulations: %d run + %d forked + %d memoized; %d builds, %d memory hits, %d disk hits\n",
-		simsRun+simsForked+simsMemo, simsRun, simsForked, simsMemo, bs.Builds, bs.MemoryHits, bs.DiskHits)
+	fmt.Fprintf(stderr, "experiments: %d simulations: %d run + %d memoized; %d builds, %d memory hits, %d disk hits\n",
+		simsRun+simsMemo, simsRun, simsMemo, bs.Builds, bs.MemoryHits, bs.DiskHits)
 	if taskFails := opts.par.Failures(); failed > 0 || taskFails > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: %d experiment(s) and %d task(s) failed; results above are partial | repro: %s\n",
+		fmt.Fprintf(stderr, "experiments: %d experiment(s) and %d task(s) failed; results above are partial | repro: %s\n",
 			failed, taskFails, repro)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func (o options) spec(b tpcc.Benchmark) workload.Spec {

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"subthreads/internal/tpcc"
+	"subthreads/internal/workload"
 )
 
 func tinyOptions() options {
@@ -74,5 +76,34 @@ func TestVictimRuns(t *testing.T) {
 	runVictim(&b, o)
 	if !strings.Contains(b.String(), "Victim entries") {
 		t.Errorf("victim output malformed:\n%s", b.String())
+	}
+}
+
+// TestUsageErrorsBeforeAnyTask: out-of-range transaction counts and a stray
+// argument are usage errors (exit 2) caught before any experiment starts.
+// The counts are reported with workload.CheckCounts's message, which tlssim
+// and tlsd print too.
+func TestUsageErrorsBeforeAnyTask(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table2", "-benchmark", "ORDER STATUS", "-txns", "1", "-warmup", "-1"},
+			workload.CheckCounts(1, -1).Error()},
+		{[]string{"-table2", "-benchmark", "ORDER STATUS", "-txns", "0"},
+			workload.CheckCounts(0, 2).Error()},
+		{[]string{"-table2", "-benchmark", "ORDER STATUS", "stray", "-txns", "1"},
+			`unexpected argument "stray" (quote names that contain spaces)`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 2 {
+			t.Errorf("experiments %q exit %d, want 2 (stderr %q)", c.args, code, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("experiments %q ran before rejecting its arguments:\n%s", c.args, stdout.String())
+		}
+		if got, want := stderr.String(), "experiments: "+c.want+"\n"; got != want {
+			t.Errorf("experiments %q stderr %q, want %q", c.args, got, want)
+		}
 	}
 }

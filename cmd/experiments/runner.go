@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -27,21 +26,13 @@ func progress(name string, sims int, start time.Time, r *runner) {
 // performs exactly one database load + trace recording per distinct spec,
 // and concurrent workers share it safely (Built is read-only under sim.Run).
 //
-// On top of the build cache sit two simulation caches:
-//
-//   - an exact-run memo keyed by {spec, software mode, full config digest}:
-//     the same simulation requested twice (figure5 and figure6 both run
-//     SEQUENTIAL on each benchmark, for example) executes once;
-//   - a prefix-snapshot cache keyed by {spec, prefix digest}: the first
-//     simulation of a group whose configs differ only in fork-safe
-//     parameters (sub-thread count/size, spawn policy, penalties, overflow
-//     policy, ...) captures a checkpoint at the end of the program's leading
-//     barrier prefix, and every later member forks from it instead of
-//     replaying the prefix.
-//
-// Both are sound because sim.ResumeE guarantees byte-identical results, so
-// parDo's determinism contract — identical output for every -j — still
-// holds; only the run/forked/memoized split changes, and deterministically.
+// On top of the build cache sits one simulation cache, an exact-run memo
+// keyed by {spec, software mode, full config digest}: the same simulation
+// requested twice (figure5 and figure6 both run SEQUENTIAL on each
+// benchmark, for example) executes once. Simulations are deterministic, so
+// serving a duplicate from the memo keeps parDo's determinism contract —
+// identical output for every -j — and the run/memoized split is
+// deterministic too.
 type runner struct {
 	jobs    int
 	builder *workload.Builder
@@ -54,25 +45,21 @@ type runner struct {
 	paranoid  bool
 	injectCfg *inject.Config
 
-	memo  cas.Memo[simKey, *sim.Result]   // exact runs, by FullDigest
-	snaps cas.Memo[simKey, *sim.Snapshot] // prefix checkpoints, by PrefixDigest
+	memo cas.Memo[simKey, *sim.Result] // exact runs, by FullDigest
 
-	// Simulation accounting: full runs executed, runs forked from a prefix
-	// snapshot, and exact-duplicate results served from the memo. The split
-	// is deterministic (one full run per prefix group, one execution per
+	// Simulation accounting: runs executed and exact-duplicate results
+	// served from the memo. The split is deterministic (one execution per
 	// distinct simulation) even though which task wins a race is not.
-	simsRun    atomic.Int64
-	simsForked atomic.Int64
-	simsMemo   atomic.Int64
+	simsRun  atomic.Int64
+	simsMemo atomic.Int64
 
 	// failed counts tasks that panicked (recovered by parDo); any failure
 	// makes the suite exit non-zero after the remaining experiments finish.
 	failed atomic.Int64
 }
 
-// simKey identifies a simulation (or a prefix-sharing group) within a suite:
-// the workload spec plus software mode pin the program, the digest pins the
-// machine (FullDigest for the memo, PrefixDigest for the snapshot cache).
+// simKey identifies a simulation within a suite: the workload spec plus
+// software mode pin the program, and sim.FullDigest pins the machine.
 type simKey struct {
 	spec   workload.Spec
 	seq    bool
@@ -86,9 +73,9 @@ func newRunner(jobs int) *runner {
 	return &runner{jobs: jobs, builder: workload.NewBuilder()}
 }
 
-// Sims reports the full / forked / memoized simulation split.
-func (r *runner) Sims() (run, forked, memoized int) {
-	return int(r.simsRun.Load()), int(r.simsForked.Load()), int(r.simsMemo.Load())
+// Sims reports the run / memoized simulation split.
+func (r *runner) Sims() (run, memoized int) {
+	return int(r.simsRun.Load()), int(r.simsMemo.Load())
 }
 
 // apply overlays the suite-wide hardening options on one machine config.
@@ -190,13 +177,13 @@ func (r *runner) runSeqConfig(spec workload.Spec, cfg sim.Config) runOut {
 	return r.runOn(spec, true, cfg)
 }
 
-// runOn routes one simulation through the exact-run memo and, for TLS
-// programs, the prefix-snapshot cache.
+// runOn routes one simulation through the exact-run memo.
 func (r *runner) runOn(spec workload.Spec, sequential bool, cfg sim.Config) runOut {
 	built := r.builder.Build(spec, sequential)
 	cfg = r.apply(cfg)
 	res, executed := r.memo.Do(simKey{spec, sequential, sim.FullDigest(cfg)}, func() *sim.Result {
-		return r.simulate(spec, sequential, cfg, built.Program)
+		r.simsRun.Add(1)
+		return sim.Run(cfg, built.Program)
 	})
 	if !executed {
 		if res == nil {
@@ -207,45 +194,4 @@ func (r *runner) runOn(spec workload.Spec, sequential bool, cfg sim.Config) runO
 		r.simsMemo.Add(1)
 	}
 	return runOut{res, built}
-}
-
-// simulate executes one distinct simulation, forking from the prefix group's
-// shared snapshot when one exists and falling back to a full run otherwise.
-// Fault-injected runs never fork (a checkpoint would skip scheduled faults);
-// sequential programs are all barrier, so their "prefix" is the whole run and
-// sharing it would just hold a full machine image for no reuse.
-func (r *runner) simulate(spec workload.Spec, sequential bool, cfg sim.Config, prog *sim.Program) *sim.Result {
-	if cfg.Inject != nil || sequential {
-		r.simsRun.Add(1)
-		return sim.Run(cfg, prog)
-	}
-	var res *sim.Result
-	var err error
-	snap, captured := r.snaps.Do(simKey{spec, sequential, sim.PrefixDigest(cfg)}, func() (snap *sim.Snapshot) {
-		r.simsRun.Add(1)
-		res, snap, err = sim.RunCapture(cfg, prog)
-		return snap
-	})
-	if captured {
-		if err != nil {
-			panic(err)
-		}
-		return res
-	}
-	if snap != nil {
-		// sim.ResumeE's rule: a *sim.RunError is the forked run's own
-		// outcome and fails this task; any other error means the
-		// checkpoint does not apply, and the run replays in full.
-		res, err = sim.ResumeE(cfg, prog, snap)
-		if err == nil || errors.As(err, new(*sim.RunError)) {
-			r.simsForked.Add(1)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		}
-		fmt.Fprintf(os.Stderr, "experiments: prefix fork failed (%v); replaying in full\n", err)
-	}
-	r.simsRun.Add(1)
-	return sim.Run(cfg, prog)
 }

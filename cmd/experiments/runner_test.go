@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"subthreads/internal/tpcc"
+	"subthreads/internal/workload"
 )
 
 func TestParDoOrderAndCoverage(t *testing.T) {
@@ -25,6 +28,32 @@ func TestParDoOrderAndCoverage(t *testing.T) {
 					t.Fatalf("j=%d n=%d: out[%d] = %d", jobs, n, i, v)
 				}
 			}
+		}
+	}
+}
+
+// TestDuplicateOfFailedSimulationFails: a simulation that fails fails its
+// task and every duplicate of it. Two tasks request one simulation whose
+// cycle budget trips: it executes once, the memo serves no result, and both
+// tasks fail, at -j 1 (the duplicate finds the failed cell) and at -j 8 (it
+// may wait on the running one).
+func TestDuplicateOfFailedSimulationFails(t *testing.T) {
+	spec := tinyOptions().spec(tpcc.NewOrder)
+	cfg := workload.Machine(workload.Baseline)
+	cfg.MaxCycles = 1000
+	for _, jobs := range []int{1, 8} {
+		r := newRunner(jobs)
+		out := parDo(r, 2, func(int) runOut { return r.runConfig(spec, cfg) })
+		if n := r.Failures(); n != 2 {
+			t.Errorf("-j %d: %d tasks failed, want 2", jobs, n)
+		}
+		for i, o := range out {
+			if o.res != nil {
+				t.Errorf("-j %d: task %d returned a result", jobs, i)
+			}
+		}
+		if run, memoized := r.Sims(); run != 1 || memoized != 0 {
+			t.Errorf("-j %d: split %d run + %d memoized, want 1 + 0", jobs, run, memoized)
 		}
 	}
 }
@@ -52,20 +81,20 @@ var experimentFns = []struct {
 
 // TestOutputDeterministicAcrossJ is the parallel runner's core contract:
 // every figure and table renders byte-identically at -j 1 and -j 8, and
-// splits its simulations into full runs, forks and memo hits identically.
+// splits its simulations into runs and memo hits identically.
 func TestOutputDeterministicAcrossJ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
 	for _, e := range experimentFns {
 		t.Run(e.name, func(t *testing.T) {
-			render := func(jobs int) (string, [3]int) {
+			render := func(jobs int) (string, [2]int) {
 				o := tinyOptions()
 				o.par = newRunner(jobs)
 				var b strings.Builder
 				e.fn(&b, o)
-				run, forked, memoized := o.par.Sims()
-				return b.String(), [3]int{run, forked, memoized}
+				run, memoized := o.par.Sims()
+				return b.String(), [2]int{run, memoized}
 			}
 			serial, serialSplit := render(1)
 			parallel, parallelSplit := render(8)
@@ -74,7 +103,7 @@ func TestOutputDeterministicAcrossJ(t *testing.T) {
 					serial, parallel)
 			}
 			if serialSplit != parallelSplit {
-				t.Errorf("run/forked/memoized split differs: %v at -j 1, %v at -j 8",
+				t.Errorf("run/memoized split differs: %v at -j 1, %v at -j 8",
 					serialSplit, parallelSplit)
 			}
 			if len(serial) == 0 {

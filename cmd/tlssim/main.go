@@ -84,8 +84,7 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	if fs.NArg() > 0 {
-		err := fmt.Errorf("unexpected argument %q (quote names that contain spaces)", fs.Arg(0))
+	if err := cliflags.NoArgs(fs); err != nil {
 		fmt.Fprintf(stderr, "tlssim: %v\n", err)
 		return nil, err
 	}

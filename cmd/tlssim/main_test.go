@@ -60,6 +60,8 @@ func TestUsageErrorsMatchTlsd(t *testing.T) {
 		{[]string{"-txns", "-1"}, `{"benchmark":"NEW ORDER","txns":-1}`},
 		{[]string{"-opt", "9"}, `{"benchmark":"NEW ORDER","opt":9}`},
 		{[]string{"-opt", "-1"}, `{"benchmark":"NEW ORDER","opt":-1}`},
+		{[]string{"-subthreads", "100"}, `{"benchmark":"NEW ORDER","subthreads":100}`},
+		{[]string{"-subthreads", "-1"}, `{"benchmark":"NEW ORDER","subthreads":-1}`},
 		{[]string{"-benchmark", "NO SUCH"}, `{"benchmark":"NO SUCH"}`},
 		{[]string{"-experiment", "WARP"}, `{"benchmark":"NEW ORDER","experiment":"WARP"}`},
 		{[]string{"-overflow", "explode"}, `{"benchmark":"NEW ORDER","overflow":"explode"}`},

@@ -188,6 +188,15 @@ func AddVersion(fs *flag.FlagSet) *bool {
 	return fs.Bool("version", false, "print the build version and exit")
 }
 
+// NoArgs rejects what fs left unparsed: every command takes flags only,
+// and a stray word is most often half of a name whose space was not quoted.
+func NoArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (quote names that contain spaces)", fs.Arg(0))
+	}
+	return nil
+}
+
 // HandleVersion prints the build identity and exits when -version was given.
 // Call it immediately after flag parsing.
 func HandleVersion(show bool) {

@@ -50,8 +50,8 @@ type JobSpec struct {
 	Opt *int `json:"opt,omitempty"`
 	// Paper selects the full single-warehouse TPC-C scale.
 	Paper bool `json:"paper,omitempty"`
-	// Subthreads overrides the sub-thread contexts per thread (0 = keep
-	// the experiment's value).
+	// Subthreads overrides the sub-thread contexts per thread, up to
+	// tls.MaxSubthreads (0 = keep the experiment's value).
 	Subthreads int `json:"subthreads,omitempty"`
 	// Spacing overrides the speculative instructions per sub-thread.
 	Spacing uint64 `json:"spacing,omitempty"`
@@ -118,14 +118,11 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 	if js.Txns != 0 {
 		spec.Txns = js.Txns
 	}
-	if spec.Txns < 1 {
-		return nil, fmt.Errorf("service: txns must be >= 1, got %d", spec.Txns)
-	}
 	if js.Warmup != nil {
 		spec.Warmup = *js.Warmup
 	}
-	if spec.Warmup < 0 {
-		return nil, fmt.Errorf("service: warmup must be >= 0, got %d", spec.Warmup)
+	if err := workload.CheckCounts(spec.Txns, spec.Warmup); err != nil {
+		return nil, err
 	}
 	if js.Seed != nil {
 		spec.Seed = *js.Seed
@@ -140,6 +137,9 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 		spec.Scale = tpcc.PaperScale()
 	}
 
+	if js.Subthreads < 0 || js.Subthreads > tls.MaxSubthreads {
+		return nil, fmt.Errorf("service: subthreads must be in [0, %d], got %d", tls.MaxSubthreads, js.Subthreads)
+	}
 	cfg := workload.Machine(exp)
 	if js.Subthreads > 0 {
 		cfg.TLS.SubthreadsPerEpoch = js.Subthreads

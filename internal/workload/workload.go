@@ -42,6 +42,19 @@ func DefaultSpec(b tpcc.Benchmark) Spec {
 	}
 }
 
+// CheckCounts rejects transaction counts Build cannot run: fewer than one
+// measured transaction, or a negative warm-up. tlssim, tlsd and experiments
+// all validate through it, so each reports the same message.
+func CheckCounts(txns, warmup int) error {
+	if txns < 1 {
+		return fmt.Errorf("workload: txns must be >= 1, got %d", txns)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("workload: warmup must be >= 0, got %d", warmup)
+	}
+	return nil
+}
+
 // Stats summarizes the recorded traces — the raw material of Table 2.
 type Stats struct {
 	Txns          int
@@ -75,8 +88,8 @@ type Built struct {
 // the engine applies spec.OptLevel tuning iterations and transactions are
 // decomposed at their parallelized loop with TLS software overhead.
 func Build(spec Spec, sequential bool) *Built {
-	if spec.Txns < 1 {
-		panic("workload: Txns < 1")
+	if err := CheckCounts(spec.Txns, spec.Warmup); err != nil {
+		panic(err)
 	}
 	cfg := db.DefaultConfig()
 	if sequential {
