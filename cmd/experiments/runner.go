@@ -27,10 +27,11 @@ func progress(name string, sims int, start time.Time, r *runner) {
 // and concurrent workers share it safely (Built is read-only under sim.Run).
 //
 // On top of the build cache sits one simulation cache, an exact-run memo
-// keyed by {spec, software mode, full config digest}: the same simulation
-// requested twice (figure5 and figure6 both run SEQUENTIAL on each
-// benchmark, for example) executes once. Simulations are deterministic, so
-// serving a duplicate from the memo keeps parDo's determinism contract —
+// keyed by {program, full config digest}: the same simulation requested
+// twice executes once. figure5 and figure6 both run SEQUENTIAL on each
+// benchmark, for example, and figure5's DELIVERY OUTER SEQUENTIAL task runs
+// the program its DELIVERY task already ran. Simulations are deterministic,
+// so serving a duplicate from the memo keeps parDo's determinism contract —
 // identical output for every -j — and the run/memoized split is
 // deterministic too.
 type runner struct {
@@ -45,7 +46,7 @@ type runner struct {
 	paranoid  bool
 	injectCfg *inject.Config
 
-	memo cas.Memo[simKey, *sim.Result] // exact runs, by FullDigest
+	memo cas.Memo[simKey, *sim.Result] // exact runs, by program and FullDigest
 
 	// Simulation accounting: runs executed and exact-duplicate results
 	// served from the memo. The split is deterministic (one execution per
@@ -58,11 +59,11 @@ type runner struct {
 	failed atomic.Int64
 }
 
-// simKey identifies a simulation within a suite: the workload spec plus
-// software mode pin the program, and sim.FullDigest pins the machine.
+// simKey identifies a simulation within a suite: the build key pins the
+// program (so every spec that records one SEQUENTIAL program shares it), and
+// sim.FullDigest pins the machine.
 type simKey struct {
-	spec   workload.Spec
-	seq    bool
+	prog   workload.BuildKey
 	digest string
 }
 
@@ -181,7 +182,7 @@ func (r *runner) runSeqConfig(spec workload.Spec, cfg sim.Config) runOut {
 func (r *runner) runOn(spec workload.Spec, sequential bool, cfg sim.Config) runOut {
 	built := r.builder.Build(spec, sequential)
 	cfg = r.apply(cfg)
-	res, executed := r.memo.Do(simKey{spec, sequential, sim.FullDigest(cfg)}, func() *sim.Result {
+	res, executed := r.memo.Do(simKey{workload.KeyOf(spec, sequential), sim.FullDigest(cfg)}, func() *sim.Result {
 		r.simsRun.Add(1)
 		return sim.Run(cfg, built.Program)
 	})

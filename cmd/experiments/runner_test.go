@@ -58,6 +58,29 @@ func TestDuplicateOfFailedSimulationFails(t *testing.T) {
 	}
 }
 
+// TestSequentialRunPerProgram: the memo keys a simulation by its program,
+// so the SEQUENTIAL tasks of DELIVERY, DELIVERY OUTER and an opt-0 DELIVERY,
+// which record one SEQUENTIAL program, run once and share one Result, at
+// -j 1 and at -j 8.
+func TestSequentialRunPerProgram(t *testing.T) {
+	o := tinyOptions()
+	opt0 := o.spec(tpcc.Delivery)
+	opt0.OptLevel = 0
+	specs := []workload.Spec{o.spec(tpcc.Delivery), o.spec(tpcc.DeliveryOuter), opt0}
+	for _, jobs := range []int{1, 8} {
+		r := newRunner(jobs)
+		out := parDo(r, len(specs), func(i int) runOut { return r.run(specs[i], workload.Sequential) })
+		if run, memoized := r.Sims(); run != 1 || memoized != 2 {
+			t.Errorf("-j %d: split %d run + %d memoized, want 1 + 2", jobs, run, memoized)
+		}
+		for i, x := range out {
+			if x.res == nil || x.res != out[0].res {
+				t.Errorf("-j %d: task %d does not share the first task's Result", jobs, i)
+			}
+		}
+	}
+}
+
 // experimentFns lists every experiment generator, each of which must produce
 // byte-identical output regardless of -j.
 var experimentFns = []struct {

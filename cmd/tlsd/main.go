@@ -58,7 +58,15 @@ func main() {
 	// own (and therefore part of each job's content address).
 	faults := cliflags.AddFaults(flag.CommandLine)
 	flag.Parse()
+	if err := cliflags.NoArgs(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
+		os.Exit(2)
+	}
 	cliflags.HandleVersion(*showVersion)
+	if *workers < 1 || *queueDepth < 1 {
+		fmt.Fprintf(os.Stderr, "tlsd: -workers and -queue must be >= 1, got %d and %d\n", *workers, *queueDepth)
+		os.Exit(2)
+	}
 
 	if _, err := faults.Config(); err != nil {
 		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)

@@ -43,6 +43,10 @@ func main() {
 		showVersion    = cliflags.AddVersion(flag.CommandLine)
 	)
 	flag.Parse()
+	if err := cliflags.NoArgs(flag.CommandLine); err != nil {
+		fmt.Fprintf(os.Stderr, "tlsrouter: %v\n", err)
+		os.Exit(2)
+	}
 	cliflags.HandleVersion(*showVersion)
 
 	urls := cliflags.SplitURLs(*workers)

@@ -177,7 +177,7 @@ func measure(o *options, r *service.Resolved, store *cas.Store, w io.Writer) err
 		}
 	}
 	if o.jsonOut {
-		return r.WriteResult(w, built, res, seqRes)
+		return r.WriteResult(w, built, res, seqRes.Cycles)
 	}
 
 	st := built.Stats

@@ -181,6 +181,12 @@ func TestTlsdMetricsSchema(t *testing.T) {
 
 	types := []string{
 		"# TYPE tlsd_build_info gauge",
+		"# TYPE tlsd_builder_builds_total counter",
+		"# TYPE tlsd_builder_disk_hits_total counter",
+		"# TYPE tlsd_builder_memory_hits_total counter",
+		"# TYPE tlsd_builder_reference_disk_hits_total counter",
+		"# TYPE tlsd_builder_reference_memory_hits_total counter",
+		"# TYPE tlsd_builder_reference_runs_total counter",
 		"# TYPE tlsd_cache_deduped_total counter",
 		"# TYPE tlsd_cache_disk_hit_latency_microseconds histogram",
 		"# TYPE tlsd_cache_disk_hits_total counter",
@@ -231,6 +237,12 @@ func TestTlsdMetricsSchema(t *testing.T) {
 	}
 	labels := []string{
 		"tlsd_build_info{go,modified,module,revision,version}",
+		"tlsd_builder_builds_total{}",
+		"tlsd_builder_disk_hits_total{}",
+		"tlsd_builder_memory_hits_total{}",
+		"tlsd_builder_reference_disk_hits_total{}",
+		"tlsd_builder_reference_memory_hits_total{}",
+		"tlsd_builder_reference_runs_total{}",
 		"tlsd_cache_deduped_total{}",
 		"tlsd_cache_disk_hit_latency_microseconds{}",
 		"tlsd_cache_disk_hits_total{}",
@@ -281,6 +293,13 @@ func TestTlsdMetricsSchema(t *testing.T) {
 	}
 	paths := []string{
 		"build_latency_micros",
+		"builder",
+		"builder.builds",
+		"builder.disk_hits",
+		"builder.memory_hits",
+		"builder.reference_disk_hits",
+		"builder.reference_memory_hits",
+		"builder.reference_runs",
 		"cache_disk_hits",
 		"cache_entries",
 		"cache_hit_latency_micros",

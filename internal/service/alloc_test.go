@@ -65,10 +65,11 @@ func TestServingHotPathStaysWithinAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	// Warm the shared build cache so the measurement sees only the per-run
-	// serving path: simulate, sequential reference, render.
+	// Warm the shared build cache and the SEQUENTIAL reference so the
+	// measurement sees only the per-run serving path: simulate, look the
+	// reference up, render.
 	warm := newJob("warm", "c", spec, r, time.Now())
-	if _, failure := s.execute(warm); failure != nil {
+	if _, _, failure := s.execute(warm); failure != nil {
 		t.Fatalf("warm-up failed: %+v", failure)
 	}
 	epochs := epochCommits(warm.fan.Events())
@@ -78,7 +79,7 @@ func TestServingHotPathStaysWithinAllocBudget(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(3, func() {
 		j := newJob("bench", "c", spec, r, time.Now())
-		if _, failure := s.execute(j); failure != nil {
+		if _, _, failure := s.execute(j); failure != nil {
 			t.Fatalf("job failed: %+v", failure)
 		}
 	})
@@ -102,14 +103,14 @@ func BenchmarkExecuteObservabilityOff(b *testing.B) {
 		b.Fatalf("Resolve: %v", err)
 	}
 	warm := newJob("warm", "c", spec, r, time.Now())
-	if _, failure := s.execute(warm); failure != nil {
+	if _, _, failure := s.execute(warm); failure != nil {
 		b.Fatalf("warm-up failed: %+v", failure)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := newJob("bench", "c", spec, r, time.Now())
-		if _, failure := s.execute(j); failure != nil {
+		if _, _, failure := s.execute(j); failure != nil {
 			b.Fatalf("job failed: %+v", failure)
 		}
 	}

@@ -50,8 +50,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 		t.Fatalf("cold job state = %s", final.State)
 	}
 	_, coldBody := getBody(t, ts1.URL+final.ResultURL)
-	if s1.Builds() != 2 {
-		t.Fatalf("cold builds = %d, want 2 (TLS + sequential)", s1.Builds())
+	if b := s1.MetricsSnapshot().Builder; b.Builds != 2 || b.ReferenceRuns != 1 {
+		t.Fatalf("cold builder stats = %+v, want 2 builds (TLS + sequential) and 1 reference run", b)
 	}
 	drain(t, s1)
 	// The executed job populated every in-worker stage histogram, and those
@@ -92,8 +92,8 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 		t.Fatal("warm body differs from tlssim -json rendering")
 	}
 	// The whole point: the restarted daemon did no build work at all.
-	if s2.Builds() != 0 {
-		t.Fatalf("warm builds = %d, want 0", s2.Builds())
+	if b := s2.MetricsSnapshot().Builder; b.Builds != 0 {
+		t.Fatalf("warm builds = %d, want 0", b.Builds)
 	}
 
 	m := s2.MetricsSnapshot()
@@ -145,13 +145,12 @@ func TestWarmRestartRebuildsFromBuiltNamespace(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("job state = %s", final.State)
 	}
-	// Simulated again (no stored result) but built nothing: both programs
-	// came from the store's built namespace.
-	if s2.Builds() != 0 {
-		t.Fatalf("builds = %d, want 0 (programs from disk)", s2.Builds())
-	}
-	if st := s2.BuildStats(); st.DiskHits != 2 {
-		t.Fatalf("builder stats = %+v, want 2 disk hits", st)
+	// Simulated again (no stored result) but built nothing: the TLS program
+	// came from the store's built namespace and the SEQUENTIAL reference
+	// from its seqref namespace, so the SEQUENTIAL program is not even
+	// decoded.
+	if b := s2.MetricsSnapshot().Builder; b.Builds != 0 || b.DiskHits != 1 || b.ReferenceDiskHits != 1 || b.ReferenceRuns != 0 {
+		t.Fatalf("builder stats = %+v, want 0 builds, 1 program disk hit and 1 reference disk hit", b)
 	}
 	_, body := getBody(t, ts2.URL+final.ResultURL)
 	if want := renderExpected(t, spec); !bytes.Equal(body, want) {

@@ -1,0 +1,235 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http/httptest"
+	"testing"
+
+	"subthreads/internal/sim"
+	"subthreads/internal/tpcc"
+	"subthreads/internal/workload"
+)
+
+// Every served speedup divides by the SEQUENTIAL cycle count of the job's
+// workload. tlsd simulates that reference once per SEQUENTIAL program and
+// then reads it from memory, or after a restart from the store's seqref
+// namespace. These tests pin the tier's counts and that every document it
+// serves is the one `tlssim -json` prints.
+
+// runDone submits spec, requires it to complete and returns its body.
+func runDone(t *testing.T, ts *httptest.Server, spec JobSpec) []byte {
+	t.Helper()
+	resp := postJob(t, ts, spec)
+	st := decodeStatus(t, resp.Body)
+	resp.Body.Close()
+	final := waitDone(t, ts, st.ID)
+	if final.State != StateDone {
+		t.Fatalf("%s job state = %s, failure %+v", spec.Benchmark, final.State, final.Failure)
+	}
+	_, body := getBody(t, ts.URL+final.ResultURL)
+	return body
+}
+
+// requireExpected fails unless body is the tlssim -json rendering of spec.
+func requireExpected(t *testing.T, spec JobSpec, body []byte) {
+	t.Helper()
+	if !bytes.Equal(body, renderExpected(t, spec)) {
+		js, _ := json.Marshal(spec)
+		t.Errorf("%s: served body differs from tlssim -json", js)
+	}
+}
+
+// TestResultReadsOnlyReferenceCycles: the result document reads nothing of
+// the SEQUENTIAL reference but its cycle count, which is all the reference
+// tier keeps. If report.BuildRun ever reads more of it, this fails instead
+// of tlsd serving wrong bytes from the tier.
+func TestResultReadsOnlyReferenceCycles(t *testing.T) {
+	b := workload.NewBuilder()
+	for _, bench := range tpcc.All() {
+		r, err := tinySpec(bench.String()).Resolve()
+		if err != nil {
+			t.Fatalf("Resolve: %v", err)
+		}
+		res, built := b.Run(r.Spec, r.Exp)
+		seq, _ := b.Run(r.Spec, workload.Sequential)
+		full := renderRun(t, r, built, res, seq)
+		if cycles := renderRun(t, r, built, res, &sim.Result{Cycles: seq.Cycles}); !bytes.Equal(full, cycles) {
+			t.Errorf("%v: the document differs when the reference carries only its cycles", bench)
+		}
+	}
+}
+
+// Jobs of one SEQUENTIAL program run its reference once and read it from
+// memory after that. A variant of a seen workload (another sub-thread
+// spacing) runs no SEQUENTIAL build or simulation, and DELIVERY, DELIVERY
+// OUTER and an opt-0 DELIVERY, which record one SEQUENTIAL program, share
+// one reference.
+func TestReferenceFromMemory(t *testing.T) {
+	variant := tinySpec("NEW ORDER")
+	variant.Spacing = 2500
+	opt0 := tinySpec("DELIVERY")
+	opt0.Opt = ptr(0)
+	for _, tc := range []struct {
+		name  string
+		specs []JobSpec
+		want  workload.BuildStats
+	}{
+		// The TLS and SEQUENTIAL programs are the first job's builds; the
+		// variant's one program lookup is its TLS program, from memory.
+		{"variant", []JobSpec{tinySpec("NEW ORDER"), variant},
+			workload.BuildStats{Builds: 2, MemoryHits: 1, ReferenceRuns: 1, ReferenceMemoryHits: 1}},
+		// Three TLS programs and one SEQUENTIAL program.
+		{"delivery", []JobSpec{tinySpec("DELIVERY"), tinySpec("DELIVERY OUTER"), opt0},
+			workload.BuildStats{Builds: 4, ReferenceRuns: 1, ReferenceMemoryHits: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Options{Workers: 1})
+			for _, spec := range tc.specs {
+				requireExpected(t, spec, runDone(t, ts, spec))
+			}
+			if b := s.MetricsSnapshot().Builder; b != tc.want {
+				t.Errorf("builder stats = %+v, want %+v", b, tc.want)
+			}
+		})
+	}
+}
+
+// After a restart a variant of a seen workload reads its reference from
+// disk and builds nothing: its TLS program decodes from the built namespace,
+// and its SEQUENTIAL program is not even decoded. A seqref entry of the
+// wrong length is instead quarantined and read as a miss: the job decodes
+// the SEQUENTIAL program, recomputes the reference, serves the same bytes
+// and republishes a clean entry.
+func TestRestartedVariantReference(t *testing.T) {
+	base := tinySpec("NEW ORDER")
+	variant := base
+	variant.Spacing = 2500
+	r, err := base.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	key := workload.CacheKey(r.Spec, true)
+	for _, tc := range []struct {
+		name    string
+		entry   []byte // replaces the stored seqref entry when non-nil
+		want    workload.BuildStats
+		corrupt uint64
+	}{
+		{"stored", nil, workload.BuildStats{DiskHits: 1, ReferenceDiskHits: 1}, 0},
+		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{DiskHits: 2, ReferenceRuns: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
+			runDone(t, ts1, base)
+			drain(t, s1)
+
+			store := openTestStore(t, dir)
+			if tc.entry != nil {
+				store.Put("seqref", key, tc.entry)
+			}
+			s2, ts2 := newTestServer(t, Options{Workers: 1, Store: store})
+			requireExpected(t, variant, runDone(t, ts2, variant))
+			m := s2.MetricsSnapshot()
+			if m.Builder != tc.want {
+				t.Errorf("builder stats = %+v, want %+v", m.Builder, tc.want)
+			}
+			if m.CAS == nil || m.CAS.Corrupt != tc.corrupt {
+				t.Errorf("cas stats = %+v, want %d corrupt entries", m.CAS, tc.corrupt)
+			}
+			drain(t, s2)
+			if data, ok := store.Get("seqref", key); !ok || len(data) != 8 {
+				t.Errorf("seqref entry = %v (found %v), want 8 bytes", data, ok)
+			}
+		})
+	}
+}
+
+// A job whose deadline fires during its reference run fails alone, as a
+// timeout, and publishes nothing; a concurrent variant of the same workload,
+// inside its own reference run at that moment, completes byte-identical and
+// publishes the reference a third job then reads from memory. A test hook
+// holds both jobs inside their runs, so the order is fixed without a sleep.
+func TestReferenceRunDeadlineFailsAlone(t *testing.T) {
+	store := openTestStore(t, t.TempDir())
+	s, ts := newTestServer(t, Options{Workers: 2, Store: store})
+
+	timed := tinySpec("NEW ORDER")
+	timed.Spacing = 1500
+	timed.TimeoutMS = 60_000
+	variant := tinySpec("NEW ORDER")
+	variant.Spacing = 2500
+
+	// The hook holds each job inside its reference run until the test
+	// releases it: the timed job on one gate, the variant on the other. Only
+	// the test goroutine closes a gate, and the cleanup (which runs before
+	// the server's drain) releases any a failed test left shut.
+	timedGate, variantGate := make(chan struct{}), make(chan struct{})
+	release := func(gate chan struct{}) {
+		select {
+		case <-gate:
+		default:
+			close(gate)
+		}
+	}
+	arrived := make(chan *Job, 2)
+	hook := func(j *Job) {
+		arrived <- j
+		if j.res.Cfg.SubthreadSpacing == timed.Spacing {
+			<-timedGate
+		} else {
+			<-variantGate
+		}
+	}
+	testHookReference.Store(&hook)
+	t.Cleanup(func() {
+		testHookReference.Store(nil)
+		release(timedGate)
+		release(variantGate)
+	})
+
+	var ids []string
+	for _, spec := range []JobSpec{timed, variant} {
+		resp := postJob(t, ts, spec)
+		ids = append(ids, decodeStatus(t, resp.Body).ID)
+		resp.Body.Close()
+	}
+	for range 2 {
+		// Fire the timed job's deadline once both jobs are inside their
+		// runs: the cause its deadline timer delivers.
+		if j := <-arrived; j.ID() == ids[0] {
+			j.Cancel(context.DeadlineExceeded)
+		}
+	}
+	release(timedGate)
+	final := waitDone(t, ts, ids[0])
+	if final.State != StateFailed || final.Failure == nil || final.Failure.Kind != "timeout" {
+		t.Fatalf("timed job: state %s, failure %+v; want a timeout failure", final.State, final.Failure)
+	}
+	r, err := timed.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	if b := s.MetricsSnapshot().Builder; b.ReferenceRuns != 0 {
+		t.Errorf("the timed-out run published: builder stats %+v", b)
+	}
+	if _, ok := store.Get("seqref", workload.CacheKey(r.Spec, true)); ok {
+		t.Error("the timed-out run stored a reference")
+	}
+
+	release(variantGate)
+	if final := waitDone(t, ts, ids[1]); final.State != StateDone {
+		t.Fatalf("concurrent variant: state %s, failure %+v", final.State, final.Failure)
+	}
+	_, body := getBody(t, ts.URL+"/v1/jobs/"+ids[1]+"/result")
+	requireExpected(t, variant, body)
+
+	third := tinySpec("NEW ORDER")
+	third.Spacing = 3500
+	requireExpected(t, third, runDone(t, ts, third))
+	if b := s.MetricsSnapshot().Builder; b.ReferenceRuns != 1 || b.ReferenceMemoryHits != 1 {
+		t.Errorf("builder stats = %+v, want 1 reference run and 1 memory hit", b)
+	}
+}

@@ -607,7 +607,7 @@ func (s *Server) runJob(j *Job) {
 	if hook := testHookRunning.Load(); hook != nil {
 		(*hook)(j)
 	}
-	body, failure := s.execute(j)
+	body, ref, failure := s.execute(j)
 	finished := time.Now()
 	j.finish(body, failure, finished)
 	j.release()
@@ -668,6 +668,7 @@ func (s *Server) runJob(j *Job) {
 		slog.String("job", j.id),
 		slog.String("digest", j.res.Digest),
 		slog.Int("bytes", len(body)),
+		slog.String("reference", ref),
 		slog.Float64("queue_wait_ms", ms(stages[stageQueue])),
 		slog.Float64("build_ms", ms(stages[stageBuild])),
 		slog.Float64("sim_ms", ms(stages[stageSim])),
@@ -679,10 +680,11 @@ func (s *Server) runJob(j *Job) {
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // execute runs the simulation for j and renders the result document — the
-// exact bytes `tlssim -json` prints for the same spec. A structured
-// *sim.RunError (and, defensively, any other panic) becomes a Failure; the
-// daemon never dies with a job.
-func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
+// exact bytes `tlssim -json` prints for the same spec — and names the tier
+// its SEQUENTIAL reference came from. A structured *sim.RunError (and,
+// defensively, any other panic) becomes a Failure; the daemon never dies
+// with a job.
+func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	defer func() {
 		if p := recover(); p != nil {
 			if re, ok := p.(*sim.RunError); ok {
@@ -718,7 +720,7 @@ func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
 
 	t := time.Now()
 	if f := s.abortedFailure(j, 0); f != nil {
-		return nil, f
+		return nil, "", f
 	}
 	j.enterStage(stageBuild, t)
 	built := s.builder.Build(r.Spec, r.Exp.SequentialSoftware())
@@ -727,39 +729,68 @@ func (s *Server) execute(j *Job) (body []byte, failure *Failure) {
 	res, err := s.simTLS(j, cfg, built, r)
 	t = j.leaveStage(stageSim, t)
 	if err != nil {
-		var re *sim.RunError
-		if errors.As(err, &re) {
-			return nil, s.failureFrom(j, re)
-		}
-		return nil, &Failure{Kind: "error", Error: err.Error(), Repro: r.ReproCommand()}
+		return nil, "", s.simFailure(j, err)
 	}
 	if f := s.abortedFailure(j, res.Cycles); f != nil {
-		return nil, f
+		return nil, "", f
 	}
-	j.enterStage(stageBuild, t)
-	seqBuilt := s.builder.Build(r.Spec, true)
-	t = j.leaveStage(stageBuild, t)
-	j.enterStage(stageSim, t)
-	seqCfg := workload.Machine(workload.Sequential)
-	seqCfg.Cancel = cfg.Cancel
-	seqRes, err := sim.RunE(seqCfg, seqBuilt.Program)
-	t = j.leaveStage(stageSim, t)
+	seqCycles, ref, t, err := s.reference(j, cfg.Cancel, t)
 	if err != nil {
-		var re *sim.RunError
-		if errors.As(err, &re) {
-			return nil, s.failureFrom(j, re)
-		}
-		return nil, &Failure{Kind: "error", Error: err.Error(), Repro: r.ReproCommand()}
+		return nil, "", s.simFailure(j, err)
 	}
 
 	j.enterStage(stageRender, t)
 	var buf bytes.Buffer
-	err = r.WriteResult(&buf, built, res, seqRes)
+	err = r.WriteResult(&buf, built, res, seqCycles)
 	j.leaveStage(stageRender, t)
 	if err != nil {
-		return nil, &Failure{Kind: "encode", Error: err.Error(), Repro: r.ReproCommand()}
+		return nil, "", &Failure{Kind: "encode", Error: err.Error(), Repro: r.ReproCommand()}
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes(), ref, nil
+}
+
+// testHookReference, when set, is called by reference after a miss, just
+// before the SEQUENTIAL simulation starts — the seam the tests use to act
+// on a job inside its reference run deterministically.
+var testHookReference atomic.Pointer[func(*Job)]
+
+// reference returns the SEQUENTIAL cycle count j's speedup divides by and
+// the tier it came from (workload.RefMemory, RefDisk or RefRun), with the
+// stage clock t advanced past whatever ran. The lookup counts as build
+// time. Only a miss builds the SEQUENTIAL program (build stage) and
+// simulates it under the job's cancellation (sim stage), and only a
+// completed run publishes its count: a job that fails here fails alone and
+// leaves nothing behind.
+func (s *Server) reference(j *Job, cancel func() error, t time.Time) (cycles uint64, tier string, now time.Time, err error) {
+	spec := j.res.Spec
+	j.enterStage(stageBuild, t)
+	cycles, tier, ok := s.builder.Reference(spec)
+	if ok {
+		return cycles, tier, j.leaveStage(stageBuild, t), nil
+	}
+	built := s.builder.Build(spec, true)
+	t = j.leaveStage(stageBuild, t)
+	j.enterStage(stageSim, t)
+	if hook := testHookReference.Load(); hook != nil {
+		(*hook)(j)
+	}
+	cfg := workload.Machine(workload.Sequential)
+	cfg.Cancel = cancel
+	res, err := sim.RunE(cfg, built.Program)
+	if err == nil {
+		cycles = res.Cycles
+		s.builder.PutReference(spec, cycles)
+	}
+	return cycles, workload.RefRun, j.leaveStage(stageSim, t), err
+}
+
+// simFailure converts a simulation's error into the job's Failure.
+func (s *Server) simFailure(j *Job, err error) *Failure {
+	var re *sim.RunError
+	if errors.As(err, &re) {
+		return s.failureFrom(j, re)
+	}
+	return &Failure{Kind: "error", Error: err.Error(), Repro: j.res.ReproCommand()}
 }
 
 // failureFrom converts a structured simulation error into the job's Failure
@@ -897,6 +928,10 @@ type Metrics struct {
 	// Chaos counts the faults the -chaos schedule has delivered. nil when
 	// chaos is off.
 	Chaos *chaos.Stats `json:"chaos,omitempty" prom:"chaos_"`
+	// Builder is the workload build cache's tier split: programs from
+	// memory, from disk and built, and SEQUENTIAL references from memory,
+	// from disk and from a run.
+	Builder workload.BuildStats `json:"builder" prom:"builder_"`
 
 	// Per-stage breakdown of the cold path, observed once per executed job:
 	// queue wait, workload build, simulation, result render.
@@ -929,6 +964,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 		BuildLatencyMicros:  s.stageMicros[stageBuild].Snapshot(),
 		SimLatencyMicros:    s.stageMicros[stageSim].Snapshot(),
 		RenderLatencyMicros: s.stageMicros[stageRender].Snapshot(),
+
+		Builder: s.builder.Stats(),
 	}
 	if s.store != nil {
 		st := s.store.Stats()
@@ -945,11 +982,3 @@ func (s *Server) MetricsSnapshot() Metrics {
 	}
 	return m
 }
-
-// Builds reports how many distinct workload builds the shared cache has
-// performed (test instrumentation).
-func (s *Server) Builds() int { return s.builder.Builds() }
-
-// BuildStats reports the build cache's tier breakdown: memory hits, disk
-// (persistent-store) hits, and real builds.
-func (s *Server) BuildStats() workload.BuildStats { return s.builder.Stats() }

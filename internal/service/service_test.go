@@ -40,16 +40,22 @@ func renderExpected(t *testing.T, spec JobSpec) []byte {
 	}
 	seqRes, _ := workload.Run(r.Spec, workload.Sequential)
 	built := workload.Build(r.Spec, r.Exp.SequentialSoftware())
-	res := sim.Run(cfg, built.Program)
+	return renderRun(t, r, built, sim.Run(cfg, built.Program), seqRes)
+}
+
+// renderRun renders r's result document from its run and the whole
+// SEQUENTIAL reference Result through report.BuildRun and WriteRun.
+func renderRun(t *testing.T, r *Resolved, built *workload.Built, res, seq *sim.Result) []byte {
+	t.Helper()
 	run := report.BuildRun(report.RunParams{
 		Benchmark:  r.Spec.Bench.String(),
 		Experiment: r.Exp.String(),
-		CPUs:       cfg.CPUs,
-		Subthreads: cfg.TLS.SubthreadsPerEpoch,
-		Spacing:    cfg.SubthreadSpacing,
+		CPUs:       r.Cfg.CPUs,
+		Subthreads: r.Cfg.TLS.SubthreadsPerEpoch,
+		Spacing:    r.Cfg.SubthreadSpacing,
 		Epochs:     built.Stats.Epochs,
 		Coverage:   built.Stats.Coverage,
-	}, res, seqRes)
+	}, res, seq)
 	var buf bytes.Buffer
 	if err := report.WriteRun(&buf, run); err != nil {
 		t.Fatalf("WriteRun: %v", err)
@@ -276,7 +282,7 @@ func TestCacheHitServedWithoutResimulation(t *testing.T) {
 	resp.Body.Close()
 	waitDone(t, ts, st.ID)
 	_, first := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
-	builds := s.Builds()
+	builds := s.MetricsSnapshot().Builder.Builds
 
 	// Resubmitting the same spec returns the stored body immediately.
 	hit := postJob(t, ts, spec)
@@ -294,8 +300,8 @@ func TestCacheHitServedWithoutResimulation(t *testing.T) {
 	if !bytes.Equal(hitBody, first) {
 		t.Errorf("cache hit body differs from original result")
 	}
-	if s.Builds() != builds {
-		t.Errorf("cache hit triggered %d new builds", s.Builds()-builds)
+	if now := s.MetricsSnapshot().Builder.Builds; now != builds {
+		t.Errorf("cache hit triggered %d new builds", now-builds)
 	}
 
 	m := s.MetricsSnapshot()

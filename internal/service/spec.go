@@ -216,8 +216,11 @@ func (r *Resolved) Config() sim.Config {
 }
 
 // WriteResult renders r's result document from its measured run and the
-// sequential reference: the bytes tlsd serves and `tlssim -json` prints.
-func (r *Resolved) WriteResult(w io.Writer, built *workload.Built, res, seq *sim.Result) error {
+// SEQUENTIAL reference's cycle count: the bytes tlsd serves and `tlssim
+// -json` prints. The document reads nothing else of the reference
+// (TestResultReadsOnlyReferenceCycles), which is what lets tlsd keep one
+// cycle count per workload instead of re-simulating it for every job.
+func (r *Resolved) WriteResult(w io.Writer, built *workload.Built, res *sim.Result, seqCycles uint64) error {
 	return report.WriteRun(w, report.BuildRun(report.RunParams{
 		Benchmark:  r.Spec.Bench.String(),
 		Experiment: r.Exp.String(),
@@ -226,7 +229,7 @@ func (r *Resolved) WriteResult(w io.Writer, built *workload.Built, res, seq *sim
 		Spacing:    r.Cfg.SubthreadSpacing,
 		Epochs:     built.Stats.Epochs,
 		Coverage:   built.Stats.Coverage,
-	}, res, seq))
+	}, res, &sim.Result{Cycles: seqCycles}))
 }
 
 // ReproCommand is the cmd/tlssim invocation that reproduces this job —

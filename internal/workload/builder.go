@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"subthreads/internal/cas"
@@ -12,27 +15,31 @@ import (
 // keyed by CacheKey(spec, sequential).
 const casNamespace = "built"
 
-// buildKey identifies one distinct binary: the benchmark spec plus which
-// software mode (sequential vs. TLS-transformed) it was compiled for. Spec is
-// a comparable struct, so the key works directly as a map key.
-type buildKey struct {
+// refNamespace is where SEQUENTIAL reference cycle counts live inside a
+// cas.Store, keyed by CacheKey(spec, true): 8 bytes, little endian.
+const refNamespace = "seqref"
+
+// BuildKey identifies one distinct program: the benchmark spec plus which
+// software mode (sequential vs. TLS-transformed) it was compiled for. It is
+// comparable, so it works directly as a map key.
+type BuildKey struct {
 	Spec       Spec
 	Sequential bool
 }
 
-// keyOf returns the key of the program Build(spec, sequential) records. A
+// KeyOf returns the key of the program Build(spec, sequential) records. A
 // SEQUENTIAL build runs the unoptimized engine and records each transaction
 // as one flat trace, so neither OptLevel nor the loop DELIVERY OUTER
 // parallelizes reaches its program: they fold to 0 and DELIVERY, and every
-// spec that records the same SEQUENTIAL program shares one build.
-func keyOf(spec Spec, sequential bool) buildKey {
+// spec that records the same SEQUENTIAL program shares one key.
+func KeyOf(spec Spec, sequential bool) BuildKey {
 	if sequential {
 		spec.OptLevel = 0
 		if spec.Bench == tpcc.DeliveryOuter {
 			spec.Bench = tpcc.Delivery
 		}
 	}
-	return buildKey{Spec: spec, Sequential: sequential}
+	return BuildKey{Spec: spec, Sequential: sequential}
 }
 
 // Builder memoizes Build results so that every sweep replaying the same
@@ -47,15 +54,26 @@ func keyOf(spec Spec, sequential bool) buildKey {
 // only a disk miss runs the real Build, whose result is then published for
 // the next process. Lookup is three-level: memory → disk → build.
 //
+// Beside the programs sits the reference tier (Reference, PutReference):
+// the cycle count of each SEQUENTIAL program on Machine(Sequential), the
+// denominator of every speedup, in memory and under the store's seqref
+// namespace.
+//
 // A Builder is safe for concurrent use. The zero value is ready to use
 // (memory-only).
 type Builder struct {
-	memo  cas.Memo[buildKey, *Built]
+	memo  cas.Memo[BuildKey, *Built]
 	store *cas.Store // nil = no persistent tier
 
-	memHits  atomic.Int64 // calls that shared a filled or in-flight entry
-	builds   atomic.Int64 // fills that ran the real Build
-	diskHits atomic.Int64 // fills served by decoding a store entry
+	refMu sync.Mutex
+	refs  map[BuildKey]uint64 // SEQUENTIAL cycles, by KeyOf(spec, true)
+
+	memHits     atomic.Uint64 // calls that shared a filled or in-flight entry
+	builds      atomic.Uint64 // fills that ran the real Build
+	diskHits    atomic.Uint64 // fills served by decoding a store entry
+	refMemHits  atomic.Uint64 // references found in memory
+	refDiskHits atomic.Uint64 // references decoded from the store
+	refRuns     atomic.Uint64 // references published from a completed run
 }
 
 // NewBuilder returns an empty build cache.
@@ -66,10 +84,10 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) SetStore(s *cas.Store) { b.store = s }
 
 // Build returns the memoized program for (spec, sequential), building it on
-// first use. Concurrent callers with the same key (keyOf) block until the
+// first use. Concurrent callers with the same key (KeyOf) block until the
 // one fill in flight — disk load or real build — completes.
 func (b *Builder) Build(spec Spec, sequential bool) *Built {
-	key := keyOf(spec, sequential)
+	key := KeyOf(spec, sequential)
 	built, filled := b.memo.Do(key, func() *Built {
 		return b.fill(key)
 	})
@@ -83,7 +101,7 @@ func (b *Builder) Build(spec Spec, sequential bool) *Built {
 // the result for the next process). A disk entry that fails to decode — e.g.
 // one written by a different builtVersion under a stale key — is quarantined
 // by cas.Load, never fatal, and the build runs as if it were absent.
-func (b *Builder) fill(key buildKey) *Built {
+func (b *Builder) fill(key BuildKey) *Built {
 	diskKey := CacheKey(key.Spec, key.Sequential)
 	if built, err := cas.Load(b.store, casNamespace, diskKey, DecodeBuilt); err == nil {
 		b.diskHits.Add(1)
@@ -98,20 +116,92 @@ func (b *Builder) fill(key buildKey) *Built {
 	return built
 }
 
-// BuildStats breaks Build calls down by which tier satisfied them.
+// Reference tiers: where a workload's SEQUENTIAL cycle count came from.
+const (
+	RefMemory = "memory" // an earlier lookup or run in this process
+	RefDisk   = "disk"   // the store's seqref namespace
+	RefRun    = "run"    // the caller simulated it (then PutReference)
+)
+
+// Reference returns the SEQUENTIAL cycle count of spec's workload and the
+// tier that held it, RefMemory or RefDisk (a disk hit also fills memory).
+// ok is false when neither tier has it: the caller then simulates
+// Build(spec, true) on Machine(Sequential) and publishes the count with
+// PutReference. Every spec with one SEQUENTIAL program (KeyOf) shares one
+// reference. There is no single flight: concurrent misses each simulate and
+// publish the same value. A store entry that is not 8 bytes is quarantined
+// by cas.Load and reads as a miss.
+func (b *Builder) Reference(spec Spec) (cycles uint64, tier string, ok bool) {
+	key := KeyOf(spec, true)
+	b.refMu.Lock()
+	cycles, ok = b.refs[key]
+	b.refMu.Unlock()
+	if ok {
+		b.refMemHits.Add(1)
+		return cycles, RefMemory, true
+	}
+	cycles, err := cas.Load(b.store, refNamespace, CacheKey(spec, true), decodeReference)
+	if err != nil {
+		return 0, "", false
+	}
+	b.refDiskHits.Add(1)
+	b.remember(key, cycles)
+	return cycles, RefDisk, true
+}
+
+// PutReference publishes the cycle count of a completed SEQUENTIAL run of
+// spec's program to memory and to the store, and counts the run.
+func (b *Builder) PutReference(spec Spec, cycles uint64) {
+	b.refRuns.Add(1)
+	b.remember(KeyOf(spec, true), cycles)
+	b.store.Put(refNamespace, CacheKey(spec, true), binary.LittleEndian.AppendUint64(nil, cycles))
+}
+
+// remember fills the reference tier's memory.
+func (b *Builder) remember(key BuildKey, cycles uint64) {
+	b.refMu.Lock()
+	defer b.refMu.Unlock()
+	if b.refs == nil {
+		b.refs = make(map[BuildKey]uint64)
+	}
+	b.refs[key] = cycles
+}
+
+// decodeReference parses a seqref entry: exactly 8 bytes, little endian.
+func decodeReference(data []byte) (uint64, error) {
+	if len(data) != 8 {
+		return 0, fmt.Errorf("workload: seqref entry is %d bytes, want 8", len(data))
+	}
+	return binary.LittleEndian.Uint64(data), nil
+}
+
+// BuildStats breaks Build and Reference calls down by which tier satisfied
+// them. Each field is declared once for the JSON and Prometheus forms of
+// tlsd's /metrics.
 //
 // MemoryHits counts calls that found a filled (or in-flight) memory entry —
 // concurrent callers that waited on a fill in progress count as memory hits,
 // since they shared that fill rather than performing their own.
 type BuildStats struct {
-	MemoryHits int
-	DiskHits   int
-	Builds     int
+	MemoryHits uint64 `json:"memory_hits" prom:"memory_hits_total Program lookups served from memory, waits on a fill in flight included."`
+	DiskHits   uint64 `json:"disk_hits" prom:"disk_hits_total Programs decoded from the persistent store instead of built."`
+	Builds     uint64 `json:"builds" prom:"builds_total Programs built by loading the database and recording the transaction stream."`
+
+	ReferenceMemoryHits uint64 `json:"reference_memory_hits" prom:"reference_memory_hits_total SEQUENTIAL reference cycle counts found in memory."`
+	ReferenceDiskHits   uint64 `json:"reference_disk_hits" prom:"reference_disk_hits_total SEQUENTIAL reference cycle counts read from the persistent store."`
+	ReferenceRuns       uint64 `json:"reference_runs" prom:"reference_runs_total SEQUENTIAL reference cycle counts published from a completed simulation."`
 }
 
 // Stats returns the tier breakdown so far.
 func (b *Builder) Stats() BuildStats {
-	return BuildStats{MemoryHits: int(b.memHits.Load()), DiskHits: int(b.diskHits.Load()), Builds: b.Builds()}
+	return BuildStats{
+		MemoryHits:          b.memHits.Load(),
+		DiskHits:            b.diskHits.Load(),
+		Builds:              b.builds.Load(),
+		ReferenceMemoryHits: b.refMemHits.Load(),
+		ReferenceDiskHits:   b.refDiskHits.Load(),
+		ReferenceRuns:       b.refRuns.Load(),
+	}
 }
 
 // Builds reports how many actual (non-cached) Build calls the cache has

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"subthreads/internal/cas"
+	"subthreads/internal/tpcc"
 )
 
 func openStore(t *testing.T, dir string, opts cas.Options) *cas.Store {
@@ -131,5 +132,81 @@ func TestBuilderConcurrentSplitCounters(t *testing.T) {
 	path := filepath.Join(dir, casNamespace)
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no published namespace dir: %v", err)
+	}
+}
+
+// The reference tier: one SEQUENTIAL cycle count per program (KeyOf), in
+// memory and under the store's seqref namespace. DELIVERY, DELIVERY OUTER
+// and every opt level share one entry, a second Builder over the same store
+// reads it from disk, and no lookup builds or decodes a program.
+func TestReferenceTiers(t *testing.T) {
+	dir := t.TempDir()
+	del, outer, opt0 := tinySpec(tpcc.Delivery), tinySpec(tpcc.DeliveryOuter), tinySpec(tpcc.Delivery)
+	opt0.OptLevel = 0
+
+	b1 := NewBuilder()
+	b1.SetStore(openStore(t, dir, cas.Options{}))
+	if _, _, ok := b1.Reference(del); ok {
+		t.Fatal("empty builder has a reference")
+	}
+	b1.PutReference(del, 12345)
+	for _, s := range []Spec{outer, opt0} {
+		if c, tier, ok := b1.Reference(s); !ok || c != 12345 || tier != RefMemory {
+			t.Errorf("%v opt %d: Reference = %d, %q, %v; want 12345 from memory", s.Bench, s.OptLevel, c, tier, ok)
+		}
+	}
+	if st := b1.Stats(); st != (BuildStats{ReferenceMemoryHits: 2, ReferenceRuns: 1}) {
+		t.Errorf("first builder stats = %+v", st)
+	}
+
+	b2 := NewBuilder()
+	b2.SetStore(openStore(t, dir, cas.Options{}))
+	if c, tier, ok := b2.Reference(outer); !ok || c != 12345 || tier != RefDisk {
+		t.Errorf("restarted Reference = %d, %q, %v; want 12345 from disk", c, tier, ok)
+	}
+	if c, tier, ok := b2.Reference(del); !ok || c != 12345 || tier != RefMemory {
+		t.Errorf("second lookup = %d, %q, %v; want 12345 from memory", c, tier, ok)
+	}
+	if st := b2.Stats(); st != (BuildStats{ReferenceDiskHits: 1, ReferenceMemoryHits: 1}) {
+		t.Errorf("restarted builder stats = %+v", st)
+	}
+
+	// Without a store the tier is memory only.
+	b3 := NewBuilder()
+	b3.PutReference(del, 7)
+	if c, tier, ok := b3.Reference(outer); !ok || c != 7 || tier != RefMemory {
+		t.Errorf("store-less Reference = %d, %q, %v; want 7 from memory", c, tier, ok)
+	}
+}
+
+// A seqref entry is exactly 8 bytes. One of any other length passes the
+// store's checksum but not the decoder, so cas.Load quarantines it and the
+// lookup misses; the caller's run then republishes a clean entry.
+func TestReferenceWrongLengthQuarantined(t *testing.T) {
+	spec := tinySpec(tpcc.NewOrder)
+	for _, n := range []int{0, 7, 9, 16} {
+		dir := t.TempDir()
+		s := openStore(t, dir, cas.Options{})
+		s.Put(refNamespace, CacheKey(spec, true), make([]byte, n))
+
+		b := NewBuilder()
+		b.SetStore(s)
+		if c, tier, ok := b.Reference(spec); ok {
+			t.Errorf("%d-byte entry: Reference = %d from %q, want a miss", n, c, tier)
+		}
+		if st := s.Stats(); st.Corrupt != 1 {
+			t.Errorf("%d-byte entry: store corrupt count = %d, want 1", n, st.Corrupt)
+		}
+		matches, _ := filepath.Glob(filepath.Join(dir, refNamespace, "*", "*.quarantined"))
+		if len(matches) != 1 {
+			t.Errorf("%d-byte entry: quarantined files = %v, want one", n, matches)
+		}
+
+		b.PutReference(spec, 99)
+		fresh := NewBuilder()
+		fresh.SetStore(s)
+		if c, tier, ok := fresh.Reference(spec); !ok || c != 99 || tier != RefDisk {
+			t.Errorf("%d-byte entry: after republishing, Reference = %d, %q, %v; want 99 from disk", n, c, tier, ok)
+		}
 	}
 }

@@ -193,7 +193,7 @@ func TestSequentialBuildKeyedByProgram(t *testing.T) {
 	}
 	for _, x := range calls {
 		for _, y := range calls {
-			sameMemo := keyOf(x.spec, x.seq) == keyOf(y.spec, y.seq)
+			sameMemo := KeyOf(x.spec, x.seq) == KeyOf(y.spec, y.seq)
 			if sameDisk := CacheKey(x.spec, x.seq) == CacheKey(y.spec, y.seq); sameMemo != sameDisk {
 				t.Errorf("%v/%d seq=%v vs %v/%d seq=%v: memo keys equal %v, CacheKeys equal %v",
 					x.spec.Bench, x.spec.OptLevel, x.seq, y.spec.Bench, y.spec.OptLevel, y.seq, sameMemo, sameDisk)

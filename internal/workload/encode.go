@@ -52,10 +52,10 @@ const (
 
 // CacheKey is the canonical content address of the Built program for
 // (spec, sequential): the SHA-256 of the canonical JSON of its build key
-// (keyOf) and the encoding version. Two processes (or two runs of one
+// (KeyOf) and the encoding version. Two processes (or two runs of one
 // process) that would Build the same binary share a key.
 func CacheKey(spec Spec, sequential bool) string {
-	k := keyOf(spec, sequential)
+	k := KeyOf(spec, sequential)
 	c := struct {
 		V          int  `json:"v"`
 		Spec       Spec `json:"spec"`

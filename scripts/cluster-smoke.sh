@@ -6,7 +6,8 @@
 # remote cache tier (the cross-process -peers wiring); kill the digest's
 # owner and require the router to keep serving the digest byte-identically
 # from the surviving replica; finally scrape the router's /metrics in both
-# JSON and Prometheus form and lint the tlsrouter_* exposition.
+# JSON and Prometheus form and lint the tlsrouter_* exposition. First, a
+# stray word among either command's flags must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,21 @@ trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/tlsd" ./cmd/tlsd
 go build -o "$TMP/tlsrouter" ./cmd/tlsrouter
 go build -o "$TMP/tlssim" ./cmd/tlssim
+
+# A stray word is a usage error (exit 2 at once): flag parsing stops there,
+# so a second unquoted URL would otherwise drop every flag after it and the
+# command would serve on its defaults.
+for CMD in "tlsd -addr $ADDR_A -peers http://127.0.0.1:1 http://127.0.0.1:2 -workers 3 -queue 9" \
+    "tlsrouter -workers http://127.0.0.1:1 stray -addr $ADDR_R"; do
+    STATUS=0
+    # shellcheck disable=SC2086 # CMD is split into words on purpose
+    timeout 5 "$TMP"/$CMD >/dev/null 2>"$TMP/usage.err" || STATUS=$?
+    if [ "$STATUS" != 2 ]; then
+        echo "cluster-smoke: $CMD exited $STATUS, want usage error 2" >&2
+        cat "$TMP/usage.err" >&2
+        exit 1
+    fi
+done
 
 "$TMP/tlsd" -addr "$ADDR_A" -log-format json -cache-dir "$TMP/cas-a" \
     -peers "http://$ADDR_B" >"$TMP/a.log" 2>"$TMP/a.jsonl" &
@@ -158,4 +174,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "cluster-smoke: ok (routed byte-identical, remote tier, owner-death rescue, clean tlsrouter exposition)"
+echo "cluster-smoke: ok (usage errors, routed byte-identical, remote tier, owner-death rescue, clean tlsrouter exposition)"

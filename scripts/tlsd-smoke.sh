@@ -10,7 +10,9 @@
 # require a clean drain (exit 0).
 # Finally restart the daemon over the same -cache-dir and require the
 # first resubmission to be a disk-warm cache hit: byte-identical body,
-# zero build/sim work, and the CAS counters visible in both metric forms.
+# zero build/sim work, and the CAS counters visible in both metric forms;
+# a variant of the spec must then read its SEQUENTIAL reference from disk
+# and build nothing. Before any of that, usage errors must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -23,6 +25,20 @@ trap 'rm -rf "$TMP"' EXIT
 
 go build -o "$TMP/tlsd" ./cmd/tlsd
 go build -o "$TMP/tlssim" ./cmd/tlssim
+
+# Usage errors exit 2 at once instead of serving: a stray word (flag
+# parsing stops there, so every flag after it would be dropped silently)
+# and a worker pool or queue below 1.
+for ARGS in "-log-format json stray -workers 3 -queue 9" "-workers -4" "-queue 0"; do
+    STATUS=0
+    # shellcheck disable=SC2086 # ARGS is split into words on purpose
+    timeout 5 "$TMP/tlsd" -addr "$ADDR" $ARGS >/dev/null 2>"$TMP/usage.err" || STATUS=$?
+    if [ "$STATUS" != 2 ]; then
+        echo "tlsd-smoke: tlsd $ARGS exited $STATUS, want usage error 2" >&2
+        cat "$TMP/usage.err" >&2
+        exit 1
+    fi
+done
 
 "$TMP/tlsd" -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -log-format json \
     -flight-dir "$TMP/flight" -cache-dir "$TMP/cas" \
@@ -250,11 +266,13 @@ grep -q '"msg":"job disk-warm hit"' "$TMP/tlsd2.jsonl" || {
     exit 1
 }
 
-# Checkpoint leg: the cold run above published a machine checkpoint into the
-# same cache dir; a sweep variant of the spec (divergent sub-thread spacing)
-# submitted to the restarted daemon must fork its simulation from that
-# on-disk checkpoint — byte-identical to tlssim -json for the variant, with
-# the fork visible in both metric forms.
+# Checkpoint and reference leg: the cold run above published a machine
+# checkpoint and its SEQUENTIAL reference cycle count into the same cache
+# dir; a sweep variant of the spec (divergent sub-thread spacing) submitted
+# to the restarted daemon must fork its simulation from that on-disk
+# checkpoint and read its reference from disk, building no program —
+# byte-identical to tlssim -json for the variant, with the fork and the
+# reference tier visible in both metric forms and the completion log line.
 SWEEPSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
 curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$SWEEPSPEC" >"$TMP/sweep.json"
 "$TMP/tlssim" -benchmark "NEW ORDER" -experiment "BASELINE" -txns 3 -warmup 1 \
@@ -270,7 +288,8 @@ curl -fsS "http://$ADDR/metrics" | grep -q '"jobs_forked": 1' || {
     exit 1
 }
 curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/snap-metrics.prom"
-for NEEDLE in '^tlsd_snapshot_hit_total 1$' '^tlsd_jobs_forked_total 1$'; do
+for NEEDLE in '^tlsd_snapshot_hit_total 1$' '^tlsd_jobs_forked_total 1$' \
+    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 0$'; do
     grep -q "$NEEDLE" "$TMP/snap-metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
         cat "$TMP/snap-metrics.prom" >&2
@@ -284,6 +303,11 @@ PROMLINT_FILE="$TMP/snap-metrics.prom" go test -count=1 -run TestLintPromFile ./
 }
 grep -q '"msg":"job forked from snapshot"' "$TMP/tlsd2.jsonl" || {
     echo "tlsd-smoke: structured log missing the snapshot fork" >&2
+    cat "$TMP/tlsd2.jsonl" >&2
+    exit 1
+}
+grep '"msg":"job completed"' "$TMP/tlsd2.jsonl" | grep -q '"reference":"disk"' || {
+    echo "tlsd-smoke: the variant's completion log line does not name a disk reference" >&2
     cat "$TMP/tlsd2.jsonl" >&2
     exit 1
 }
@@ -355,4 +379,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "tlsd-smoke: ok (job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, snapshot fork, chaos leg)"
+echo "tlsd-smoke: ok (usage errors, job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, snapshot fork, disk reference, chaos leg)"
