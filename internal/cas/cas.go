@@ -3,9 +3,9 @@
 // entries keyed by (namespace, digest), so a restarted or freshly scaled-out
 // process is warm from byte one. Memo is the memory tier above it, a keyed
 // single-flight cache of decoded values (built programs, exact simulation
-// results, prefix checkpoints), and Load is the one path from a stored entry
-// to a decoded value. The serving daemon's job table stays its own memory
-// tier: it tracks live jobs, not just values.
+// results), unbounded or held to a byte budget by LRU eviction, and Load is
+// the one path from a stored entry to a decoded value. The serving daemon's
+// job table stays its own memory tier: it tracks live jobs, not just values.
 //
 // Guarantees:
 //
@@ -18,8 +18,9 @@
 //     Consumers rebuild and overwrite.
 //   - Bounded size. The store tracks entry sizes and evicts least-recently
 //     used entries when the configured budget is exceeded; recency survives
-//     restarts through a small on-disk index (best effort — a missing or
-//     stale index only degrades eviction order, never correctness).
+//     restarts through a small on-disk index, written by Close and on
+//     quarantine (best effort — a missing or stale index, as after an
+//     unclean exit, only degrades eviction order, never correctness).
 //   - Single-flight loads. Concurrent Gets of one key share a single disk
 //     read and validation pass.
 //
@@ -393,7 +394,8 @@ func (s *Store) loadEntry(rel string) ([]byte, bool) {
 }
 
 // Put stores payload under (namespace, key), atomically replacing any
-// previous entry, then evicts past the size budget. Failures are logged and
+// previous entry, then evicts past the size budget. The entry is fsync'd;
+// the recency index is not rewritten until Close. Failures are logged and
 // swallowed: the persistent tier is an optimization, never a correctness
 // dependency, so a full disk degrades to cold behavior.
 func (s *Store) Put(namespace, key string, payload []byte) {
@@ -438,7 +440,6 @@ func (s *Store) Put(namespace, key string, payload []byte) {
 		s.total += size
 	}
 	evicted := s.evictLocked(rel)
-	s.persistIndexLocked()
 	s.mu.Unlock()
 	s.observe("store", time.Since(start), false)
 
@@ -543,7 +544,7 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close persists the LRU index (recording the touches since the last Put).
+// Close persists the LRU index, recording every Put and touch since Open.
 // The store stays usable; Close exists so clean shutdowns keep recency.
 func (s *Store) Close() error {
 	if s == nil {

@@ -197,6 +197,27 @@ func TestIndexPersistsRecency(t *testing.T) {
 	}
 }
 
+// Put fsyncs its own entry but leaves the recency index to Close: a run of
+// Puts writes no index.json, and Close writes one. An unclean exit loses
+// only recency (TestIndexPersistsRecency covers what a clean one keeps).
+func TestIndexWrittenOnClose(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	for i := range 5 {
+		s.Put("ns", fmt.Sprintf("key%d", i), []byte("payload"))
+	}
+	index := filepath.Join(dir, indexFile)
+	if _, err := os.Stat(index); !os.IsNotExist(err) {
+		t.Fatalf("index.json after Puts: %v, want none until Close", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if _, err := os.Stat(index); err != nil {
+		t.Fatalf("index.json after Close: %v", err)
+	}
+}
+
 // Two stores over one directory — the multi-process sharing model — must be
 // race-free and never serve torn bytes (run under -race).
 func TestConcurrentProcessesSafe(t *testing.T) {

@@ -183,10 +183,12 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_build_info gauge",
 		"# TYPE tlsd_builder_builds_total counter",
 		"# TYPE tlsd_builder_disk_hits_total counter",
+		"# TYPE tlsd_builder_evictions_total counter",
 		"# TYPE tlsd_builder_memory_hits_total counter",
 		"# TYPE tlsd_builder_reference_disk_hits_total counter",
 		"# TYPE tlsd_builder_reference_memory_hits_total counter",
 		"# TYPE tlsd_builder_reference_runs_total counter",
+		"# TYPE tlsd_builder_resident_bytes gauge",
 		"# TYPE tlsd_cache_deduped_total counter",
 		"# TYPE tlsd_cache_disk_hit_latency_microseconds histogram",
 		"# TYPE tlsd_cache_disk_hits_total counter",
@@ -239,10 +241,12 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_build_info{go,modified,module,revision,version}",
 		"tlsd_builder_builds_total{}",
 		"tlsd_builder_disk_hits_total{}",
+		"tlsd_builder_evictions_total{}",
 		"tlsd_builder_memory_hits_total{}",
 		"tlsd_builder_reference_disk_hits_total{}",
 		"tlsd_builder_reference_memory_hits_total{}",
 		"tlsd_builder_reference_runs_total{}",
+		"tlsd_builder_resident_bytes{}",
 		"tlsd_cache_deduped_total{}",
 		"tlsd_cache_disk_hit_latency_microseconds{}",
 		"tlsd_cache_disk_hits_total{}",
@@ -296,10 +300,12 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"builder",
 		"builder.builds",
 		"builder.disk_hits",
+		"builder.evictions",
 		"builder.memory_hits",
 		"builder.reference_disk_hits",
 		"builder.reference_memory_hits",
 		"builder.reference_runs",
+		"builder.resident_bytes",
 		"cache_disk_hits",
 		"cache_entries",
 		"cache_hit_latency_micros",

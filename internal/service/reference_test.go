@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"subthreads/internal/sim"
@@ -39,6 +40,14 @@ func requireExpected(t *testing.T, spec JobSpec, body []byte) {
 		js, _ := json.Marshal(spec)
 		t.Errorf("%s: served body differs from tlssim -json", js)
 	}
+}
+
+// tierCounts is b without its residency (resident bytes and evictions),
+// which the bounded-tier tests pin: what is left is where each lookup was
+// served from.
+func tierCounts(b workload.BuildStats) workload.BuildStats {
+	b.ResidentBytes, b.Evictions = 0, 0
+	return b
 }
 
 // TestResultReadsOnlyReferenceCycles: the result document reads nothing of
@@ -89,7 +98,7 @@ func TestReferenceFromMemory(t *testing.T) {
 			for _, spec := range tc.specs {
 				requireExpected(t, spec, runDone(t, ts, spec))
 			}
-			if b := s.MetricsSnapshot().Builder; b != tc.want {
+			if b := tierCounts(s.MetricsSnapshot().Builder); b != tc.want {
 				t.Errorf("builder stats = %+v, want %+v", b, tc.want)
 			}
 		})
@@ -133,7 +142,7 @@ func TestRestartedVariantReference(t *testing.T) {
 			s2, ts2 := newTestServer(t, Options{Workers: 1, Store: store})
 			requireExpected(t, variant, runDone(t, ts2, variant))
 			m := s2.MetricsSnapshot()
-			if m.Builder != tc.want {
+			if tierCounts(m.Builder) != tc.want {
 				t.Errorf("builder stats = %+v, want %+v", m.Builder, tc.want)
 			}
 			if m.CAS == nil || m.CAS.Corrupt != tc.corrupt {
@@ -231,5 +240,47 @@ func TestReferenceRunDeadlineFailsAlone(t *testing.T) {
 	requireExpected(t, third, runDone(t, ts, third))
 	if b := s.MetricsSnapshot().Builder; b.ReferenceRuns != 1 || b.ReferenceMemoryHits != 1 {
 		t.Errorf("builder stats = %+v, want 1 reference run and 1 memory hit", b)
+	}
+}
+
+// A SEQUENTIAL job on the unmodified machine is its workload's reference
+// run: it publishes its own cycle count instead of simulating its program a
+// second time. A TLS-SEQ job runs the same machine on the TLS program, and
+// an injected SEQUENTIAL job runs a perturbed one, so each still runs the
+// clean reference. Every body is the one tlssim -json prints.
+func TestSequentialJobIsItsReference(t *testing.T) {
+	seq := tinySpec("NEW ORDER")
+	seq.Experiment = "SEQUENTIAL"
+	tlsSeq := tinySpec("NEW ORDER")
+	tlsSeq.Experiment = "TLS-SEQ"
+	injected := seq
+	injected.Inject = "seed=1,faults=5,window=60000"
+	for _, tc := range []struct {
+		name       string
+		spec       JobSpec
+		want       workload.BuildStats
+		references int32 // reference simulations besides the job's own
+	}{
+		{"sequential", seq, workload.BuildStats{Builds: 1, ReferenceRuns: 1}, 0},
+		{"tls-seq", tlsSeq, workload.BuildStats{Builds: 2, ReferenceRuns: 1}, 1},
+		// The job's program is the SEQUENTIAL one, so the reference run
+		// finds it in memory.
+		{"injected", injected, workload.BuildStats{Builds: 1, MemoryHits: 1, ReferenceRuns: 1}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var references atomic.Int32
+			hook := func(*Job) { references.Add(1) }
+			testHookReference.Store(&hook)
+			t.Cleanup(func() { testHookReference.Store(nil) })
+
+			s, ts := newTestServer(t, Options{Workers: 1})
+			requireExpected(t, tc.spec, runDone(t, ts, tc.spec))
+			if n := references.Load(); n != tc.references {
+				t.Errorf("%d reference simulations, want %d", n, tc.references)
+			}
+			if b := tierCounts(s.MetricsSnapshot().Builder); b != tc.want {
+				t.Errorf("builder stats = %+v, want %+v", b, tc.want)
+			}
+		})
 	}
 }

@@ -103,6 +103,14 @@ const (
 	TierRemote = "remote"
 )
 
+// programBudget bounds the programs the daemon's build cache holds in
+// memory: 16 MiB of trace entries, about twice the programs a serving stream
+// reuses (perfbench serve's three NEW ORDER fork bases take 7.9 MB). Every
+// other program is used once, so holding it would only grow the heap by
+// about half a megabyte per novel workload. An evicted program comes back
+// from the store's built namespace, or is rebuilt without a store.
+const programBudget = 16 << 20
+
 // casResultNS is the store namespace for rendered result bodies, keyed by
 // the resolved job digest — the same digest that keys the in-memory cache.
 const casResultNS = "result"
@@ -189,6 +197,7 @@ func New(opts Options) *Server {
 		poison:   make(map[string]*poisonEntry),
 	}
 	s.builder.SetStore(opts.Store)
+	s.builder.SetBudget(programBudget)
 	if opts.Store != nil {
 		s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerSlowCall)
 		s.breaker.OnChange(func(from, to string) {
@@ -734,7 +743,7 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	if f := s.abortedFailure(j, res.Cycles); f != nil {
 		return nil, "", f
 	}
-	seqCycles, ref, t, err := s.reference(j, cfg.Cancel, t)
+	seqCycles, ref, t, err := s.reference(j, cfg, res, t)
 	if err != nil {
 		return nil, "", s.simFailure(j, err)
 	}
@@ -757,16 +766,22 @@ var testHookReference atomic.Pointer[func(*Job)]
 // reference returns the SEQUENTIAL cycle count j's speedup divides by and
 // the tier it came from (workload.RefMemory, RefDisk or RefRun), with the
 // stage clock t advanced past whatever ran. The lookup counts as build
-// time. Only a miss builds the SEQUENTIAL program (build stage) and
-// simulates it under the job's cancellation (sim stage), and only a
-// completed run publishes its count: a job that fails here fails alone and
-// leaves nothing behind.
-func (s *Server) reference(j *Job, cancel func() error, t time.Time) (cycles uint64, tier string, now time.Time, err error) {
+// time. On a miss, a job whose own completed run (cfg, res) was the
+// reference run publishes its own count: a SEQUENTIAL job without fault
+// injection on the unmodified machine. Any other miss builds the SEQUENTIAL
+// program (build stage) and simulates it under the job's cancellation (sim
+// stage), and only a completed run publishes its count: a job that fails
+// here fails alone and leaves nothing behind.
+func (s *Server) reference(j *Job, cfg sim.Config, res *sim.Result, t time.Time) (cycles uint64, tier string, now time.Time, err error) {
 	spec := j.res.Spec
 	j.enterStage(stageBuild, t)
 	cycles, tier, ok := s.builder.Reference(spec)
 	if ok {
 		return cycles, tier, j.leaveStage(stageBuild, t), nil
+	}
+	if j.res.Exp.SequentialSoftware() && cfg.Inject == nil && sim.FullDigest(cfg) == seqDigest {
+		s.builder.PutReference(spec, res.Cycles)
+		return res.Cycles, workload.RefRun, j.leaveStage(stageBuild, t), nil
 	}
 	built := s.builder.Build(spec, true)
 	t = j.leaveStage(stageBuild, t)
@@ -774,15 +789,18 @@ func (s *Server) reference(j *Job, cancel func() error, t time.Time) (cycles uin
 	if hook := testHookReference.Load(); hook != nil {
 		(*hook)(j)
 	}
-	cfg := workload.Machine(workload.Sequential)
-	cfg.Cancel = cancel
-	res, err := sim.RunE(cfg, built.Program)
+	seq := workload.Machine(workload.Sequential)
+	seq.Cancel = cfg.Cancel
+	res, err = sim.RunE(seq, built.Program)
 	if err == nil {
 		cycles = res.Cycles
 		s.builder.PutReference(spec, cycles)
 	}
 	return cycles, workload.RefRun, j.leaveStage(stageSim, t), err
 }
+
+// seqDigest identifies the reference machine, Machine(Sequential).
+var seqDigest = sim.FullDigest(workload.Machine(workload.Sequential))
 
 // simFailure converts a simulation's error into the job's Failure.
 func (s *Server) simFailure(j *Job, err error) *Failure {

@@ -54,13 +54,18 @@ func KeyOf(spec Spec, sequential bool) BuildKey {
 // only a disk miss runs the real Build, whose result is then published for
 // the next process. Lookup is three-level: memory → disk → build.
 //
+// The memory tier keeps every program it fills, which is what a suite
+// wants: it reuses every program, and without a store an eviction would
+// mean a rebuild. SetBudget bounds the tier instead, for a process such as
+// tlsd that meets an unbounded stream of workloads.
+//
 // Beside the programs sits the reference tier (Reference, PutReference):
 // the cycle count of each SEQUENTIAL program on Machine(Sequential), the
 // denominator of every speedup, in memory and under the store's seqref
 // namespace.
 //
 // A Builder is safe for concurrent use. The zero value is ready to use
-// (memory-only).
+// (memory-only, unbounded).
 type Builder struct {
 	memo  cas.Memo[BuildKey, *Built]
 	store *cas.Store // nil = no persistent tier
@@ -78,6 +83,13 @@ type Builder struct {
 
 // NewBuilder returns an empty build cache.
 func NewBuilder() *Builder { return &Builder{} }
+
+// SetBudget bounds the programs held in memory to max bytes (Built.Bytes),
+// evicting the least recently used past it. An evicted program comes back
+// through the lower tiers: decoded from the store, or rebuilt without one.
+// A program still being filled is never evicted, and callers holding an
+// evicted program keep using it. Call before serving traffic.
+func (b *Builder) SetBudget(max int64) { b.memo.Bound(max, (*Built).Bytes) }
 
 // SetStore attaches the persistent tier (nil detaches it). Call before
 // serving traffic; entries already memoized stay in memory either way.
@@ -176,8 +188,9 @@ func decodeReference(data []byte) (uint64, error) {
 }
 
 // BuildStats breaks Build and Reference calls down by which tier satisfied
-// them. Each field is declared once for the JSON and Prometheus forms of
-// tlsd's /metrics.
+// them, and, under a budget (SetBudget), sizes the programs held in memory.
+// Each field is declared once for the JSON and Prometheus forms of tlsd's
+// /metrics.
 //
 // MemoryHits counts calls that found a filled (or in-flight) memory entry —
 // concurrent callers that waited on a fill in progress count as memory hits,
@@ -187,6 +200,9 @@ type BuildStats struct {
 	DiskHits   uint64 `json:"disk_hits" prom:"disk_hits_total Programs decoded from the persistent store instead of built."`
 	Builds     uint64 `json:"builds" prom:"builds_total Programs built by loading the database and recording the transaction stream."`
 
+	ResidentBytes int64  `json:"resident_bytes" prom:"resident_bytes Bytes of trace entries held by the programs in memory."`
+	Evictions     uint64 `json:"evictions" prom:"evictions_total Programs evicted from memory to stay within its budget."`
+
 	ReferenceMemoryHits uint64 `json:"reference_memory_hits" prom:"reference_memory_hits_total SEQUENTIAL reference cycle counts found in memory."`
 	ReferenceDiskHits   uint64 `json:"reference_disk_hits" prom:"reference_disk_hits_total SEQUENTIAL reference cycle counts read from the persistent store."`
 	ReferenceRuns       uint64 `json:"reference_runs" prom:"reference_runs_total SEQUENTIAL reference cycle counts published from a completed simulation."`
@@ -194,10 +210,13 @@ type BuildStats struct {
 
 // Stats returns the tier breakdown so far.
 func (b *Builder) Stats() BuildStats {
+	resident, evictions := b.memo.Resident()
 	return BuildStats{
 		MemoryHits:          b.memHits.Load(),
 		DiskHits:            b.diskHits.Load(),
 		Builds:              b.builds.Load(),
+		ResidentBytes:       resident,
+		Evictions:           evictions,
 		ReferenceMemoryHits: b.refMemHits.Load(),
 		ReferenceDiskHits:   b.refDiskHits.Load(),
 		ReferenceRuns:       b.refRuns.Load(),

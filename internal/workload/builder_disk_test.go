@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -208,5 +209,43 @@ func TestReferenceWrongLengthQuarantined(t *testing.T) {
 		if c, tier, ok := fresh.Reference(spec); !ok || c != 99 || tier != RefDisk {
 			t.Errorf("%d-byte entry: after republishing, Reference = %d, %q, %v; want 99 from disk", n, c, tier, ok)
 		}
+	}
+}
+
+// A bounded Builder evicts past its budget, and an evicted program comes
+// back through the lower tiers: decoded from the store, or rebuilt without
+// one. Either way it is the program the first fill recorded. The budget
+// here holds one program, so each fill evicts the one before.
+func TestBudgetEvictsToLowerTiers(t *testing.T) {
+	a, other := tinySpec(tpcc.NewOrder), tinySpec(tpcc.Payment)
+	for _, tc := range []struct {
+		name  string
+		store bool
+		want  BuildStats // the three lookups' tiers
+	}{
+		{"memory", false, BuildStats{Builds: 3, Evictions: 2}},
+		{"store", true, BuildStats{Builds: 2, DiskHits: 1, Evictions: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder()
+			b.SetBudget(1)
+			if tc.store {
+				b.SetStore(openStore(t, t.TempDir(), cas.Options{}))
+			}
+			first := b.Build(a, false)
+			b.Build(other, false)
+			again := b.Build(a, false)
+			st := b.Stats()
+			if st.ResidentBytes != again.Bytes() {
+				t.Errorf("resident_bytes = %d, want the last program's %d", st.ResidentBytes, again.Bytes())
+			}
+			st.ResidentBytes = 0
+			if st != tc.want {
+				t.Errorf("stats = %+v, want %+v", st, tc.want)
+			}
+			if again == first || !bytes.Equal(EncodeBuilt(again), EncodeBuilt(first)) {
+				t.Error("the evicted program did not come back as the same program")
+			}
+		})
 	}
 }

@@ -82,6 +82,17 @@ type Built struct {
 	Outputs [][]int64
 }
 
+// Bytes is the memory the program's trace entries take, 8 bytes each: what
+// a bounded Builder weighs it at. The entries are nearly all of a program's
+// memory.
+func (b *Built) Bytes() int64 {
+	var n int64
+	for _, u := range b.Program.Units {
+		n += 8 * int64(len(u.Trace.Events()))
+	}
+	return n
+}
+
 // Build loads a fresh database and records the benchmark's transaction
 // stream. With sequential=true the engine is unoptimized and each
 // transaction is one flat serial trace (the SEQUENTIAL binary); otherwise

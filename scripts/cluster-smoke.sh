@@ -16,7 +16,16 @@ ADDR_B=127.0.0.1:18091
 ADDR_R=127.0.0.1:18092
 SPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1}'
 TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+# Every daemon started below joins PIDS, and the exit trap kills whatever
+# is left of them, so a failed check does not leave a daemon holding the
+# next run's port.
+PIDS=
+cleanup() {
+    # shellcheck disable=SC2086 # PIDS is split into words on purpose
+    [ -z "$PIDS" ] || kill -KILL $PIDS 2>/dev/null || true
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 go build -o "$TMP/tlsd" ./cmd/tlsd
 go build -o "$TMP/tlsrouter" ./cmd/tlsrouter
@@ -40,14 +49,17 @@ done
 "$TMP/tlsd" -addr "$ADDR_A" -log-format json -cache-dir "$TMP/cas-a" \
     -peers "http://$ADDR_B" >"$TMP/a.log" 2>"$TMP/a.jsonl" &
 PID_A=$!
+PIDS="$PIDS $PID_A"
 "$TMP/tlsd" -addr "$ADDR_B" -log-format json -cache-dir "$TMP/cas-b" \
     -peers "http://$ADDR_A" >"$TMP/b.log" 2>"$TMP/b.jsonl" &
 PID_B=$!
+PIDS="$PIDS $PID_B"
 "$TMP/tlsrouter" -addr "$ADDR_R" -log-format json \
     -workers "http://$ADDR_A,http://$ADDR_B" \
     -probe-interval 500ms -probe-timeout 500ms -probe-threshold 2 \
     >"$TMP/r.log" 2>"$TMP/r.jsonl" &
 PID_R=$!
+PIDS="$PIDS $PID_R"
 
 for HOST in "$ADDR_A" "$ADDR_B" "$ADDR_R"; do
     for i in $(seq 1 100); do

@@ -4,10 +4,11 @@
 # debug surface; submit a correlated baseline job over HTTP, poll it to
 # completion, and require the served result to be byte-identical to
 # `tlssim -json` for the same spec; resubmit to require a content-addressed
-# cache hit; scrape /metrics in both JSON and Prometheus form and lint the
-# exposition; force a structured failure and require its flight-recorder
-# dump and a repro line that reproduces it; then SIGTERM the daemon and
-# require a clean drain (exit 0).
+# cache hit; scrape /metrics in both JSON and Prometheus form (the build
+# cache's resident bytes and evictions included) and lint the exposition;
+# force a structured failure and require its flight-recorder dump and a
+# repro line that reproduces it; then SIGTERM the daemon and require a
+# clean drain (exit 0).
 # Finally restart the daemon over the same -cache-dir and require the
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms;
@@ -21,7 +22,16 @@ DEBUG_ADDR=127.0.0.1:18081
 SPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1}'
 CORR=smoke-run-1
 TMP="$(mktemp -d)"
-trap 'rm -rf "$TMP"' EXIT
+# Every daemon started below joins PIDS, and the exit trap kills whatever
+# is left of them, so a failed check does not leave a daemon holding the
+# next run's port.
+PIDS=
+cleanup() {
+    # shellcheck disable=SC2086 # PIDS is split into words on purpose
+    [ -z "$PIDS" ] || kill -KILL $PIDS 2>/dev/null || true
+    rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 go build -o "$TMP/tlsd" ./cmd/tlsd
 go build -o "$TMP/tlssim" ./cmd/tlssim
@@ -44,6 +54,7 @@ done
     -flight-dir "$TMP/flight" -cache-dir "$TMP/cas" \
     >"$TMP/tlsd.log" 2>"$TMP/tlsd.jsonl" &
 TLSD_PID=$!
+PIDS="$PIDS $TLSD_PID"
 
 # Wait for readiness.
 for i in $(seq 1 100); do
@@ -128,6 +139,15 @@ grep -q '^tlsd_job_stage_latency_microseconds_count{stage="sim"} 1$' "$TMP/metri
     cat "$TMP/metrics.prom" >&2
     exit 1
 }
+# The build cache's memory tier: the job's two programs are resident, well
+# inside the daemon's program budget, so nothing was evicted.
+for NEEDLE in '^tlsd_builder_resident_bytes [1-9]' '^tlsd_builder_evictions_total 0$'; do
+    grep -q "$NEEDLE" "$TMP/metrics.prom" || {
+        echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
+        cat "$TMP/metrics.prom" >&2
+        exit 1
+    }
+done
 PROMLINT_FILE="$TMP/metrics.prom" go test -count=1 -run TestLintPromFile ./internal/telemetry >/dev/null || {
     echo "tlsd-smoke: Prometheus exposition failed the format linter" >&2
     cat "$TMP/metrics.prom" >&2
@@ -212,6 +232,7 @@ grep -q 'drained, bye' "$TMP/tlsd.log" || {
 "$TMP/tlsd" -addr "$ADDR" -log-format json -flight-dir "$TMP/flight" \
     -cache-dir "$TMP/cas" >"$TMP/tlsd2.log" 2>"$TMP/tlsd2.jsonl" &
 TLSD2_PID=$!
+PIDS="$PIDS $TLSD2_PID"
 for i in $(seq 1 100); do
     if curl -fsS "http://$ADDR/readyz" >/dev/null 2>&1; then
         break
@@ -328,6 +349,7 @@ fi
     -cache-dir "$TMP/cas-chaos" -chaos 'seed=1,disk-err=3,slow=4,slow-ms=5,torn=3,panic=0' \
     >"$TMP/tlsd3.log" 2>"$TMP/tlsd3.jsonl" &
 TLSD3_PID=$!
+PIDS="$PIDS $TLSD3_PID"
 for i in $(seq 1 100); do
     if curl -fsS "http://$ADDR/readyz" >/dev/null 2>&1; then
         break
