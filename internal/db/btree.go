@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 
+	"subthreads/internal/isa"
 	"subthreads/internal/mem"
 )
 
@@ -19,6 +20,16 @@ type Tree struct {
 	height int
 	stats  mem.Addr // shared record-count statistics word
 
+	// pcs and works hold the tree's sites, each resolved on its first
+	// emission (zero until then), so the registry issues PCs in the same
+	// order as a lookup by name at every emission would.
+	pcs   [numTreeSites]isa.PC
+	works [numTreeWorks]workSites
+	// path is the scratch path of internal nodes that descend fills.
+	// Only Insert keeps it past the descent (for split), and no descent
+	// of this tree happens in between.
+	path []*node
+
 	// Size is the number of live entries (functional bookkeeping).
 	Size int
 	// Splits counts leaf/internal splits (diagnostics).
@@ -26,12 +37,102 @@ type Tree struct {
 }
 
 type node struct {
-	page *Page
+	page Page
 	leaf bool
 	keys []int64
 	rows []*Row  // leaf payloads
 	kids []*node // internal children
 	next *node   // leaf chain
+}
+
+// treeSite is one of a tree's load, store and branch sites. Its PC is the
+// registry's PC for the tree's name followed by the site's suffix.
+type treeSite uint8
+
+const (
+	siteHdrCountLoad treeSite = iota
+	siteKeyProbe
+	siteProbeBranch
+	siteChildLoad
+	siteRowPtr
+	siteSlotShift
+	siteKeyStore
+	siteRowPtrStore
+	siteHdrCountStore
+	siteStatsLoad
+	siteStatsStore
+	siteScanKey
+	siteScanPtr
+	siteScanBranch
+	siteSplitCopyLoad
+	siteSplitCopyStore
+	siteParentKeyStore
+	numTreeSites
+)
+
+var treeSiteSuffix = [numTreeSites]string{
+	siteHdrCountLoad:   ".hdr.count.load",
+	siteKeyProbe:       ".key.probe",
+	siteProbeBranch:    ".probe.branch",
+	siteChildLoad:      ".child.load",
+	siteRowPtr:         ".row.ptr",
+	siteSlotShift:      ".slot.shift",
+	siteKeyStore:       ".key.store",
+	siteRowPtrStore:    ".rowptr.store",
+	siteHdrCountStore:  ".hdr.count.store",
+	siteStatsLoad:      ".stats.load",
+	siteStatsStore:     ".stats.store",
+	siteScanKey:        ".scan.key",
+	siteScanPtr:        ".scan.ptr",
+	siteScanBranch:     ".scan.branch",
+	siteSplitCopyLoad:  ".split.copy.load",
+	siteSplitCopyStore: ".split.copy.store",
+	siteParentKeyStore: ".parent.key.store",
+}
+
+// treeWork is one of a tree's Work sites, named like a treeSite.
+type treeWork uint8
+
+const (
+	workDescend treeWork = iota
+	workGet
+	workInsert
+	workDelete
+	workSplit
+	numTreeWorks
+)
+
+var treeWorkSuffix = [numTreeWorks]string{
+	workDescend: ".descend",
+	workGet:     ".get",
+	workInsert:  ".insert",
+	workDelete:  ".delete",
+	workSplit:   ".split",
+}
+
+// pc returns the PC of site s, registering it on first use.
+func (t *Tree) pc(s treeSite) isa.PC {
+	if pc := t.pcs[s]; pc != 0 {
+		return pc
+	}
+	return t.resolve(s)
+}
+
+// resolve is pc's first-use path, out of line so that pc inlines.
+func (t *Tree) resolve(s treeSite) isa.PC {
+	t.pcs[s] = t.env.site(t.name + treeSiteSuffix[s])
+	return t.pcs[s]
+}
+
+// work emits n instructions of compute at the tree's Work site w.
+func (t *Tree) work(c *Ctx, w treeWork, n int) {
+	if n <= 0 {
+		return
+	}
+	if t.works[w].loop == 0 {
+		t.works[w] = t.env.workSites(t.name + treeWorkSuffix[w])
+	}
+	c.emitWork(t.works[w], n)
 }
 
 // NewTree creates an empty table index.
@@ -54,8 +155,18 @@ func (t *Tree) Name() string { return t.name }
 // Height returns the current tree height.
 func (t *Tree) Height() int { return t.height }
 
+// newNode returns an empty node whose keys and payloads hold an overfull
+// node's NodeCapacity+1 entries, so inserts and splits never grow them.
 func (t *Tree) newNode(leaf bool) *node {
-	return &node{page: t.env.newPage(), leaf: leaf}
+	capacity := t.env.cfg.NodeCapacity + 1
+	n := &node{leaf: leaf, keys: make([]int64, 0, capacity)}
+	t.env.initPage(&n.page)
+	if leaf {
+		n.rows = make([]*Row, 0, capacity)
+	} else {
+		n.kids = make([]*node, 0, capacity)
+	}
+	return n
 }
 
 // findIdx returns the index of the first key >= key, emitting binary-search
@@ -63,15 +174,15 @@ func (t *Tree) newNode(leaf bool) *node {
 func (t *Tree) findIdx(c *Ctx, n *node, key int64) int {
 	lo, hi := 0, len(n.keys)
 	if c != nil {
-		c.rec.Load(t.env.site(t.name+".hdr.count.load"), n.page.hdrCount())
+		c.rec.Load(t.pc(siteHdrCountLoad), n.page.hdrCount())
 		c.rec.ALU(3)
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".key.probe"), n.page.keyAddr(mid))
+			c.rec.Load(t.pc(siteKeyProbe), n.page.keyAddr(mid))
 			c.rec.ALU(4)
-			c.rec.Branch(t.env.site(t.name+".probe.branch"), c.nextHash()%2 == 0)
+			c.rec.Branch(t.pc(siteProbeBranch), c.nextHash()%2 == 0)
 		}
 		if n.keys[mid] < key {
 			lo = mid + 1
@@ -87,15 +198,15 @@ func (t *Tree) findIdx(c *Ctx, n *node, key int64) int {
 func (t *Tree) upperIdx(c *Ctx, n *node, key int64) int {
 	lo, hi := 0, len(n.keys)
 	if c != nil {
-		c.rec.Load(t.env.site(t.name+".hdr.count.load"), n.page.hdrCount())
+		c.rec.Load(t.pc(siteHdrCountLoad), n.page.hdrCount())
 		c.rec.ALU(3)
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".key.probe"), n.page.keyAddr(mid))
+			c.rec.Load(t.pc(siteKeyProbe), n.page.keyAddr(mid))
 			c.rec.ALU(4)
-			c.rec.Branch(t.env.site(t.name+".probe.branch"), c.nextHash()%2 == 0)
+			c.rec.Branch(t.pc(siteProbeBranch), c.nextHash()%2 == 0)
 		}
 		if n.keys[mid] <= key {
 			lo = mid + 1
@@ -109,20 +220,23 @@ func (t *Tree) upperIdx(c *Ctx, n *node, key int64) int {
 // descend walks from the root to the leaf for key, emitting pool lookups,
 // latch traffic (crab latching when escaped latches are in use), and
 // per-level compute. It returns the leaf and the path of internal nodes for
-// split propagation.
+// split propagation, which is the tree's scratch path: the next descent
+// overwrites it.
 func (t *Tree) descend(c *Ctx, key int64, forWrite bool) (leaf *node, path []*node) {
 	n := t.root
+	path = t.path[:0]
 	var prev *node
 	for {
 		if c != nil {
-			t.env.pool.get(c, n.page, forWrite && n.leaf)
-			t.env.latchPage(c, n.page, forWrite && n.leaf)
+			t.env.pool.get(c, &n.page, forWrite && n.leaf)
+			t.env.latchPage(c, &n.page, forWrite && n.leaf)
 			if prev != nil {
-				t.env.unlatchPage(c, prev.page) // crab latching
+				t.env.unlatchPage(c, &prev.page) // crab latching
 			}
-			c.work(t.name+".descend", t.env.cfg.Costs.BtreeLevel)
+			t.work(c, workDescend, t.env.cfg.Costs.BtreeLevel)
 		}
 		if n.leaf {
+			t.path = path
 			return n, path
 		}
 		path = append(path, n)
@@ -131,8 +245,8 @@ func (t *Tree) descend(c *Ctx, key int64, forWrite bool) (leaf *node, path []*no
 		// exceeds key.
 		i := t.upperIdx(c, n, key)
 		if c != nil {
-			c.rec.Load(t.env.site(t.name+".child.load"), n.page.slotAddr(i))
-			t.env.pool.unpin(c, n.page)
+			c.rec.Load(t.pc(siteChildLoad), n.page.slotAddr(i))
+			t.env.pool.unpin(c, &n.page)
 		}
 		prev = n
 		n = n.kids[i]
@@ -147,11 +261,11 @@ func (t *Tree) Get(c *Ctx, key int64) (*Row, bool) {
 	found := i < len(leaf.keys) && leaf.keys[i] == key
 	if c != nil {
 		if found {
-			c.rec.Load(t.env.site(t.name+".row.ptr"), leaf.page.slotAddr(i))
-			c.work(t.name+".get", t.env.cfg.Costs.RowRead)
+			c.rec.Load(t.pc(siteRowPtr), leaf.page.slotAddr(i))
+			t.work(c, workGet, t.env.cfg.Costs.RowRead)
 		}
-		t.env.unlatchPage(c, leaf.page)
-		t.env.pool.unpin(c, leaf.page)
+		t.env.unlatchPage(c, &leaf.page)
+		t.env.pool.unpin(c, &leaf.page)
 	}
 	if !found {
 		return nil, false
@@ -168,11 +282,11 @@ func (t *Tree) GetForUpdate(c *Ctx, key int64) (*Row, bool) {
 	found := i < len(leaf.keys) && leaf.keys[i] == key
 	if c != nil {
 		if found {
-			c.rec.Load(t.env.site(t.name+".row.ptr"), leaf.page.slotAddr(i))
-			c.work(t.name+".get", t.env.cfg.Costs.RowRead)
+			c.rec.Load(t.pc(siteRowPtr), leaf.page.slotAddr(i))
+			t.work(c, workGet, t.env.cfg.Costs.RowRead)
 		}
-		t.env.unlatchPage(c, leaf.page)
-		t.env.pool.unpin(c, leaf.page)
+		t.env.unlatchPage(c, &leaf.page)
+		t.env.pool.unpin(c, &leaf.page)
 	}
 	if !found {
 		return nil, false
@@ -192,12 +306,12 @@ func (t *Tree) Insert(c *Ctx, key int64, row *Row) {
 		c.noteWrite()
 		// Slot shift, key/pointer stores, and the entry-count update:
 		// the leaf header store is the contended word.
-		c.work(t.name+".insert", t.env.cfg.Costs.LeafInsert)
-		c.rec.Store(t.env.site(t.name+".slot.shift"), leaf.page.slotAddr(i))
-		c.rec.Store(t.env.site(t.name+".key.store"), leaf.page.keyAddr(i))
-		c.rec.Store(t.env.site(t.name+".rowptr.store"), leaf.page.slotAddr(i))
+		t.work(c, workInsert, t.env.cfg.Costs.LeafInsert)
+		c.rec.Store(t.pc(siteSlotShift), leaf.page.slotAddr(i))
+		c.rec.Store(t.pc(siteKeyStore), leaf.page.keyAddr(i))
+		c.rec.Store(t.pc(siteRowPtrStore), leaf.page.slotAddr(i))
 		c.rec.ALU(4)
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), leaf.page.hdrCount())
+		c.rec.Store(t.pc(siteHdrCountStore), leaf.page.hdrCount())
 	}
 	leaf.keys = insertAt(leaf.keys, i, key)
 	leaf.rows = insertRowAt(leaf.rows, i, row)
@@ -209,14 +323,14 @@ func (t *Tree) Insert(c *Ctx, key int64, row *Row) {
 		t.split(c, leaf, path)
 	}
 	if c != nil {
-		t.env.unlatchPage(c, leaf.page)
-		t.env.pool.unpin(c, leaf.page)
+		t.env.unlatchPage(c, &leaf.page)
+		t.env.pool.unpin(c, &leaf.page)
 		// Table record-count statistics: one of the "actual data
 		// dependences which are difficult to optimize away" (§5) —
 		// every insert into the same table conflicts here.
-		c.rec.Load(t.env.site(t.name+".stats.load"), t.stats)
+		c.rec.Load(t.pc(siteStatsLoad), t.stats)
 		c.rec.ALU(3)
-		c.rec.Store(t.env.site(t.name+".stats.store"), t.stats)
+		c.rec.Store(t.pc(siteStatsStore), t.stats)
 		t.env.log.record(c, 8)
 	}
 }
@@ -229,22 +343,22 @@ func (t *Tree) Delete(c *Ctx, key int64) bool {
 	i := t.findIdx(c, leaf, key)
 	if i >= len(leaf.keys) || leaf.keys[i] != key {
 		if c != nil {
-			t.env.unlatchPage(c, leaf.page)
-			t.env.pool.unpin(c, leaf.page)
+			t.env.unlatchPage(c, &leaf.page)
+			t.env.pool.unpin(c, &leaf.page)
 		}
 		return false
 	}
 	if c != nil {
 		c.noteWrite()
-		c.work(t.name+".delete", t.env.cfg.Costs.LeafDelete)
-		c.rec.Store(t.env.site(t.name+".slot.shift"), leaf.page.slotAddr(i))
+		t.work(c, workDelete, t.env.cfg.Costs.LeafDelete)
+		c.rec.Store(t.pc(siteSlotShift), leaf.page.slotAddr(i))
 		c.rec.ALU(4)
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), leaf.page.hdrCount())
-		t.env.unlatchPage(c, leaf.page)
-		t.env.pool.unpin(c, leaf.page)
-		c.rec.Load(t.env.site(t.name+".stats.load"), t.stats)
+		c.rec.Store(t.pc(siteHdrCountStore), leaf.page.hdrCount())
+		t.env.unlatchPage(c, &leaf.page)
+		t.env.pool.unpin(c, &leaf.page)
+		c.rec.Load(t.pc(siteStatsLoad), t.stats)
 		c.rec.ALU(3)
-		c.rec.Store(t.env.site(t.name+".stats.store"), t.stats)
+		c.rec.Store(t.pc(siteStatsStore), t.stats)
 		t.env.log.record(c, 6)
 	}
 	if c != nil {
@@ -267,36 +381,36 @@ func (t *Tree) Scan(c *Ctx, from int64, max int, fn func(key int64, r *Row) bool
 	for leaf != nil {
 		for ; i < len(leaf.keys); i++ {
 			if c != nil {
-				c.rec.Load(t.env.site(t.name+".scan.key"), leaf.page.keyAddr(i))
-				c.rec.Load(t.env.site(t.name+".scan.ptr"), leaf.page.slotAddr(i))
+				c.rec.Load(t.pc(siteScanKey), leaf.page.keyAddr(i))
+				c.rec.Load(t.pc(siteScanPtr), leaf.page.slotAddr(i))
 				c.rec.ALU(6)
 				c.branchSeq++
-				c.rec.Branch(t.env.site(t.name+".scan.branch"), true)
+				c.rec.Branch(t.pc(siteScanBranch), true)
 			}
 			if !fn(leaf.keys[i], leaf.rows[i]) {
 				if c != nil {
-					t.env.unlatchPage(c, leaf.page)
-					t.env.pool.unpin(c, leaf.page)
+					t.env.unlatchPage(c, &leaf.page)
+					t.env.pool.unpin(c, &leaf.page)
 				}
 				return
 			}
 			seen++
 			if max > 0 && seen >= max {
 				if c != nil {
-					t.env.unlatchPage(c, leaf.page)
-					t.env.pool.unpin(c, leaf.page)
+					t.env.unlatchPage(c, &leaf.page)
+					t.env.pool.unpin(c, &leaf.page)
 				}
 				return
 			}
 		}
 		next := leaf.next
 		if c != nil {
-			t.env.unlatchPage(c, leaf.page)
-			t.env.pool.unpin(c, leaf.page)
+			t.env.unlatchPage(c, &leaf.page)
+			t.env.pool.unpin(c, &leaf.page)
 			if next != nil {
-				t.env.pool.get(c, next.page, false)
-				t.env.latchPage(c, next.page, false)
-				c.rec.Load(t.env.site(t.name+".hdr.count.load"), next.page.hdrCount())
+				t.env.pool.get(c, &next.page, false)
+				t.env.latchPage(c, &next.page, false)
+				c.rec.Load(t.pc(siteHdrCountLoad), next.page.hdrCount())
 			}
 		}
 		leaf = next
@@ -332,20 +446,20 @@ func (t *Tree) split(c *Ctx, n *node, path []*node) {
 
 	if c != nil {
 		// Moving half the entries is a burst of page traffic.
-		c.work(t.name+".split", 800)
+		t.work(c, workSplit, 800)
 		for i := 0; i < 8; i++ {
-			c.rec.Load(t.env.site(t.name+".split.copy.load"), n.page.keyAddr(mid+i))
-			c.rec.Store(t.env.site(t.name+".split.copy.store"), right.page.keyAddr(i))
+			c.rec.Load(t.pc(siteSplitCopyLoad), n.page.keyAddr(mid+i))
+			c.rec.Store(t.pc(siteSplitCopyStore), right.page.keyAddr(i))
 		}
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), n.page.hdrCount())
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), right.page.hdrCount())
+		c.rec.Store(t.pc(siteHdrCountStore), n.page.hdrCount())
+		c.rec.Store(t.pc(siteHdrCountStore), right.page.hdrCount())
 	}
 
 	if len(path) == 0 {
 		// Grow a new root.
 		root := t.newNode(false)
-		root.keys = []int64{sep}
-		root.kids = []*node{n, right}
+		root.keys = append(root.keys, sep)
+		root.kids = append(root.kids, n, right)
 		t.root = root
 		t.height++
 		return
@@ -355,8 +469,8 @@ func (t *Tree) split(c *Ctx, n *node, path []*node) {
 	parent.keys = insertAt(parent.keys, i, sep)
 	parent.kids = insertNodeAt(parent.kids, i+1, right)
 	if c != nil {
-		c.rec.Store(t.env.site(t.name+".parent.key.store"), parent.page.keyAddr(i))
-		c.rec.Store(t.env.site(t.name+".hdr.count.store"), parent.page.hdrCount())
+		c.rec.Store(t.pc(siteParentKeyStore), parent.page.keyAddr(i))
+		c.rec.Store(t.pc(siteHdrCountStore), parent.page.hdrCount())
 	}
 	if len(parent.keys) > t.env.cfg.NodeCapacity {
 		t.split(c, parent, path[:len(path)-1])
@@ -398,7 +512,7 @@ func insertNodeAt(s []*node, i int, v *node) []*node {
 // adjacent rows of a table can share cache lines — the realistic false-
 // sharing the line-granularity dependence tracking of §2.1 is exposed to.
 func (t *Tree) LoadInsert(key int64, fields ...int64) *Row {
-	row := t.env.newRowQuiet(len(fields))
+	row := t.env.newRow(t.env.heap.AllocWords(len(fields)*2), len(fields))
 	copy(row.Fields, fields)
 	t.Insert(nil, key, row)
 	return row
@@ -413,10 +527,7 @@ func (t *Tree) LoadInsertPadded(key int64, fields ...int64) *Row {
 	if size == 0 {
 		size = 8
 	}
-	row := &Row{
-		addr:   t.env.heap.Alloc(size, mem.LineSize),
-		Fields: make([]int64, len(fields)),
-	}
+	row := t.env.newRow(t.env.heap.Alloc(size, mem.LineSize), len(fields))
 	copy(row.Fields, fields)
 	t.Insert(nil, key, row)
 	return row

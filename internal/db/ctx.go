@@ -20,11 +20,10 @@ type Ctx struct {
 
 	txn *Txn
 
-	stackBase  mem.Addr
-	stackLines int
-	stackIdx   int
-	hashState  uint32
-	branchSeq  uint32
+	stackBase mem.Addr
+	stackIdx  int
+	hashState uint32
+	branchSeq uint32
 }
 
 // ctxStackLines sizes each context's private stack arena (128 lines = 4KB).
@@ -39,12 +38,11 @@ const ctxStackLines = 128
 func (e *Env) NewCtx(rec trace.Recorder, slot int) *Ctx {
 	slot = slot % e.cfg.Contexts
 	return &Ctx{
-		env:        e,
-		rec:        rec,
-		slot:       slot,
-		stackBase:  e.stacks.Base + mem.Addr(slot*ctxStackLines*mem.LineSize),
-		stackLines: ctxStackLines,
-		hashState:  uint32(slot)*2654435761 + 12345,
+		env:       e,
+		rec:       rec,
+		slot:      slot,
+		stackBase: e.stacks.Base + mem.Addr(slot*ctxStackLines*mem.LineSize),
+		hashState: uint32(slot)*2654435761 + 12345,
 	}
 }
 
@@ -68,14 +66,16 @@ func (c *Ctx) stackLoadAddr() mem.Addr {
 	back := int(c.nextHash()) % window
 	idx := c.stackIdx - back
 	if idx < 0 {
-		idx += c.stackLines * mem.WordsPerLine
+		idx += ctxStackLines * mem.WordsPerLine
 	}
 	return c.stackWordAddr(idx)
 }
 
+// stackWordAddr returns the address of stack word idx (idx >= 0). Every
+// divisor is a power-of-two constant, so no division is emitted.
 func (c *Ctx) stackWordAddr(idx int) mem.Addr {
 	word := idx % mem.WordsPerLine
-	line := (idx / mem.WordsPerLine) % c.stackLines
+	line := (idx / mem.WordsPerLine) % ctxStackLines
 	return c.stackBase + mem.Addr(line*mem.LineSize+word*mem.WordSize)
 }
 
@@ -95,22 +95,23 @@ func (c *Ctx) Work(site string, n int) {
 	if n <= 0 {
 		return
 	}
-	pcB1 := c.env.site(site + ".loop")
-	pcB2 := c.env.site(site + ".cond")
-	pcL := c.env.site(site + ".spill.load")
-	pcS := c.env.site(site + ".spill.store")
+	c.emitWork(c.env.workSites(site), n)
+}
+
+// emitWork emits Work's n > 0 instructions at the sites ws.
+func (c *Ctx) emitWork(ws workSites, n int) {
 	for n >= 36 {
 		c.rec.ALU(10)
-		c.rec.Load(pcL, c.stackLoadAddr())
+		c.rec.Load(ws.spillLoad, c.stackLoadAddr())
 		c.rec.ALU(6)
 		// Loop branch: taken ~15 of 16 times.
 		c.branchSeq++
-		c.rec.Branch(pcB1, c.branchSeq%16 != 0)
+		c.rec.Branch(ws.loop, c.branchSeq%16 != 0)
 		c.rec.ALU(10)
-		c.rec.Store(pcS, c.stackStoreAddr())
+		c.rec.Store(ws.spillStore, c.stackStoreAddr())
 		c.rec.ALU(6)
 		// Data-dependent branch: ~75% taken, hash driven.
-		c.rec.Branch(pcB2, c.nextHash()%4 != 0)
+		c.rec.Branch(ws.cond, c.nextHash()%4 != 0)
 		n -= 36
 	}
 	if n > 0 {

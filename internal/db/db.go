@@ -136,6 +136,11 @@ type Env struct {
 	nextTxn uint64
 
 	trees []*Tree
+	// works caches each Work site's four PCs by site name.
+	works map[string]workSites
+	// rows and fields are the slabs newRow carves rows from.
+	rows   []Row
+	fields []int64
 }
 
 // NewEnv creates an environment. The address-space regions are sized
@@ -153,6 +158,7 @@ func NewEnv(cfg Config) *Env {
 		stacks: sp.NewRegion("stacks", 1<<20),
 		logReg: sp.NewRegion("log", 64<<20),
 		misc:   sp.NewRegion("misc", 32<<20),
+		works:  make(map[string]workSites),
 	}
 	e.pool = newPool(e, 1024)
 	e.locks = newLockTable(e, 256)
@@ -186,6 +192,26 @@ func (c *Ctx) EmitALU(n uint32) { c.rec.ALU(n) }
 
 // site returns the stable synthetic PC for a named instrumentation site.
 func (e *Env) site(name string) isa.PC { return e.PCs.Site(name) }
+
+// workSites is the four PCs a Work site emits at.
+type workSites struct{ loop, cond, spillLoad, spillStore isa.PC }
+
+// workSites returns the PCs of the Work site name. Its first use registers
+// the four sites in the order loop, cond, spill load, spill store: recorded
+// programs persist the PCs this order issues.
+func (e *Env) workSites(name string) workSites {
+	ws, ok := e.works[name]
+	if !ok {
+		ws = workSites{
+			loop:       e.site(name + ".loop"),
+			cond:       e.site(name + ".cond"),
+			spillLoad:  e.site(name + ".spill.load"),
+			spillStore: e.site(name + ".spill.store"),
+		}
+		e.works[name] = ws
+	}
+	return ws
+}
 
 // allocator is the heap allocator for row storage. Unoptimized, it is a
 // single bump pointer whose word every insert loads and stores — a classic
@@ -245,13 +271,30 @@ func (r *Row) fieldAddr(i int) mem.Addr {
 
 // NewRow allocates a row with n fields, emitting allocator traffic.
 func (e *Env) NewRow(c *Ctx, n int) *Row {
-	addr := e.alloc.alloc(c, n*2)
-	return &Row{addr: addr, Fields: make([]int64, n)}
+	return e.newRow(e.alloc.alloc(c, n*2), n)
 }
 
-// newRowQuiet allocates a row without emitting trace events (bulk loading).
-func (e *Env) newRowQuiet(n int) *Row {
-	return &Row{addr: e.heap.AllocWords(n * 2), Fields: make([]int64, n)}
+// Rows and their fields are carved from slabs of these sizes: a database
+// load makes tens of thousands of rows.
+const (
+	rowSlab   = 1024
+	fieldSlab = 4096
+)
+
+// newRow returns a row at addr with n zero fields, carved from the
+// environment's slabs. Its Fields are capped at n, so an append to them
+// never writes into the next row's.
+func (e *Env) newRow(addr mem.Addr, n int) *Row {
+	if len(e.rows) == 0 {
+		e.rows = make([]Row, rowSlab)
+	}
+	if len(e.fields) < n {
+		e.fields = make([]int64, max(fieldSlab, n))
+	}
+	r := &e.rows[0]
+	r.addr, r.Fields = addr, e.fields[:n:n]
+	e.rows, e.fields = e.rows[1:], e.fields[n:]
+	return r
 }
 
 // ReadField emits the loads for reading field i and returns its value.

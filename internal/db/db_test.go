@@ -1,6 +1,9 @@
 package db
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -718,5 +721,51 @@ func TestLogLSNAdvances(t *testing.T) {
 	e.Log().Record(c, 4)
 	if e.Log().LSN() != before+1 {
 		t.Errorf("LSN %d -> %d", before, e.Log().LSN())
+	}
+}
+
+// StateDigest is FNV-1a over each table's name and then, in key order, each
+// row's key, field count and fields as 8-byte little-endian words. The
+// reference here hashes exactly those bytes with hash/fnv, over trees that
+// have split, that hold an emptied leaf, and whose fields have every byte
+// width, negative values included.
+func TestStateDigestIsFNV1a(t *testing.T) {
+	e := newTestEnv(OptAll())
+	rng := rand.New(rand.NewSource(11))
+	for _, name := range []string{"a", "bb", "empty"} {
+		tree := e.NewTree(name)
+		if name == "empty" {
+			continue
+		}
+		for k := int64(0); k < 200; k++ {
+			fields := make([]int64, rng.Intn(4))
+			for i := range fields {
+				fields[i] = rng.Int63() >> (8 * rng.Intn(8))
+				if rng.Intn(4) == 0 {
+					fields[i] = -fields[i]
+				}
+			}
+			tree.LoadInsert(k*3, fields...)
+		}
+		for k := int64(30); k < 60; k++ {
+			tree.Delete(nil, k*3) // empties at least one leaf (capacity 8)
+		}
+		tree.LoadInsert(math.MaxInt64, -1, math.MinInt64, 0)
+	}
+	want := fnv.New64a()
+	word := func(v uint64) { want.Write(binary.LittleEndian.AppendUint64(nil, v)) }
+	for _, tree := range e.Trees() {
+		want.Write([]byte(tree.Name()))
+		tree.Scan(nil, math.MinInt64, 0, func(k int64, r *Row) bool {
+			word(uint64(k))
+			word(uint64(len(r.Fields)))
+			for _, f := range r.Fields {
+				word(uint64(f))
+			}
+			return true
+		})
+	}
+	if got := e.StateDigest(); got != want.Sum64() {
+		t.Errorf("StateDigest = %#x, want FNV-1a %#x", got, want.Sum64())
 	}
 }

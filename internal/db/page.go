@@ -26,10 +26,10 @@ func (p *Page) keyAddr(i int) mem.Addr {
 	return p.base + 1024 + mem.Addr(i*8)
 }
 
-// newPage allocates a page with its frame and latch metadata.
-func (e *Env) newPage() *Page {
+// initPage allocates p's page with its frame and latch metadata.
+func (e *Env) initPage(p *Page) {
 	e.nextPg++
-	return &Page{
+	*p = Page{
 		id:    e.nextPg,
 		base:  e.heap.Alloc(uint32(e.cfg.PageSize), uint32(e.cfg.PageSize)),
 		frame: e.misc.AllocLine(),

@@ -12,6 +12,7 @@ import (
 
 	"subthreads/internal/db"
 	"subthreads/internal/mem"
+	"subthreads/internal/trace"
 )
 
 // Scale sizes the single-warehouse dataset. The paper uses the full TPC-C
@@ -132,6 +133,8 @@ type DB struct {
 	// lastOut collects the most recent transaction's client-visible
 	// result values (see LastOutput) for the differential oracle.
 	lastOut []int64
+	// rec records every RunTxn's transaction.
+	rec *trace.Builder
 }
 
 // Key encodings (single warehouse).
@@ -170,6 +173,7 @@ func Load(env *db.Env, scale Scale, seed int64) *DB {
 		lastOrder:      make(map[int64]int64),
 		oldestNewOrder: make([]int64, scale.Districts+1),
 		aggBuckets:     64,
+		rec:            trace.NewBuilder(),
 	}
 	d.aggBase = env.Misc().Alloc(uint32(d.aggBuckets*mem.LineSize), mem.LineSize)
 	rng := rand.New(rand.NewSource(seed))

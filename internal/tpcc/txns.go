@@ -121,9 +121,10 @@ func (em *emitter) finish() []Segment {
 // RunTxn executes one transaction functionally while recording its
 // decomposed trace. The database state advances exactly as a sequential
 // execution would — the simulator's job is to preserve precisely these
-// semantics under speculation.
+// semantics under speculation. Every RunTxn on d records through d's one
+// Builder, whose chunks the next transaction reuses.
 func (d *DB) RunTxn(in Input, mode Mode) []Segment {
-	return d.run(in, newEmitter(d, mode, trace.NewBuilder()))
+	return d.run(in, newEmitter(d, mode, d.rec))
 }
 
 // Warm executes one transaction exactly as RunTxn does, leaving the same

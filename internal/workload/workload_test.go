@@ -190,3 +190,23 @@ func TestRunDeterminism(t *testing.T) {
 		t.Errorf("nondeterministic run:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// TestBuildAllocs bounds the heap allocations of one -txns 1 build at
+// 10,000. A build makes 3–4 k, nearly all of them three per B-tree node. An
+// object per row or a path slice per B-tree descent would add tens of
+// thousands, and a site name concatenated at every emission adds 6–9 k to a
+// DELIVERY build, so each fails the bound.
+func TestBuildAllocs(t *testing.T) {
+	const bound = 10_000
+	for _, b := range []tpcc.Benchmark{tpcc.Payment, tpcc.Delivery} {
+		for _, sequential := range []bool{false, true} {
+			spec := DefaultSpec(b)
+			spec.Txns, spec.Warmup = 1, 1
+			n := testing.AllocsPerRun(1, func() { Build(spec, sequential) })
+			t.Logf("%v sequential=%v: %.0f allocations per build", b, sequential, n)
+			if n > bound {
+				t.Errorf("%v sequential=%v: %.0f allocations per build, want at most %d", b, sequential, n, bound)
+			}
+		}
+	}
+}
