@@ -193,13 +193,13 @@ func Compare(serial, spec Image) *Divergence {
 }
 
 // Differential runs the full oracle for one workload: functional state
-// digest and per-transaction outputs (flat vs. TLS build), then the
-// speculative simulation of the TLS program under cfg with the
-// architectural store oracle attached, compared against a serial replay.
-// It returns nil when speculation preserved serial semantics exactly.
+// digest and per-transaction outputs (flat vs. TLS build, recorded from one
+// database load and its clone), then the speculative simulation of the TLS
+// program under cfg with the architectural store oracle attached, compared
+// against a serial replay. It returns nil when speculation preserved serial
+// semantics exactly.
 func Differential(spec workload.Spec, cfg sim.Config) error {
-	flat := workload.Build(spec, true)
-	tlsB := workload.Build(spec, false)
+	tlsB, flat := workload.BuildPair(spec)
 
 	if flat.Digest != tlsB.Digest {
 		return fmt.Errorf(

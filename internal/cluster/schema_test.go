@@ -182,8 +182,10 @@ func TestTlsdMetricsSchema(t *testing.T) {
 	types := []string{
 		"# TYPE tlsd_build_info gauge",
 		"# TYPE tlsd_builder_builds_total counter",
+		"# TYPE tlsd_builder_clones_total counter",
 		"# TYPE tlsd_builder_disk_hits_total counter",
 		"# TYPE tlsd_builder_evictions_total counter",
+		"# TYPE tlsd_builder_loads_total counter",
 		"# TYPE tlsd_builder_memory_hits_total counter",
 		"# TYPE tlsd_builder_reference_disk_hits_total counter",
 		"# TYPE tlsd_builder_reference_memory_hits_total counter",
@@ -240,8 +242,10 @@ func TestTlsdMetricsSchema(t *testing.T) {
 	labels := []string{
 		"tlsd_build_info{go,modified,module,revision,version}",
 		"tlsd_builder_builds_total{}",
+		"tlsd_builder_clones_total{}",
 		"tlsd_builder_disk_hits_total{}",
 		"tlsd_builder_evictions_total{}",
+		"tlsd_builder_loads_total{}",
 		"tlsd_builder_memory_hits_total{}",
 		"tlsd_builder_reference_disk_hits_total{}",
 		"tlsd_builder_reference_memory_hits_total{}",
@@ -299,8 +303,10 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"build_latency_micros",
 		"builder",
 		"builder.builds",
+		"builder.clones",
 		"builder.disk_hits",
 		"builder.evictions",
+		"builder.loads",
 		"builder.memory_hits",
 		"builder.reference_disk_hits",
 		"builder.reference_memory_hits",

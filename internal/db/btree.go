@@ -40,9 +40,9 @@ type node struct {
 	page Page
 	leaf bool
 	keys []int64
-	rows []*Row  // leaf payloads
-	kids []*node // internal children
-	next *node   // leaf chain
+	rows []uint32 // leaf payloads, by row id
+	kids []*node  // internal children
+	next *node    // leaf chain
 }
 
 // treeSite is one of a tree's load, store and branch sites. Its PC is the
@@ -161,8 +161,10 @@ func (t *Tree) newNode(leaf bool) *node {
 	capacity := t.env.cfg.NodeCapacity + 1
 	n := &node{leaf: leaf, keys: make([]int64, 0, capacity)}
 	t.env.initPage(&n.page)
+	t.env.nodes++
 	if leaf {
-		n.rows = make([]*Row, 0, capacity)
+		t.env.leaves++
+		n.rows = make([]uint32, 0, capacity)
 	} else {
 		n.kids = make([]*node, 0, capacity)
 	}
@@ -270,7 +272,7 @@ func (t *Tree) Get(c *Ctx, key int64) (*Row, bool) {
 	if !found {
 		return nil, false
 	}
-	return leaf.rows[i], true
+	return t.env.row(leaf.rows[i]), true
 }
 
 // GetForUpdate looks up key with write intent: the page is fetched for
@@ -291,7 +293,7 @@ func (t *Tree) GetForUpdate(c *Ctx, key int64) (*Row, bool) {
 	if !found {
 		return nil, false
 	}
-	return leaf.rows[i], true
+	return t.env.row(leaf.rows[i]), true
 }
 
 // Insert adds (key, row); duplicate keys are rejected with a panic — the
@@ -314,7 +316,7 @@ func (t *Tree) Insert(c *Ctx, key int64, row *Row) {
 		c.rec.Store(t.pc(siteHdrCountStore), leaf.page.hdrCount())
 	}
 	leaf.keys = insertAt(leaf.keys, i, key)
-	leaf.rows = insertRowAt(leaf.rows, i, row)
+	leaf.rows = insertAt(leaf.rows, i, row.id)
 	t.Size++
 	if c != nil {
 		c.noteUndo(func() { t.Delete(nil, key) })
@@ -362,7 +364,7 @@ func (t *Tree) Delete(c *Ctx, key int64) bool {
 		t.env.log.record(c, 6)
 	}
 	if c != nil {
-		row := leaf.rows[i]
+		row := t.env.row(leaf.rows[i])
 		c.noteUndo(func() { t.Insert(nil, key, row) })
 	}
 	leaf.keys = append(leaf.keys[:i], leaf.keys[i+1:]...)
@@ -387,7 +389,7 @@ func (t *Tree) Scan(c *Ctx, from int64, max int, fn func(key int64, r *Row) bool
 				c.branchSeq++
 				c.rec.Branch(t.pc(siteScanBranch), true)
 			}
-			if !fn(leaf.keys[i], leaf.rows[i]) {
+			if !fn(leaf.keys[i], t.env.row(leaf.rows[i])) {
 				if c != nil {
 					t.env.unlatchPage(c, &leaf.page)
 					t.env.pool.unpin(c, &leaf.page)
@@ -467,7 +469,7 @@ func (t *Tree) split(c *Ctx, n *node, path []*node) {
 	parent := path[len(path)-1]
 	i := parentIdx(parent, n)
 	parent.keys = insertAt(parent.keys, i, sep)
-	parent.kids = insertNodeAt(parent.kids, i+1, right)
+	parent.kids = insertAt(parent.kids, i+1, right)
 	if c != nil {
 		c.rec.Store(t.pc(siteParentKeyStore), parent.page.keyAddr(i))
 		c.rec.Store(t.pc(siteHdrCountStore), parent.page.hdrCount())
@@ -486,22 +488,9 @@ func parentIdx(parent, child *node) int {
 	panic("db: split child not found in parent")
 }
 
-func insertAt(s []int64, i int, v int64) []int64 {
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertRowAt(s []*Row, i int, v *Row) []*Row {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNodeAt(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
+// insertAt inserts v at index i of s.
+func insertAt[T any](s []T, i int, v T) []T {
+	s = append(s, v)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
@@ -513,7 +502,7 @@ func insertNodeAt(s []*node, i int, v *node) []*node {
 // sharing the line-granularity dependence tracking of §2.1 is exposed to.
 func (t *Tree) LoadInsert(key int64, fields ...int64) *Row {
 	row := t.env.newRow(t.env.heap.AllocWords(len(fields)*2), len(fields))
-	copy(row.Fields, fields)
+	copy(row.Fields[:], fields)
 	t.Insert(nil, key, row)
 	return row
 }
@@ -528,7 +517,7 @@ func (t *Tree) LoadInsertPadded(key int64, fields ...int64) *Row {
 		size = 8
 	}
 	row := t.env.newRow(t.env.heap.Alloc(size, mem.LineSize), len(fields))
-	copy(row.Fields, fields)
+	copy(row.Fields[:], fields)
 	t.Insert(nil, key, row)
 	return row
 }

@@ -136,11 +136,16 @@ type Env struct {
 	nextTxn uint64
 
 	trees []*Tree
+	// nodes and leaves count the tree nodes created, for Clone's slabs.
+	nodes, leaves int
 	// works caches each Work site's four PCs by site name.
 	works map[string]workSites
-	// rows and fields are the slabs newRow carves rows from.
-	rows   []Row
-	fields []int64
+	// rows holds every row, rowChunk to a chunk: row id i is
+	// rows[i/rowChunk][i%rowChunk], and nrows rows are in use. A chunk
+	// holds no pointer, so the garbage collector never scans it and Clone
+	// copies it whole.
+	rows  []*[rowChunk]Row
+	nrows uint32
 }
 
 // NewEnv creates an environment. The address-space regions are sized
@@ -255,14 +260,23 @@ func (a *allocator) alloc(c *Ctx, words int) mem.Addr {
 	return a.env.heap.AllocWords(words)
 }
 
-// Row is one table row: a simulated record plus Go-native field values.
+// MaxFields is the most fields a row holds: CUSTOMER's six.
+const MaxFields = 6
+
+// Row is one table row: a simulated record plus its Go-native field values,
+// held inline. Fields beyond NumFields are zero and unused.
 type Row struct {
 	addr   mem.Addr
-	Fields []int64
+	id     uint32 // the row's index in its environment's rows
+	n      uint8
+	Fields [MaxFields]int64
 }
 
 // Addr returns the row's simulated base address.
 func (r *Row) Addr() mem.Addr { return r.addr }
+
+// NumFields returns how many of Fields the row holds.
+func (r *Row) NumFields() int { return int(r.n) }
 
 // fieldAddr returns the simulated address of field i.
 func (r *Row) fieldAddr(i int) mem.Addr {
@@ -274,26 +288,25 @@ func (e *Env) NewRow(c *Ctx, n int) *Row {
 	return e.newRow(e.alloc.alloc(c, n*2), n)
 }
 
-// Rows and their fields are carved from slabs of these sizes: a database
-// load makes tens of thousands of rows.
-const (
-	rowSlab   = 1024
-	fieldSlab = 4096
-)
+// rowChunk is how many rows a chunk of an environment's rows holds: a
+// database load makes tens of thousands of rows.
+const rowChunk = 1024
 
-// newRow returns a row at addr with n zero fields, carved from the
-// environment's slabs. Its Fields are capped at n, so an append to them
-// never writes into the next row's.
+// row returns the row whose id is id.
+func (e *Env) row(id uint32) *Row { return &e.rows[id/rowChunk][id%rowChunk] }
+
+// newRow returns a new row at addr with n zero fields.
 func (e *Env) newRow(addr mem.Addr, n int) *Row {
-	if len(e.rows) == 0 {
-		e.rows = make([]Row, rowSlab)
+	if n > MaxFields {
+		panic(fmt.Sprintf("db: a row of %d fields, more than %d", n, MaxFields))
 	}
-	if len(e.fields) < n {
-		e.fields = make([]int64, max(fieldSlab, n))
+	id := e.nrows
+	if id%rowChunk == 0 {
+		e.rows = append(e.rows, new([rowChunk]Row))
 	}
-	r := &e.rows[0]
-	r.addr, r.Fields = addr, e.fields[:n:n]
-	e.rows, e.fields = e.rows[1:], e.fields[n:]
+	e.nrows++
+	r := e.row(id)
+	r.addr, r.id, r.n = addr, id, uint8(n)
 	return r
 }
 

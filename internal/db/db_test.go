@@ -36,7 +36,7 @@ func TestBTreeFunctionalAgainstMap(t *testing.T) {
 		row := e.NewRow(c, 2)
 		row.Fields[0] = k * 10
 		tree.Insert(c, k, row)
-		ref[k] = row.Fields
+		ref[k] = row.Fields[:row.NumFields()]
 	}
 	if tree.Size != len(ref) {
 		t.Fatalf("Size = %d, want %d", tree.Size, len(ref))
@@ -758,8 +758,8 @@ func TestStateDigestIsFNV1a(t *testing.T) {
 		want.Write([]byte(tree.Name()))
 		tree.Scan(nil, math.MinInt64, 0, func(k int64, r *Row) bool {
 			word(uint64(k))
-			word(uint64(len(r.Fields)))
-			for _, f := range r.Fields {
+			word(uint64(r.NumFields()))
+			for _, f := range r.Fields[:r.NumFields()] {
 				word(uint64(f))
 			}
 			return true

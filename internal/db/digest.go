@@ -20,10 +20,10 @@ func (e *Env) StateDigest() uint64 {
 		}
 		for ; n != nil; n = n.next {
 			for i, key := range n.keys {
-				fields := n.rows[i].Fields
+				r := e.row(n.rows[i])
 				h = fnv8(h, uint64(key))
-				h = fnv8(h, uint64(len(fields)))
-				for _, f := range fields {
+				h = fnv8(h, uint64(r.n))
+				for _, f := range r.Fields[:r.n] {
 					h = fnv8(h, uint64(f))
 				}
 			}

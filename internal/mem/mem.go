@@ -117,6 +117,19 @@ func (s *Space) NewRegion(name string, size uint32) *Region {
 	return r
 }
 
+// Clone returns a copy of the space whose regions have the same names,
+// bounds and allocation cursors as s's: it allocates the same addresses from
+// here on. RegionOf(r.Base) on the copy finds the copy of s's region r.
+func (s *Space) Clone() *Space {
+	c := &Space{regions: make([]*Region, len(s.regions)), next: s.next}
+	regions := make([]Region, len(s.regions))
+	for i, r := range s.regions {
+		regions[i] = *r
+		c.regions[i] = &regions[i]
+	}
+	return c
+}
+
 // RegionOf returns the region containing a, or nil.
 func (s *Space) RegionOf(a Addr) *Region {
 	for _, r := range s.regions {

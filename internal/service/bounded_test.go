@@ -139,9 +139,9 @@ func mib(n uint64) float64 { return float64(n) / (1 << 20) }
 
 // Under serve's shape, the programs a stream reuses stay memory hits: three
 // NEW ORDER bases, each revisited as a spacing variant, interleaved with
-// single-use PAYMENT workloads whose programs pass through the budget
-// several times over. A budget that evicted in fill order instead of by
-// use would rebuild the bases.
+// single-use PAYMENT workloads whose TLS programs (about 0.35 MB each, 14.8
+// MB in all) push the budget past its 16 MiB beside the bases'. A budget
+// that evicted in fill order instead of by use would rebuild the bases.
 func TestReusedProgramsStayResident(t *testing.T) {
 	const rounds, novelPerVariant = 7, 2
 	warmup := 1
@@ -165,17 +165,20 @@ func TestReusedProgramsStayResident(t *testing.T) {
 	}
 
 	s, _ := newTestServer(t, Options{Workers: 2, QueueDepth: len(stream)})
-	// The bases build their TLS and SEQUENTIAL programs (15 MiB together);
-	// a first variant of each marks its TLS program as the one in use.
+	// The bases build their TLS programs (7.5 MiB together; their
+	// SEQUENTIAL programs are one-use and never resident); a first variant
+	// of each marks its TLS program as the one in use.
 	runAll(t, s, bases)
 	runAll(t, s, warm)
 	jobs := runAll(t, s, stream)
 	b := s.MetricsSnapshot().Builder
 	variants := uint64(len(warm) + rounds*len(bases))
-	// Each base and each novel workload builds its TLS and SEQUENTIAL
-	// programs once; every variant finds its base's TLS program in memory.
-	want := workload.BuildStats{Builds: 2 * uint64(len(bases)+novel), MemoryHits: variants,
-		ReferenceRuns: uint64(len(bases) + novel), ReferenceMemoryHits: variants}
+	// Each base and each novel workload records its TLS and SEQUENTIAL
+	// programs once, from one load and its clone; every variant finds its
+	// base's TLS program in memory.
+	novelJobs := uint64(len(bases) + novel)
+	want := workload.BuildStats{Builds: 2 * novelJobs, Loads: novelJobs, Clones: novelJobs, MemoryHits: variants,
+		ReferenceRuns: novelJobs, ReferenceMemoryHits: variants}
 	if tierCounts(b) != want {
 		t.Errorf("builder stats = %+v, want %+v", tierCounts(b), want)
 	}

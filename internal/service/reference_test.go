@@ -74,10 +74,15 @@ func TestResultReadsOnlyReferenceCycles(t *testing.T) {
 // memory after that. A variant of a seen workload (another sub-thread
 // spacing) runs no SEQUENTIAL build or simulation, and DELIVERY, DELIVERY
 // OUTER and an opt-0 DELIVERY, which record one SEQUENTIAL program, share
-// one reference.
+// one reference. A novel job records its TLS program and its one-use
+// SEQUENTIAL program from one load and its clone, and only the TLS program
+// stays in memory: a DELIVERY job's TLS program, about 13 MB of the 16 MiB
+// budget, is still there for the spacing variant submitted right after it.
 func TestReferenceFromMemory(t *testing.T) {
 	variant := tinySpec("NEW ORDER")
 	variant.Spacing = 2500
+	delivery := tinySpec("DELIVERY")
+	delivery.Spacing = 2500
 	opt0 := tinySpec("DELIVERY")
 	opt0.Opt = ptr(0)
 	for _, tc := range []struct {
@@ -85,13 +90,16 @@ func TestReferenceFromMemory(t *testing.T) {
 		specs []JobSpec
 		want  workload.BuildStats
 	}{
-		// The TLS and SEQUENTIAL programs are the first job's builds; the
-		// variant's one program lookup is its TLS program, from memory.
+		// The TLS and SEQUENTIAL programs are the first job's builds, from
+		// one load; the variant's one program lookup is its TLS program,
+		// from memory.
 		{"variant", []JobSpec{tinySpec("NEW ORDER"), variant},
-			workload.BuildStats{Builds: 2, MemoryHits: 1, ReferenceRuns: 1, ReferenceMemoryHits: 1}},
-		// Three TLS programs and one SEQUENTIAL program.
-		{"delivery", []JobSpec{tinySpec("DELIVERY"), tinySpec("DELIVERY OUTER"), opt0},
-			workload.BuildStats{Builds: 4, ReferenceRuns: 1, ReferenceMemoryHits: 2}},
+			workload.BuildStats{Builds: 2, Loads: 1, Clones: 1, MemoryHits: 1, ReferenceRuns: 1, ReferenceMemoryHits: 1}},
+		// Three TLS programs, each from a load of its own but the first,
+		// which shares its load with the one SEQUENTIAL program; the
+		// DELIVERY variant's TLS program is a memory hit.
+		{"delivery", []JobSpec{tinySpec("DELIVERY"), delivery, tinySpec("DELIVERY OUTER"), opt0},
+			workload.BuildStats{Builds: 4, Loads: 3, Clones: 1, MemoryHits: 1, ReferenceRuns: 1, ReferenceMemoryHits: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, Options{Workers: 1})
@@ -107,10 +115,10 @@ func TestReferenceFromMemory(t *testing.T) {
 
 // After a restart a variant of a seen workload reads its reference from
 // disk and builds nothing: its TLS program decodes from the built namespace,
-// and its SEQUENTIAL program is not even decoded. A seqref entry of the
-// wrong length is instead quarantined and read as a miss: the job decodes
-// the SEQUENTIAL program, recomputes the reference, serves the same bytes
-// and republishes a clean entry.
+// and no SEQUENTIAL program is recorded. A seqref entry of the wrong length
+// is instead quarantined and read as a miss: the job records the SEQUENTIAL
+// program on a load of its own (no tier keeps it), recomputes the
+// reference, serves the same bytes and republishes a clean entry.
 func TestRestartedVariantReference(t *testing.T) {
 	base := tinySpec("NEW ORDER")
 	variant := base
@@ -127,7 +135,7 @@ func TestRestartedVariantReference(t *testing.T) {
 		corrupt uint64
 	}{
 		{"stored", nil, workload.BuildStats{DiskHits: 1, ReferenceDiskHits: 1}, 0},
-		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{DiskHits: 2, ReferenceRuns: 1}, 1},
+		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{DiskHits: 1, Builds: 1, Loads: 1, ReferenceRuns: 1}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -247,7 +255,9 @@ func TestReferenceRunDeadlineFailsAlone(t *testing.T) {
 // run: it publishes its own cycle count instead of simulating its program a
 // second time. A TLS-SEQ job runs the same machine on the TLS program, and
 // an injected SEQUENTIAL job runs a perturbed one, so each still runs the
-// clean reference. Every body is the one tlssim -json prints.
+// clean reference: the TLS-SEQ job on a SEQUENTIAL program recorded from
+// its own program's load, the injected job on its own program. Every body
+// is the one tlssim -json prints.
 func TestSequentialJobIsItsReference(t *testing.T) {
 	seq := tinySpec("NEW ORDER")
 	seq.Experiment = "SEQUENTIAL"
@@ -261,11 +271,11 @@ func TestSequentialJobIsItsReference(t *testing.T) {
 		want       workload.BuildStats
 		references int32 // reference simulations besides the job's own
 	}{
-		{"sequential", seq, workload.BuildStats{Builds: 1, ReferenceRuns: 1}, 0},
-		{"tls-seq", tlsSeq, workload.BuildStats{Builds: 2, ReferenceRuns: 1}, 1},
+		{"sequential", seq, workload.BuildStats{Builds: 1, Loads: 1, ReferenceRuns: 1}, 0},
+		{"tls-seq", tlsSeq, workload.BuildStats{Builds: 2, Loads: 1, Clones: 1, ReferenceRuns: 1}, 1},
 		// The job's program is the SEQUENTIAL one, so the reference run
-		// finds it in memory.
-		{"injected", injected, workload.BuildStats{Builds: 1, MemoryHits: 1, ReferenceRuns: 1}, 1},
+		// simulates it again, with no second lookup.
+		{"injected", injected, workload.BuildStats{Builds: 1, Loads: 1, ReferenceRuns: 1}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var references atomic.Int32

@@ -731,8 +731,17 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	if f := s.abortedFailure(j, 0); f != nil {
 		return nil, "", f
 	}
+	// The reference lookup counts as build time: on a miss, the build
+	// records the program the reference run simulates.
 	j.enterStage(stageBuild, t)
-	built := s.builder.Build(r.Spec, r.Exp.SequentialSoftware())
+	seqCycles, ref, ok := s.builder.Reference(r.Spec)
+	selfRef := !ok && r.Exp.SequentialSoftware() && cfg.Inject == nil && sim.FullDigest(cfg) == seqDigest
+	var built, seq *workload.Built
+	if ok || selfRef {
+		built = s.builder.Build(r.Spec, r.Exp.SequentialSoftware())
+	} else {
+		built, seq = s.builder.BuildWithReference(r.Spec, r.Exp.SequentialSoftware())
+	}
 	t = j.leaveStage(stageBuild, t)
 	j.enterStage(stageSim, t)
 	res, err := s.simTLS(j, cfg, built, r)
@@ -743,9 +752,16 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	if f := s.abortedFailure(j, res.Cycles); f != nil {
 		return nil, "", f
 	}
-	seqCycles, ref, t, err := s.reference(j, cfg, res, t)
-	if err != nil {
-		return nil, "", s.simFailure(j, err)
+	switch {
+	case selfRef:
+		// The job's own run was the reference run.
+		s.builder.PutReference(r.Spec, res.Cycles)
+		seqCycles, ref = res.Cycles, workload.RefRun
+	case seq != nil:
+		if seqCycles, t, err = s.reference(j, cfg, seq, t); err != nil {
+			return nil, "", s.simFailure(j, err)
+		}
+		ref = workload.RefRun
 	}
 
 	j.enterStage(stageRender, t)
@@ -758,45 +774,32 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	return buf.Bytes(), ref, nil
 }
 
-// testHookReference, when set, is called by reference after a miss, just
-// before the SEQUENTIAL simulation starts — the seam the tests use to act
-// on a job inside its reference run deterministically.
+// testHookReference, when set, is called by reference just before the
+// SEQUENTIAL simulation starts — the seam the tests use to act on a job
+// inside its reference run deterministically.
 var testHookReference atomic.Pointer[func(*Job)]
 
-// reference returns the SEQUENTIAL cycle count j's speedup divides by and
-// the tier it came from (workload.RefMemory, RefDisk or RefRun), with the
-// stage clock t advanced past whatever ran. The lookup counts as build
-// time. On a miss, a job whose own completed run (cfg, res) was the
-// reference run publishes its own count: a SEQUENTIAL job without fault
-// injection on the unmodified machine. Any other miss builds the SEQUENTIAL
-// program (build stage) and simulates it under the job's cancellation (sim
-// stage), and only a completed run publishes its count: a job that fails
-// here fails alone and leaves nothing behind.
-func (s *Server) reference(j *Job, cfg sim.Config, res *sim.Result, t time.Time) (cycles uint64, tier string, now time.Time, err error) {
-	spec := j.res.Spec
-	j.enterStage(stageBuild, t)
-	cycles, tier, ok := s.builder.Reference(spec)
-	if ok {
-		return cycles, tier, j.leaveStage(stageBuild, t), nil
-	}
-	if j.res.Exp.SequentialSoftware() && cfg.Inject == nil && sim.FullDigest(cfg) == seqDigest {
-		s.builder.PutReference(spec, res.Cycles)
-		return res.Cycles, workload.RefRun, j.leaveStage(stageBuild, t), nil
-	}
-	built := s.builder.Build(spec, true)
-	t = j.leaveStage(stageBuild, t)
+// reference simulates seq, the one-use SEQUENTIAL program of j's workload,
+// on Machine(Sequential) under j's cancellation (sim stage), and returns its
+// cycle count with the stage clock t advanced past the run. It runs when
+// neither tier holds the workload's reference and j's own run is not the
+// reference run, as a SEQUENTIAL job's on the unmodified machine without
+// fault injection is. Only a completed run publishes its count
+// (PutReference): a job that fails here fails alone and leaves nothing
+// behind.
+func (s *Server) reference(j *Job, cfg sim.Config, seq *workload.Built, t time.Time) (cycles uint64, now time.Time, err error) {
 	j.enterStage(stageSim, t)
 	if hook := testHookReference.Load(); hook != nil {
 		(*hook)(j)
 	}
-	seq := workload.Machine(workload.Sequential)
-	seq.Cancel = cfg.Cancel
-	res, err = sim.RunE(seq, built.Program)
+	m := workload.Machine(workload.Sequential)
+	m.Cancel = cfg.Cancel
+	res, err := sim.RunE(m, seq.Program)
 	if err == nil {
 		cycles = res.Cycles
-		s.builder.PutReference(spec, cycles)
+		s.builder.PutReference(j.res.Spec, cycles)
 	}
-	return cycles, workload.RefRun, j.leaveStage(stageSim, t), err
+	return cycles, j.leaveStage(stageSim, t), err
 }
 
 // seqDigest identifies the reference machine, Machine(Sequential).

@@ -8,7 +8,9 @@
 package tpcc
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 
 	"subthreads/internal/db"
 	"subthreads/internal/mem"
@@ -230,6 +232,31 @@ func Load(env *db.Env, scale Scale, seed int64) *DB {
 		}
 	}
 	return d
+}
+
+// Clone returns a deep copy of the just-loaded d whose engine runs under the
+// flags opt (db.Env.Clone): its tables, bookkeeping and recorder are its
+// own, so transactions run on the copy leave d as loaded, and a program
+// recorded on it is byte for byte the one recorded on a fresh Load under
+// opt. Like db.Env.Clone, it panics once d has run a transaction.
+func (d *DB) Clone(opt db.OptFlags) *DB {
+	c := *d
+	c.Env = d.Env.Clone(opt)
+	src, dst := d.Env.Trees(), c.Env.Trees()
+	for _, t := range c.tables() {
+		*t = dst[slices.Index(src, *t)]
+	}
+	c.wRow, _ = c.Warehouse.Get(nil, 1)
+	c.lastOrder = maps.Clone(d.lastOrder)
+	c.oldestNewOrder = slices.Clone(d.oldestNewOrder)
+	c.rec = trace.NewBuilder()
+	return &c
+}
+
+// tables returns the address of each of d's table fields.
+func (d *DB) tables() []**db.Tree {
+	return []**db.Tree{&d.Warehouse, &d.District, &d.Customer, &d.CustIdx, &d.Order,
+		&d.NewOrder, &d.OrderLine, &d.Item, &d.Stock, &d.History}
 }
 
 // nuRand is the TPC-C non-uniform random distribution NURand(A, x, y).

@@ -74,7 +74,9 @@ type Builder struct {
 	refs  map[BuildKey]uint64 // SEQUENTIAL cycles, by KeyOf(spec, true)
 
 	memHits     atomic.Uint64 // calls that shared a filled or in-flight entry
-	builds      atomic.Uint64 // fills that ran the real Build
+	builds      atomic.Uint64 // programs recorded on a loaded database
+	loads       atomic.Uint64 // databases loaded to record programs
+	clones      atomic.Uint64 // loads cloned to record a second program
 	diskHits    atomic.Uint64 // fills served by decoding a store entry
 	refMemHits  atomic.Uint64 // references found in memory
 	refDiskHits atomic.Uint64 // references decoded from the store
@@ -101,7 +103,7 @@ func (b *Builder) SetStore(s *cas.Store) { b.store = s }
 func (b *Builder) Build(spec Spec, sequential bool) *Built {
 	key := KeyOf(spec, sequential)
 	built, filled := b.memo.Do(key, func() *Built {
-		return b.fill(key)
+		return b.fill(key, nil)
 	})
 	if !filled {
 		b.memHits.Add(1)
@@ -109,23 +111,64 @@ func (b *Builder) Build(spec Spec, sequential bool) *Built {
 	return built
 }
 
+// BuildWithReference is Build plus the SEQUENTIAL program KeyOf(spec, true)
+// names, for a caller that must simulate its workload's reference: that
+// program is recorded for the caller's one run, and no tier keeps it. When
+// sequential is true the two are one program, returned twice. When the
+// caller's program is recorded too, one database load and its clone record
+// both (BuildPair); otherwise the reference program takes a load of its own.
+func (b *Builder) BuildWithReference(spec Spec, sequential bool) (built, ref *Built) {
+	if sequential {
+		built = b.Build(spec, true)
+		return built, built
+	}
+	key := KeyOf(spec, false)
+	built, filled := b.memo.Do(key, func() *Built {
+		return b.fill(key, &ref)
+	})
+	if !filled {
+		b.memHits.Add(1)
+	}
+	if ref == nil {
+		b.count(1, 0)
+		ref = Build(KeyOf(spec, true).Spec, true)
+	}
+	return built, ref
+}
+
 // fill resolves a memory miss: disk first, then the real build (publishing
 // the result for the next process). A disk entry that fails to decode — e.g.
 // one written by a different builtVersion under a stale key — is quarantined
-// by cas.Load, never fatal, and the build runs as if it were absent.
-func (b *Builder) fill(key BuildKey) *Built {
+// by cas.Load, never fatal, and the build runs as if it were absent. With
+// ref non-nil, the build records the pair (BuildPair) and leaves the
+// SEQUENTIAL program in *ref.
+func (b *Builder) fill(key BuildKey, ref **Built) *Built {
 	diskKey := CacheKey(key.Spec, key.Sequential)
 	if built, err := cas.Load(b.store, casNamespace, diskKey, DecodeBuilt); err == nil {
 		b.diskHits.Add(1)
 		return built
 	}
-	b.builds.Add(1)
-	built := Build(key.Spec, key.Sequential)
+	var built *Built
+	if ref == nil {
+		b.count(1, 0)
+		built = Build(key.Spec, key.Sequential)
+	} else {
+		b.count(2, 1)
+		built, *ref = BuildPair(key.Spec)
+	}
 	if b.store != nil {
 		// Encoding costs up to a quarter of a build; only a store keeps it.
 		b.store.Put(casNamespace, diskKey, EncodeBuilt(built))
 	}
 	return built
+}
+
+// count records one database load that recorded programs, cloned clones
+// times.
+func (b *Builder) count(programs, clones uint64) {
+	b.loads.Add(1)
+	b.clones.Add(clones)
+	b.builds.Add(programs)
 }
 
 // Reference tiers: where a workload's SEQUENTIAL cycle count came from.
@@ -198,7 +241,9 @@ func decodeReference(data []byte) (uint64, error) {
 type BuildStats struct {
 	MemoryHits uint64 `json:"memory_hits" prom:"memory_hits_total Program lookups served from memory, waits on a fill in flight included."`
 	DiskHits   uint64 `json:"disk_hits" prom:"disk_hits_total Programs decoded from the persistent store instead of built."`
-	Builds     uint64 `json:"builds" prom:"builds_total Programs built by loading the database and recording the transaction stream."`
+	Builds     uint64 `json:"builds" prom:"builds_total Programs recorded by running the transaction stream on a loaded database, one-use SEQUENTIAL references included."`
+	Loads      uint64 `json:"loads" prom:"loads_total Databases loaded to record programs."`
+	Clones     uint64 `json:"clones" prom:"clones_total Loaded databases cloned so that one load records a program and its SEQUENTIAL reference."`
 
 	ResidentBytes int64  `json:"resident_bytes" prom:"resident_bytes Bytes of trace entries held by the programs in memory."`
 	Evictions     uint64 `json:"evictions" prom:"evictions_total Programs evicted from memory to stay within its budget."`
@@ -215,6 +260,8 @@ func (b *Builder) Stats() BuildStats {
 		MemoryHits:          b.memHits.Load(),
 		DiskHits:            b.diskHits.Load(),
 		Builds:              b.builds.Load(),
+		Loads:               b.loads.Load(),
+		Clones:              b.clones.Load(),
 		ResidentBytes:       resident,
 		Evictions:           evictions,
 		ReferenceMemoryHits: b.refMemHits.Load(),

@@ -223,8 +223,8 @@ func TestBudgetEvictsToLowerTiers(t *testing.T) {
 		store bool
 		want  BuildStats // the three lookups' tiers
 	}{
-		{"memory", false, BuildStats{Builds: 3, Evictions: 2}},
-		{"store", true, BuildStats{Builds: 2, DiskHits: 1, Evictions: 2}},
+		{"memory", false, BuildStats{Builds: 3, Loads: 3, Evictions: 2}},
+		{"store", true, BuildStats{Builds: 2, Loads: 2, DiskHits: 1, Evictions: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBuilder()

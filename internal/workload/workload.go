@@ -99,17 +99,43 @@ func (b *Built) Bytes() int64 {
 // the engine applies spec.OptLevel tuning iterations and transactions are
 // decomposed at their parallelized loop with TLS software overhead.
 func Build(spec Spec, sequential bool) *Built {
+	return record(spec, sequential, load(spec, sequential))
+}
+
+// BuildPair returns Build(spec, false) and the SEQUENTIAL program KeyOf(spec,
+// true) names, recorded from one database load and its clone: the load
+// depends on nothing but the scale and the seed, so both programs are byte
+// for byte what their own Build calls record.
+func BuildPair(spec Spec) (tls, seq *Built) {
+	d := load(spec, false)
+	c := d.Clone(engineOpt(spec, true))
+	return record(spec, false, d), record(KeyOf(spec, true).Spec, true, c)
+}
+
+// engineOpt returns the engine flags the program of spec in the given mode
+// records under.
+func engineOpt(spec Spec, sequential bool) db.OptFlags {
+	if sequential {
+		return db.OptNone()
+	}
+	return db.OptLevel(spec.OptLevel)
+}
+
+// load loads spec's database on a fresh environment under the engine flags
+// of the mode. It panics on counts Build cannot run (CheckCounts).
+func load(spec Spec, sequential bool) *tpcc.DB {
 	if err := CheckCounts(spec.Txns, spec.Warmup); err != nil {
 		panic(err)
 	}
 	cfg := db.DefaultConfig()
-	if sequential {
-		cfg.Opt = db.OptNone()
-	} else {
-		cfg.Opt = db.OptLevel(spec.OptLevel)
-	}
-	env := db.NewEnv(cfg)
-	database := tpcc.Load(env, spec.Scale, spec.Seed)
+	cfg.Opt = engineOpt(spec, sequential)
+	return tpcc.Load(db.NewEnv(cfg), spec.Scale, spec.Seed)
+}
+
+// record runs spec's transaction stream on database, just loaded under the
+// engine flags of the mode, and packages the measured transactions'
+// traces as a program.
+func record(spec Spec, sequential bool, database *tpcc.DB) *Built {
 	inputs := tpcc.GenInputs(spec.Bench, spec.Scale, spec.Seed+1, spec.Warmup+spec.Txns)
 
 	mode := tpcc.ModeTLS
@@ -125,7 +151,7 @@ func Build(spec Spec, sequential bool) *Built {
 
 	b := &Built{
 		Program: &sim.Program{},
-		PCs:     env.PCs,
+		PCs:     database.Env.PCs,
 	}
 	st := &b.Stats
 	st.Txns = spec.Txns
@@ -151,7 +177,7 @@ func Build(spec Spec, sequential bool) *Built {
 		st.AvgThreadSize = float64(st.IterInstrs) / float64(st.Epochs)
 	}
 	st.ThreadsPerTxn = float64(st.Epochs) / float64(st.Txns)
-	b.Digest = env.StateDigest()
+	b.Digest = database.Env.StateDigest()
 	return b
 }
 

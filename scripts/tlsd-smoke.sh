@@ -5,15 +5,16 @@
 # completion, and require the served result to be byte-identical to
 # `tlssim -json` for the same spec; resubmit to require a content-addressed
 # cache hit; scrape /metrics in both JSON and Prometheus form (the build
-# cache's resident bytes and evictions included) and lint the exposition;
-# force a structured failure and require its flight-recorder dump and a
-# repro line that reproduces it; then SIGTERM the daemon and require a
-# clean drain (exit 0).
+# cache's resident bytes, evictions, loads and clones included) and lint
+# the exposition; force a structured failure and require its
+# flight-recorder dump and a repro line that reproduces it; then SIGTERM the
+# daemon and require a clean drain (exit 0).
 # Finally restart the daemon over the same -cache-dir and require the
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms;
 # a variant of the spec must then read its SEQUENTIAL reference from disk
-# and build nothing. Before any of that, usage errors must exit 2.
+# and build nothing, loading no database. Before any of that, usage errors
+# must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -139,9 +140,12 @@ grep -q '^tlsd_job_stage_latency_microseconds_count{stage="sim"} 1$' "$TMP/metri
     cat "$TMP/metrics.prom" >&2
     exit 1
 }
-# The build cache's memory tier: the job's two programs are resident, well
-# inside the daemon's program budget, so nothing was evicted.
-for NEEDLE in '^tlsd_builder_resident_bytes [1-9]' '^tlsd_builder_evictions_total 0$'; do
+# The build cache's memory tier: the job's TLS program is resident, well
+# inside the daemon's program budget, so nothing was evicted. The job
+# recorded that program and its one-use SEQUENTIAL reference program from
+# one database load and its clone.
+for NEEDLE in '^tlsd_builder_resident_bytes [1-9]' '^tlsd_builder_evictions_total 0$' \
+    '^tlsd_builder_loads_total 1$' '^tlsd_builder_clones_total 1$'; do
     grep -q "$NEEDLE" "$TMP/metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
         cat "$TMP/metrics.prom" >&2
@@ -291,7 +295,8 @@ grep -q '"msg":"job disk-warm hit"' "$TMP/tlsd2.jsonl" || {
 # checkpoint and its SEQUENTIAL reference cycle count into the same cache
 # dir; a sweep variant of the spec (divergent sub-thread spacing) submitted
 # to the restarted daemon must fork its simulation from that on-disk
-# checkpoint and read its reference from disk, building no program —
+# checkpoint and read its reference from disk, building no program and
+# loading no database —
 # byte-identical to tlssim -json for the variant, with the fork and the
 # reference tier visible in both metric forms and the completion log line.
 SWEEPSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
@@ -310,7 +315,8 @@ curl -fsS "http://$ADDR/metrics" | grep -q '"jobs_forked": 1' || {
 }
 curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/snap-metrics.prom"
 for NEEDLE in '^tlsd_snapshot_hit_total 1$' '^tlsd_jobs_forked_total 1$' \
-    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 0$'; do
+    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 0$' \
+    '^tlsd_builder_loads_total 0$'; do
     grep -q "$NEEDLE" "$TMP/snap-metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
         cat "$TMP/snap-metrics.prom" >&2
