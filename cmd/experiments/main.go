@@ -43,7 +43,9 @@ type options struct {
 	warmup int
 	seed   int64
 	paper  bool
-	bench  string
+	// bench restricts every experiment to one benchmark (-benchmark); nil
+	// runs each experiment's own list.
+	bench *tpcc.Benchmark
 	// par is the shared worker pool + build cache (-j); nil means serial
 	// with a private cache (see options.runner).
 	par *runner
@@ -52,9 +54,9 @@ type options struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run executes one command line and returns its exit status: 0 on success;
-// 2 for a usage error — a bad flag, a stray argument, or transaction counts
-// workload.CheckCounts rejects, all caught before any experiment starts; 1
-// when an experiment or one of its tasks failed.
+// 2 for a usage error — a bad flag, a stray argument, transaction counts
+// workload.CheckCounts rejects or an unknown -benchmark, all caught before
+// any experiment starts; 1 when an experiment or one of its tasks failed.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -80,9 +82,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs.IntVar(&opts.warmup, "warmup", 2, "warm-up transactions before timing")
 	fs.Int64Var(&opts.seed, "seed", 42, "input generation seed")
 	fs.BoolVar(&opts.paper, "paper", false, "use the full single-warehouse TPC-C scale")
-	fs.StringVar(&opts.bench, "benchmark", "", "restrict to one benchmark (e.g. \"NEW ORDER\")")
+	bench := fs.String("benchmark", "", "restrict to one benchmark (e.g. \"NEW ORDER\")")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "simulations to run in parallel (output is identical for every -j)")
-	cacheDir := cliflags.AddCacheDir(fs)
 	showVersion := cliflags.AddVersion(fs)
 	faults := cliflags.AddFaults(fs)
 	if err := fs.Parse(args); err != nil {
@@ -95,6 +96,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err == nil {
 		err = workload.CheckCounts(opts.txns, opts.warmup)
 	}
+	if err == nil && *bench != "" {
+		var b tpcc.Benchmark
+		b, err = tpcc.Parse(*bench)
+		opts.bench = &b
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)
 		return 2
@@ -102,16 +108,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	cliflags.HandleVersion(*showVersion)
 	opts.par = newRunner(*jobs)
 	opts.par.paranoid = faults.Paranoid
-	// With -cache-dir, the suite's shared build cache gains the persistent
-	// tier: a re-run (or a different command over the same directory) decodes
-	// recorded programs from disk instead of rebuilding them.
-	store, err := cliflags.OpenStore(*cacheDir, nil)
-	if err != nil {
-		fmt.Fprintf(stderr, "experiments: %v\n", err)
-		return 2
-	}
-	defer store.Close()
-	opts.par.builder.SetStore(store)
 	icfg, err := faults.Config()
 	if err != nil {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)
@@ -167,8 +163,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// build cache recorded: on stderr, so stdout stays byte-identical.
 	simsRun, simsMemo := opts.par.Sims()
 	bs := opts.par.builder.Stats()
-	fmt.Fprintf(stderr, "experiments: %d simulations: %d run + %d memoized; %d builds, %d memory hits, %d disk hits\n",
-		simsRun+simsMemo, simsRun, simsMemo, bs.Builds, bs.MemoryHits, bs.DiskHits)
+	fmt.Fprintf(stderr, "experiments: %d simulations: %d run + %d memoized; %d builds, %d memory hits\n",
+		simsRun+simsMemo, simsRun, simsMemo, bs.Builds, bs.MemoryHits)
 	if taskFails := opts.par.Failures(); failed > 0 || taskFails > 0 {
 		fmt.Fprintf(stderr, "experiments: %d experiment(s) and %d task(s) failed; results above are partial | repro: %s\n",
 			failed, taskFails, repro)
@@ -189,15 +185,10 @@ func (o options) spec(b tpcc.Benchmark) workload.Spec {
 }
 
 func (o options) benchmarks(list []tpcc.Benchmark) []tpcc.Benchmark {
-	if o.bench == "" {
+	if o.bench == nil {
 		return list
 	}
-	b, err := tpcc.Parse(o.bench)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	return []tpcc.Benchmark{b}
+	return []tpcc.Benchmark{*o.bench}
 }
 
 func header(w io.Writer, title string) {

@@ -10,7 +10,13 @@ import (
 )
 
 func tinyOptions() options {
-	return options{txns: 1, warmup: 1, seed: 7, bench: "NEW ORDER"}
+	return only(options{txns: 1, warmup: 1, seed: 7}, tpcc.NewOrder)
+}
+
+// only restricts o to benchmark b, as -benchmark does.
+func only(o options, b tpcc.Benchmark) options {
+	o.bench = &b
+	return o
 }
 
 func TestPrintTable1(t *testing.T) {
@@ -33,7 +39,7 @@ func TestBenchmarkFilter(t *testing.T) {
 	if len(got) != 1 || got[0] != tpcc.NewOrder {
 		t.Errorf("filter = %v", got)
 	}
-	o.bench = ""
+	o.bench = nil
 	if len(o.benchmarks(tpcc.All())) != len(tpcc.All()) {
 		t.Error("empty filter must pass everything through")
 	}
@@ -70,8 +76,7 @@ func TestVictimRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several simulations")
 	}
-	o := tinyOptions()
-	o.bench = "NEW ORDER 150"
+	o := only(tinyOptions(), tpcc.NewOrder150)
 	var b strings.Builder
 	runVictim(&b, o)
 	if !strings.Contains(b.String(), "Victim entries") {
@@ -79,10 +84,11 @@ func TestVictimRuns(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsBeforeAnyTask: out-of-range transaction counts and a stray
-// argument are usage errors (exit 2) caught before any experiment starts.
-// The counts are reported with workload.CheckCounts's message, which tlssim
-// and tlsd print too.
+// TestUsageErrorsBeforeAnyTask: out-of-range transaction counts, a stray
+// argument and an unknown benchmark are usage errors (exit 2) caught before
+// any experiment starts, even one such as Table 1 that runs nothing. The
+// counts are reported with workload.CheckCounts's message, which tlssim and
+// tlsd print too.
 func TestUsageErrorsBeforeAnyTask(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -94,6 +100,8 @@ func TestUsageErrorsBeforeAnyTask(t *testing.T) {
 			workload.CheckCounts(0, 2).Error()},
 		{[]string{"-table2", "-benchmark", "ORDER STATUS", "stray", "-txns", "1"},
 			`unexpected argument "stray" (quote names that contain spaces)`},
+		{[]string{"-table1", "-figure5", "-benchmark", "NEW ORDERX"},
+			`tpcc: unknown benchmark "NEW ORDERX"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 2 {

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"subthreads/internal/cas"
 	"subthreads/internal/cliflags"
 	"subthreads/internal/cluster"
 	"subthreads/internal/service"
@@ -50,7 +51,7 @@ func main() {
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
 		flightEvents = flag.Int("flight-events", 4096, "telemetry events the flight recorder dumps from the tail of a failed job's stream")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
-		cacheDir     = cliflags.AddCacheDir(flag.CommandLine)
+		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies, SEQUENTIAL reference cycle counts and machine checkpoints (empty = in-memory only)")
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
 		showVersion  = cliflags.AddVersion(flag.CommandLine)
 	)
@@ -84,13 +85,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	store, err := cliflags.OpenStore(*cacheDir, logger)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
-		os.Exit(2)
-	}
-	defer store.Close()
-	if store != nil {
+	// Without -cache-dir the store stays nil, and every tier is memory-only:
+	// each cas.Store method is a no-op on nil.
+	var store *cas.Store
+	if *cacheDir != "" {
+		if store, err = cas.Open(*cacheDir, cas.Options{Logger: logger}); err != nil {
+			fmt.Fprintf(os.Stderr, "tlsd: open cache dir %s: %v\n", *cacheDir, err)
+			os.Exit(2)
+		}
+		defer store.Close()
 		fmt.Printf("tlsd: persistent cache at %s\n", store.Dir())
 	}
 

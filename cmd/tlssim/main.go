@@ -27,7 +27,6 @@ import (
 	"io"
 	"os"
 
-	"subthreads/internal/cas"
 	"subthreads/internal/check"
 	"subthreads/internal/cliflags"
 	"subthreads/internal/report"
@@ -46,7 +45,6 @@ type options struct {
 	check      bool
 	profTop    int
 	profileOut string
-	cacheDir   *string
 	version    *bool
 	outputs    *cliflags.Outputs
 }
@@ -78,7 +76,6 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 	fs.BoolVar(&o.check, "check", false, "verify the speculative run against the serial oracle before measuring")
 	fs.IntVar(&o.profTop, "profile", 5, "show the top-N violated dependences (§3.1)")
 	fs.StringVar(&o.profileOut, "profile-out", "", "write the §3.1 dependence profile (top -profile pairs) as JSON")
-	o.cacheDir = cliflags.AddCacheDir(fs)
 	o.version = cliflags.AddVersion(fs)
 	o.outputs = cliflags.AddOutputs(fs)
 	if err := fs.Parse(args); err != nil {
@@ -122,16 +119,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintf(stderr, "tlssim: %v\n", err)
 		return 2
 	}
-	// With -cache-dir, both program builds go through the persistent store:
-	// a warm run decodes the recorded traces from disk instead of loading
-	// the database and re-recording them.
-	store, err := cliflags.OpenStore(*o.cacheDir, nil)
-	if err != nil {
-		fmt.Fprintf(stderr, "tlssim: %v\n", err)
-		return 2
-	}
-	defer store.Close()
-
 	// A failed simulation (watchdog trip, audit violation, cycle-budget
 	// exhaustion) panics with a structured *sim.RunError; report it on one
 	// line with the reproducing command and exit non-zero.
@@ -149,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		fmt.Fprintf(stdout, "check:      serial oracle clean (state digest, outputs, memory image)\n")
 	}
-	if err := measure(o, r, store, stdout); err != nil {
+	if err := measure(o, r, stdout); err != nil {
 		fmt.Fprintf(stderr, "tlssim: %v\n", err)
 		return 1
 	}
@@ -158,11 +145,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 // measure runs r and its sequential reference, writes the requested output
 // files, and prints the measurement.
-func measure(o *options, r *service.Resolved, store *cas.Store, w io.Writer) error {
+func measure(o *options, r *service.Resolved, w io.Writer) error {
 	cfg := r.Config()
 	o.outputs.Attach(&cfg)
 	builder := workload.NewBuilder()
-	builder.SetStore(store)
 	seqRes, _ := builder.Run(r.Spec, workload.Sequential)
 	built := builder.Build(r.Spec, r.Exp.SequentialSoftware())
 	res := sim.Run(cfg, built.Program)

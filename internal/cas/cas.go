@@ -1,11 +1,12 @@
 // Package cas holds the tiers of the repo's content-addressed caches. Store
 // is the persistent tier: a size-bounded on-disk store of immutable byte
 // entries keyed by (namespace, digest), so a restarted or freshly scaled-out
-// process is warm from byte one. Memo is the memory tier above it, a keyed
-// single-flight cache of decoded values (built programs, exact simulation
-// results), unbounded or held to a byte budget by LRU eviction, and Load is
-// the one path from a stored entry to a decoded value. The serving daemon's
-// job table stays its own memory tier: it tracks live jobs, not just values.
+// process is warm from byte one. Memo is the memory tier, a keyed
+// single-flight cache of computed values (recorded programs, exact
+// simulation results), unbounded or held to a byte budget by LRU eviction,
+// and Load is the one path from a stored entry to a decoded value. The
+// serving daemon's job table stays its own memory tier: it tracks live jobs,
+// not just values.
 //
 // Guarantees:
 //

@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// Memo is the memory tier above Store: a keyed single-flight cache of
-// decoded values. Do runs fill once per key; every concurrent caller of that
-// key waits for the fill in flight, and every later caller shares its value.
-// The zero value is ready to use and keeps every value for good; Bound gives
-// it a byte budget. A Memo is safe for concurrent use.
+// Memo is the memory tier: a keyed single-flight cache of computed values.
+// Do runs fill once per key; every concurrent caller of that key waits for
+// the fill in flight, and every later caller shares its value. The zero
+// value is ready to use and keeps every value for good; Bound gives it a
+// byte budget. A Memo is safe for concurrent use.
 type Memo[K comparable, V any] struct {
 	mu    sync.Mutex
 	cells map[K]*memoCell[K, V]

@@ -6,8 +6,9 @@
 // Two comparisons back the contract:
 //
 //   - Functional: the same transaction stream is built once flat/serial and
-//     once TLS-transformed; the final database state digests and the
-//     per-transaction client-visible outputs must match (workload.Built).
+//     once TLS-transformed; the final state digests of the two databases
+//     (db.Env.StateDigest) and the per-transaction client-visible outputs
+//     (workload.Built) must match.
 //   - Architectural: the speculative simulation of the TLS program is
 //     observed through sim.MemOracle, reconstructing the memory image its
 //     commits produce (stores surviving every squash, folded in commit
@@ -199,19 +200,40 @@ func Compare(serial, spec Image) *Divergence {
 // against a serial replay. It returns nil when speculation preserved serial
 // semantics exactly.
 func Differential(spec workload.Spec, cfg sim.Config) error {
-	tlsB, flat := workload.BuildPair(spec)
+	tlsB, flat, tlsDB, flatDB := workload.BuildPair(spec)
+	if err := functional(flatDB.Env.StateDigest(), tlsDB.Env.StateDigest(), flat.Outputs, tlsB.Outputs); err != nil {
+		return err
+	}
 
-	if flat.Digest != tlsB.Digest {
+	o := NewOracle()
+	cfg.Oracle = o
+	if _, err := sim.RunE(cfg, tlsB.Program); err != nil {
+		return err
+	}
+	if err := o.Done(); err != nil {
+		return err
+	}
+	if d := Compare(SerialImage(tlsB.Program), o.Image()); d != nil {
+		return d
+	}
+	return nil
+}
+
+// functional compares the flat/serial and TLS-transformed builds of one
+// transaction stream: their databases' final state digests, then each
+// transaction's outputs, value by value and then by length.
+func functional(flatDigest, tlsDigest uint64, flat, tls [][]int64) error {
+	if flatDigest != tlsDigest {
 		return fmt.Errorf(
 			"check: database state digest diverged: flat/serial %#x, TLS-transformed %#x",
-			flat.Digest, tlsB.Digest)
+			flatDigest, tlsDigest)
 	}
-	if len(flat.Outputs) != len(tlsB.Outputs) {
+	if len(flat) != len(tls) {
 		return fmt.Errorf("check: transaction count diverged: %d flat vs %d TLS",
-			len(flat.Outputs), len(tlsB.Outputs))
+			len(flat), len(tls))
 	}
-	for i := range flat.Outputs {
-		f, t := flat.Outputs[i], tlsB.Outputs[i]
+	for i := range flat {
+		f, t := flat[i], tls[i]
 		n := len(f)
 		if len(t) < n {
 			n = len(t)
@@ -228,18 +250,6 @@ func Differential(spec workload.Spec, cfg sim.Config) error {
 				"check: transaction %d output length diverged: flat %d values, TLS %d",
 				i, len(f), len(t))
 		}
-	}
-
-	o := NewOracle()
-	cfg.Oracle = o
-	if _, err := sim.RunE(cfg, tlsB.Program); err != nil {
-		return err
-	}
-	if err := o.Done(); err != nil {
-		return err
-	}
-	if d := Compare(SerialImage(tlsB.Program), o.Image()); d != nil {
-		return d
 	}
 	return nil
 }

@@ -44,6 +44,38 @@ func TestDifferentialCleanUnderOtherMachines(t *testing.T) {
 	}
 }
 
+// The functional half reports each kind of divergence with its own error:
+// the databases' state digests, the transaction count, a value inside a
+// transaction's outputs, and the length of a transaction's outputs. Equal
+// builds pass.
+func TestFunctionalReportsEachDivergence(t *testing.T) {
+	outs := [][]int64{{1, 2, 3}, {4, 5}}
+	for _, c := range []struct {
+		name                  string
+		flatDigest, tlsDigest uint64
+		flat, tls             [][]int64
+		want                  string // "" = no error
+	}{
+		{"equal", 7, 7, outs, [][]int64{{1, 2, 3}, {4, 5}}, ""},
+		{"digest", 7, 8, outs, outs,
+			"check: database state digest diverged: flat/serial 0x7, TLS-transformed 0x8"},
+		{"transaction count", 7, 7, outs, outs[:1],
+			"check: transaction count diverged: 2 flat vs 1 TLS"},
+		{"output value", 7, 7, outs, [][]int64{{1, 2, 3}, {4, 6}},
+			"check: transaction 1 output diverged at value 1: flat 5, TLS 6"},
+		{"output length", 7, 7, outs, [][]int64{{1, 2}, {4, 5}},
+			"check: transaction 0 output length diverged: flat 3 values, TLS 2"},
+	} {
+		err := functional(c.flatDigest, c.tlsDigest, c.flat, c.tls)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: functional = %v, want nil", c.name, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: functional = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestCompareReportsLowestDivergentAddress(t *testing.T) {
 	w := func(n int) mem.Addr { return mem.Addr(n * mem.WordSize) }
 	serial := Image{

@@ -1,10 +1,10 @@
 // Package cliflags factors the flag wiring shared by the commands — tlssim,
 // experiments, tlsd and tlsrouter — so the hardening switches (-paranoid,
-// -inject), the persistent cache (-cache-dir), the repro line printed with
-// every failure, the daemons' logger (-log-format, -log-level) and URL lists
-// (-peers, -workers), and -version behave identically everywhere instead of
-// being re-implemented per main. tlssim's telemetry captures (-trace-out,
-// -metrics-out, -events-out) live here too.
+// -inject), the repro line printed with every failure, the daemons' logger
+// (-log-format, -log-level) and URL lists (-peers, -workers), and -version
+// behave identically everywhere instead of being re-implemented per main.
+// tlssim's telemetry captures (-trace-out, -metrics-out, -events-out) live
+// here too.
 package cliflags
 
 import (
@@ -15,7 +15,6 @@ import (
 	"os"
 	"strings"
 
-	"subthreads/internal/cas"
 	"subthreads/internal/chaos"
 	"subthreads/internal/inject"
 	"subthreads/internal/isa"
@@ -130,31 +129,6 @@ func WriteFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// AddCacheDir registers -cache-dir on fs: the persistent content-addressed
-// store for build artifacts and results, shared by every command. Empty —
-// the default — keeps the caches in-memory only, exactly the behavior
-// before the flag existed.
-func AddCacheDir(fs *flag.FlagSet) *string {
-	return fs.String("cache-dir", "",
-		"persistent cache directory for build artifacts and results (empty = in-memory only)")
-}
-
-// OpenStore opens the persistent store for a -cache-dir value. "" returns a
-// nil store — every cas.Store method is a safe no-op on nil, so call sites
-// never branch on whether persistence is enabled. logger (may be nil)
-// receives the store's corruption/quarantine diagnostics. The caller owns
-// Close (a nil store's Close is also a no-op).
-func OpenStore(dir string, logger *slog.Logger) (*cas.Store, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	s, err := cas.Open(dir, cas.Options{Logger: logger})
-	if err != nil {
-		return nil, fmt.Errorf("open cache dir %s: %w", dir, err)
-	}
-	return s, nil
 }
 
 // AddChaos registers -chaos on fs: the deterministic infrastructure-fault

@@ -183,7 +183,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_build_info gauge",
 		"# TYPE tlsd_builder_builds_total counter",
 		"# TYPE tlsd_builder_clones_total counter",
-		"# TYPE tlsd_builder_disk_hits_total counter",
 		"# TYPE tlsd_builder_evictions_total counter",
 		"# TYPE tlsd_builder_loads_total counter",
 		"# TYPE tlsd_builder_memory_hits_total counter",
@@ -243,7 +242,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_build_info{go,modified,module,revision,version}",
 		"tlsd_builder_builds_total{}",
 		"tlsd_builder_clones_total{}",
-		"tlsd_builder_disk_hits_total{}",
 		"tlsd_builder_evictions_total{}",
 		"tlsd_builder_loads_total{}",
 		"tlsd_builder_memory_hits_total{}",
@@ -304,7 +302,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"builder",
 		"builder.builds",
 		"builder.clones",
-		"builder.disk_hits",
 		"builder.evictions",
 		"builder.loads",
 		"builder.memory_hits",

@@ -64,21 +64,9 @@ func (r *PCRegistry) Name(pc PC) string {
 // zero PC).
 func (r *PCRegistry) Len() int { return len(r.names) - 1 }
 
-// Names returns the registered site names in PC order (PC 1 first), the
-// serializable form of the registry: PCRegistryFromNames(r.Names()) yields
-// a registry that resolves every PC this one issued to the same name.
+// Names returns the registered site names in PC order (PC 1 first).
 func (r *PCRegistry) Names() []string {
 	out := make([]string, len(r.names)-1)
 	copy(out, r.names[1:])
 	return out
-}
-
-// PCRegistryFromNames rebuilds a registry from a Names snapshot, assigning
-// PCs 1..len(names) in order — the decode half of persisting a registry.
-func PCRegistryFromNames(names []string) *PCRegistry {
-	r := NewPCRegistry()
-	for _, n := range names {
-		r.Site(n)
-	}
-	return r
 }

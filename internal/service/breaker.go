@@ -111,7 +111,7 @@ func (b *Breaker) Allow() bool {
 }
 
 // Observe feeds one operation outcome into the state machine. The daemon
-// wires it as the cas.Store observer (so it sees the build cache's disk
+// wires it as the cas.Store observer (so it sees the reference tier's disk
 // traffic too — any tier's misbehavior is evidence about the same disk);
 // the cluster layer calls it after each inter-node request. The first
 // argument names the operation and exists to satisfy the store's observer
@@ -174,7 +174,7 @@ type BreakerStats struct {
 	State               string `json:"state" prom:"state{state=closed|open|half-open} Disk CAS tier circuit-breaker state (one-hot across the state label)."`
 	ConsecutiveFailures int    `json:"consecutive_failures" prom:"-"`
 	Opens               uint64 `json:"opens" prom:"opens_total Times the disk CAS tier circuit breaker tripped open."`
-	ShortCircuits       uint64 `json:"short_circuits" prom:"short_circuits_total Result-tier disk operations skipped while the breaker was open."`
+	ShortCircuits       uint64 `json:"short_circuits" prom:"short_circuits_total Store operations skipped while the breaker was open."`
 }
 
 // Stats snapshots the breaker. Safe on nil (a permanently closed circuit).

@@ -122,9 +122,11 @@ func TestChaosScheduleIsDeterministic(t *testing.T) {
 	}
 }
 
-// A disk that fails every operation trips the breaker; the daemon keeps
-// serving (memory + rebuild) and the degradation is visible in both metric
-// representations.
+// A disk that fails every operation trips the breaker within the first job;
+// the daemon keeps serving (memory + rebuild) and the degradation is visible
+// in both metric representations. While the breaker is open no tier touches
+// the disk, the reference tier included, so the jobs after the trip deliver
+// no further disk faults.
 func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 	ch := chaos.New(chaos.Config{Seed: 1, DiskErrEvery: 1})
 	s, ts := newTestServer(t, Options{
@@ -137,6 +139,7 @@ func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 	})
 
 	c := &Client{Base: ts.URL, Retries: 10, BaseDelay: time.Millisecond, Seed: 1}
+	var tripped uint64 // disk faults delivered up to the end of the first job
 	for i, bench := range []string{"NEW ORDER", "PAYMENT", "DELIVERY", "ORDER STATUS"} {
 		body, err := c.Run(context.Background(), tinySpec(bench))
 		if err != nil {
@@ -144,6 +147,15 @@ func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 		}
 		if want := renderExpected(t, tinySpec(bench)); !bytes.Equal(body, want) {
 			t.Errorf("job %d: degraded-mode body differs from tlssim rendering", i)
+		}
+		faults := ch.Stats().DiskErrs
+		if i == 0 {
+			if b := s.MetricsSnapshot().Breaker; b == nil || b.State != "open" {
+				t.Fatalf("breaker = %+v after the first job, want open", b)
+			}
+			tripped = faults
+		} else if faults != tripped {
+			t.Errorf("job %d: %d disk faults delivered in all, want %d: a disk operation ran past the open breaker", i, faults, tripped)
 		}
 	}
 

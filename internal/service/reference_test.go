@@ -114,11 +114,11 @@ func TestReferenceFromMemory(t *testing.T) {
 }
 
 // After a restart a variant of a seen workload reads its reference from
-// disk and builds nothing: its TLS program decodes from the built namespace,
-// and no SEQUENTIAL program is recorded. A seqref entry of the wrong length
-// is instead quarantined and read as a miss: the job records the SEQUENTIAL
-// program on a load of its own (no tier keeps it), recomputes the
-// reference, serves the same bytes and republishes a clean entry.
+// disk: it records its TLS program on one load, and no SEQUENTIAL program.
+// A seqref entry of the wrong length is instead quarantined and read as a
+// miss: the job records the SEQUENTIAL program too, on a clone of the same
+// load (no tier keeps it), recomputes the reference, serves the same bytes
+// and republishes a clean entry.
 func TestRestartedVariantReference(t *testing.T) {
 	base := tinySpec("NEW ORDER")
 	variant := base
@@ -134,8 +134,8 @@ func TestRestartedVariantReference(t *testing.T) {
 		want    workload.BuildStats
 		corrupt uint64
 	}{
-		{"stored", nil, workload.BuildStats{DiskHits: 1, ReferenceDiskHits: 1}, 0},
-		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{DiskHits: 1, Builds: 1, Loads: 1, ReferenceRuns: 1}, 1},
+		{"stored", nil, workload.BuildStats{Builds: 1, Loads: 1, ReferenceDiskHits: 1}, 0},
+		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{Builds: 2, Loads: 1, Clones: 1, ReferenceRuns: 1}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -49,11 +49,12 @@ type Options struct {
 	FlightDir string
 	// FlightEvents is the length of the dumped tail; default 4096.
 	FlightEvents int
-	// Store is the persistent content-addressed tier shared by the build
-	// cache and the result cache. With a store, a restarted daemon serves
-	// previously-computed results from byte one — no database load, no
-	// trace recording, no simulation — and rebuilds nothing whose program
-	// is already on disk. nil keeps both caches memory-only.
+	// Store is the persistent content-addressed tier under the result
+	// cache, the SEQUENTIAL reference tier and the machine checkpoints.
+	// With a store, a restarted daemon serves previously-computed results
+	// from byte one — no database load, no trace recording, no simulation
+	// — and a new variant of a stored workload simulates no reference. nil
+	// keeps every tier memory-only.
 	Store *cas.Store
 	// JobTimeout is the server-wide end-to-end deadline applied to jobs
 	// that set no timeout_ms of their own, and the ceiling on the ones
@@ -107,8 +108,8 @@ const (
 // memory: 16 MiB of trace entries, about twice the programs a serving stream
 // reuses (perfbench serve's three NEW ORDER fork bases take 7.9 MB). Every
 // other program is used once, so holding it would only grow the heap by
-// about half a megabyte per novel workload. An evicted program comes back
-// from the store's built namespace, or is rebuilt without a store.
+// about half a megabyte per novel workload. An evicted program is rebuilt on
+// its next use.
 const programBudget = 16 << 20
 
 // casResultNS is the store namespace for rendered result bodies, keyed by
@@ -196,7 +197,6 @@ func New(opts Options) *Server {
 		byDigest: make(map[string]*Job),
 		poison:   make(map[string]*poisonEntry),
 	}
-	s.builder.SetStore(opts.Store)
 	s.builder.SetBudget(programBudget)
 	if opts.Store != nil {
 		s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerSlowCall)
@@ -205,6 +205,7 @@ func New(opts Options) *Server {
 				slog.String("from", from), slog.String("to", to))
 		})
 		opts.Store.SetObserver(s.breaker.Observe)
+		s.builder.SetStore(opts.Store, s.breaker.Allow)
 	}
 	if opts.Chaos != nil && opts.Store != nil {
 		opts.Store.SetFaults(opts.Chaos)

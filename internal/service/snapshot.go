@@ -13,15 +13,16 @@ import (
 	"subthreads/internal/workload"
 )
 
-// The snapshot tier: alongside rendered result bodies ("result") and recorded
-// programs ("built"), the persistent store keeps whole-machine checkpoints of
-// each workload's leading barrier prefix, keyed by {workload digest, machine
-// prefix digest}. A job whose exact digest misses every result tier but whose
-// workload + prefix-invariant machine parameters match a stored checkpoint
-// forks the simulation from it instead of replaying the prefix — the warm
-// start covers machine state, not just Built artifacts. sim.ResumeE's
-// byte-identity contract keeps the rendered body, and therefore the content
-// address, exactly what a full run would have produced.
+// The snapshot tier: alongside rendered result bodies ("result") and
+// SEQUENTIAL reference cycle counts ("seqref"), the persistent store keeps
+// whole-machine checkpoints of each workload's leading barrier prefix, keyed
+// by {workload digest, machine prefix digest}. A job whose exact digest
+// misses every result tier but whose workload + prefix-invariant machine
+// parameters match a stored checkpoint forks the simulation from it instead
+// of replaying the prefix — the warm start covers machine state, not just
+// the reference. sim.ResumeE's byte-identity contract keeps the rendered
+// body, and therefore the content address, exactly what a full run would
+// have produced.
 
 // casSnapNS is the store namespace for machine checkpoints.
 const casSnapNS = "snap"

@@ -2,11 +2,10 @@
 // fixed-width and varint fields to one growing buffer, and a Reader consumes
 // them with a sticky error, so a decoder reads straight through and checks
 // Err once. Every binary frame the repository persists is written and read
-// through them: the whole-machine snapshot, workload's Built program frame
-// with its trace events, and the CAS entry header. Magic and version belong
-// to the frame's owner; counts are uvarints, and every count is capped both
-// by the caller's bound and by the bytes left, so a corrupted but
-// well-framed length cannot force a giant allocation.
+// through them: the whole-machine snapshot and the CAS entry header. Magic
+// and version belong to the frame's owner; counts are uvarints, and every
+// count is capped both by the caller's bound and by the bytes left, so a
+// corrupted but well-framed length cannot force a giant allocation.
 //
 // A Stream runs one state declaration in either direction: over a Writer it
 // captures, over a Reader it restores. Each checkpointed type in

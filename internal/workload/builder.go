@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,10 +13,6 @@ import (
 	"subthreads/internal/sim"
 	"subthreads/internal/tpcc"
 )
-
-// casNamespace is where serialized Built programs live inside a cas.Store,
-// keyed by CacheKey(spec, sequential).
-const casNamespace = "built"
 
 // refNamespace is where SEQUENTIAL reference cycle counts live inside a
 // cas.Store, keyed by CacheKey(spec, true): 8 bytes, little endian.
@@ -46,29 +45,26 @@ func KeyOf(spec Spec, sequential bool) BuildKey {
 // binary against different hardware configurations pays for one database
 // load + trace recording. A Built program is read-only under sim.Run (see
 // TestBuiltImmutable), so one cached program can back any number of
-// concurrent machines.
-//
-// With SetStore, the memory tier gains a persistent tier underneath: a miss
-// first probes the content-addressed store for a serialized Built (decoded
-// without touching the database engine at all — the warm-restart path), and
-// only a disk miss runs the real Build, whose result is then published for
-// the next process. Lookup is three-level: memory → disk → build.
+// concurrent machines. A program comes from memory or is recorded on a
+// fresh load, plus a clone of it when the caller needs the workload's
+// SEQUENTIAL program too (BuildWithReference).
 //
 // The memory tier keeps every program it fills, which is what a suite
-// wants: it reuses every program, and without a store an eviction would
-// mean a rebuild. SetBudget bounds the tier instead, for a process such as
-// tlsd that meets an unbounded stream of workloads.
+// wants: it reuses every program, and an eviction would mean a rebuild.
+// SetBudget bounds the tier instead, for a process such as tlsd that meets
+// an unbounded stream of workloads.
 //
 // Beside the programs sits the reference tier (Reference, PutReference):
 // the cycle count of each SEQUENTIAL program on Machine(Sequential), the
-// denominator of every speedup, in memory and under the store's seqref
-// namespace.
+// denominator of every speedup, in memory and, with SetStore, under the
+// store's seqref namespace.
 //
 // A Builder is safe for concurrent use. The zero value is ready to use
 // (memory-only, unbounded).
 type Builder struct {
 	memo  cas.Memo[BuildKey, *Built]
-	store *cas.Store // nil = no persistent tier
+	store *cas.Store  // nil = references in memory only
+	allow func() bool // gates the store's I/O; nil always allows
 
 	refMu sync.Mutex
 	refs  map[BuildKey]uint64 // SEQUENTIAL cycles, by KeyOf(spec, true)
@@ -77,7 +73,6 @@ type Builder struct {
 	builds      atomic.Uint64 // programs recorded on a loaded database
 	loads       atomic.Uint64 // databases loaded to record programs
 	clones      atomic.Uint64 // loads cloned to record a second program
-	diskHits    atomic.Uint64 // fills served by decoding a store entry
 	refMemHits  atomic.Uint64 // references found in memory
 	refDiskHits atomic.Uint64 // references decoded from the store
 	refRuns     atomic.Uint64 // references published from a completed run
@@ -87,23 +82,26 @@ type Builder struct {
 func NewBuilder() *Builder { return &Builder{} }
 
 // SetBudget bounds the programs held in memory to max bytes (Built.Bytes),
-// evicting the least recently used past it. An evicted program comes back
-// through the lower tiers: decoded from the store, or rebuilt without one.
-// A program still being filled is never evicted, and callers holding an
-// evicted program keep using it. Call before serving traffic.
+// evicting the least recently used past it. An evicted program is rebuilt
+// on its next use. A program still being filled is never evicted, and
+// callers holding an evicted program keep using it. Call before serving
+// traffic.
 func (b *Builder) SetBudget(max int64) { b.memo.Bound(max, (*Built).Bytes) }
 
-// SetStore attaches the persistent tier (nil detaches it). Call before
-// serving traffic; entries already memoized stay in memory either way.
-func (b *Builder) SetStore(s *cas.Store) { b.store = s }
+// SetStore attaches the persistent tier of the references (nil detaches
+// it). allow, when non-nil, is asked before each store operation, and a
+// false skips it: a lookup misses and a publish stays in memory. tlsd
+// passes its disk breaker's Allow. Call before serving traffic.
+func (b *Builder) SetStore(s *cas.Store, allow func() bool) { b.store, b.allow = s, allow }
 
 // Build returns the memoized program for (spec, sequential), building it on
 // first use. Concurrent callers with the same key (KeyOf) block until the
-// one fill in flight — disk load or real build — completes.
+// one build in flight completes.
 func (b *Builder) Build(spec Spec, sequential bool) *Built {
 	key := KeyOf(spec, sequential)
 	built, filled := b.memo.Do(key, func() *Built {
-		return b.fill(key, nil)
+		b.count(1, 0)
+		return Build(key.Spec, key.Sequential)
 	})
 	if !filled {
 		b.memHits.Add(1)
@@ -122,9 +120,11 @@ func (b *Builder) BuildWithReference(spec Spec, sequential bool) (built, ref *Bu
 		built = b.Build(spec, true)
 		return built, built
 	}
-	key := KeyOf(spec, false)
-	built, filled := b.memo.Do(key, func() *Built {
-		return b.fill(key, &ref)
+	built, filled := b.memo.Do(KeyOf(spec, false), func() *Built {
+		b.count(2, 1)
+		tls, seq, _, _ := BuildPair(spec)
+		ref = seq
+		return tls
 	})
 	if !filled {
 		b.memHits.Add(1)
@@ -134,33 +134,6 @@ func (b *Builder) BuildWithReference(spec Spec, sequential bool) (built, ref *Bu
 		ref = Build(KeyOf(spec, true).Spec, true)
 	}
 	return built, ref
-}
-
-// fill resolves a memory miss: disk first, then the real build (publishing
-// the result for the next process). A disk entry that fails to decode — e.g.
-// one written by a different builtVersion under a stale key — is quarantined
-// by cas.Load, never fatal, and the build runs as if it were absent. With
-// ref non-nil, the build records the pair (BuildPair) and leaves the
-// SEQUENTIAL program in *ref.
-func (b *Builder) fill(key BuildKey, ref **Built) *Built {
-	diskKey := CacheKey(key.Spec, key.Sequential)
-	if built, err := cas.Load(b.store, casNamespace, diskKey, DecodeBuilt); err == nil {
-		b.diskHits.Add(1)
-		return built
-	}
-	var built *Built
-	if ref == nil {
-		b.count(1, 0)
-		built = Build(key.Spec, key.Sequential)
-	} else {
-		b.count(2, 1)
-		built, *ref = BuildPair(key.Spec)
-	}
-	if b.store != nil {
-		// Encoding costs up to a quarter of a build; only a store keeps it.
-		b.store.Put(casNamespace, diskKey, EncodeBuilt(built))
-	}
-	return built
 }
 
 // count records one database load that recorded programs, cloned clones
@@ -185,7 +158,8 @@ const (
 // PutReference. Every spec with one SEQUENTIAL program (KeyOf) shares one
 // reference. There is no single flight: concurrent misses each simulate and
 // publish the same value. A store entry that is not 8 bytes is quarantined
-// by cas.Load and reads as a miss.
+// by cas.Load and reads as a miss, and so does a store SetStore's allow
+// turns away.
 func (b *Builder) Reference(spec Spec) (cycles uint64, tier string, ok bool) {
 	key := KeyOf(spec, true)
 	b.refMu.Lock()
@@ -194,6 +168,9 @@ func (b *Builder) Reference(spec Spec) (cycles uint64, tier string, ok bool) {
 	if ok {
 		b.refMemHits.Add(1)
 		return cycles, RefMemory, true
+	}
+	if !b.allowed() {
+		return 0, "", false
 	}
 	cycles, err := cas.Load(b.store, refNamespace, CacheKey(spec, true), decodeReference)
 	if err != nil {
@@ -209,7 +186,15 @@ func (b *Builder) Reference(spec Spec) (cycles uint64, tier string, ok bool) {
 func (b *Builder) PutReference(spec Spec, cycles uint64) {
 	b.refRuns.Add(1)
 	b.remember(KeyOf(spec, true), cycles)
-	b.store.Put(refNamespace, CacheKey(spec, true), binary.LittleEndian.AppendUint64(nil, cycles))
+	if b.allowed() {
+		b.store.Put(refNamespace, CacheKey(spec, true), binary.LittleEndian.AppendUint64(nil, cycles))
+	}
+}
+
+// allowed reports whether the store may be used now: it is attached, and
+// SetStore's allow, if any, agrees.
+func (b *Builder) allowed() bool {
+	return b.store != nil && (b.allow == nil || b.allow())
 }
 
 // remember fills the reference tier's memory.
@@ -220,6 +205,28 @@ func (b *Builder) remember(key BuildKey, cycles uint64) {
 		b.refs = make(map[BuildKey]uint64)
 	}
 	b.refs[key] = cycles
+}
+
+// CacheKey is the canonical content address of the program of (spec,
+// sequential): the SHA-256 of the canonical JSON of its build key (KeyOf)
+// and a version field. CacheKey(spec, true) names spec's entry in the
+// store's seqref namespace. The version once named a program encoding; it
+// is now part of the key only, kept at 1 so that the entries stores already
+// hold keep their names.
+func CacheKey(spec Spec, sequential bool) string {
+	k := KeyOf(spec, sequential)
+	c := struct {
+		V          int  `json:"v"`
+		Spec       Spec `json:"spec"`
+		Sequential bool `json:"sequential"`
+	}{1, k.Spec, k.Sequential}
+	data, err := json.Marshal(c)
+	if err != nil {
+		// Spec is plain data; failure here is a programming error.
+		panic(fmt.Sprintf("workload: canonical spec encoding failed: %v", err))
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 // decodeReference parses a seqref entry: exactly 8 bytes, little endian.
@@ -240,7 +247,6 @@ func decodeReference(data []byte) (uint64, error) {
 // since they shared that fill rather than performing their own.
 type BuildStats struct {
 	MemoryHits uint64 `json:"memory_hits" prom:"memory_hits_total Program lookups served from memory, waits on a fill in flight included."`
-	DiskHits   uint64 `json:"disk_hits" prom:"disk_hits_total Programs decoded from the persistent store instead of built."`
 	Builds     uint64 `json:"builds" prom:"builds_total Programs recorded by running the transaction stream on a loaded database, one-use SEQUENTIAL references included."`
 	Loads      uint64 `json:"loads" prom:"loads_total Databases loaded to record programs."`
 	Clones     uint64 `json:"clones" prom:"clones_total Loaded databases cloned so that one load records a program and its SEQUENTIAL reference."`
@@ -258,7 +264,6 @@ func (b *Builder) Stats() BuildStats {
 	resident, evictions := b.memo.Resident()
 	return BuildStats{
 		MemoryHits:          b.memHits.Load(),
-		DiskHits:            b.diskHits.Load(),
 		Builds:              b.builds.Load(),
 		Loads:               b.loads.Load(),
 		Clones:              b.clones.Load(),
@@ -270,9 +275,8 @@ func (b *Builder) Stats() BuildStats {
 	}
 }
 
-// Builds reports how many actual (non-cached) Build calls the cache has
-// performed — the acceptance check that a sweep builds each distinct binary
-// exactly once, and that a warm restart builds nothing at all.
+// Builds reports how many programs the cache has recorded — the acceptance
+// check that a sweep builds each distinct binary exactly once.
 func (b *Builder) Builds() int { return int(b.builds.Load()) }
 
 // Run is workload.Run through the cache: it reuses the memoized program for

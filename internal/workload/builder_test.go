@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -162,10 +161,10 @@ func TestSequentialBuildKeyedByProgram(t *testing.T) {
 	}
 
 	// Sharing is sound: each spec's own build records the same program.
-	if !bytes.Equal(EncodeBuilt(Build(outer, true)), EncodeBuilt(seqDel)) {
+	if programHash(Build(outer, true), 0) != programHash(seqDel, 0) {
 		t.Error("DELIVERY OUTER's own SEQUENTIAL build differs from DELIVERY's")
 	}
-	if !bytes.Equal(EncodeBuilt(Build(opt5, true)), EncodeBuilt(seqNO)) {
+	if programHash(Build(opt5, true), 0) != programHash(seqNO, 0) {
 		t.Error("the OptLevel 5 SEQUENTIAL build differs from the OptLevel 0 one")
 	}
 
@@ -182,7 +181,7 @@ func TestSequentialBuildKeyedByProgram(t *testing.T) {
 		t.Errorf("Builds() = %d, want %d", n, 2+len(specs))
 	}
 
-	// The persistent tier's key agrees with the memo's.
+	// The seqref namespace's key agrees with the memo's.
 	type call struct {
 		spec Spec
 		seq  bool
@@ -198,6 +197,41 @@ func TestSequentialBuildKeyedByProgram(t *testing.T) {
 				t.Errorf("%v/%d seq=%v vs %v/%d seq=%v: memo keys equal %v, CacheKeys equal %v",
 					x.spec.Bench, x.spec.OptLevel, x.seq, y.spec.Bench, y.spec.OptLevel, y.seq, sameMemo, sameDisk)
 			}
+		}
+	}
+}
+
+// CacheKey names a workload's seqref entry, so its derivation, version field
+// included, must not move: a different key would orphan every seqref entry a
+// store already holds. Two keys are pinned.
+func TestCacheKeyStableAndDistinct(t *testing.T) {
+	spec := tinySpec(tpcc.NewOrder)
+	k1 := CacheKey(spec, false)
+	k2 := CacheKey(spec, false)
+	if k1 != k2 {
+		t.Fatal("CacheKey not deterministic")
+	}
+	if len(k1) != 64 {
+		t.Fatalf("CacheKey length = %d, want 64 hex chars", len(k1))
+	}
+	if CacheKey(spec, true) == k1 {
+		t.Fatal("sequential flag not part of the cache key")
+	}
+	other := spec
+	other.Txns++
+	if CacheKey(other, false) == k1 {
+		t.Fatal("spec change not reflected in the cache key")
+	}
+	for _, c := range []struct {
+		bench      tpcc.Benchmark
+		sequential bool
+		want       string
+	}{
+		{tpcc.DeliveryOuter, true, "58c397b088105fa1f929e4ac458f4f2f6087a547964f3f431f64460c55b59349"},
+		{tpcc.NewOrder, false, "42e1700678032b0f21bf89c1cc10d6d1332344c52d33cf08b7d03737155415c3"},
+	} {
+		if got := CacheKey(DefaultSpec(c.bench), c.sequential); got != c.want {
+			t.Errorf("CacheKey(%v, %v) = %s, want %s", c.bench, c.sequential, got, c.want)
 		}
 	}
 }

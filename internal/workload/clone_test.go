@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
-	"subthreads/internal/cas"
 	"subthreads/internal/tpcc"
 )
 
@@ -20,12 +18,14 @@ func TestCloneRecordsBuildsPrograms(t *testing.T) {
 			spec := DefaultSpec(bench)
 			spec.Txns, spec.Warmup, spec.Seed = 2, 1, seed
 			d := load(spec, false)
-			if !bytes.Equal(EncodeBuilt(record(spec, true, d.Clone(engineOpt(spec, true)))), EncodeBuilt(Build(spec, true))) {
+			_, onClone := recordHashed(spec, true, d.Clone(engineOpt(spec, true)))
+			if _, want := buildHashed(spec, true); onClone != want {
 				t.Errorf("%v seed %d: the SEQUENTIAL program recorded on a clone differs from Build's", bench, seed)
 			}
 			for _, opt := range []int{0, 2, 5} {
 				spec.OptLevel = opt
-				if !bytes.Equal(EncodeBuilt(record(spec, false, d.Clone(engineOpt(spec, false)))), EncodeBuilt(Build(spec, false))) {
+				_, onClone := recordHashed(spec, false, d.Clone(engineOpt(spec, false)))
+				if _, want := buildHashed(spec, false); onClone != want {
 					t.Errorf("%v seed %d opt %d: the TLS program recorded on a clone differs from Build's", bench, seed, opt)
 				}
 			}
@@ -38,14 +38,15 @@ func TestRecordOnCloneLeavesSource(t *testing.T) {
 	spec := tinySpec(tpcc.NewOrder)
 	d := load(spec, false)
 	loaded := d.Env.StateDigest()
-	built := record(spec, false, d.Clone(engineOpt(spec, false)))
+	c := d.Clone(engineOpt(spec, false))
+	_, onClone := recordHashed(spec, false, c)
 	if got := d.Env.StateDigest(); got != loaded {
 		t.Errorf("source digest %#x after recording on its clone, want %#x", got, loaded)
 	}
-	if built.Digest == loaded {
+	if c.Env.StateDigest() == loaded {
 		t.Error("the recorded transactions left the clone's database as loaded")
 	}
-	if !bytes.Equal(EncodeBuilt(record(spec, false, d)), EncodeBuilt(built)) {
+	if _, onSource := recordHashed(spec, false, d); onSource != onClone {
 		t.Error("the source records a different program than its clone")
 	}
 }
@@ -56,18 +57,18 @@ func TestClonesRecordConcurrently(t *testing.T) {
 	spec := tinySpec(tpcc.NewOrder)
 	d := load(spec, false)
 	clones := []*tpcc.DB{d.Clone(engineOpt(spec, false)), d.Clone(engineOpt(spec, true))}
-	got := make([]*Built, len(clones))
+	got := make([]string, len(clones))
 	var wg sync.WaitGroup
 	for i, c := range clones {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = record(spec, i == 1, c)
+			_, got[i] = recordHashed(spec, i == 1, c)
 		}()
 	}
 	wg.Wait()
-	for i, b := range got {
-		if !bytes.Equal(EncodeBuilt(b), EncodeBuilt(Build(spec, i == 1))) {
+	for i, sum := range got {
+		if _, want := buildHashed(spec, i == 1); sum != want {
 			t.Errorf("clone %d recorded a different program than Build", i)
 		}
 	}
@@ -79,7 +80,7 @@ func TestClonesRecordConcurrently(t *testing.T) {
 // SEQUENTIAL caller's program is its reference.
 func TestBuildWithReference(t *testing.T) {
 	spec := tinySpec(tpcc.DeliveryOuter)
-	seqWant := EncodeBuilt(Build(KeyOf(spec, true).Spec, true))
+	seqWant := programHash(Build(KeyOf(spec, true).Spec, true), 0)
 
 	b := NewBuilder()
 	b.SetBudget(1 << 40)
@@ -87,12 +88,12 @@ func TestBuildWithReference(t *testing.T) {
 	if st := b.Stats(); st.Builds != 2 || st.Loads != 1 || st.Clones != 1 || st.ResidentBytes != built.Bytes() {
 		t.Errorf("novel pair: stats %+v, want 2 builds from 1 load and 1 clone, only the TLS program resident", st)
 	}
-	if !bytes.Equal(EncodeBuilt(ref), seqWant) || !bytes.Equal(EncodeBuilt(built), EncodeBuilt(Build(spec, false))) {
+	if programHash(ref, 0) != seqWant || programHash(built, 0) != programHash(Build(spec, false), 0) {
 		t.Error("novel pair: programs differ from Build's")
 	}
 
 	again, ref2 := b.BuildWithReference(spec, false)
-	if again != built || ref2 == ref || !bytes.Equal(EncodeBuilt(ref2), seqWant) {
+	if again != built || ref2 == ref || programHash(ref2, 0) != seqWant {
 		t.Error("memory hit: want the memoized program and a fresh reference program")
 	}
 	if st := b.Stats(); st.MemoryHits != 1 || st.Builds != 3 || st.Loads != 2 || st.Clones != 1 {
@@ -105,18 +106,5 @@ func TestBuildWithReference(t *testing.T) {
 	seq, seqRef := b.BuildWithReference(spec, true)
 	if seq != seqRef {
 		t.Error("a SEQUENTIAL program is its own reference")
-	}
-
-	store := openStore(t, t.TempDir(), cas.Options{})
-	warm := NewBuilder()
-	warm.SetStore(store)
-	warm.Build(spec, false)
-	restarted := NewBuilder()
-	restarted.SetStore(store)
-	if _, ref := restarted.BuildWithReference(spec, false); !bytes.Equal(EncodeBuilt(ref), seqWant) {
-		t.Error("disk hit: the reference program differs from Build's")
-	}
-	if st := restarted.Stats(); st != (BuildStats{DiskHits: 1, Builds: 1, Loads: 1}) {
-		t.Errorf("disk hit: stats %+v, want the program decoded and the reference recorded alone", st)
 	}
 }

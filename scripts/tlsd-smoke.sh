@@ -13,8 +13,8 @@
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms;
 # a variant of the spec must then read its SEQUENTIAL reference from disk
-# and build nothing, loading no database. Before any of that, usage errors
-# must exit 2.
+# and record only its own program, on one load with no clone. Before any of
+# that, usage errors must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -295,10 +295,10 @@ grep -q '"msg":"job disk-warm hit"' "$TMP/tlsd2.jsonl" || {
 # checkpoint and its SEQUENTIAL reference cycle count into the same cache
 # dir; a sweep variant of the spec (divergent sub-thread spacing) submitted
 # to the restarted daemon must fork its simulation from that on-disk
-# checkpoint and read its reference from disk, building no program and
-# loading no database —
-# byte-identical to tlssim -json for the variant, with the fork and the
-# reference tier visible in both metric forms and the completion log line.
+# checkpoint and read its reference from disk, recording its own program on
+# one load and no SEQUENTIAL program (no clone) — byte-identical to tlssim
+# -json for the variant, with the fork and the reference tier visible in
+# both metric forms and the completion log line.
 SWEEPSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
 curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$SWEEPSPEC" >"$TMP/sweep.json"
 "$TMP/tlssim" -benchmark "NEW ORDER" -experiment "BASELINE" -txns 3 -warmup 1 \
@@ -315,8 +315,8 @@ curl -fsS "http://$ADDR/metrics" | grep -q '"jobs_forked": 1' || {
 }
 curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/snap-metrics.prom"
 for NEEDLE in '^tlsd_snapshot_hit_total 1$' '^tlsd_jobs_forked_total 1$' \
-    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 0$' \
-    '^tlsd_builder_loads_total 0$'; do
+    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 1$' \
+    '^tlsd_builder_loads_total 1$' '^tlsd_builder_clones_total 0$'; do
     grep -q "$NEEDLE" "$TMP/snap-metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
         cat "$TMP/snap-metrics.prom" >&2
