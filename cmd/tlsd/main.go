@@ -51,7 +51,7 @@ func main() {
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
 		flightEvents = flag.Int("flight-events", 4096, "telemetry events the flight recorder dumps from the tail of a failed job's stream")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
-		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies, SEQUENTIAL reference cycle counts and machine checkpoints (empty = in-memory only)")
+		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies and SEQUENTIAL reference cycle counts (empty = in-memory only)")
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
 		showVersion  = cliflags.AddVersion(flag.CommandLine)
 	)

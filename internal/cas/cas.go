@@ -31,6 +31,7 @@
 package cas
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,7 +43,6 @@ import (
 	"sync"
 	"time"
 
-	"subthreads/internal/snapbin"
 	"subthreads/internal/telemetry"
 )
 
@@ -567,34 +567,29 @@ func (s *Store) Dir() string {
 
 // encodeEntry frames a payload with the versioned header and checksum.
 func encodeEntry(payload []byte) []byte {
-	w := snapbin.NewWriter(headerSize + len(payload))
-	w.Raw([]byte(entryMagic))
-	w.U8(entryVersion)
-	w.Raw(make([]byte, 3)) // reserved
-	w.U64(uint64(len(payload)))
-	w.U64(checksum(payload))
-	w.Raw(payload)
-	return w.Bytes()
+	frame := make([]byte, headerSize, headerSize+len(payload))
+	copy(frame, entryMagic)
+	frame[4] = entryVersion // bytes 5-7 stay zero (reserved)
+	binary.LittleEndian.PutUint64(frame[8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(frame[16:], checksum(payload))
+	return append(frame, payload...)
 }
 
 // decodeEntry validates the frame and returns the payload.
 func decodeEntry(raw []byte) ([]byte, error) {
-	r := snapbin.NewReader(raw)
-	magic := r.Raw(len(entryMagic), "magic")
-	version := r.U8("version")
-	r.Raw(3, "reserved")
-	n, sum := r.U64("payload length"), r.U64("checksum")
-	switch {
-	case r.Err() != nil:
+	if len(raw) < headerSize {
 		return nil, fmt.Errorf("truncated header (%d bytes)", len(raw))
-	case string(magic) != entryMagic:
+	}
+	version, payload := raw[4], raw[headerSize:]
+	n, sum := binary.LittleEndian.Uint64(raw[8:]), binary.LittleEndian.Uint64(raw[16:])
+	switch {
+	case string(raw[:4]) != entryMagic:
 		return nil, errors.New("bad magic")
 	case version != entryVersion:
 		return nil, fmt.Errorf("entry version %d, want %d", version, entryVersion)
-	case n != uint64(r.Remaining()):
-		return nil, fmt.Errorf("payload length %d, have %d bytes", n, r.Remaining())
+	case n != uint64(len(payload)):
+		return nil, fmt.Errorf("payload length %d, have %d bytes", n, len(payload))
 	}
-	payload := r.Raw(r.Remaining(), "payload")
 	if checksum(payload) != sum {
 		return nil, errors.New("checksum mismatch")
 	}

@@ -98,6 +98,14 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 			b[4] = entryVersion + 7
 			return b
 		}},
+		{"bad-magic", func(b []byte) []byte {
+			b[0] ^= 0xff
+			return b
+		}},
+		{"wrong-length", func(b []byte) []byte {
+			b[8] ^= 1
+			return b
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

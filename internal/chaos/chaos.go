@@ -193,16 +193,20 @@ func (c *Chaos) Disk(op string) (cas.DiskFault, bool) {
 	return f, fired
 }
 
+// Panic is the value an injected worker panic carries, so the recover that
+// contains it can tell scheduled chaos from an organic bug.
+type Panic string
+
 // WorkerPanic reports whether the next job execution should panic inside
-// the worker (exercising the service's panic containment). The panic value
-// is the returned message.
-func (c *Chaos) WorkerPanic() (string, bool) {
+// the worker (exercising the service's panic containment), and the value to
+// panic with.
+func (c *Chaos) WorkerPanic() (Panic, bool) {
 	n := c.jobs.Add(1)
 	if !c.fires(catPanic, n, c.cfg.PanicEvery) {
 		return "", false
 	}
 	c.panics.Add(1)
-	return fmt.Sprintf("chaos: injected worker panic (job draw %d, %s)", n, c.cfg), true
+	return Panic(fmt.Sprintf("chaos: injected worker panic (job draw %d, %s)", n, c.cfg)), true
 }
 
 // Stats snapshots the delivered-fault counters. Safe on a nil schedule

@@ -231,10 +231,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_poisoned_digests gauge",
 		"# TYPE tlsd_queue_capacity gauge",
 		"# TYPE tlsd_queue_depth gauge",
-		"# TYPE tlsd_snapshot_corrupt_total counter",
-		"# TYPE tlsd_snapshot_hit_total counter",
-		"# TYPE tlsd_snapshot_miss_total counter",
-		"# TYPE tlsd_snapshot_put_total counter",
 		"# TYPE tlsd_uptime_seconds gauge",
 		"# TYPE tlsd_workers gauge",
 	}
@@ -290,10 +286,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_poisoned_digests{}",
 		"tlsd_queue_capacity{}",
 		"tlsd_queue_depth{}",
-		"tlsd_snapshot_corrupt_total{}",
-		"tlsd_snapshot_hit_total{}",
-		"tlsd_snapshot_miss_total{}",
-		"tlsd_snapshot_put_total{}",
 		"tlsd_uptime_seconds{}",
 		"tlsd_workers{}",
 	}
@@ -359,10 +351,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"remote_hit_latency_micros",
 		"render_latency_micros",
 		"sim_latency_micros",
-		"snapshot_corrupt",
-		"snapshot_hits",
-		"snapshot_misses",
-		"snapshot_puts",
 		"uptime_seconds",
 		"workers",
 	}

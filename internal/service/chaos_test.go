@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -32,10 +33,6 @@ func TestChaosResultsStayByteIdentical(t *testing.T) {
 		QueueDepth: 16,
 		Store:      openTestStore(t, t.TempDir()),
 		Chaos:      ch,
-		// Panics are deterministic failures and would quarantine digests the
-		// client is about to retry; chaos runs disable the fast-fail so every
-		// retry is a real attempt.
-		PoisonThreshold: 1 << 20,
 	})
 
 	specs := []JobSpec{
@@ -105,7 +102,7 @@ func TestChaosScheduleIsDeterministic(t *testing.T) {
 		_, ts := newTestServer(t, Options{
 			Workers: 1, QueueDepth: 8,
 			Store: openTestStore(t, t.TempDir()),
-			Chaos: ch, PoisonThreshold: 1 << 20,
+			Chaos: ch,
 		})
 		c := &Client{Base: ts.URL, Retries: 10, BaseDelay: time.Millisecond, Seed: 1}
 		for _, bench := range []string{"NEW ORDER", "PAYMENT"} {
@@ -122,11 +119,46 @@ func TestChaosScheduleIsDeterministic(t *testing.T) {
 	}
 }
 
-// A disk that fails every operation trips the breaker within the first job;
-// the daemon keeps serving (memory + rebuild) and the degradation is visible
-// in both metric representations. While the breaker is open no tier touches
-// the disk, the reference tier included, so the jobs after the trip deliver
-// no further disk faults.
+// An injected worker panic fails its job with kind "chaos", not an organic
+// "panic", and never feeds the poison quarantine: a retry would run, so a
+// digest the schedule keeps panicking is still admitted past the quarantine
+// threshold.
+func TestChaosPanicsNeverPoison(t *testing.T) {
+	ch := chaos.New(chaos.Config{Seed: 1, PanicEvery: 1})
+	s, ts := newTestServer(t, Options{Workers: 1, Chaos: ch})
+	spec := tinySpec("PAYMENT")
+	for i := 0; i <= poisonThreshold; i++ {
+		resp := postJob(t, ts, spec)
+		if resp.StatusCode != http.StatusAccepted {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("submission %d after %d injected panics: status %d, want %d: %s",
+				i+1, i, resp.StatusCode, http.StatusAccepted, body)
+		}
+		st := decodeStatus(t, resp.Body)
+		resp.Body.Close()
+		final := waitDone(t, ts, st.ID)
+		if final.State != StateFailed || final.Failure == nil || final.Failure.Kind != "chaos" {
+			t.Fatalf("submission %d: state %s, failure %+v; want failed with kind chaos", i+1, final.State, final.Failure)
+		}
+	}
+	m := s.MetricsSnapshot()
+	if m.PoisonedDigests != 0 || m.JobsRejectedPoisoned != 0 || m.JobsFailed != poisonThreshold+1 {
+		t.Errorf("poisoned %d, rejected %d, failed %d; want 0, 0, %d",
+			m.PoisonedDigests, m.JobsRejectedPoisoned, m.JobsFailed, poisonThreshold+1)
+	}
+	if got := ch.Stats().Panics; got != poisonThreshold+1 {
+		t.Errorf("%d panics injected, want %d", got, poisonThreshold+1)
+	}
+}
+
+// A disk that fails every operation trips the breaker within the first job,
+// on its third disk operation: the result Get at admission, the seqref Get,
+// then the seqref Put once its reference run ends. The daemon keeps serving
+// (memory + rebuild) and the degradation is visible in both metric
+// representations. While the breaker is open no tier touches the disk, the
+// reference tier included, so the jobs after the trip deliver no further
+// disk faults.
 func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 	ch := chaos.New(chaos.Config{Seed: 1, DiskErrEvery: 1})
 	s, ts := newTestServer(t, Options{
@@ -135,7 +167,6 @@ func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 		Chaos:            ch,
 		BreakerThreshold: 3,
 		BreakerCooldown:  time.Hour, // stay open for the test's lifetime
-		PoisonThreshold:  1 << 20,
 	})
 
 	c := &Client{Base: ts.URL, Retries: 10, BaseDelay: time.Millisecond, Seed: 1}
@@ -178,7 +209,7 @@ func TestChaosAndBreakerPromFamiliesLint(t *testing.T) {
 	s, _ := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 4,
 		Store: openTestStore(t, t.TempDir()),
-		Chaos: ch, PoisonThreshold: 1 << 20,
+		Chaos: ch,
 	})
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	req.Header.Set("Accept", "text/plain")

@@ -54,11 +54,13 @@ func (e *QueueFullError) Is(target error) bool {
 	return target == ErrQueueFull
 }
 
-// Poison-quarantine defaults: three deterministic failures within ten
-// minutes quarantine a digest for the remainder of the window.
+// The poison quarantine: poisonThreshold deterministic failures within
+// poisonTTL quarantine a digest, and each failure restarts the window, which
+// is also how long the quarantine lasts. Quarantined digests fast-fail at
+// admission (HTTP 422) instead of re-burning workers.
 const (
-	defaultPoisonThreshold = 3
-	defaultPoisonTTL       = 10 * time.Minute
+	poisonThreshold = 3
+	poisonTTL       = 10 * time.Minute
 )
 
 // poisonEntry tracks one digest's recent deterministic failures.
@@ -70,11 +72,11 @@ type poisonEntry struct {
 
 // deterministicFailure reports whether a failure kind indicts the job
 // itself rather than the circumstances of this run. Timeouts, client
-// cancellations, and drain aborts say nothing about what a retry would do,
-// so they never poison a digest.
+// cancellations, drain aborts and panics the chaos schedule injected say
+// nothing about what a retry would do, so they never poison a digest.
 func deterministicFailure(kind string) bool {
 	switch kind {
-	case "timeout", "cancelled", "drain":
+	case "timeout", "cancelled", "drain", "chaos":
 		return false
 	}
 	return true
@@ -91,7 +93,7 @@ func (s *Server) notePoisonLocked(digest string, f *Failure, now time.Time) {
 	}
 	e.fails++
 	e.kind = f.Kind
-	e.until = now.Add(s.opts.PoisonTTL)
+	e.until = now.Add(poisonTTL)
 }
 
 // poisonedLocked reports whether digest is quarantined right now, expiring
@@ -105,7 +107,7 @@ func (s *Server) poisonedLocked(digest string, now time.Time) *PoisonedError {
 		delete(s.poison, digest)
 		return nil
 	}
-	if e.fails < s.opts.PoisonThreshold {
+	if e.fails < poisonThreshold {
 		return nil
 	}
 	return &PoisonedError{

@@ -5,6 +5,9 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,6 +158,39 @@ func TestWarmRestartReadsReferenceFromDisk(t *testing.T) {
 	_, body := getBody(t, ts2.URL+final.ResultURL)
 	if want := renderExpected(t, spec); !bytes.Equal(body, want) {
 		t.Fatal("restarted daemon's body differs from tlssim -json rendering")
+	}
+}
+
+// A cold job writes the store exactly what a later life reads back: its
+// rendered result and its workload's SEQUENTIAL reference, one entry each.
+// No other namespace is created.
+func TestColdJobStoresResultAndReference(t *testing.T) {
+	dir := t.TempDir()
+	store := openTestStore(t, dir)
+	s, ts := newTestServer(t, Options{Workers: 1, Store: store})
+	spec := tinySpec("NEW ORDER")
+	requireExpected(t, spec, runDone(t, ts, spec))
+	drain(t, s) // the result is published after the job is marked done
+
+	if puts := store.Stats().Puts; puts != 2 {
+		t.Errorf("store puts = %d, want 2 (result and seqref)", puts)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("read store dir: %v", err)
+	}
+	var namespaces []string
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		namespaces = append(namespaces, e.Name())
+		if files, _ := filepath.Glob(filepath.Join(dir, e.Name(), "*", "*.cas")); len(files) != 1 {
+			t.Errorf("namespace %s holds %d entries, want 1", e.Name(), len(files))
+		}
+	}
+	if want := []string{casResultNS, "seqref"}; !slices.Equal(namespaces, want) {
+		t.Errorf("store namespaces = %q, want %q", namespaces, want)
 	}
 }
 

@@ -254,14 +254,14 @@ func TestWaitServesTerminalState(t *testing.T) {
 	}
 }
 
-// Repeated deterministic failures quarantine the digest: the Nth submission
-// is rejected 422 with a Retry-After, without burning a worker; a timeout
-// never contributes to the quarantine.
+// Repeated deterministic failures quarantine the digest: the submission
+// after the threshold's worth of failures is rejected 422 with a
+// Retry-After, without burning a worker.
 func TestPoisonQuarantine(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, PoisonThreshold: 2, PoisonTTL: time.Minute})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
 
 	spec := failingSpec()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < poisonThreshold; i++ {
 		resp := postJob(t, ts, spec)
 		st := decodeStatus(t, resp.Body)
 		resp.Body.Close()
@@ -295,18 +295,21 @@ func TestPoisonQuarantine(t *testing.T) {
 }
 
 func TestTimeoutFailuresNeverPoison(t *testing.T) {
-	s := New(Options{Workers: 1, PoisonThreshold: 1, PoisonTTL: time.Minute})
+	s := New(Options{Workers: 1})
 	defer s.Shutdown(context.Background())
 	now := time.Now()
 	s.mu.Lock()
-	for _, kind := range []string{"timeout", "cancelled", "drain"} {
+	for _, kind := range []string{"timeout", "cancelled", "drain", "chaos"} {
 		if deterministicFailure(kind) {
 			t.Errorf("%s counted as deterministic", kind)
 		}
-		// Even threshold-1 config must not quarantine on these kinds; the
-		// runJob path gates on deterministicFailure before notePoisonLocked.
-		if deterministicFailure(kind) {
-			s.notePoisonLocked("d", &Failure{Kind: kind}, now)
+		// A threshold's worth of any one of these kinds must not quarantine
+		// the digest; the runJob path gates on deterministicFailure before
+		// notePoisonLocked.
+		for i := 0; i < poisonThreshold; i++ {
+			if deterministicFailure(kind) {
+				s.notePoisonLocked("d", &Failure{Kind: kind}, now)
+			}
 		}
 	}
 	if pe := s.poisonedLocked("d", now); pe != nil {

@@ -50,23 +50,17 @@ type Options struct {
 	// FlightEvents is the length of the dumped tail; default 4096.
 	FlightEvents int
 	// Store is the persistent content-addressed tier under the result
-	// cache, the SEQUENTIAL reference tier and the machine checkpoints.
-	// With a store, a restarted daemon serves previously-computed results
-	// from byte one — no database load, no trace recording, no simulation
-	// — and a new variant of a stored workload simulates no reference. nil
-	// keeps every tier memory-only.
+	// cache and the SEQUENTIAL reference tier. With a store, a restarted
+	// daemon serves previously-computed results from byte one — no
+	// database load, no trace recording, no simulation — and a new variant
+	// of a stored workload simulates no reference. nil keeps every tier
+	// memory-only.
 	Store *cas.Store
 	// JobTimeout is the server-wide end-to-end deadline applied to jobs
 	// that set no timeout_ms of their own, and the ceiling on the ones
 	// that do. 0 disables the default deadline (paper-scale runs can take
 	// arbitrarily long).
 	JobTimeout time.Duration
-	// PoisonThreshold quarantines a digest after this many deterministic
-	// failures within PoisonTTL (default 3); PoisonTTL is the sliding
-	// window and quarantine duration (default 10m). Quarantined digests
-	// fast-fail at admission (HTTP 422) instead of re-burning workers.
-	PoisonThreshold int
-	PoisonTTL       time.Duration
 	// Breaker knobs for the circuit around the disk CAS tier: consecutive
 	// failures to open (default 5), cooldown before a half-open probe
 	// (default 10s), and the latency above which a call counts as a
@@ -178,12 +172,6 @@ func New(opts Options) *Server {
 	}
 	if opts.FlightEvents <= 0 {
 		opts.FlightEvents = 4096
-	}
-	if opts.PoisonThreshold <= 0 {
-		opts.PoisonThreshold = defaultPoisonThreshold
-	}
-	if opts.PoisonTTL <= 0 {
-		opts.PoisonTTL = defaultPoisonTTL
 	}
 	s := &Server{
 		opts:     opts,
@@ -638,8 +626,9 @@ func (s *Server) runJob(j *Job) {
 		if s.byDigest[j.res.Digest] == j {
 			delete(s.byDigest, j.res.Digest)
 		}
-		// Deterministic failures feed the poison quarantine; timeouts and
-		// cancellations say nothing about a retry and never do.
+		// Deterministic failures feed the poison quarantine; timeouts,
+		// cancellations and injected chaos say nothing about a retry and
+		// never do.
 		if deterministicFailure(failure.Kind) {
 			s.notePoisonLocked(j.res.Digest, failure, finished)
 		}
@@ -693,7 +682,8 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // exact bytes `tlssim -json` prints for the same spec — and names the tier
 // its SEQUENTIAL reference came from. A structured *sim.RunError (and,
 // defensively, any other panic) becomes a Failure; the daemon never dies
-// with a job.
+// with a job. A panic the chaos schedule injected fails as kind "chaos",
+// which says nothing about a retry; an organic one as kind "panic".
 func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -701,8 +691,12 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 				failure = s.failureFrom(j, re)
 				return
 			}
+			kind := "panic"
+			if _, ok := p.(chaos.Panic); ok {
+				kind = "chaos"
+			}
 			failure = &Failure{
-				Kind:  "panic",
+				Kind:  kind,
 				Error: fmt.Sprint(p),
 				Repro: j.res.ReproCommand(),
 			}
@@ -710,10 +704,10 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	}()
 
 	if s.chaos != nil {
-		if msg, ok := s.chaos.WorkerPanic(); ok {
+		if p, ok := s.chaos.WorkerPanic(); ok {
 			// The scheduled worker fault: thrown here so it travels the
 			// same recover path an organic worker bug would.
-			panic(msg)
+			panic(p)
 		}
 	}
 
@@ -745,7 +739,10 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	}
 	t = j.leaveStage(stageBuild, t)
 	j.enterStage(stageSim, t)
-	res, err := s.simTLS(j, cfg, built, r)
+	res, err := sim.RunE(cfg, built.Program)
+	s.mu.Lock()
+	s.counters.JobsReplayed++
+	s.mu.Unlock()
 	t = j.leaveStage(stageSim, t)
 	if err != nil {
 		return nil, "", s.simFailure(j, err)
@@ -911,12 +908,13 @@ type Counters struct {
 	CacheProbes     uint64 `json:"cache_probes" prom:"cache_probes_total Sibling-cache probes answered (GET /v1/cache/{digest})."`
 	CacheProbeHits  uint64 `json:"cache_probe_hits" prom:"cache_probe_hits_total Sibling-cache probes that found a stored result."`
 
-	SnapshotHits    uint64 `json:"snapshot_hits" prom:"snapshot_hit_total Jobs forked from a stored machine checkpoint."`
-	SnapshotMisses  uint64 `json:"snapshot_misses" prom:"snapshot_miss_total Checkpoint probes that found no stored snapshot."`
-	SnapshotPuts    uint64 `json:"snapshot_puts" prom:"snapshot_put_total Machine checkpoints published to the persistent store."`
-	SnapshotCorrupt uint64 `json:"snapshot_corrupt" prom:"snapshot_corrupt_total Machine checkpoints quarantined as undecodable or inapplicable."`
-	JobsForked      uint64 `json:"jobs_forked" prom:"jobs_forked_total Executed jobs whose main simulation forked from a checkpoint."`
-	JobsReplayed    uint64 `json:"jobs_replayed" prom:"jobs_replayed_total Executed jobs whose main simulation ran in full."`
+	// JobsForked and JobsReplayed split executed main simulations into
+	// forked and full runs. tlsd no longer forks, so nothing increments
+	// JobsForked and JobsReplayed counts every executed main simulation.
+	// Both stay only until the checkpoint layer's benchmark step (ROADMAP)
+	// stops perfbench/serve.go from reading them.
+	JobsForked   uint64 `json:"jobs_forked" prom:"jobs_forked_total Executed jobs whose main simulation forked from a checkpoint."`
+	JobsReplayed uint64 `json:"jobs_replayed" prom:"jobs_replayed_total Executed jobs whose main simulation ran in full."`
 }
 
 // Metrics is the /metrics snapshot: queue pressure, worker occupancy, cache
@@ -951,8 +949,8 @@ type Metrics struct {
 	// chaos is off.
 	Chaos *chaos.Stats `json:"chaos,omitempty" prom:"chaos_"`
 	// Builder is the workload build cache's tier split: programs from
-	// memory, from disk and built, and SEQUENTIAL references from memory,
-	// from disk and from a run.
+	// memory and built, and SEQUENTIAL references from memory, from disk
+	// and from a run.
 	Builder workload.BuildStats `json:"builder" prom:"builder_"`
 
 	// Per-stage breakdown of the cold path, observed once per executed job:

@@ -189,8 +189,9 @@ func TestIssuePathsPinned(t *testing.T) {
 }
 
 // TestPrefixCheckpointPinned pins the bytes of a real prefix checkpoint: the
-// frame RunCapture takes at the end of NEW ORDER's warm-up barrier, which
-// carries the warmed caches, banks and predictors that a sweep forks from.
+// Forkable frame a run captures at the end of NEW ORDER's warm-up barrier
+// (Config.SnapshotAtPrefix), which carries the warmed caches, banks and
+// predictors that a sweep forks from.
 func TestPrefixCheckpointPinned(t *testing.T) {
 	spec := workload.DefaultSpec(tpcc.NewOrder)
 	spec.Scale = tpcc.Scale{Districts: 4, CustomersPerDistrict: 60, Items: 400, OrdersPerDistrict: 30}
@@ -198,9 +199,12 @@ func TestPrefixCheckpointPinned(t *testing.T) {
 	spec.Warmup = 1
 	p := workload.Build(spec, false).Program
 	prog := &sim.Program{Units: append(p.Units[:4:4], p.Units[len(p.Units)-1])}
-	_, snap, err := sim.RunCapture(workload.Machine(workload.Baseline), prog)
-	if err != nil || snap == nil {
-		t.Fatalf("RunCapture: snapshot %v, err %v", snap != nil, err)
+	var snap *sim.Snapshot
+	cfg := workload.Machine(workload.Baseline)
+	cfg.SnapshotAtPrefix = true
+	cfg.SnapshotSink = func(s *sim.Snapshot) { snap = s }
+	if _, err := sim.RunE(cfg, prog); err != nil || snap == nil || !snap.Forkable {
+		t.Fatalf("prefix capture: snapshot %v, forkable %v, err %v", snap != nil, snap != nil && snap.Forkable, err)
 	}
 	const wantLen, wantSum = 281978, "375a65c8a1091a4b"
 	frame := snap.Encode()

@@ -218,7 +218,7 @@ type Config struct {
 	// not yet committed — so no speculative unit has started and nothing
 	// configuration-divergent has happened. Snapshots taken there are
 	// usually Forkable: resumable under any configuration that agrees on
-	// the prefix-invariant machine parameters (see PrefixDigest).
+	// the prefix-invariant machine parameters (see prefixDigest).
 	SnapshotAtPrefix bool `json:"-"`
 	// SnapshotSink receives the at-most-one snapshot a run captures. nil
 	// disables snapshotting entirely (the per-cycle cost is one pointer

@@ -796,7 +796,7 @@ func TestICacheModel(t *testing.T) {
 // TestResultDoesNotPinMachine: a Result outlives its run (the experiment
 // runner memoizes every one), so it must not keep the machine's caches, line
 // tables, predictor tables and cores reachable. finish is the one place
-// RunE, RunCapture and ResumeE get their Result from.
+// RunE and ResumeE get their Result from.
 func TestResultDoesNotPinMachine(t *testing.T) {
 	freed := make(chan struct{})
 	res := func() *Result {

@@ -29,7 +29,7 @@ import (
 //   - Restore: the resuming Config's FullDigest matches the snapshot's. The
 //     remainder of the run replays under the identical machine.
 //   - Fork: the digests differ but the snapshot is Forkable and the configs
-//     agree on every prefix-invariant parameter (PrefixDigest). This is the
+//     agree on every prefix-invariant parameter (prefixDigest). This is the
 //     prefix-sharing exploit: sweep points that differ only in sub-thread
 //     configuration (spacing, contexts, spawn policy, overflow policy, victim
 //     sizing, predictors, start table...) execute the program's leading
@@ -172,11 +172,11 @@ type prefixKey struct {
 	Paranoid            bool
 }
 
-// PrefixDigest identifies cfg's prefix-invariant machine parameters. Two
+// prefixDigest identifies cfg's prefix-invariant machine parameters. Two
 // configurations with equal prefix digests run the program's leading barrier
 // prefix identically, so a Forkable snapshot captured under one resumes
 // correctly under the other.
-func PrefixDigest(cfg Config) string {
+func prefixDigest(cfg Config) string {
 	return digestJSON(prefixKey{
 		CPUs:                cfg.CPUs,
 		CPU:                 cfg.CPU,
@@ -230,7 +230,7 @@ func (m *machine) captureSnapshot() {
 		Cycle:        m.cycle,
 		Forkable:     m.forkable(),
 		FullDigest:   FullDigest(m.cfg),
-		PrefixDigest: PrefixDigest(m.cfg),
+		PrefixDigest: prefixDigest(m.cfg),
 		progUnits:    uint64(len(m.prog.Units)),
 		progInstrs:   m.prog.Instrs(),
 		progLeading:  uint64(m.snapLeading),
@@ -272,23 +272,6 @@ func (m *machine) forkable() bool {
 		r.LatchDeadlockBreaks == 0 && r.L1Invalidations == 0 && r.EpochCount == 0
 }
 
-// RunCapture is RunE that also captures the run's prefix checkpoint: the
-// Forkable snapshot taken at the end of the program's leading barrier
-// prefix, or nil when there is none (no leading barrier, fault injection,
-// speculative state at the boundary). The checkpoint is returned even when
-// the run fails later on, since the prefix it holds completed.
-func RunCapture(cfg Config, prog *Program) (*Result, *Snapshot, error) {
-	var snap *Snapshot
-	cfg.SnapshotAtPrefix = true
-	cfg.SnapshotSink = func(s *Snapshot) {
-		if s.Forkable {
-			snap = s
-		}
-	}
-	res, err := RunE(cfg, prog)
-	return res, snap, err
-}
-
 // ResumeE resumes a run from a snapshot: restore when cfg matches the
 // capturing configuration exactly (by FullDigest), fork when the snapshot is
 // Forkable and cfg agrees on the prefix-invariant parameters. The returned
@@ -325,7 +308,7 @@ func ResumeE(cfg Config, prog *Program, snap *Snapshot) (*Result, error) {
 	switch {
 	case snap.FullDigest == FullDigest(cfg):
 		// Exact restore.
-	case snap.Forkable && snap.PrefixDigest == PrefixDigest(cfg):
+	case snap.Forkable && snap.PrefixDigest == prefixDigest(cfg):
 		if cfg.Inject != nil {
 			return nil, fmt.Errorf("sim: cannot fork a snapshot into a fault-injected run")
 		}

@@ -13,8 +13,9 @@
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms;
 # a variant of the spec must then read its SEQUENTIAL reference from disk
-# and record only its own program, on one load with no clone. Before any of
-# that, usage errors must exit 2.
+# and record only its own program, on one load with no clone, and the store
+# must hold no machine checkpoint. Before any of that, usage errors must
+# exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -291,46 +292,35 @@ grep -q '"msg":"job disk-warm hit"' "$TMP/tlsd2.jsonl" || {
     exit 1
 }
 
-# Checkpoint and reference leg: the cold run above published a machine
-# checkpoint and its SEQUENTIAL reference cycle count into the same cache
-# dir; a sweep variant of the spec (divergent sub-thread spacing) submitted
-# to the restarted daemon must fork its simulation from that on-disk
-# checkpoint and read its reference from disk, recording its own program on
-# one load and no SEQUENTIAL program (no clone) — byte-identical to tlssim
-# -json for the variant, with the fork and the reference tier visible in
-# both metric forms and the completion log line.
-SWEEPSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
-curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$SWEEPSPEC" >"$TMP/sweep.json"
+# Restarted-variant leg: the cold run above published its SEQUENTIAL
+# reference cycle count into the same cache dir; a variant of the spec
+# (divergent sub-thread spacing) submitted to the restarted daemon must read
+# its reference from disk and record its own program on one load and no
+# SEQUENTIAL program (no clone) — byte-identical to tlssim -json for the
+# variant, with the reference tier visible in the Prometheus exposition and
+# the completion log line. The store holds results and references only: no
+# job leaves a machine checkpoint (no snap namespace).
+VARSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
+curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$VARSPEC" >"$TMP/variant.json"
 "$TMP/tlssim" -benchmark "NEW ORDER" -experiment "BASELINE" -txns 3 -warmup 1 \
-    -spacing 2500 -json >"$TMP/cli-sweep.json"
-if ! cmp -s "$TMP/sweep.json" "$TMP/cli-sweep.json"; then
-    echo "tlsd-smoke: snapshot-forked body differs from tlssim -json" >&2
-    diff "$TMP/cli-sweep.json" "$TMP/sweep.json" >&2 || true
+    -spacing 2500 -json >"$TMP/cli-variant.json"
+if ! cmp -s "$TMP/variant.json" "$TMP/cli-variant.json"; then
+    echo "tlsd-smoke: restarted variant's body differs from tlssim -json" >&2
+    diff "$TMP/cli-variant.json" "$TMP/variant.json" >&2 || true
     exit 1
 fi
-curl -fsS "http://$ADDR/metrics" | grep -q '"jobs_forked": 1' || {
-    echo "tlsd-smoke: /metrics does not show the sweep job forked from snapshot" >&2
-    curl -fsS "http://$ADDR/metrics" >&2
-    exit 1
-}
-curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/snap-metrics.prom"
-for NEEDLE in '^tlsd_snapshot_hit_total 1$' '^tlsd_jobs_forked_total 1$' \
-    '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 1$' \
+curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/variant-metrics.prom"
+for NEEDLE in '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 1$' \
     '^tlsd_builder_loads_total 1$' '^tlsd_builder_clones_total 0$'; do
-    grep -q "$NEEDLE" "$TMP/snap-metrics.prom" || {
+    grep -q "$NEEDLE" "$TMP/variant-metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
-        cat "$TMP/snap-metrics.prom" >&2
+        cat "$TMP/variant-metrics.prom" >&2
         exit 1
     }
 done
-PROMLINT_FILE="$TMP/snap-metrics.prom" go test -count=1 -run TestLintPromFile ./internal/telemetry >/dev/null || {
-    echo "tlsd-smoke: snapshot Prometheus exposition failed the format linter" >&2
-    cat "$TMP/snap-metrics.prom" >&2
-    exit 1
-}
-grep -q '"msg":"job forked from snapshot"' "$TMP/tlsd2.jsonl" || {
-    echo "tlsd-smoke: structured log missing the snapshot fork" >&2
-    cat "$TMP/tlsd2.jsonl" >&2
+PROMLINT_FILE="$TMP/variant-metrics.prom" go test -count=1 -run TestLintPromFile ./internal/telemetry >/dev/null || {
+    echo "tlsd-smoke: restarted-variant Prometheus exposition failed the format linter" >&2
+    cat "$TMP/variant-metrics.prom" >&2
     exit 1
 }
 grep '"msg":"job completed"' "$TMP/tlsd2.jsonl" | grep -q '"reference":"disk"' || {
@@ -338,6 +328,11 @@ grep '"msg":"job completed"' "$TMP/tlsd2.jsonl" | grep -q '"reference":"disk"' |
     cat "$TMP/tlsd2.jsonl" >&2
     exit 1
 }
+if [ -e "$TMP/cas/snap" ]; then
+    echo "tlsd-smoke: the store holds a snap namespace; no job should write a machine checkpoint" >&2
+    ls -R "$TMP/cas" >&2
+    exit 1
+fi
 kill -TERM "$TLSD2_PID"
 STATUS=0
 wait "$TLSD2_PID" || STATUS=$?
@@ -407,4 +402,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "tlsd-smoke: ok (usage errors, job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, snapshot fork, disk reference, chaos leg)"
+echo "tlsd-smoke: ok (usage errors, job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, restarted variant with disk reference and no checkpoint, chaos leg)"
