@@ -51,7 +51,7 @@ func main() {
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
 		flightEvents = flag.Int("flight-events", 4096, "telemetry events the flight recorder dumps from the tail of a failed job's stream")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
-		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies and SEQUENTIAL reference cycle counts (empty = in-memory only)")
+		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies (empty = in-memory only)")
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
 		showVersion  = cliflags.AddVersion(flag.CommandLine)
 	)
@@ -85,8 +85,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Without -cache-dir the store stays nil, and every tier is memory-only:
-	// each cas.Store method is a no-op on nil.
+	// Without -cache-dir the store stays nil, and the result cache is
+	// memory-only: each cas.Store method is a no-op on nil.
 	var store *cas.Store
 	if *cacheDir != "" {
 		if store, err = cas.Open(*cacheDir, cas.Options{Logger: logger}); err != nil {
@@ -114,7 +114,7 @@ func main() {
 		// The remote cache tier: before recomputing a digest that missed
 		// memory and disk, ask the siblings' caches. Each link has its own
 		// breaker, so a sick sibling degrades to recompute.
-		group := cluster.NewRemoteGroup(peerURLs, cluster.RemoteOptions{Logger: logger})
+		group := cluster.NewRemoteGroup(peerURLs, logger)
 		opts.RemoteFetch = func(ctx context.Context, digest string) ([]byte, string, bool) {
 			return group.Fetch(ctx, digest)
 		}

@@ -3,10 +3,9 @@
 // entries keyed by (namespace, digest), so a restarted or freshly scaled-out
 // process is warm from byte one. Memo is the memory tier, a keyed
 // single-flight cache of computed values (recorded programs, exact
-// simulation results), unbounded or held to a byte budget by LRU eviction,
-// and Load is the one path from a stored entry to a decoded value. The
-// serving daemon's job table stays its own memory tier: it tracks live jobs,
-// not just values.
+// simulation results), unbounded or held to a byte budget by LRU eviction.
+// The serving daemon's job table stays its own memory tier: it tracks live
+// jobs, not just values.
 //
 // Guarantees:
 //
@@ -88,7 +87,7 @@ type Stats struct {
 	Misses    uint64 `json:"misses" prom:"miss_total Persistent-store reads that found nothing servable."`
 	Puts      uint64 `json:"puts" prom:"put_total Entries published to the persistent store."`
 	Evictions uint64 `json:"evictions" prom:"eviction_total Entries evicted to stay under the store's size cap."`
-	Corrupt   uint64 `json:"corrupt" prom:"corrupt_total Entries quarantined as corrupt or undecodable."`
+	Corrupt   uint64 `json:"corrupt" prom:"corrupt_total Entries quarantined because their frame failed its checks."`
 	// Entries / Bytes describe the resident set.
 	Entries int   `json:"entries" prom:"entries Entries resident in the persistent store."`
 	Bytes   int64 `json:"bytes" prom:"size_bytes Bytes resident in the persistent store."`
@@ -477,27 +476,9 @@ func (s *Store) evictLocked(keep string) []string {
 	return evicted
 }
 
-// Quarantine removes an entry whose bytes validated but whose domain decode
-// failed (Load calls it then, e.g. for an old workload encoding version) or
-// whose decoded value does not apply: it is renamed aside, counted as
-// corrupt, and logged, so the caller's rebuild overwrites a clean slot.
-// Safe on a nil store.
-func (s *Store) Quarantine(namespace, key string, reason error) {
-	if s == nil {
-		return
-	}
-	rel := entryPath(namespace, key)
-	s.mu.Lock()
-	size := int64(0)
-	if e := s.entries[rel]; e != nil {
-		size = e.size
-	}
-	s.mu.Unlock()
-	s.quarantine(rel, size, reason)
-}
-
-// quarantine renames an invalid entry aside (overwriting any previous
-// quarantined copy, so the debris stays bounded) and drops its accounting.
+// quarantine renames an entry whose frame failed validation aside
+// (overwriting any previous quarantined copy, so the debris stays bounded)
+// and drops its accounting; size is the bytes read.
 func (s *Store) quarantine(rel string, size int64, reason error) {
 	path := filepath.Join(s.dir, rel)
 	if err := os.Rename(path, path+".quarantined"); err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -510,9 +491,6 @@ func (s *Store) quarantine(rel string, size int64, reason error) {
 	s.misses++
 	if e := s.entries[rel]; e != nil {
 		s.total -= e.size
-		if size == 0 {
-			size = e.size
-		}
 		delete(s.entries, rel)
 	}
 	s.persistIndexLocked()

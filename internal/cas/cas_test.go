@@ -270,7 +270,6 @@ func TestNilStore(t *testing.T) {
 		t.Fatal("nil store Get hit")
 	}
 	s.Put("ns", "key", []byte("data"))
-	s.Quarantine("ns", "key", fmt.Errorf("reason"))
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("nil store stats = %+v, want zero", st)
 	}

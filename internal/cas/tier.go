@@ -2,7 +2,6 @@ package cas
 
 import (
 	"container/list"
-	"errors"
 	"sync"
 )
 
@@ -100,27 +99,4 @@ func (m *Memo[K, V]) Resident() (bytes int64, evictions uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.resident, m.evictions
-}
-
-// ErrNotFound is Load's miss: the store holds no servable entry for the key.
-var ErrNotFound = errors.New("cas: entry not found")
-
-// Load gets the entry under (namespace, key) and decodes it. A miss returns
-// ErrNotFound. An entry that decode rejects — its frame intact, its domain
-// encoding not (e.g. an older codec version) — is quarantined, which the
-// store logs, and decode's error is returned, so the caller falls back
-// exactly as on a miss and its rebuild overwrites a clean slot. Safe on a
-// nil store (always ErrNotFound).
-func Load[T any](s *Store, namespace, key string, decode func([]byte) (T, error)) (T, error) {
-	var zero T
-	data, ok := s.Get(namespace, key)
-	if !ok {
-		return zero, ErrNotFound
-	}
-	v, err := decode(data)
-	if err != nil {
-		s.Quarantine(namespace, key, err)
-		return zero, err
-	}
-	return v, nil
 }

@@ -1,9 +1,6 @@
 package cas
 
 import (
-	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -215,44 +212,5 @@ func TestMemoBoundSingleFlight(t *testing.T) {
 	}
 	if _, filled := m.Do(99, func() *int { return new(int) }); filled {
 		t.Fatal("the held fill was not resident when it landed")
-	}
-}
-
-// Load is get plus decode: a miss is ErrNotFound, a decoded entry comes back,
-// and an entry the decoder rejects is quarantined with the decoder's error.
-func TestLoad(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decode := func(b []byte) (string, error) {
-		if string(b) == "bad" {
-			return "", errors.New("undecodable")
-		}
-		return string(b), nil
-	}
-	if _, err := Load(s, "ns", "missing", decode); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("miss: err = %v, want ErrNotFound", err)
-	}
-	if _, err := Load((*Store)(nil), "ns", "k", decode); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("nil store: err = %v, want ErrNotFound", err)
-	}
-	s.Put("ns", "good", []byte("value"))
-	if v, err := Load(s, "ns", "good", decode); err != nil || v != "value" {
-		t.Fatalf("hit = (%q, %v), want (\"value\", nil)", v, err)
-	}
-	s.Put("ns", "bad", []byte("bad"))
-	if _, err := Load(s, "ns", "bad", decode); err == nil || errors.Is(err, ErrNotFound) {
-		t.Fatalf("undecodable: err = %v, want the decoder's error", err)
-	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("corrupt = %d, want the rejected entry quarantined", st.Corrupt)
-	}
-	if _, err := os.Stat(filepath.Join(dir, entryPath("ns", "bad")+".quarantined")); err != nil {
-		t.Fatalf("no quarantined debris: %v", err)
-	}
-	if _, err := Load(s, "ns", "bad", decode); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("after quarantine: err = %v, want ErrNotFound", err)
 	}
 }

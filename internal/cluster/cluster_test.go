@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -93,7 +94,7 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 				peers = append(peers, f.urls[j])
 			}
 		}
-		f.groups[i].Store(NewRemoteGroup(peers, RemoteOptions{}))
+		f.groups[i].Store(NewRemoteGroup(peers, nil))
 	}
 	t.Cleanup(func() {
 		for i := range f.servers {
@@ -299,7 +300,8 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // TestRouterJobProxyAndCancel pins the job-scoped proxy routes (status,
-// result, DELETE-cancel) and the client's 409 contract through a router.
+// result, DELETE-cancel), the client's 409 contract and the 400 for a
+// malformed spec through a router.
 func TestRouterJobProxyAndCancel(t *testing.T) {
 	fleet := newTestFleet(t, 2)
 	rt, err := NewRouter(Options{Workers: fleet.urls})
@@ -370,6 +372,32 @@ func TestRouterJobProxyAndCancel(t *testing.T) {
 	readBody(t, uresp)
 	if uresp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: HTTP %d, want 404", uresp.StatusCode)
+	}
+
+	// A body with anything but whitespace after the spec object is a bad
+	// spec: 400 at the router, which routes it nowhere.
+	routed := rt.MetricsSnapshot().JobsRouted
+	submitted := func() (n uint64) {
+		for _, s := range fleet.servers {
+			n += s.MetricsSnapshot().JobsSubmitted
+		}
+		return n
+	}
+	before := submitted()
+	tresp, err := http.Post(rts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"benchmark":"PAYMENT"}{"benchmark":"NEW ORDER"}`))
+	if err != nil {
+		t.Fatalf("trailing-data POST: %v", err)
+	}
+	tbody := readBody(t, tresp)
+	if tresp.StatusCode != http.StatusBadRequest || !bytes.Contains(tbody, []byte("bad job spec")) {
+		t.Errorf("trailing data: HTTP %d %s, want 400 bad job spec", tresp.StatusCode, tbody)
+	}
+	if got := rt.MetricsSnapshot().JobsRouted; got != routed {
+		t.Errorf("trailing data: jobs routed %d -> %d, want no route", routed, got)
+	}
+	if after := submitted(); after != before {
+		t.Errorf("trailing data: worker submissions %d -> %d, want none", before, after)
 	}
 }
 

@@ -45,37 +45,24 @@ type PeerStats struct {
 	Breaker service.BreakerStats `json:"breaker" prom:"-"`
 }
 
-// RemoteOptions configures a RemoteGroup; zero values get defaults.
-type RemoteOptions struct {
-	// Timeout bounds each sibling probe (default 2s: a cache read plus a
-	// LAN round trip, with slack for a result body of a few hundred KB).
-	Timeout time.Duration
-	// BreakerThreshold is the consecutive-failure trip count per link
-	// (default 3 — trip fast; the fallback is a local recompute, not an
-	// error).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped link rests before a half-open
-	// trial (default 5s).
-	BreakerCooldown time.Duration
-	// Logger receives per-link breaker transitions; nil disables logging.
-	Logger *slog.Logger
-}
+// Each sibling probe is bounded by peerTimeout: a cache read plus a LAN
+// round trip, with slack for a result body of a few hundred KB. A link's
+// breaker trips after peerBreakerThreshold consecutive failures (trip fast:
+// the fallback is a local recompute, not an error) and rests for
+// peerBreakerCooldown before a half-open trial.
+const (
+	peerTimeout          = 2 * time.Second
+	peerBreakerThreshold = 3
+	peerBreakerCooldown  = 5 * time.Second
+)
 
-// NewRemoteGroup builds the fetch path over the sibling base URLs.
-func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 2 * time.Second
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
-	}
+// NewRemoteGroup builds the fetch path over the sibling base URLs. log
+// receives per-link breaker transitions; nil disables logging.
+func NewRemoteGroup(peers []string, log *slog.Logger) *RemoteGroup {
 	g := &RemoteGroup{
 		peers:    append([]string(nil), peers...),
-		hc:       &http.Client{Timeout: opts.Timeout},
-		log:      opts.Logger,
+		hc:       &http.Client{Timeout: peerTimeout},
+		log:      log,
 		breakers: make(map[string]*service.Breaker, len(peers)),
 		stats:    make(map[string]*PeerCounters, len(peers)),
 	}
@@ -83,7 +70,7 @@ func NewRemoteGroup(peers []string, opts RemoteOptions) *RemoteGroup {
 		peer := p
 		// Slow-call detection is disabled (the HTTP client timeout already
 		// bounds a probe); only transport errors and 5xx count as failures.
-		b := service.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Timeout*2)
+		b := service.NewBreaker(peerBreakerThreshold, peerBreakerCooldown, peerTimeout*2)
 		if g.log != nil {
 			b.OnChange(func(from, to string) {
 				g.log.LogAttrs(context.Background(), slog.LevelWarn, "peer breaker transition",

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
@@ -60,16 +59,17 @@ type Options struct {
 	LoadFactor float64
 	// Probe configures health probing of the workers.
 	Probe ProberOptions
-	// Remote configures the sibling cache-rescue fetch path.
-	Remote RemoteOptions
-	// BreakerThreshold / BreakerCooldown configure each worker's proxy-
-	// link breaker (defaults 5 failures / 10s). Only transport errors
-	// count — a worker's 4xx/5xx is an answer, not a dead link.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Logger receives routing and access lines; nil disables logging.
 	Logger *slog.Logger
 }
+
+// Each worker's proxy-link breaker opens after workerBreakerThreshold
+// consecutive transport errors (a worker's 4xx/5xx is an answer, not a dead
+// link) and rests for workerBreakerCooldown before a half-open trial.
+const (
+	workerBreakerThreshold = 5
+	workerBreakerCooldown  = 10 * time.Second
+)
 
 // NewRouter builds a router over the worker fleet. Call Start to begin
 // health probing and Close to stop it.
@@ -78,17 +78,10 @@ func NewRouter(opts Options) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 10 * time.Second
-	}
 	opts.Probe.Logger = opts.Logger
-	opts.Remote.Logger = opts.Logger
 	rt := &Router{
 		ring:   ring,
-		remote: NewRemoteGroup(opts.Workers, opts.Remote),
+		remote: NewRemoteGroup(opts.Workers, opts.Logger),
 		// No client timeout: a ?wait=1 submission legitimately holds the
 		// connection for the whole simulation. Per-request contexts still
 		// cancel abandoned proxies.
@@ -104,7 +97,7 @@ func NewRouter(opts Options) (*Router, error) {
 		node := w
 		// Slow-call detection off (simulations take seconds by design):
 		// only transport errors trip a proxy link.
-		b := service.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, 365*24*time.Hour)
+		b := service.NewBreaker(workerBreakerThreshold, workerBreakerCooldown, 365*24*time.Hour)
 		if rt.log != nil {
 			b.OnChange(func(from, to string) {
 				rt.log.LogAttrs(context.Background(), slog.LevelWarn, "worker breaker transition",
@@ -159,10 +152,8 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		service.WriteError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var spec service.JobSpec
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := service.DecodeSpec(bytes.NewReader(payload))
+	if err != nil {
 		// Same shape and status the daemon would answer, so clients see
 		// one contract whether or not a router is in front.
 		service.WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)

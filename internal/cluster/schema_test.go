@@ -186,7 +186,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_builder_evictions_total counter",
 		"# TYPE tlsd_builder_loads_total counter",
 		"# TYPE tlsd_builder_memory_hits_total counter",
-		"# TYPE tlsd_builder_reference_disk_hits_total counter",
 		"# TYPE tlsd_builder_reference_memory_hits_total counter",
 		"# TYPE tlsd_builder_reference_runs_total counter",
 		"# TYPE tlsd_builder_resident_bytes gauge",
@@ -241,7 +240,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_builder_evictions_total{}",
 		"tlsd_builder_loads_total{}",
 		"tlsd_builder_memory_hits_total{}",
-		"tlsd_builder_reference_disk_hits_total{}",
 		"tlsd_builder_reference_memory_hits_total{}",
 		"tlsd_builder_reference_runs_total{}",
 		"tlsd_builder_resident_bytes{}",
@@ -297,7 +295,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"builder.evictions",
 		"builder.loads",
 		"builder.memory_hits",
-		"builder.reference_disk_hits",
 		"builder.reference_memory_hits",
 		"builder.reference_runs",
 		"builder.resident_bytes",

@@ -23,9 +23,8 @@ const (
 // short-circuits callers. After cooldown, one probe is let through
 // half-open: its outcome closes or re-opens the circuit.
 //
-// The zero threshold/cooldown/slowCall values are replaced by defaults in
-// NewBreaker. All methods are safe on a nil Breaker (Allow always true) so
-// callers without a breaker never branch.
+// All methods are safe on a nil Breaker (Allow always true) so callers
+// without a breaker never branch.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -42,28 +41,19 @@ type Breaker struct {
 	shorts   uint64
 }
 
-// Breaker defaults: five consecutive failures open the circuit, a probe is
-// attempted after ten seconds, and a call slower than 250ms counts as a
-// failure even when it succeeds.
+// The daemon's disk breaker: five consecutive failures open the circuit, a
+// probe is attempted after ten seconds, and a store operation slower than
+// 250ms counts as a failure even when it succeeds.
 const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 10 * time.Second
-	defaultBreakerSlowCall  = 250 * time.Millisecond
+	diskBreakerThreshold = 5
+	diskBreakerCooldown  = 10 * time.Second
+	diskBreakerSlowCall  = 250 * time.Millisecond
 )
 
-// NewBreaker builds a breaker. Zero arguments take the package defaults; a
-// caller whose operations are legitimately slow (e.g. a proxied simulation)
-// should pass a large slowCall so only real errors count.
+// NewBreaker builds a breaker. A caller whose operations are legitimately
+// slow (e.g. a proxied simulation) should pass a large slowCall so only real
+// errors count.
 func NewBreaker(threshold int, cooldown, slowCall time.Duration) *Breaker {
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
-	if slowCall <= 0 {
-		slowCall = defaultBreakerSlowCall
-	}
 	return &Breaker{
 		threshold: threshold,
 		cooldown:  cooldown,
@@ -111,9 +101,8 @@ func (b *Breaker) Allow() bool {
 }
 
 // Observe feeds one operation outcome into the state machine. The daemon
-// wires it as the cas.Store observer (so it sees the reference tier's disk
-// traffic too — any tier's misbehavior is evidence about the same disk);
-// the cluster layer calls it after each inter-node request. The first
+// wires it as the cas.Store observer, so it sees every result read and
+// write; the cluster layer calls it after each inter-node request. The first
 // argument names the operation and exists to satisfy the store's observer
 // signature; the state machine ignores it.
 func (b *Breaker) Observe(_ string, d time.Duration, failed bool) {

@@ -152,22 +152,24 @@ func TestChaosPanicsNeverPoison(t *testing.T) {
 	}
 }
 
-// A disk that fails every operation trips the breaker within the first job,
-// on its third disk operation: the result Get at admission, the seqref Get,
-// then the seqref Put once its reference run ends. The daemon keeps serving
-// (memory + rebuild) and the degradation is visible in both metric
-// representations. While the breaker is open no tier touches the disk, the
-// reference tier included, so the jobs after the trip deliver no further
-// disk faults.
+// A disk that fails every operation trips the breaker on the first job's
+// admission Get: the test sets the breaker's threshold to one failure, since
+// a job's only other disk operation, its result Put, runs after the job is
+// marked done and so could land before or after the check below. The
+// daemon keeps serving (memory + rebuild) and the degradation is visible in
+// both metric representations. While the breaker is open no result is read
+// or written, so the jobs after the trip deliver no further disk faults.
 func TestBreakerOpensUnderDiskFaultsAndServes(t *testing.T) {
 	ch := chaos.New(chaos.Config{Seed: 1, DiskErrEvery: 1})
 	s, ts := newTestServer(t, Options{
 		Workers: 1, QueueDepth: 8,
-		Store:            openTestStore(t, t.TempDir()),
-		Chaos:            ch,
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour, // stay open for the test's lifetime
+		Store: openTestStore(t, t.TempDir()),
+		Chaos: ch,
 	})
+	s.breaker.mu.Lock()
+	s.breaker.threshold = 1
+	s.breaker.cooldown = time.Hour // stay open for the test's lifetime
+	s.breaker.mu.Unlock()
 
 	c := &Client{Base: ts.URL, Retries: 10, BaseDelay: time.Millisecond, Seed: 1}
 	var tripped uint64 // disk faults delivered up to the end of the first job

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -123,6 +124,22 @@ func (s *Server) routes() {
 // MaxSpecBytes bounds a submission body; real specs are a few hundred bytes.
 const MaxSpecBytes = 1 << 20
 
+// DecodeSpec reads a submission body: one JSON object naming only JobSpec's
+// fields, followed by nothing but whitespace. tlsd and tlsrouter both decode
+// with it, so a body one of them rejects the other rejects too.
+func DecodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("unexpected data after the spec object")
+	}
+	return spec, nil
+}
+
 // WriteJSON writes v as the indented JSON response body with status code.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -167,10 +184,8 @@ func retrySeconds(d time.Duration) string {
 // every waiting client disconnects first (nobody would ever see the
 // result).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := DecodeSpec(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -118,53 +118,9 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 	}
 }
 
-// A restarted daemon whose store has lost a job's result entry simulates the
-// job again: it records the TLS program on one load, with no clone, since
-// the SEQUENTIAL reference comes from the seqref namespace. This pins the
-// result and seqref namespaces working independently.
-func TestWarmRestartReadsReferenceFromDisk(t *testing.T) {
-	dir := t.TempDir()
-	spec := tinySpec("STOCK LEVEL")
-
-	s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
-	resp := postJob(t, ts1, spec)
-	st := decodeStatus(t, resp.Body)
-	resp.Body.Close()
-	waitDone(t, ts1, st.ID)
-	drain(t, s1)
-
-	// Drop the result entry, keep the reference.
-	r, err := spec.Resolve()
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
-	store2 := openTestStore(t, dir)
-	store2.Quarantine(casResultNS, r.Digest, nil)
-
-	s2, ts2 := newTestServer(t, Options{Workers: 1, Store: store2})
-	resp2 := postJob(t, ts2, spec)
-	st2 := decodeStatus(t, resp2.Body)
-	resp2.Body.Close()
-	final := waitDone(t, ts2, st2.ID)
-	if final.State != StateDone {
-		t.Fatalf("job state = %s", final.State)
-	}
-	// Simulated again (no stored result): the TLS program is recorded on
-	// one load, and the SEQUENTIAL reference comes from the store's seqref
-	// namespace, so no SEQUENTIAL program is recorded.
-	if b := s2.MetricsSnapshot().Builder; b.Builds != 1 || b.Loads != 1 || b.Clones != 0 || b.ReferenceDiskHits != 1 || b.ReferenceRuns != 0 {
-		t.Fatalf("builder stats = %+v, want 1 build on 1 load with no clone, and 1 reference disk hit", b)
-	}
-	_, body := getBody(t, ts2.URL+final.ResultURL)
-	if want := renderExpected(t, spec); !bytes.Equal(body, want) {
-		t.Fatal("restarted daemon's body differs from tlssim -json rendering")
-	}
-}
-
-// A cold job writes the store exactly what a later life reads back: its
-// rendered result and its workload's SEQUENTIAL reference, one entry each.
-// No other namespace is created.
-func TestColdJobStoresResultAndReference(t *testing.T) {
+// A cold job writes the store exactly one entry, its rendered result: one
+// Put, under the result namespace. No other namespace is created.
+func TestColdJobStoresOnlyItsResult(t *testing.T) {
 	dir := t.TempDir()
 	store := openTestStore(t, dir)
 	s, ts := newTestServer(t, Options{Workers: 1, Store: store})
@@ -172,25 +128,31 @@ func TestColdJobStoresResultAndReference(t *testing.T) {
 	requireExpected(t, spec, runDone(t, ts, spec))
 	drain(t, s) // the result is published after the job is marked done
 
-	if puts := store.Stats().Puts; puts != 2 {
-		t.Errorf("store puts = %d, want 2 (result and seqref)", puts)
+	if puts := store.Stats().Puts; puts != 1 {
+		t.Errorf("store puts = %d, want 1 (the result)", puts)
 	}
+	requireResultsOnly(t, dir, 1)
+}
+
+// requireResultsOnly fails unless the store directory's only namespace is
+// the result namespace and it holds n entries.
+func requireResultsOnly(t *testing.T, dir string, n int) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read store dir: %v", err)
 	}
 	var namespaces []string
 	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		namespaces = append(namespaces, e.Name())
-		if files, _ := filepath.Glob(filepath.Join(dir, e.Name(), "*", "*.cas")); len(files) != 1 {
-			t.Errorf("namespace %s holds %d entries, want 1", e.Name(), len(files))
+		if e.IsDir() {
+			namespaces = append(namespaces, e.Name())
 		}
 	}
-	if want := []string{casResultNS, "seqref"}; !slices.Equal(namespaces, want) {
+	if want := []string{casResultNS}; !slices.Equal(namespaces, want) {
 		t.Errorf("store namespaces = %q, want %q", namespaces, want)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, casResultNS, "*", "*.cas")); len(files) != n {
+		t.Errorf("the result namespace holds %d entries, want %d", len(files), n)
 	}
 }
 

@@ -14,10 +14,10 @@ import (
 )
 
 // Every served speedup divides by the SEQUENTIAL cycle count of the job's
-// workload. tlsd simulates that reference once per SEQUENTIAL program and
-// then reads it from memory, or after a restart from the store's seqref
-// namespace. These tests pin the tier's counts and that every document it
-// serves is the one `tlssim -json` prints.
+// workload. tlsd simulates that reference once per SEQUENTIAL program in
+// each life of the daemon and then reads it from memory. These tests pin
+// the tier's counts and that every document it serves is the one `tlssim
+// -json` prints.
 
 // runDone submits spec, requires it to complete and returns its body.
 func runDone(t *testing.T, ts *httptest.Server, spec JobSpec) []byte {
@@ -113,55 +113,30 @@ func TestReferenceFromMemory(t *testing.T) {
 	}
 }
 
-// After a restart a variant of a seen workload reads its reference from
-// disk: it records its TLS program on one load, and no SEQUENTIAL program.
-// A seqref entry of the wrong length is instead quarantined and read as a
-// miss: the job records the SEQUENTIAL program too, on a clone of the same
-// load (no tier keeps it), recomputes the reference, serves the same bytes
-// and republishes a clean entry.
+// The store keeps results only, so after a restart a variant of a seen
+// workload runs its reference again, over the store the first life left
+// ("stored"): like a novel job, it records its TLS program and its one-use
+// SEQUENTIAL program from one load and its clone. It serves the bytes
+// tlssim -json prints, and the store gains only its result entry.
 func TestRestartedVariantReference(t *testing.T) {
 	base := tinySpec("NEW ORDER")
 	variant := base
 	variant.Spacing = 2500
-	r, err := base.Resolve()
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
-	key := workload.CacheKey(r.Spec, true)
-	for _, tc := range []struct {
-		name    string
-		entry   []byte // replaces the stored seqref entry when non-nil
-		want    workload.BuildStats
-		corrupt uint64
-	}{
-		{"stored", nil, workload.BuildStats{Builds: 1, Loads: 1, ReferenceDiskHits: 1}, 0},
-		{"wrong length", []byte{1, 2, 3, 4, 5, 6, 7}, workload.BuildStats{Builds: 2, Loads: 1, Clones: 1, ReferenceRuns: 1}, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
-			runDone(t, ts1, base)
-			drain(t, s1)
+	t.Run("stored", func(t *testing.T) {
+		dir := t.TempDir()
+		s1, ts1 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
+		runDone(t, ts1, base)
+		drain(t, s1)
 
-			store := openTestStore(t, dir)
-			if tc.entry != nil {
-				store.Put("seqref", key, tc.entry)
-			}
-			s2, ts2 := newTestServer(t, Options{Workers: 1, Store: store})
-			requireExpected(t, variant, runDone(t, ts2, variant))
-			m := s2.MetricsSnapshot()
-			if tierCounts(m.Builder) != tc.want {
-				t.Errorf("builder stats = %+v, want %+v", m.Builder, tc.want)
-			}
-			if m.CAS == nil || m.CAS.Corrupt != tc.corrupt {
-				t.Errorf("cas stats = %+v, want %d corrupt entries", m.CAS, tc.corrupt)
-			}
-			drain(t, s2)
-			if data, ok := store.Get("seqref", key); !ok || len(data) != 8 {
-				t.Errorf("seqref entry = %v (found %v), want 8 bytes", data, ok)
-			}
-		})
-	}
+		s2, ts2 := newTestServer(t, Options{Workers: 1, Store: openTestStore(t, dir)})
+		requireExpected(t, variant, runDone(t, ts2, variant))
+		want := workload.BuildStats{Builds: 2, Loads: 1, Clones: 1, ReferenceRuns: 1}
+		if b := tierCounts(s2.MetricsSnapshot().Builder); b != want {
+			t.Errorf("builder stats = %+v, want %+v", b, want)
+		}
+		drain(t, s2)
+		requireResultsOnly(t, dir, 2)
+	})
 }
 
 // A job whose deadline fires during its reference run fails alone, as a
@@ -170,8 +145,7 @@ func TestRestartedVariantReference(t *testing.T) {
 // publishes the reference a third job then reads from memory. A test hook
 // holds both jobs inside their runs, so the order is fixed without a sleep.
 func TestReferenceRunDeadlineFailsAlone(t *testing.T) {
-	store := openTestStore(t, t.TempDir())
-	s, ts := newTestServer(t, Options{Workers: 2, Store: store})
+	s, ts := newTestServer(t, Options{Workers: 2})
 
 	timed := tinySpec("NEW ORDER")
 	timed.Spacing = 1500
@@ -225,15 +199,8 @@ func TestReferenceRunDeadlineFailsAlone(t *testing.T) {
 	if final.State != StateFailed || final.Failure == nil || final.Failure.Kind != "timeout" {
 		t.Fatalf("timed job: state %s, failure %+v; want a timeout failure", final.State, final.Failure)
 	}
-	r, err := timed.Resolve()
-	if err != nil {
-		t.Fatalf("Resolve: %v", err)
-	}
 	if b := s.MetricsSnapshot().Builder; b.ReferenceRuns != 0 {
 		t.Errorf("the timed-out run published: builder stats %+v", b)
-	}
-	if _, ok := store.Get("seqref", workload.CacheKey(r.Spec, true)); ok {
-		t.Error("the timed-out run stored a reference")
 	}
 
 	release(variantGate)

@@ -50,25 +50,16 @@ type Options struct {
 	// FlightEvents is the length of the dumped tail; default 4096.
 	FlightEvents int
 	// Store is the persistent content-addressed tier under the result
-	// cache and the SEQUENTIAL reference tier. With a store, a restarted
-	// daemon serves previously-computed results from byte one — no
-	// database load, no trace recording, no simulation — and a new variant
-	// of a stored workload simulates no reference. nil keeps every tier
-	// memory-only.
+	// cache. With a store, a restarted daemon serves previously-computed
+	// results from byte one — no database load, no trace recording, no
+	// simulation. It holds results only: programs and SEQUENTIAL reference
+	// cycle counts stay in memory. nil keeps the result cache memory-only.
 	Store *cas.Store
 	// JobTimeout is the server-wide end-to-end deadline applied to jobs
 	// that set no timeout_ms of their own, and the ceiling on the ones
 	// that do. 0 disables the default deadline (paper-scale runs can take
 	// arbitrarily long).
 	JobTimeout time.Duration
-	// Breaker knobs for the circuit around the disk CAS tier: consecutive
-	// failures to open (default 5), cooldown before a half-open probe
-	// (default 10s), and the latency above which a call counts as a
-	// failure (default 250ms). Zero values take the defaults; the breaker
-	// exists only when Store is set.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	BreakerSlowCall  time.Duration
 	// Chaos, when non-nil, arms the deterministic fault schedule: it is
 	// installed as the store's fault injector and consulted per job
 	// execution for worker panics. Test/soak plumbing — see internal/chaos.
@@ -187,13 +178,12 @@ func New(opts Options) *Server {
 	}
 	s.builder.SetBudget(programBudget)
 	if opts.Store != nil {
-		s.breaker = NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.BreakerSlowCall)
+		s.breaker = NewBreaker(diskBreakerThreshold, diskBreakerCooldown, diskBreakerSlowCall)
 		s.breaker.OnChange(func(from, to string) {
 			s.jlog(slog.LevelWarn, "cas breaker state changed",
 				slog.String("from", from), slog.String("to", to))
 		})
 		opts.Store.SetObserver(s.breaker.Observe)
-		s.builder.SetStore(opts.Store, s.breaker.Allow)
 	}
 	if opts.Chaos != nil && opts.Store != nil {
 		opts.Store.SetFaults(opts.Chaos)
@@ -729,7 +719,10 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	// The reference lookup counts as build time: on a miss, the build
 	// records the program the reference run simulates.
 	j.enterStage(stageBuild, t)
-	seqCycles, ref, ok := s.builder.Reference(r.Spec)
+	seqCycles, ok := s.builder.Reference(r.Spec)
+	if ok {
+		ref = workload.RefMemory
+	}
 	selfRef := !ok && r.Exp.SequentialSoftware() && cfg.Inject == nil && sim.FullDigest(cfg) == seqDigest
 	var built, seq *workload.Built
 	if ok || selfRef {
@@ -780,7 +773,7 @@ var testHookReference atomic.Pointer[func(*Job)]
 // reference simulates seq, the one-use SEQUENTIAL program of j's workload,
 // on Machine(Sequential) under j's cancellation (sim stage), and returns its
 // cycle count with the stage clock t advanced past the run. It runs when
-// neither tier holds the workload's reference and j's own run is not the
+// memory holds no reference for the workload and j's own run is not the
 // reference run, as a SEQUENTIAL job's on the unmodified machine without
 // fault injection is. Only a completed run publishes its count
 // (PutReference): a job that fails here fails alone and leaves nothing
@@ -949,8 +942,8 @@ type Metrics struct {
 	// chaos is off.
 	Chaos *chaos.Stats `json:"chaos,omitempty" prom:"chaos_"`
 	// Builder is the workload build cache's tier split: programs from
-	// memory and built, and SEQUENTIAL references from memory, from disk
-	// and from a run.
+	// memory and built, and SEQUENTIAL references from memory and from a
+	// run.
 	Builder workload.BuildStats `json:"builder" prom:"builder_"`
 
 	// Per-stage breakdown of the cold path, observed once per executed job:

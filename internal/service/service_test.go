@@ -659,3 +659,31 @@ func TestReproCommandRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// A submission body is one spec object followed by nothing but whitespace.
+// An unknown field, a second object or trailing garbage is a 400 bad job
+// spec that reaches no admission tier.
+func TestSubmitRejectsMalformedSpecs(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	for _, body := range []string{
+		`{"benchmark":"PAYMENT","bogus":1}`,
+		`{"benchmark":"PAYMENT"}{"benchmark":"NEW ORDER"}`,
+		`{"benchmark":"PAYMENT"} garbage`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		reply, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "bad job spec") {
+			t.Errorf("%s: HTTP %d %s, want 400 bad job spec", body, resp.StatusCode, reply)
+		}
+	}
+	if n := s.MetricsSnapshot().JobsSubmitted; n != 0 {
+		t.Errorf("%d malformed bodies reached admission, want 0", n)
+	}
+	if spec, err := DecodeSpec(strings.NewReader("{\"benchmark\":\"PAYMENT\"}\n\t ")); err != nil || spec.Benchmark != "PAYMENT" {
+		t.Errorf("trailing whitespace: DecodeSpec = %+v, %v; want PAYMENT", spec, err)
+	}
+}

@@ -1,11 +1,6 @@
 package workload
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -13,10 +8,6 @@ import (
 	"subthreads/internal/sim"
 	"subthreads/internal/tpcc"
 )
-
-// refNamespace is where SEQUENTIAL reference cycle counts live inside a
-// cas.Store, keyed by CacheKey(spec, true): 8 bytes, little endian.
-const refNamespace = "seqref"
 
 // BuildKey identifies one distinct program: the benchmark spec plus which
 // software mode (sequential vs. TLS-transformed) it was compiled for. It is
@@ -56,26 +47,22 @@ func KeyOf(spec Spec, sequential bool) BuildKey {
 //
 // Beside the programs sits the reference tier (Reference, PutReference):
 // the cycle count of each SEQUENTIAL program on Machine(Sequential), the
-// denominator of every speedup, in memory and, with SetStore, under the
-// store's seqref namespace.
+// denominator of every speedup, held in memory for the process's life.
 //
 // A Builder is safe for concurrent use. The zero value is ready to use
-// (memory-only, unbounded).
+// (unbounded).
 type Builder struct {
-	memo  cas.Memo[BuildKey, *Built]
-	store *cas.Store  // nil = references in memory only
-	allow func() bool // gates the store's I/O; nil always allows
+	memo cas.Memo[BuildKey, *Built]
 
 	refMu sync.Mutex
 	refs  map[BuildKey]uint64 // SEQUENTIAL cycles, by KeyOf(spec, true)
 
-	memHits     atomic.Uint64 // calls that shared a filled or in-flight entry
-	builds      atomic.Uint64 // programs recorded on a loaded database
-	loads       atomic.Uint64 // databases loaded to record programs
-	clones      atomic.Uint64 // loads cloned to record a second program
-	refMemHits  atomic.Uint64 // references found in memory
-	refDiskHits atomic.Uint64 // references decoded from the store
-	refRuns     atomic.Uint64 // references published from a completed run
+	memHits    atomic.Uint64 // calls that shared a filled or in-flight entry
+	builds     atomic.Uint64 // programs recorded on a loaded database
+	loads      atomic.Uint64 // databases loaded to record programs
+	clones     atomic.Uint64 // loads cloned to record a second program
+	refMemHits atomic.Uint64 // references found in memory
+	refRuns    atomic.Uint64 // references published from a completed run
 }
 
 // NewBuilder returns an empty build cache.
@@ -87,12 +74,6 @@ func NewBuilder() *Builder { return &Builder{} }
 // callers holding an evicted program keep using it. Call before serving
 // traffic.
 func (b *Builder) SetBudget(max int64) { b.memo.Bound(max, (*Built).Bytes) }
-
-// SetStore attaches the persistent tier of the references (nil detaches
-// it). allow, when non-nil, is asked before each store operation, and a
-// false skips it: a lookup misses and a publish stays in memory. tlsd
-// passes its disk breaker's Allow. Call before serving traffic.
-func (b *Builder) SetStore(s *cas.Store, allow func() bool) { b.store, b.allow = s, allow }
 
 // Build returns the memoized program for (spec, sequential), building it on
 // first use. Concurrent callers with the same key (KeyOf) block until the
@@ -144,97 +125,39 @@ func (b *Builder) count(programs, clones uint64) {
 	b.builds.Add(programs)
 }
 
-// Reference tiers: where a workload's SEQUENTIAL cycle count came from.
+// Reference sources: where a workload's SEQUENTIAL cycle count came from,
+// as the "reference" attribute of tlsd's job completed log line names it.
 const (
-	RefMemory = "memory" // an earlier lookup or run in this process
-	RefDisk   = "disk"   // the store's seqref namespace
+	RefMemory = "memory" // an earlier run in this process
 	RefRun    = "run"    // the caller simulated it (then PutReference)
 )
 
-// Reference returns the SEQUENTIAL cycle count of spec's workload and the
-// tier that held it, RefMemory or RefDisk (a disk hit also fills memory).
-// ok is false when neither tier has it: the caller then simulates
-// Build(spec, true) on Machine(Sequential) and publishes the count with
-// PutReference. Every spec with one SEQUENTIAL program (KeyOf) shares one
-// reference. There is no single flight: concurrent misses each simulate and
-// publish the same value. A store entry that is not 8 bytes is quarantined
-// by cas.Load and reads as a miss, and so does a store SetStore's allow
-// turns away.
-func (b *Builder) Reference(spec Spec) (cycles uint64, tier string, ok bool) {
-	key := KeyOf(spec, true)
+// Reference returns the SEQUENTIAL cycle count of spec's workload from
+// memory. ok is false when no run of this process has published it: the
+// caller then simulates Build(spec, true) on Machine(Sequential) and
+// publishes the count with PutReference. Every spec with one SEQUENTIAL
+// program (KeyOf) shares one reference. There is no single flight:
+// concurrent misses each simulate and publish the same value.
+func (b *Builder) Reference(spec Spec) (cycles uint64, ok bool) {
 	b.refMu.Lock()
-	cycles, ok = b.refs[key]
+	cycles, ok = b.refs[KeyOf(spec, true)]
 	b.refMu.Unlock()
 	if ok {
 		b.refMemHits.Add(1)
-		return cycles, RefMemory, true
 	}
-	if !b.allowed() {
-		return 0, "", false
-	}
-	cycles, err := cas.Load(b.store, refNamespace, CacheKey(spec, true), decodeReference)
-	if err != nil {
-		return 0, "", false
-	}
-	b.refDiskHits.Add(1)
-	b.remember(key, cycles)
-	return cycles, RefDisk, true
+	return cycles, ok
 }
 
 // PutReference publishes the cycle count of a completed SEQUENTIAL run of
-// spec's program to memory and to the store, and counts the run.
+// spec's program and counts the run.
 func (b *Builder) PutReference(spec Spec, cycles uint64) {
 	b.refRuns.Add(1)
-	b.remember(KeyOf(spec, true), cycles)
-	if b.allowed() {
-		b.store.Put(refNamespace, CacheKey(spec, true), binary.LittleEndian.AppendUint64(nil, cycles))
-	}
-}
-
-// allowed reports whether the store may be used now: it is attached, and
-// SetStore's allow, if any, agrees.
-func (b *Builder) allowed() bool {
-	return b.store != nil && (b.allow == nil || b.allow())
-}
-
-// remember fills the reference tier's memory.
-func (b *Builder) remember(key BuildKey, cycles uint64) {
 	b.refMu.Lock()
 	defer b.refMu.Unlock()
 	if b.refs == nil {
 		b.refs = make(map[BuildKey]uint64)
 	}
-	b.refs[key] = cycles
-}
-
-// CacheKey is the canonical content address of the program of (spec,
-// sequential): the SHA-256 of the canonical JSON of its build key (KeyOf)
-// and a version field. CacheKey(spec, true) names spec's entry in the
-// store's seqref namespace. The version once named a program encoding; it
-// is now part of the key only, kept at 1 so that the entries stores already
-// hold keep their names.
-func CacheKey(spec Spec, sequential bool) string {
-	k := KeyOf(spec, sequential)
-	c := struct {
-		V          int  `json:"v"`
-		Spec       Spec `json:"spec"`
-		Sequential bool `json:"sequential"`
-	}{1, k.Spec, k.Sequential}
-	data, err := json.Marshal(c)
-	if err != nil {
-		// Spec is plain data; failure here is a programming error.
-		panic(fmt.Sprintf("workload: canonical spec encoding failed: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// decodeReference parses a seqref entry: exactly 8 bytes, little endian.
-func decodeReference(data []byte) (uint64, error) {
-	if len(data) != 8 {
-		return 0, fmt.Errorf("workload: seqref entry is %d bytes, want 8", len(data))
-	}
-	return binary.LittleEndian.Uint64(data), nil
+	b.refs[KeyOf(spec, true)] = cycles
 }
 
 // BuildStats breaks Build and Reference calls down by which tier satisfied
@@ -255,7 +178,6 @@ type BuildStats struct {
 	Evictions     uint64 `json:"evictions" prom:"evictions_total Programs evicted from memory to stay within its budget."`
 
 	ReferenceMemoryHits uint64 `json:"reference_memory_hits" prom:"reference_memory_hits_total SEQUENTIAL reference cycle counts found in memory."`
-	ReferenceDiskHits   uint64 `json:"reference_disk_hits" prom:"reference_disk_hits_total SEQUENTIAL reference cycle counts read from the persistent store."`
 	ReferenceRuns       uint64 `json:"reference_runs" prom:"reference_runs_total SEQUENTIAL reference cycle counts published from a completed simulation."`
 }
 
@@ -270,7 +192,6 @@ func (b *Builder) Stats() BuildStats {
 		ResidentBytes:       resident,
 		Evictions:           evictions,
 		ReferenceMemoryHits: b.refMemHits.Load(),
-		ReferenceDiskHits:   b.refDiskHits.Load(),
 		ReferenceRuns:       b.refRuns.Load(),
 	}
 }

@@ -180,58 +180,80 @@ func TestSequentialBuildKeyedByProgram(t *testing.T) {
 	if n := b.Builds(); n != 2+len(specs) {
 		t.Errorf("Builds() = %d, want %d", n, 2+len(specs))
 	}
+}
 
-	// The seqref namespace's key agrees with the memo's.
-	type call struct {
-		spec Spec
-		seq  bool
+// The split counters stay coherent under concurrency (run with -race): one
+// call builds and every other shares its fill.
+func TestBuilderConcurrentSplitCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a real workload repeatedly")
 	}
-	var calls []call
-	for _, s := range specs {
-		calls = append(calls, call{s, true}, call{s, false})
+	spec := tinySpec(tpcc.NewOrder)
+	b := NewBuilder()
+
+	const callers = 8
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.Build(spec, false)
+		}()
 	}
-	for _, x := range calls {
-		for _, y := range calls {
-			sameMemo := KeyOf(x.spec, x.seq) == KeyOf(y.spec, y.seq)
-			if sameDisk := CacheKey(x.spec, x.seq) == CacheKey(y.spec, y.seq); sameMemo != sameDisk {
-				t.Errorf("%v/%d seq=%v vs %v/%d seq=%v: memo keys equal %v, CacheKeys equal %v",
-					x.spec.Bench, x.spec.OptLevel, x.seq, y.spec.Bench, y.spec.OptLevel, y.seq, sameMemo, sameDisk)
-			}
-		}
+	wg.Wait()
+	st := b.Stats()
+	if st.Builds != 1 {
+		t.Fatalf("builds = %d, want exactly 1 under concurrency", st.Builds)
+	}
+	if st.MemoryHits+st.Builds != callers {
+		t.Fatalf("stats %+v don't sum to %d calls", st, callers)
 	}
 }
 
-// CacheKey names a workload's seqref entry, so its derivation, version field
-// included, must not move: a different key would orphan every seqref entry a
-// store already holds. Two keys are pinned.
-func TestCacheKeyStableAndDistinct(t *testing.T) {
-	spec := tinySpec(tpcc.NewOrder)
-	k1 := CacheKey(spec, false)
-	k2 := CacheKey(spec, false)
-	if k1 != k2 {
-		t.Fatal("CacheKey not deterministic")
+// The reference tier: one SEQUENTIAL cycle count per program (KeyOf), in
+// memory. DELIVERY, DELIVERY OUTER and every opt level share one count, and
+// no lookup builds a program.
+func TestReferenceTiers(t *testing.T) {
+	del, outer, opt0 := tinySpec(tpcc.Delivery), tinySpec(tpcc.DeliveryOuter), tinySpec(tpcc.Delivery)
+	opt0.OptLevel = 0
+
+	b := NewBuilder()
+	if _, ok := b.Reference(del); ok {
+		t.Fatal("empty builder has a reference")
 	}
-	if len(k1) != 64 {
-		t.Fatalf("CacheKey length = %d, want 64 hex chars", len(k1))
-	}
-	if CacheKey(spec, true) == k1 {
-		t.Fatal("sequential flag not part of the cache key")
-	}
-	other := spec
-	other.Txns++
-	if CacheKey(other, false) == k1 {
-		t.Fatal("spec change not reflected in the cache key")
-	}
-	for _, c := range []struct {
-		bench      tpcc.Benchmark
-		sequential bool
-		want       string
-	}{
-		{tpcc.DeliveryOuter, true, "58c397b088105fa1f929e4ac458f4f2f6087a547964f3f431f64460c55b59349"},
-		{tpcc.NewOrder, false, "42e1700678032b0f21bf89c1cc10d6d1332344c52d33cf08b7d03737155415c3"},
-	} {
-		if got := CacheKey(DefaultSpec(c.bench), c.sequential); got != c.want {
-			t.Errorf("CacheKey(%v, %v) = %s, want %s", c.bench, c.sequential, got, c.want)
+	b.PutReference(del, 12345)
+	for _, s := range []Spec{outer, opt0} {
+		if c, ok := b.Reference(s); !ok || c != 12345 {
+			t.Errorf("%v opt %d: Reference = %d, %v; want 12345", s.Bench, s.OptLevel, c, ok)
 		}
 	}
+	if st := b.Stats(); st != (BuildStats{ReferenceMemoryHits: 2, ReferenceRuns: 1}) {
+		t.Errorf("builder stats = %+v", st)
+	}
+}
+
+// A bounded Builder evicts past its budget, and an evicted program is
+// rebuilt: the program the first fill recorded, on a load of its own. The
+// budget holds one program, so each fill evicts the one before. The only
+// lower tier is a fresh load ("memory": no store sits below the memo).
+func TestBudgetEvictsToLowerTiers(t *testing.T) {
+	a, other := tinySpec(tpcc.NewOrder), tinySpec(tpcc.Payment)
+	t.Run("memory", func(t *testing.T) {
+		b := NewBuilder()
+		b.SetBudget(1)
+		first := b.Build(a, false)
+		b.Build(other, false)
+		again := b.Build(a, false)
+		st := b.Stats()
+		if st.ResidentBytes != again.Bytes() {
+			t.Errorf("resident_bytes = %d, want the last program's %d", st.ResidentBytes, again.Bytes())
+		}
+		st.ResidentBytes = 0
+		if want := (BuildStats{Builds: 3, Loads: 3, Evictions: 2}); st != want {
+			t.Errorf("stats = %+v, want %+v", st, want)
+		}
+		if again == first || programHash(again, 0) != programHash(first, 0) {
+			t.Error("the evicted program did not come back as the same program")
+		}
+	})
 }

@@ -12,10 +12,10 @@
 # Finally restart the daemon over the same -cache-dir and require the
 # first resubmission to be a disk-warm cache hit: byte-identical body,
 # zero build/sim work, and the CAS counters visible in both metric forms;
-# a variant of the spec must then read its SEQUENTIAL reference from disk
-# and record only its own program, on one load with no clone, and the store
-# must hold no machine checkpoint. Before any of that, usage errors must
-# exit 2.
+# a variant of the spec must then run its SEQUENTIAL reference again,
+# recording its own program and the reference program on one load and its
+# clone, and the store must hold results only. Before any of that, usage
+# errors must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -292,14 +292,14 @@ grep -q '"msg":"job disk-warm hit"' "$TMP/tlsd2.jsonl" || {
     exit 1
 }
 
-# Restarted-variant leg: the cold run above published its SEQUENTIAL
-# reference cycle count into the same cache dir; a variant of the spec
-# (divergent sub-thread spacing) submitted to the restarted daemon must read
-# its reference from disk and record its own program on one load and no
-# SEQUENTIAL program (no clone) — byte-identical to tlssim -json for the
-# variant, with the reference tier visible in the Prometheus exposition and
-# the completion log line. The store holds results and references only: no
-# job leaves a machine checkpoint (no snap namespace).
+# Restarted-variant leg: the store keeps results only, so a variant of the
+# spec (divergent sub-thread spacing) submitted to the restarted daemon must
+# run its SEQUENTIAL reference again, exactly as a novel job does: one
+# database load and its clone record its own program and the one-use
+# reference program. Its body must be byte-identical to tlssim -json for
+# the variant, the reference run must show in the Prometheus exposition and
+# the completion log line, and the cache dir must hold no directory but
+# result: no job stores a reference or a machine checkpoint.
 VARSPEC='{"benchmark":"NEW ORDER","experiment":"BASELINE","txns":3,"warmup":1,"spacing":2500}'
 curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$VARSPEC" >"$TMP/variant.json"
 "$TMP/tlssim" -benchmark "NEW ORDER" -experiment "BASELINE" -txns 3 -warmup 1 \
@@ -310,8 +310,8 @@ if ! cmp -s "$TMP/variant.json" "$TMP/cli-variant.json"; then
     exit 1
 fi
 curl -fsS -H 'Accept: text/plain' "http://$ADDR/metrics" >"$TMP/variant-metrics.prom"
-for NEEDLE in '^tlsd_builder_reference_disk_hits_total 1$' '^tlsd_builder_builds_total 1$' \
-    '^tlsd_builder_loads_total 1$' '^tlsd_builder_clones_total 0$'; do
+for NEEDLE in '^tlsd_builder_reference_runs_total 1$' '^tlsd_builder_builds_total 2$' \
+    '^tlsd_builder_loads_total 1$' '^tlsd_builder_clones_total 1$'; do
     grep -q "$NEEDLE" "$TMP/variant-metrics.prom" || {
         echo "tlsd-smoke: Prometheus exposition missing $NEEDLE" >&2
         cat "$TMP/variant-metrics.prom" >&2
@@ -323,13 +323,14 @@ PROMLINT_FILE="$TMP/variant-metrics.prom" go test -count=1 -run TestLintPromFile
     cat "$TMP/variant-metrics.prom" >&2
     exit 1
 }
-grep '"msg":"job completed"' "$TMP/tlsd2.jsonl" | grep -q '"reference":"disk"' || {
-    echo "tlsd-smoke: the variant's completion log line does not name a disk reference" >&2
+grep '"msg":"job completed"' "$TMP/tlsd2.jsonl" | grep -q '"reference":"run"' || {
+    echo "tlsd-smoke: the variant's completion log line does not name a reference run" >&2
     cat "$TMP/tlsd2.jsonl" >&2
     exit 1
 }
-if [ -e "$TMP/cas/snap" ]; then
-    echo "tlsd-smoke: the store holds a snap namespace; no job should write a machine checkpoint" >&2
+OTHER=$(find "$TMP/cas" -mindepth 1 -maxdepth 1 -type d ! -name result)
+if [ -n "$OTHER" ]; then
+    echo "tlsd-smoke: the store holds namespaces besides result: $OTHER" >&2
     ls -R "$TMP/cas" >&2
     exit 1
 fi
@@ -367,13 +368,23 @@ grep -q 'CHAOS ARMED' "$TMP/tlsd3.log" || {
     cat "$TMP/tlsd3.log" >&2
     exit 1
 }
-# Three passes over the same spec walk every cache tier (cold, memory hit,
-# and the faulted disk path); each must serve the exact CLI bytes.
-for i in 1 2 3; do
-    curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$SPEC" >"$TMP/chaos$i.json"
-    if ! cmp -s "$TMP/chaos$i.json" "$TMP/cli.json"; then
-        echo "tlsd-smoke: chaos-mode body $i differs from tlssim -json" >&2
-        diff "$TMP/cli.json" "$TMP/chaos$i.json" >&2 || true
+# Three passes walk the cache tiers: the spec cold, its spacing variant
+# cold, and the spec again from memory. A cold job's only disk operations
+# are its result read and write, so the second cold job's read is the
+# store's second load, where the schedule's first fault (a latency spike)
+# lands. Each pass must serve the exact CLI bytes.
+i=0
+for PASS in spec variant spec; do
+    i=$((i + 1))
+    if [ "$PASS" = spec ]; then
+        BODY=$SPEC WANT="$TMP/cli.json"
+    else
+        BODY=$VARSPEC WANT="$TMP/cli-variant.json"
+    fi
+    curl -fsS -X POST "http://$ADDR/v1/jobs?wait=1" -d "$BODY" >"$TMP/chaos$i.json"
+    if ! cmp -s "$TMP/chaos$i.json" "$WANT"; then
+        echo "tlsd-smoke: chaos-mode body $i ($PASS) differs from tlssim -json" >&2
+        diff "$WANT" "$TMP/chaos$i.json" >&2 || true
         exit 1
     fi
 done
@@ -402,4 +413,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "tlsd-smoke: ok (usage errors, job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, restarted variant with disk reference and no checkpoint, chaos leg)"
+echo "tlsd-smoke: ok (usage errors, job $JOB byte-identical, cache hit, clean exposition, flight record, clean drain, disk-warm restart, restarted variant with a reference run and a results-only store, chaos leg)"
