@@ -8,12 +8,13 @@
 //	tlsd -addr :8080
 //	curl -s -X POST localhost:8080/v1/jobs \
 //	     -d '{"benchmark":"NEW ORDER","txns":4,"warmup":1}'
-//	curl -s localhost:8080/v1/jobs/job-1/result
-//	curl -N localhost:8080/v1/jobs/job-1/events
+//	curl -s localhost:8080/v1/jobs/job-3f9a0c27d41b8e65/result
+//	curl -N localhost:8080/v1/jobs/job-3f9a0c27d41b8e65/events
 //
-// See SERVICE.md for the full API schema. SIGINT/SIGTERM drains gracefully:
-// readiness flips, admission stops, in-flight jobs finish, then the process
-// exits.
+// where job-3f9a0c27d41b8e65 stands for the random job ID the POST answers
+// with. See SERVICE.md for the full API schema. SIGINT/SIGTERM drains
+// gracefully: readiness flips, admission stops, in-flight jobs finish, then
+// the process exits.
 package main
 
 import (
@@ -89,7 +90,7 @@ func main() {
 	// memory-only: each cas.Store method is a no-op on nil.
 	var store *cas.Store
 	if *cacheDir != "" {
-		if store, err = cas.Open(*cacheDir, cas.Options{Logger: logger}); err != nil {
+		if store, err = cas.Open(*cacheDir, logger); err != nil {
 			fmt.Fprintf(os.Stderr, "tlsd: open cache dir %s: %v\n", *cacheDir, err)
 			os.Exit(2)
 		}

@@ -2,8 +2,9 @@
 // speaks the daemon's own HTTP API, routes each submission to the worker
 // that owns its content digest on a bounded-load consistent-hash ring
 // (so repeated specs land on warm caches), health-probes the fleet, and
-// rescues submissions whose owner is down — first from sibling replicas'
-// caches, then by failover recompute.
+// fails a submission whose owner is down over to the next worker on the
+// ring, whose own tiers (memory, disk, its -peers siblings) serve a warm
+// digest without a recompute.
 //
 //	tlsrouter -addr :8090 -workers http://10.0.0.1:8080,http://10.0.0.2:8080
 //	curl -s -X POST localhost:8090/v1/jobs?wait=1 \
@@ -11,7 +12,8 @@
 //
 // The router is stateless apart from a bounded job->worker map; clients
 // see the same responses, headers, and byte-identical result bodies a
-// single tlsd would serve. See SERVICE.md ("Running a cluster").
+// single tlsd would serve. Its ring and health-probe settings are
+// constants. See SERVICE.md ("Running a cluster").
 package main
 
 import (
@@ -31,16 +33,11 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", "127.0.0.1:8090", "HTTP listen address")
-		workers        = flag.String("workers", "", "comma-separated tlsd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
-		vnodes         = flag.Int("vnodes", 128, "virtual nodes per worker on the consistent-hash ring")
-		loadFactor     = flag.Float64("load-factor", 1.25, "bounded-load slack over a perfectly fair share (>= 1)")
-		probeInterval  = flag.Duration("probe-interval", 2*time.Second, "interval between /healthz probe rounds")
-		probeTimeout   = flag.Duration("probe-timeout", time.Second, "timeout per health probe")
-		probeThreshold = flag.Int("probe-threshold", 3, "consecutive probe failures that eject a worker from the ring")
-		logFormat      = flag.String("log-format", "text", "structured log encoding: text or json")
-		logLevel       = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
-		showVersion    = cliflags.AddVersion(flag.CommandLine)
+		addr        = flag.String("addr", "127.0.0.1:8090", "HTTP listen address")
+		workers     = flag.String("workers", "", "comma-separated tlsd base URLs (required), e.g. http://10.0.0.1:8080,http://10.0.0.2:8080")
+		logFormat   = flag.String("log-format", "text", "structured log encoding: text or json")
+		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
+		showVersion = cliflags.AddVersion(flag.CommandLine)
 	)
 	flag.Parse()
 	if err := cliflags.NoArgs(flag.CommandLine); err != nil {
@@ -61,17 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt, err := cluster.NewRouter(cluster.Options{
-		Workers:    urls,
-		VNodes:     *vnodes,
-		LoadFactor: *loadFactor,
-		Probe: cluster.ProberOptions{
-			Interval:  *probeInterval,
-			Timeout:   *probeTimeout,
-			Threshold: *probeThreshold,
-		},
-		Logger: logger,
-	})
+	rt, err := cluster.NewRouter(cluster.Options{Workers: urls, Logger: logger})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsrouter: %v\n", err)
 		os.Exit(2)
@@ -86,8 +73,7 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Printf("tlsrouter: %s\n", version.Get())
-	fmt.Printf("tlsrouter: routing on http://%s over %d workers (vnodes %d, load factor %.2f)\n",
-		*addr, len(urls), *vnodes, *loadFactor)
+	fmt.Printf("tlsrouter: routing on http://%s over %d workers\n", *addr, len(urls))
 
 	select {
 	case err := <-errCh:

@@ -61,22 +61,13 @@ const (
 	entryExt     = ".cas"
 )
 
-// DefaultMaxBytes bounds the store when Options.MaxBytes is zero: 1 GiB,
-// roomy for thousands of serialized workloads and result documents.
-const DefaultMaxBytes = 1 << 30
+// maxBytes bounds the total payload+header bytes on disk: 1 GiB, roomy for
+// thousands of result documents. The least recently used entries are
+// evicted past it.
+const maxBytes = 1 << 30
 
 // indexFile is the on-disk LRU index, relative to the store root.
 const indexFile = "index.json"
-
-// Options configures Open.
-type Options struct {
-	// MaxBytes bounds the total payload+header bytes on disk; the least
-	// recently used entries are evicted past it. 0 means DefaultMaxBytes.
-	MaxBytes int64
-	// Logger receives eviction and quarantine reports. nil disables
-	// logging (the library convention shared with internal/service).
-	Logger *slog.Logger
-}
 
 // Stats is a point-in-time snapshot of the store's counters, exported to
 // the daemon's /metrics (JSON and tlsd_cas_* Prometheus families).
@@ -205,8 +196,16 @@ type Store struct {
 
 // Open opens (creating if needed) the store rooted at dir and rebuilds its
 // accounting: the directory scan is ground truth for which entries exist,
-// the on-disk index (when readable) restores their recency order.
-func Open(dir string, opts Options) (*Store, error) {
+// the on-disk index (when readable) restores their recency order. log
+// receives eviction and quarantine reports; nil disables logging (the
+// library convention shared with internal/service).
+func Open(dir string, log *slog.Logger) (*Store, error) {
+	return openBudget(dir, log, maxBytes)
+}
+
+// openBudget is Open under a byte budget other than maxBytes, so the
+// package's tests can make a few small entries evict.
+func openBudget(dir string, log *slog.Logger, budget int64) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("cas: empty store directory")
 	}
@@ -215,13 +214,10 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{
 		dir:     dir,
-		max:     opts.MaxBytes,
-		log:     opts.Logger,
+		max:     budget,
+		log:     log,
 		entries: make(map[string]*entry),
 		flights: make(map[string]*flight),
-	}
-	if s.max <= 0 {
-		s.max = DefaultMaxBytes
 	}
 	s.load()
 	return s, nil

@@ -12,17 +12,28 @@ import (
 	"testing"
 )
 
-func open(t *testing.T, dir string, opts Options) *Store {
+func open(t *testing.T, dir string) *Store {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("Open(%q): %v", dir, err)
 	}
 	return s
 }
 
+// openCapped opens a store under a byte budget small enough for a few test
+// entries to evict.
+func openCapped(t *testing.T, dir string, budget int64) *Store {
+	t.Helper()
+	s, err := openBudget(dir, nil, budget)
+	if err != nil {
+		t.Fatalf("openBudget(%q): %v", dir, err)
+	}
+	return s
+}
+
 func TestRoundTrip(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	payload := []byte("the exact bytes that were stored")
 	s.Put("built", "abc123", payload)
 	got, ok := s.Get("built", "abc123")
@@ -63,13 +74,13 @@ func TestEntryFramePinned(t *testing.T) {
 // the first store's entries from byte one.
 func TestReopenWarm(t *testing.T) {
 	dir := t.TempDir()
-	s1 := open(t, dir, Options{})
+	s1 := open(t, dir)
 	s1.Put("result", "deadbeef", []byte("served body"))
 	if err := s1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2 := open(t, dir, Options{})
+	s2 := open(t, dir)
 	got, ok := s2.Get("result", "deadbeef")
 	if !ok || string(got) != "served body" {
 		t.Fatalf("reopened store Get = %q, %v; want the stored body", got, ok)
@@ -80,7 +91,10 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	var logbuf strings.Builder
 	logger := slog.New(slog.NewTextHandler(&logbuf, nil))
-	s := open(t, dir, Options{Logger: logger})
+	s, err := Open(dir, logger)
+	if err != nil {
+		t.Fatalf("Open(%q): %v", dir, err)
+	}
 	s.Put("built", "feedface", []byte("good payload"))
 
 	path := filepath.Join(dir, entryPath("built", "feedface"))
@@ -147,7 +161,7 @@ func TestEvictionUnderSizeCap(t *testing.T) {
 	payload := bytes.Repeat([]byte("x"), 100)
 	entrySize := int64(headerSize + len(payload))
 	// Room for exactly three entries.
-	s := open(t, dir, Options{MaxBytes: 3 * entrySize})
+	s := openCapped(t, dir, 3*entrySize)
 
 	for i := 0; i < 3; i++ {
 		s.Put("ns", fmt.Sprintf("key%d", i), payload)
@@ -185,7 +199,7 @@ func TestIndexPersistsRecency(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("y"), 64)
 	entrySize := int64(headerSize + len(payload))
-	s1 := open(t, dir, Options{MaxBytes: 2 * entrySize})
+	s1 := openCapped(t, dir, 2*entrySize)
 	s1.Put("ns", "older", payload)
 	s1.Put("ns", "newer", payload)
 	if _, ok := s1.Get("ns", "older"); !ok {
@@ -195,7 +209,7 @@ func TestIndexPersistsRecency(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2 := open(t, dir, Options{MaxBytes: 2 * entrySize})
+	s2 := openCapped(t, dir, 2*entrySize)
 	s2.Put("ns", "third", payload) // must evict "newer", not the re-touched "older"
 	if _, ok := s2.Get("ns", "newer"); ok {
 		t.Fatal("eviction order ignored the persisted index")
@@ -210,7 +224,7 @@ func TestIndexPersistsRecency(t *testing.T) {
 // only recency (TestIndexPersistsRecency covers what a clean one keeps).
 func TestIndexWrittenOnClose(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
+	s := open(t, dir)
 	for i := range 5 {
 		s.Put("ns", fmt.Sprintf("key%d", i), []byte("payload"))
 	}
@@ -230,8 +244,8 @@ func TestIndexWrittenOnClose(t *testing.T) {
 // race-free and never serve torn bytes (run under -race).
 func TestConcurrentProcessesSafe(t *testing.T) {
 	dir := t.TempDir()
-	a := open(t, dir, Options{})
-	b := open(t, dir, Options{})
+	a := open(t, dir)
+	b := open(t, dir)
 
 	payloads := make([][]byte, 8)
 	for i := range payloads {
@@ -282,7 +296,7 @@ func TestNilStore(t *testing.T) {
 }
 
 func TestSingleFlightSharesLoad(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	payload := bytes.Repeat([]byte("z"), 1<<16)
 	s.Put("ns", "big", payload)
 

@@ -38,7 +38,7 @@ func (f *stubFaults) Disk(op string) (DiskFault, bool) {
 }
 
 func TestInjectedLoadErrorIsMissNotCorruption(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	s.Put("built", "aa11", []byte("payload"))
 	s.SetFaults(&stubFaults{loadEvery: 1, load: DiskFault{Err: errors.New("injected EIO")}})
 	if _, ok := s.Get("built", "aa11"); ok {
@@ -59,7 +59,7 @@ func TestInjectedLoadErrorIsMissNotCorruption(t *testing.T) {
 }
 
 func TestTornWriteQuarantinedOnRead(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	s.SetFaults(&stubFaults{storeEvery: 1, store: DiskFault{TornBytes: headerSize + 3}})
 	s.Put("result", "bb22", []byte("a body longer than three bytes"))
 	s.SetFaults(nil)
@@ -85,7 +85,7 @@ func TestTornWriteQuarantinedOnRead(t *testing.T) {
 }
 
 func TestInjectedStoreErrorDropsPut(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	s.SetFaults(&stubFaults{storeEvery: 1, store: DiskFault{Err: errors.New("injected ENOSPC")}})
 	s.Put("built", "cc33", []byte("never lands"))
 	s.SetFaults(nil)
@@ -98,7 +98,7 @@ func TestInjectedStoreErrorDropsPut(t *testing.T) {
 }
 
 func TestObserverSeesLatencyAndFailures(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
+	s := open(t, t.TempDir())
 	var mu sync.Mutex
 	type obs struct {
 		op     string
@@ -144,7 +144,7 @@ func TestObserverSeesLatencyAndFailures(t *testing.T) {
 // store's accounting must match the directory when the dust settles.
 func TestConcurrentChaosQuarantineAndEviction(t *testing.T) {
 	// A cap small enough that eviction churns throughout the run.
-	s := open(t, t.TempDir(), Options{MaxBytes: 8 << 10})
+	s := openCapped(t, t.TempDir(), 8<<10)
 	s.SetFaults(&stubFaults{
 		loadEvery:  7,
 		load:       DiskFault{Err: errors.New("injected EIO"), Delay: 50 * time.Microsecond},

@@ -25,7 +25,7 @@ import (
 )
 
 // renderExpected reproduces cmd/tlssim's -json pipeline for a spec — the
-// pin that a routed, rescued, or failed-over result is byte-identical to
+// pin that a routed or failed-over result is byte-identical to
 // what the CLI prints (same helper the service e2e uses).
 func renderExpected(t *testing.T, spec service.JobSpec) []byte {
 	t.Helper()
@@ -109,25 +109,41 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 	return f
 }
 
-// specOwnedBy searches seed-space for a tiny spec whose digest the ring
-// places on the given worker, so each scenario can target a known owner.
-func specOwnedBy(t *testing.T, ring *Ring, owner string) service.JobSpec {
+// specOwnedBy searches seed-space for a tiny spec of bench whose digest the
+// ring places on the given worker, so each scenario can target a known
+// owner.
+func specOwnedBy(t *testing.T, ring *Ring, owner, bench string) service.JobSpec {
 	t.Helper()
 	for s := int64(0); s < 256; s++ {
 		warmup := 1
 		seed := 100 + s
-		spec := service.JobSpec{Benchmark: "NEW ORDER", Txns: 2, Warmup: &warmup, Seed: &seed}
-		r, err := spec.Resolve()
-		if err != nil {
-			t.Fatalf("Resolve: %v", err)
-		}
-		if got, _ := ring.Owner(r.Digest); got == owner {
+		spec := service.JobSpec{Benchmark: bench, Txns: 2, Warmup: &warmup, Seed: &seed}
+		if got, _ := ring.Owner(digestOf(t, spec)); got == owner {
 			return spec
 		}
 	}
-	t.Fatalf("no spec found owned by %s in 256 seeds", owner)
+	t.Fatalf("no %s spec found owned by %s in 256 seeds", bench, owner)
 	return service.JobSpec{}
 }
+
+func digestOf(t *testing.T, spec service.JobSpec) string {
+	t.Helper()
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	return r.Digest
+}
+
+// sum adds one counter over every worker's metrics.
+func (f *testFleet) sum(counter func(service.Metrics) uint64) (n uint64) {
+	for _, s := range f.servers {
+		n += counter(s.MetricsSnapshot())
+	}
+	return n
+}
+
+func cacheMisses(m service.Metrics) uint64 { return m.CacheMisses }
 
 func postVia(t *testing.T, base string, spec service.JobSpec, corr string) *http.Response {
 	t.Helper()
@@ -162,9 +178,9 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 
 // TestClusterEndToEnd drives a 3-worker fleet behind a router through the
 // scenarios the cluster design promises: digest-stable routing with
-// byte-identical results, the worker-level remote cache tier, sibling-
-// cache rescue when an owner dies warm, and failover recompute when no
-// replica has the bytes.
+// byte-identical results, the worker-level remote cache tier, failover to
+// a worker whose own tiers serve the digest warm when its owner dies, and
+// failover recompute when no replica has the bytes.
 func TestClusterEndToEnd(t *testing.T) {
 	fleet := newTestFleet(t, 3)
 	rt, err := NewRouter(Options{Workers: fleet.urls})
@@ -175,7 +191,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	defer rts.Close()
 
 	// --- Scenario 1: routed submission, byte-identity, correlation echo.
-	specA := specOwnedBy(t, rt.Ring(), fleet.urls[0])
+	specA := specOwnedBy(t, rt.Ring(), fleet.urls[0], "NEW ORDER")
 	wantA := renderExpected(t, specA)
 	resp := postVia(t, rts.URL, specA, "cluster-e2e-routed")
 	body := readBody(t, resp)
@@ -208,7 +224,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	// --- Scenario 2: worker-level remote cache tier. Compute specB on a
 	// non-owner (worker 2, directly), then submit it to worker 0: its local
 	// tiers miss and the sibling fetch finds worker 2's copy.
-	specB := specOwnedBy(t, rt.Ring(), fleet.urls[1])
+	specB := specOwnedBy(t, rt.Ring(), fleet.urls[1], "NEW ORDER")
 	wantB := renderExpected(t, specB)
 	resp = postVia(t, fleet.urls[2], specB, "")
 	body = readBody(t, resp)
@@ -227,53 +243,87 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Fatalf("remote-tier result differs from tlssim -json bytes")
 	}
 
-	// --- Scenario 3: sibling-cache rescue through the router. specB's
-	// owner (worker 1) dies; the router's owner proxy fails, and the rescue
-	// ladder finds the bytes in a surviving sibling's cache.
+	// --- Scenario 3: the owner dies. Each spec below is owned by worker 1
+	// on the full ring and lives elsewhere; the live ring's Owner() reports
+	// a successor once worker 1 is ejected, so the original placement and
+	// failover candidate come from a fresh ring over the full fleet.
+	freshRing, err := NewRing(fleet.urls, 0, 0)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	candidate := func(spec service.JobSpec) string {
+		return freshRing.Preference(digestOf(t, spec), 2)[1]
+	}
 	fleet.ts[1].Close()
-	resp = postVia(t, rts.URL, specB, "cluster-e2e-rescue")
+
+	// (a) specB is warm in memory on both survivors (worker 2 computed it,
+	// worker 0 fetched it). The router's owner proxy fails, worker 1 is
+	// ejected, and the failover candidate answers from memory: the same
+	// bytes, and no simulation anywhere in the fleet.
+	misses := fleet.sum(cacheMisses)
+	failovers := rt.MetricsSnapshot().Failovers
+	resp = postVia(t, rts.URL, specB, "cluster-e2e-failover")
 	body = readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rescued submit: HTTP %d: %s", resp.StatusCode, body)
+		t.Fatalf("failed-over submit: HTTP %d: %s", resp.StatusCode, body)
 	}
-	if got := resp.Header.Get("X-Cache-Tier"); got != service.TierRemote {
-		t.Fatalf("rescue X-Cache-Tier = %q, want %q", got, service.TierRemote)
+	if got := resp.Header.Get("X-Cache"); got != "hit" {
+		t.Errorf("failed-over X-Cache = %q, want hit", got)
 	}
-	if by := resp.Header.Get("X-Served-By"); by == fleet.urls[1] {
-		t.Fatalf("rescue served by the dead owner %q", by)
+	if got := resp.Header.Get("X-Cache-Tier"); got != service.TierMemory {
+		t.Errorf("failed-over X-Cache-Tier = %q, want %q", got, service.TierMemory)
+	}
+	if by, want := resp.Header.Get("X-Served-By"), candidate(specB); by != want {
+		t.Errorf("failed-over X-Served-By = %q, want the failover candidate %q", by, want)
 	}
 	if !bytes.Equal(body, wantB) {
-		t.Fatalf("rescued result differs from tlssim -json bytes")
+		t.Fatalf("failed-over result differs from tlssim -json bytes")
+	}
+	if got := rt.MetricsSnapshot().Failovers; got < failovers+1 {
+		t.Errorf("router Failovers %d -> %d, want at least one failover", failovers, got)
+	}
+	if got := fleet.sum(cacheMisses); got != misses {
+		t.Errorf("fleet cache misses %d -> %d, want no new simulation", misses, got)
 	}
 	if rt.Ring().Alive(fleet.urls[1]) {
 		t.Fatalf("dead worker still alive in the ring after proxy failure")
 	}
 
+	// (b) specD is warm only on the survivor that is not its failover
+	// candidate; the candidate serves it through its -peers tier.
+	specD := specOwnedBy(t, freshRing, fleet.urls[1], "PAYMENT")
+	wantD := renderExpected(t, specD)
+	holder := fleet.urls[0]
+	if holder == candidate(specD) {
+		holder = fleet.urls[2]
+	}
+	resp = postVia(t, holder, specD, "")
+	if body = readBody(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(body, wantD) {
+		t.Fatalf("priming %s: HTTP %d, match=%v", holder, resp.StatusCode, bytes.Equal(body, wantD))
+	}
+	misses = fleet.sum(cacheMisses)
+	resp = postVia(t, rts.URL, specD, "")
+	body = readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sibling-warm submit: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Cache-Tier"); got != service.TierRemote {
+		t.Errorf("sibling-warm X-Cache-Tier = %q, want %q", got, service.TierRemote)
+	}
+	if by, want := resp.Header.Get("X-Served-By"), candidate(specD); by != want {
+		t.Errorf("sibling-warm X-Served-By = %q, want the failover candidate %q", by, want)
+	}
+	if !bytes.Equal(body, wantD) {
+		t.Fatalf("sibling-warm result differs from tlssim -json bytes")
+	}
+	if got := fleet.sum(cacheMisses); got != misses {
+		t.Errorf("fleet cache misses %d -> %d, want no new simulation", misses, got)
+	}
+
 	// --- Scenario 4: failover recompute. A fresh spec owned by the dead
 	// worker is cached nowhere, so the router recomputes it on the next
 	// preference node — bytes still identical.
-	// The owner is dead, so the live ring's Owner() reports a successor;
-	// derive the original placement from a fresh ring over the full fleet.
-	freshRing, err := NewRing(fleet.urls, 0, 0)
-	if err != nil {
-		t.Fatalf("NewRing: %v", err)
-	}
-	specC := func() service.JobSpec {
-		for s := int64(0); s < 512; s++ {
-			warmup := 1
-			seed := 5000 + s
-			spec := service.JobSpec{Benchmark: "STOCK LEVEL", Txns: 2, Warmup: &warmup, Seed: &seed}
-			r, rerr := spec.Resolve()
-			if rerr != nil {
-				t.Fatalf("Resolve: %v", rerr)
-			}
-			if got, _ := freshRing.Owner(r.Digest); got == fleet.urls[1] {
-				return spec
-			}
-		}
-		t.Fatalf("no fresh spec owned by dead worker in 512 seeds")
-		return service.JobSpec{}
-	}()
+	specC := specOwnedBy(t, freshRing, fleet.urls[1], "STOCK LEVEL")
 	wantC := renderExpected(t, specC)
 	resp = postVia(t, rts.URL, specC, "")
 	body = readBody(t, resp)
@@ -288,14 +338,62 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 
 	m := rt.MetricsSnapshot()
-	if m.RemoteCacheHits == 0 {
-		t.Errorf("router RemoteCacheHits = 0 after a sibling-cache rescue")
-	}
-	if m.JobsRouted < 4 {
-		t.Errorf("router JobsRouted = %d, want >= 4", m.JobsRouted)
+	if m.JobsRouted < 5 {
+		t.Errorf("router JobsRouted = %d, want >= 5", m.JobsRouted)
 	}
 	if m.RingRebalances == 0 {
 		t.Errorf("router RingRebalances = 0 after a worker death")
+	}
+}
+
+// TestRouterJobIDsNameOneWorker submits one async job to each worker of a
+// fleet through the router and reads each back by its own ID: every tlsd
+// draws its job IDs at random, so two workers never hand out the same ID
+// and the router's job->worker map cannot send one job's reads to another
+// worker.
+func TestRouterJobIDsNameOneWorker(t *testing.T) {
+	fleet := newTestFleet(t, 2)
+	rt, err := NewRouter(Options{Workers: fleet.urls})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	ids := make([]string, len(fleet.urls))
+	digests := make([]string, len(fleet.urls))
+	for i, owner := range fleet.urls {
+		spec := specOwnedBy(t, rt.Ring(), owner, "ORDER STATUS")
+		digests[i] = digestOf(t, spec)
+		b, _ := json.Marshal(spec)
+		resp, err := http.Post(rts.URL+"/v1/jobs", "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("async POST: %v", err)
+		}
+		readBody(t, resp)
+		if got := resp.Header.Get("X-Served-By"); got != owner {
+			t.Fatalf("submission %d served by %q, want its owner %q", i, got, owner)
+		}
+		if ids[i] = resp.Header.Get("X-Job-Id"); ids[i] == "" {
+			t.Fatalf("submission %d returned no X-Job-Id", i)
+		}
+	}
+	if ids[0] == ids[1] {
+		t.Errorf("both workers named their job %q", ids[0])
+	}
+	for i, owner := range fleet.urls {
+		resp, err := http.Get(rts.URL + "/v1/jobs/" + ids[i])
+		if err != nil {
+			t.Fatalf("proxied status: %v", err)
+		}
+		var st service.Status
+		if err := json.Unmarshal(readBody(t, resp), &st); err != nil {
+			t.Fatalf("status of %s: %v", ids[i], err)
+		}
+		if by := resp.Header.Get("X-Served-By"); by != owner || st.ID != ids[i] || st.Digest != digests[i] {
+			t.Errorf("GET %s: served by %q as job %q digest %.12s, want %q's job digest %.12s",
+				ids[i], by, st.ID, st.Digest, owner, digests[i])
+		}
 	}
 }
 
@@ -377,13 +475,8 @@ func TestRouterJobProxyAndCancel(t *testing.T) {
 	// A body with anything but whitespace after the spec object is a bad
 	// spec: 400 at the router, which routes it nowhere.
 	routed := rt.MetricsSnapshot().JobsRouted
-	submitted := func() (n uint64) {
-		for _, s := range fleet.servers {
-			n += s.MetricsSnapshot().JobsSubmitted
-		}
-		return n
-	}
-	before := submitted()
+	submitted := func(m service.Metrics) uint64 { return m.JobsSubmitted }
+	before := fleet.sum(submitted)
 	tresp, err := http.Post(rts.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"benchmark":"PAYMENT"}{"benchmark":"NEW ORDER"}`))
 	if err != nil {
@@ -396,13 +489,14 @@ func TestRouterJobProxyAndCancel(t *testing.T) {
 	if got := rt.MetricsSnapshot().JobsRouted; got != routed {
 		t.Errorf("trailing data: jobs routed %d -> %d, want no route", routed, got)
 	}
-	if after := submitted(); after != before {
+	if after := fleet.sum(submitted); after != before {
 		t.Errorf("trailing data: worker submissions %d -> %d, want none", before, after)
 	}
 }
 
 // TestProberEjectsAndReadmits drives the health prober against a worker
-// that flips from healthy to failing and back.
+// that flips from healthy to failing and back: probeThreshold (3)
+// consecutive failures eject it, and the first healthy probe readmits it.
 func TestProberEjectsAndReadmits(t *testing.T) {
 	var sick atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -422,7 +516,7 @@ func TestProberEjectsAndReadmits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRing: %v", err)
 	}
-	p := NewProber(ring, ProberOptions{Interval: time.Hour, Threshold: 3})
+	p := NewProber(ring, nil)
 
 	p.ProbeOnce()
 	if !ring.Alive(ts.URL) {
@@ -486,7 +580,7 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"tlsrouter_build_info", "tlsrouter_nodes_alive", "tlsrouter_node_breaker_state",
-		"tlsrouter_jobs_routed_total", "tlsrouter_remote_cache_hits_total",
+		"tlsrouter_jobs_routed_total", "tlsrouter_failovers_total",
 	} {
 		if !bytes.Contains(prom, []byte(want)) {
 			t.Errorf("prom exposition missing family %s", want)

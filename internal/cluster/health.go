@@ -9,19 +9,17 @@ import (
 	"time"
 )
 
-// Prober keeps the ring's membership honest: every Interval it GETs each
-// configured worker's /healthz (dead or alive — dead nodes keep being
+// Prober keeps the ring's membership honest: every probeInterval it GETs
+// each configured worker's /healthz (dead or alive — dead nodes keep being
 // probed so they are readmitted the moment they recover). A worker is
-// ejected after Threshold consecutive failures — one slow scrape should
-// not trigger a rebalance — and readmitted on the first success, because
-// a recovering worker's warm disk cache is exactly what the ring wants
-// back as soon as possible.
+// ejected after probeThreshold consecutive failures — one slow scrape
+// should not trigger a rebalance — and readmitted on the first success,
+// because a recovering worker's warm disk cache is exactly what the ring
+// wants back as soon as possible.
 type Prober struct {
-	ring      *Ring
-	interval  time.Duration
-	threshold int
-	hc        *http.Client
-	log       *slog.Logger
+	ring *Ring
+	hc   *http.Client
+	log  *slog.Logger
 
 	probes   atomic.Uint64
 	failures atomic.Uint64
@@ -33,39 +31,24 @@ type Prober struct {
 	done chan struct{}
 }
 
-// ProberOptions configures a Prober; zero values get defaults.
-type ProberOptions struct {
-	// Interval between probe rounds (default 2s).
-	Interval time.Duration
-	// Timeout per probe request (default 1s).
-	Timeout time.Duration
-	// Threshold is the consecutive-failure count that ejects a node
-	// (default 3).
-	Threshold int
-	// Logger receives ejection/readmission lines; nil disables logging.
-	Logger *slog.Logger
-}
+// A probe round runs every probeInterval, each probe is bounded by
+// probeTimeout, and probeThreshold consecutive failures eject a worker.
+const (
+	probeInterval  = 2 * time.Second
+	probeTimeout   = time.Second
+	probeThreshold = 3
+)
 
-// NewProber builds a prober over the ring's configured nodes.
-func NewProber(ring *Ring, opts ProberOptions) *Prober {
-	if opts.Interval <= 0 {
-		opts.Interval = 2 * time.Second
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = time.Second
-	}
-	if opts.Threshold <= 0 {
-		opts.Threshold = 3
-	}
+// NewProber builds a prober over the ring's configured nodes. log receives
+// ejection and readmission lines; nil disables logging.
+func NewProber(ring *Ring, log *slog.Logger) *Prober {
 	return &Prober{
-		ring:      ring,
-		interval:  opts.Interval,
-		threshold: opts.Threshold,
-		hc:        &http.Client{Timeout: opts.Timeout},
-		log:       opts.Logger,
-		fails:     make(map[string]int),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		ring:  ring,
+		hc:    &http.Client{Timeout: probeTimeout},
+		log:   log,
+		fails: make(map[string]int),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -76,7 +59,7 @@ func (p *Prober) Start() {
 	go func() {
 		defer close(p.done)
 		p.ProbeOnce()
-		t := time.NewTicker(p.interval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -141,7 +124,7 @@ func (p *Prober) probe(url string) {
 	p.failures.Add(1)
 	p.mu.Lock()
 	p.fails[url]++
-	eject := p.fails[url] >= p.threshold
+	eject := p.fails[url] >= probeThreshold
 	n := p.fails[url]
 	p.mu.Unlock()
 	if eject {

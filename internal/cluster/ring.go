@@ -1,5 +1,6 @@
 // Package cluster scales tlsd from one process to a small fleet. It
-// provides the three pieces the router binary (cmd/tlsrouter) composes:
+// provides the pieces the router binary (cmd/tlsrouter) and the daemon's
+// `-peers` flag compose:
 //
 //   - Ring: a bounded-load consistent-hash ring over worker base URLs.
 //     Placement is keyed by the job digest, so the same spec always lands
@@ -7,7 +8,10 @@
 //     of the daemon's content-addressed result cache.
 //   - Prober: periodic /healthz probing that ejects dead workers from the
 //     ring and readmits them when they recover.
-//   - RemoteGroup: the cross-node cache-fetch path — cheap GET
+//   - Router: the digest-routing proxy with per-worker breakers; when a
+//     digest's owner fails it fails over down the ring, and the failover
+//     worker's own tiers serve a warm digest.
+//   - RemoteGroup: the sibling-rescue tier of `tlsd -peers` — cheap GET
 //     /v1/cache/{digest} probes against sibling replicas, each link
 //     wrapped in its own circuit breaker so a sick replica degrades to
 //     recompute, never to an outage.
@@ -66,20 +70,26 @@ type NodeInfo struct {
 	Load  int    `json:"load"`
 }
 
+// The ring tlsrouter runs: ringVNodes virtual nodes per worker, and a
+// bounded-load slack of ringLoadFactor over a perfectly fair share.
+const (
+	ringVNodes     = 128
+	ringLoadFactor = 1.25
+)
+
 // NewRing builds a ring over the worker base URLs (all initially alive).
-// vnodes is the number of virtual nodes per worker (default 128);
-// loadFactor is the bounded-load slack over a perfectly fair share
-// (default 1.25, and anything below 1 is a misconfiguration that would
-// reject all routes, so it is clamped up).
+// vnodes is the number of virtual nodes per worker (0 means ringVNodes);
+// loadFactor is the bounded-load slack (below 1 means ringLoadFactor: a
+// smaller slack would reject all routes).
 func NewRing(workers []string, vnodes int, loadFactor float64) (*Ring, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("cluster ring: no workers")
 	}
 	if vnodes <= 0 {
-		vnodes = 128
+		vnodes = ringVNodes
 	}
 	if loadFactor < 1 {
-		loadFactor = 1.25
+		loadFactor = ringLoadFactor
 	}
 	r := &Ring{
 		vnodes: vnodes,

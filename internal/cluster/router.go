@@ -23,13 +23,12 @@ import (
 //
 // Every worker link carries its own circuit breaker. When the owner is
 // down (probe-ejected, breaker-open, or failing right now), a submission
-// is rescued in cost order: first the sibling replicas' caches (a warm
-// digest survives its owner), then a failover recompute on the next
-// preference node, and only then a 502.
+// fails over to the next preference node, whose own tiers (memory, disk,
+// then its `tlsd -peers` siblings) serve a warm digest without a
+// recompute; only when no node answers is it a 502.
 type Router struct {
 	ring   *Ring
 	prober *Prober
-	remote *RemoteGroup
 	hc     *http.Client
 	log    *slog.Logger
 	mux    *http.ServeMux
@@ -49,17 +48,12 @@ type Router struct {
 // forgotten (their jobs have long since been served or expired).
 const maxJobOwners = 1 << 16
 
-// Options configures a Router; zero values get defaults.
+// Options configures a Router.
 type Options struct {
 	// Workers are the tlsd base URLs (no trailing slash); required.
 	Workers []string
-	// VNodes is the virtual-node count per worker (default 128).
-	VNodes int
-	// LoadFactor is the bounded-load slack (default 1.25).
-	LoadFactor float64
-	// Probe configures health probing of the workers.
-	Probe ProberOptions
-	// Logger receives routing and access lines; nil disables logging.
+	// Logger receives routing, probing and access lines; nil disables
+	// logging.
 	Logger *slog.Logger
 }
 
@@ -74,14 +68,12 @@ const (
 // NewRouter builds a router over the worker fleet. Call Start to begin
 // health probing and Close to stop it.
 func NewRouter(opts Options) (*Router, error) {
-	ring, err := NewRing(opts.Workers, opts.VNodes, opts.LoadFactor)
+	ring, err := NewRing(opts.Workers, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	opts.Probe.Logger = opts.Logger
 	rt := &Router{
-		ring:   ring,
-		remote: NewRemoteGroup(opts.Workers, opts.Logger),
+		ring: ring,
 		// No client timeout: a ?wait=1 submission legitimately holds the
 		// connection for the whole simulation. Per-request contexts still
 		// cancel abandoned proxies.
@@ -92,7 +84,7 @@ func NewRouter(opts Options) (*Router, error) {
 		jobOwner: make(map[string]string),
 		perNode:  make(map[string]*NodeCounters, len(opts.Workers)),
 	}
-	rt.prober = NewProber(ring, opts.Probe)
+	rt.prober = NewProber(ring, opts.Logger)
 	for _, w := range opts.Workers {
 		node := w
 		// Slow-call detection off (simulations take seconds by design):
@@ -114,7 +106,6 @@ func NewRouter(opts Options) (*Router, error) {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", rt.handleJobProxy)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", rt.handleJobProxy)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", rt.handleJobProxy)
-	mux.HandleFunc("GET /v1/cache/{digest}", rt.handleCacheGet)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /readyz", rt.handleReadyz)
 	mux.HandleFunc("GET /metrics", service.MetricsHandler("tlsrouter", "router", rt.MetricsSnapshot))
@@ -144,8 +135,8 @@ func (rt *Router) Handler() http.Handler {
 }
 
 // handleSubmit resolves the spec to its digest, routes it, and proxies.
-// The rescue ladder when the owner cannot answer: sibling caches, then a
-// failover recompute on the next preference node, then 502.
+// When the owner cannot answer, the submission fails over down the
+// digest's preference list, then gets a 502.
 func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, service.MaxSpecBytes))
 	if err != nil {
@@ -179,42 +170,16 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.counters.JobsRouted++
 	rt.mu.Unlock()
 
-	pref := rt.ring.Preference(digest, len(rt.breakers))
 	if rt.breakers[node].Allow() {
 		if done := rt.proxySubmit(w, r, node, payload); done {
 			return
 		}
-		// Transport failure mid-route: eject the node now rather than
-		// waiting for the prober to notice.
-		if rt.ring.SetAlive(node, false) && rt.log != nil {
-			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "worker ejected on proxy failure",
-				slog.String("component", "router"), slog.String("node", node),
-				slog.String("correlation_id", service.CorrelationFrom(r.Context())))
-		}
+		rt.eject(r, node)
 	}
 
-	// Rescue 1: the digest may be warm in a sibling's cache — serving it
-	// from there preserves byte-identity and costs one LAN fetch.
-	if body, from, ok := rt.remote.Fetch(r.Context(), digest, pref...); ok {
-		rt.mu.Lock()
-		rt.counters.RemoteCacheHits++
-		rt.mu.Unlock()
-		if rt.log != nil {
-			rt.log.LogAttrs(r.Context(), slog.LevelInfo, "submission rescued from sibling cache",
-				slog.String("component", "router"), slog.String("digest", digest),
-				slog.String("peer", from), slog.String("correlation_id", service.CorrelationFrom(r.Context())))
-		}
-		w.Header().Set("X-Job-Digest", digest)
-		w.Header().Set("X-Cache", "hit")
-		w.Header().Set("X-Cache-Tier", service.TierRemote)
-		w.Header().Set("X-Served-By", from)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-		return
-	}
-
-	// Rescue 2: recompute on the next preference node.
-	for _, cand := range pref {
+	// Failover: the next preference node serves the digest from its own
+	// tiers (a warm one without a recompute) or recomputes it.
+	for _, cand := range rt.ring.Preference(digest, len(rt.breakers)) {
 		if cand == node || !rt.breakers[cand].Allow() {
 			continue
 		}
@@ -230,19 +195,25 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if done := rt.proxySubmit(w, r, cand, payload); done {
 			return
 		}
-		if rt.ring.SetAlive(cand, false) && rt.log != nil {
-			rt.log.LogAttrs(r.Context(), slog.LevelWarn, "worker ejected on proxy failure",
-				slog.String("component", "router"), slog.String("node", cand),
-				slog.String("correlation_id", service.CorrelationFrom(r.Context())))
-		}
+		rt.eject(r, cand)
 	}
 	service.WriteError(w, http.StatusBadGateway, "no worker could serve the submission")
+}
+
+// eject takes node out of the ring after a transport failure mid-route,
+// rather than waiting for the prober to notice.
+func (rt *Router) eject(r *http.Request, node string) {
+	if rt.ring.SetAlive(node, false) && rt.log != nil {
+		rt.log.LogAttrs(r.Context(), slog.LevelWarn, "worker ejected on proxy failure",
+			slog.String("component", "router"), slog.String("node", node),
+			slog.String("correlation_id", service.CorrelationFrom(r.Context())))
+	}
 }
 
 // proxySubmit forwards the submission to node. It reports done=true when
 // a response (any status) was relayed to the client, and false on a
 // transport failure before any byte was written — the caller may then
-// rescue the request elsewhere.
+// fail the request over elsewhere.
 func (rt *Router) proxySubmit(w http.ResponseWriter, r *http.Request, node string, payload []byte) bool {
 	url := node + "/v1/jobs"
 	if r.URL.RawQuery != "" {
@@ -374,24 +345,6 @@ func hopByHop(k string) bool {
 	return false
 }
 
-// handleCacheGet answers a digest probe at the cluster level: it asks the
-// digest's preference replicas (then the rest of the fleet) and relays
-// the first hit — a read-only endpoint, it never schedules work.
-func (rt *Router) handleCacheGet(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	pref := rt.ring.Preference(digest, len(rt.breakers))
-	body, from, ok := rt.remote.Fetch(r.Context(), digest, pref...)
-	if !ok {
-		service.WriteError(w, http.StatusNotFound, "no cached result for digest %q", digest)
-		return
-	}
-	w.Header().Set("X-Job-Digest", digest)
-	w.Header().Set("X-Cache-Tier", service.TierRemote)
-	w.Header().Set("X-Served-By", from)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
 // routerHealth is the /healthz document.
 type routerHealth struct {
 	Status  string       `json:"status"`
@@ -440,10 +393,9 @@ type NodeMetrics struct {
 // RouterCounters are the router's submission outcomes. Router keeps them
 // under its lock and RouterMetrics embeds a copy.
 type RouterCounters struct {
-	JobsRouted      uint64 `json:"jobs_routed" prom:"jobs_routed_total Submissions routed by digest."`
-	RemoteCacheHits uint64 `json:"remote_cache_hits" prom:"remote_cache_hits_total Submissions rescued from a sibling replica's cache."`
-	Failovers       uint64 `json:"failovers" prom:"failovers_total Submissions recomputed on a failover worker after the owner failed."`
-	Unroutable      uint64 `json:"unroutable" prom:"unroutable_total Submissions rejected because no worker was alive."`
+	JobsRouted uint64 `json:"jobs_routed" prom:"jobs_routed_total Submissions routed by digest."`
+	Failovers  uint64 `json:"failovers" prom:"failovers_total Submissions sent to a failover worker after the owner failed."`
+	Unroutable uint64 `json:"unroutable" prom:"unroutable_total Submissions rejected because no worker was alive."`
 }
 
 // RouterMetrics is the /metrics document. Each field's json tag names it in
@@ -460,7 +412,6 @@ type RouterMetrics struct {
 	ProbeFailures  uint64        `json:"probe_failures" prom:"probe_failures_total Health probes that failed."`
 	RouterCounters
 	ProxyLatencyMicros telemetry.HistogramSnapshot `json:"proxy_latency_micros" prom:"proxy_latency_microseconds End-to-end latency of proxied requests."`
-	RemotePeers        []PeerStats                 `json:"remote_peers" prom:"remote_"`
 }
 
 // MetricsSnapshot assembles the router metrics document.
@@ -487,6 +438,5 @@ func (rt *Router) MetricsSnapshot() RouterMetrics {
 		})
 	}
 	rt.mu.Unlock()
-	m.RemotePeers = rt.remote.Stats()
 	return m
 }

@@ -158,7 +158,7 @@ func checkSchema(t *testing.T, h http.Handler, types, labels, paths []string) {
 // section present: a store (and so the breaker around it) and an armed,
 // fault-free chaos schedule, after one job has run.
 func TestTlsdMetricsSchema(t *testing.T) {
-	store, err := cas.Open(t.TempDir(), cas.Options{})
+	store, err := cas.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("cas.Open: %v", err)
 	}
@@ -355,7 +355,7 @@ func TestTlsdMetricsSchema(t *testing.T) {
 }
 
 // TestRouterMetricsSchema pins the router's schema over two workers, so
-// every per-node and per-peer family has more than one series.
+// every per-node family has more than one series.
 func TestRouterMetricsSchema(t *testing.T) {
 	fleet := newTestFleet(t, 2)
 	rt, err := NewRouter(Options{Workers: fleet.urls})
@@ -379,10 +379,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"# TYPE tlsrouter_probe_failures_total counter",
 		"# TYPE tlsrouter_probes_total counter",
 		"# TYPE tlsrouter_proxy_latency_microseconds histogram",
-		"# TYPE tlsrouter_remote_cache_hits_total counter",
-		"# TYPE tlsrouter_remote_fetch_errors_total counter",
-		"# TYPE tlsrouter_remote_fetch_hits_total counter",
-		"# TYPE tlsrouter_remote_fetches_total counter",
 		"# TYPE tlsrouter_ring_rebalances_total counter",
 		"# TYPE tlsrouter_unroutable_total counter",
 		"# TYPE tlsrouter_uptime_seconds gauge",
@@ -403,10 +399,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"tlsrouter_probe_failures_total{}",
 		"tlsrouter_probes_total{}",
 		"tlsrouter_proxy_latency_microseconds{}",
-		"tlsrouter_remote_cache_hits_total{}",
-		"tlsrouter_remote_fetch_errors_total{node}",
-		"tlsrouter_remote_fetch_hits_total{node}",
-		"tlsrouter_remote_fetches_total{node}",
 		"tlsrouter_ring_rebalances_total{}",
 		"tlsrouter_unroutable_total{}",
 		"tlsrouter_uptime_seconds{}",
@@ -428,18 +420,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"probe_failures",
 		"probes",
 		"proxy_latency_micros",
-		"remote_cache_hits",
-		"remote_peers",
-		"remote_peers[].breaker",
-		"remote_peers[].breaker.consecutive_failures",
-		"remote_peers[].breaker.opens",
-		"remote_peers[].breaker.short_circuits",
-		"remote_peers[].breaker.state",
-		"remote_peers[].errors",
-		"remote_peers[].fetches",
-		"remote_peers[].hits",
-		"remote_peers[].misses",
-		"remote_peers[].url",
 		"ring_rebalances",
 		"unroutable",
 		"uptime_seconds",

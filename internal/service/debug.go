@@ -66,7 +66,8 @@ func (s *Server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
 		}
 		j.mu.Unlock()
 	}
-	sort.Slice(reqs, func(a, b int) bool { return reqs[a].ID < reqs[b].ID })
+	// Oldest first: job IDs are random, so they carry no order.
+	sort.Slice(reqs, func(a, b int) bool { return reqs[a].ElapsedMS > reqs[b].ElapsedMS })
 	WriteJSON(w, http.StatusOK, struct {
 		InFlight int            `json:"in_flight"`
 		Jobs     []debugRequest `json:"jobs"`

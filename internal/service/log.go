@@ -29,6 +29,10 @@ func NewCorrelationID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// newJobID returns a fresh job ID, drawn like a correlation ID, so the jobs
+// of every tlsd behind one router have distinct IDs.
+func newJobID() string { return "job-" + NewCorrelationID() }
+
 // sanitizeCorrelation returns the client-supplied ID if it is log-safe —
 // non-empty, at most 128 bytes, and limited to [A-Za-z0-9._:-] so a header
 // can't inject log lines or path traversal into flight-record names — and

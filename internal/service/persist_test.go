@@ -17,7 +17,7 @@ import (
 
 func openTestStore(t *testing.T, dir string) *cas.Store {
 	t.Helper()
-	s, err := cas.Open(dir, cas.Options{})
+	s, err := cas.Open(dir, nil)
 	if err != nil {
 		t.Fatalf("cas.Open: %v", err)
 	}

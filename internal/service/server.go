@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,7 +133,6 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	nextID   uint64
 	jobs     map[string]*Job
 	byDigest map[string]*Job
 	poison   map[string]*poisonEntry
@@ -368,8 +366,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 		}
 	}
 	s.counters.CacheMisses++
-	s.nextID++
-	j = newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start)
+	j = newJob(newJobID(), corr, spec, r, start)
 	j.arm(timeout, start)
 	select {
 	case s.queue <- j:
@@ -390,8 +387,7 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 // result serves immediately, and future submissions of the digest are
 // memory hits. Caller holds s.mu.
 func (s *Server) installFinishedLocked(corr string, spec JobSpec, r *Resolved, start time.Time, body []byte, now time.Time) *Job {
-	s.nextID++
-	j := newJob("job-"+strconv.FormatUint(s.nextID, 10), corr, spec, r, start)
+	j := newJob(newJobID(), corr, spec, r, start)
 	j.finish(body, nil, now)
 	s.jobs[j.id] = j
 	s.byDigest[r.Digest] = j

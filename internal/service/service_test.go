@@ -323,9 +323,10 @@ func TestQueueFullReturns429(t *testing.T) {
 	// First job occupies the worker; second fills the queue; third bounces.
 	specs := []JobSpec{tinySpec("NEW ORDER"), tinySpec("STOCK LEVEL"), tinySpec("PAYMENT")}
 	r1 := postJob(t, ts, specs[0])
+	first := decodeStatus(t, r1.Body)
 	r1.Body.Close()
 	// Wait until the worker holds job 1 so the queue is truly empty for job 2.
-	waitState(t, ts, "job-1", StateRunning)
+	waitState(t, ts, first.ID, StateRunning)
 
 	r2 := postJob(t, ts, specs[1])
 	r2.Body.Close()

@@ -4,10 +4,11 @@
 # front, route a job through the router and require the served bytes to be
 # byte-identical to `tlssim -json`; pull the digest through a worker's
 # remote cache tier (the cross-process -peers wiring); kill the digest's
-# owner and require the router to keep serving the digest byte-identically
-# from the surviving replica; finally scrape the router's /metrics in both
-# JSON and Prometheus form and lint the tlsrouter_* exposition. First, a
-# stray word among either command's flags must exit 2.
+# owner and require the router to fail over to the surviving replica, which
+# serves the digest byte-identically as a cache hit; finally scrape the
+# router's /metrics in both JSON and Prometheus form and lint the
+# tlsrouter_* exposition. First, a stray word among either command's flags,
+# and a tuning flag tlsrouter no longer has, must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -33,9 +34,11 @@ go build -o "$TMP/tlssim" ./cmd/tlssim
 
 # A stray word is a usage error (exit 2 at once): flag parsing stops there,
 # so a second unquoted URL would otherwise drop every flag after it and the
-# command would serve on its defaults.
+# command would serve on its defaults. tlsrouter's ring and prober settings
+# are constants, so a flag that once set one is a usage error too.
 for CMD in "tlsd -addr $ADDR_A -peers http://127.0.0.1:1 http://127.0.0.1:2 -workers 3 -queue 9" \
-    "tlsrouter -workers http://127.0.0.1:1 stray -addr $ADDR_R"; do
+    "tlsrouter -workers http://127.0.0.1:1 stray -addr $ADDR_R" \
+    "tlsrouter -vnodes 64 -workers http://127.0.0.1:1"; do
     STATUS=0
     # shellcheck disable=SC2086 # CMD is split into words on purpose
     timeout 5 "$TMP"/$CMD >/dev/null 2>"$TMP/usage.err" || STATUS=$?
@@ -56,7 +59,6 @@ PID_B=$!
 PIDS="$PIDS $PID_B"
 "$TMP/tlsrouter" -addr "$ADDR_R" -log-format json \
     -workers "http://$ADDR_A,http://$ADDR_B" \
-    -probe-interval 500ms -probe-timeout 500ms -probe-threshold 2 \
     >"$TMP/r.log" 2>"$TMP/r.jsonl" &
 PID_R=$!
 PIDS="$PIDS $PID_R"
@@ -118,8 +120,9 @@ if ! cmp -s "$TMP/remote.json" "$TMP/cli.json"; then
     exit 1
 fi
 
-# Kill the owner. The router must keep serving the digest byte-identically
-# from the surviving replica's cache (rescue or failover, never an error).
+# Kill the owner. The router's proxy to it fails, so it fails over to the
+# survivor, which holds the digest since its remote-tier fetch above: a
+# cache hit with the CLI's bytes, never an error or a recompute.
 kill -9 "$OWNER_PID" 2>/dev/null
 wait "$OWNER_PID" 2>/dev/null || true
 curl -fsS -D "$TMP/failover.hdr" -X POST "http://$ADDR_R/v1/jobs?wait=1" -d "$SPEC" >"$TMP/failover.json"
@@ -128,9 +131,14 @@ if ! cmp -s "$TMP/failover.json" "$TMP/cli.json"; then
     diff "$TMP/cli.json" "$TMP/failover.json" >&2 || true
     exit 1
 fi
+if ! grep -qi '^X-Cache: hit' "$TMP/failover.hdr"; then
+    echo "cluster-smoke: the failover worker did not serve the warm digest as a hit:" >&2
+    cat "$TMP/failover.hdr" >&2
+    exit 1
+fi
 SERVED_BY=$(sed -n 's/^X-Served-By: *\(http[^[:space:]]*\).*/\1/pi' "$TMP/failover.hdr" | head -1 | tr -d '\r')
 if [ "$SERVED_BY" = "$OWNER" ]; then
-    echo "cluster-smoke: dead owner allegedly served the rescue:" >&2
+    echo "cluster-smoke: dead owner allegedly served the failover:" >&2
     cat "$TMP/failover.hdr" >&2
     exit 1
 fi
@@ -186,4 +194,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "cluster-smoke: ok (usage errors, routed byte-identical, remote tier, owner-death rescue, clean tlsrouter exposition)"
+echo "cluster-smoke: ok (usage errors, routed byte-identical, remote tier, owner-death failover hit, clean tlsrouter exposition)"

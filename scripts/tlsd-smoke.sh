@@ -347,8 +347,11 @@ fi
 # (disk errors, latency spikes, torn writes — over a fresh cache dir) must
 # still serve bytes identical to tlssim -json, the injected faults must be
 # visible in the Prometheus exposition, and the drain must stay clean.
+# slow=1 stalls every disk operation by 5 ms (far under the disk breaker's
+# 250 ms slow-call bound), so the first cold job's result read already
+# carries a fault, however few store operations a job makes.
 "$TMP/tlsd" -addr "$ADDR" -log-format json \
-    -cache-dir "$TMP/cas-chaos" -chaos 'seed=1,disk-err=3,slow=4,slow-ms=5,torn=3,panic=0' \
+    -cache-dir "$TMP/cas-chaos" -chaos 'seed=1,disk-err=3,slow=1,slow-ms=5,torn=3,panic=0' \
     >"$TMP/tlsd3.log" 2>"$TMP/tlsd3.jsonl" &
 TLSD3_PID=$!
 PIDS="$PIDS $TLSD3_PID"
@@ -370,9 +373,7 @@ grep -q 'CHAOS ARMED' "$TMP/tlsd3.log" || {
 }
 # Three passes walk the cache tiers: the spec cold, its spacing variant
 # cold, and the spec again from memory. A cold job's only disk operations
-# are its result read and write, so the second cold job's read is the
-# store's second load, where the schedule's first fault (a latency spike)
-# lands. Each pass must serve the exact CLI bytes.
+# are its result read and write. Each pass must serve the exact CLI bytes.
 i=0
 for PASS in spec variant spec; do
     i=$((i + 1))
