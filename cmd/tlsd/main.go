@@ -116,9 +116,7 @@ func main() {
 		// memory and disk, ask the siblings' caches. Each link has its own
 		// breaker, so a sick sibling degrades to recompute.
 		group := cluster.NewRemoteGroup(peerURLs, logger)
-		opts.RemoteFetch = func(ctx context.Context, digest string) ([]byte, string, bool) {
-			return group.Fetch(ctx, digest)
-		}
+		opts.RemoteFetch = group.Fetch
 		fmt.Printf("tlsd: remote cache tier over %d sibling(s)\n", len(peerURLs))
 	}
 	s := service.New(opts)

@@ -74,10 +74,10 @@ func newTestFleet(t *testing.T, n int) *testFleet {
 		s := service.New(service.Options{
 			Workers:    2,
 			QueueDepth: 16,
-			RemoteFetch: func(ctx context.Context, digest string) ([]byte, string, bool) {
+			RemoteFetch: func(ctx context.Context, digest string) service.RemoteResult {
 				g := f.groups[idx].Load()
 				if g == nil {
-					return nil, "", false
+					return service.RemoteResult{}
 				}
 				return g.Fetch(ctx, digest)
 			},
@@ -343,6 +343,49 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if m.RingRebalances == 0 {
 		t.Errorf("router RingRebalances = 0 after a worker death")
+	}
+}
+
+// TestRemoteTierCountsMissesAndFailures: a daemon whose -peers tier asks
+// one sibling that holds no result for the digest (404) and one that is
+// down counts one miss and one failure, in JSON and Prometheus alike, and
+// then runs the job itself.
+func TestRemoteTierCountsMissesAndFailures(t *testing.T) {
+	empty := service.New(service.Options{Workers: 1, QueueDepth: 1})
+	emptyTS := httptest.NewServer(empty.Handler())
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	g := NewRemoteGroup([]string{emptyTS.URL, down.URL}, nil)
+	s := service.New(service.Options{Workers: 1, QueueDepth: 4, RemoteFetch: g.Fetch})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		emptyTS.Close()
+		for _, srv := range []*service.Server{s, empty} {
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Errorf("Shutdown: %v", err)
+			}
+		}
+	})
+
+	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
+		strings.NewReader(`{"benchmark":"ORDER STATUS","txns":1,"warmup":1}`))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
+	}
+	m := s.MetricsSnapshot()
+	if m.CacheRemoteMisses != 1 || m.CacheRemoteFailures != 1 || m.CacheRemoteHits != 0 || m.CacheMisses != 1 {
+		t.Errorf("remote misses %d, failures %d, hits %d, cache misses %d; want 1, 1, 0, 1",
+			m.CacheRemoteMisses, m.CacheRemoteFailures, m.CacheRemoteHits, m.CacheMisses)
+	}
+	prom := string(scrape(t, s.Handler(), "text/plain"))
+	for _, line := range []string{"\ntlsd_cache_remote_misses_total 1\n", "\ntlsd_cache_remote_failures_total 1\n"} {
+		if !strings.Contains(prom, line) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+		}
 	}
 }
 

@@ -61,13 +61,15 @@ func NewRemoteGroup(peers []string, log *slog.Logger) *RemoteGroup {
 
 // Fetch asks siblings for digest's cached result, in a deterministic
 // digest-rotated order (so concurrent fetches of different digests spread
-// their first probes across the fleet). Returns the first hit's body and
-// the answering peer; ok is false when every sibling missed, failed, or was
+// their first probes across the fleet), and returns the first hit's body
+// and the answering peer, with the misses and failures of the siblings it
+// asked before. Body is nil when every sibling missed, failed, or was
 // breaker-skipped. Never computes anything.
-func (g *RemoteGroup) Fetch(ctx context.Context, digest string) (body []byte, from string, ok bool) {
+func (g *RemoteGroup) Fetch(ctx context.Context, digest string) service.RemoteResult {
+	var res service.RemoteResult
 	n := len(g.peers)
 	if n == 0 {
-		return nil, "", false
+		return res
 	}
 	start := int(ringHash(digest) % uint64(n))
 	for i := 0; i < n; i++ {
@@ -75,30 +77,43 @@ func (g *RemoteGroup) Fetch(ctx context.Context, digest string) (body []byte, fr
 		if !g.breakers[peer].Allow() {
 			continue
 		}
-		if body, ok := g.fetchOne(ctx, peer, digest); ok {
-			return body, peer, true
+		switch body, outcome := g.fetchOne(ctx, peer, digest); outcome {
+		case fetchHit:
+			res.Body, res.From = body, peer
+			return res
+		case fetchMiss:
+			res.Misses++
+		default:
+			res.Failures++
 		}
 		if ctx.Err() != nil {
-			return nil, "", false
+			return res
 		}
 	}
-	return nil, "", false
+	return res
 }
 
-// fetchOne probes one sibling, reporting its outcome to the link's breaker.
-// ok is true only for a hit.
-func (g *RemoteGroup) fetchOne(ctx context.Context, peer, digest string) ([]byte, bool) {
+// The outcomes of one sibling fetch.
+const (
+	fetchHit    = iota
+	fetchMiss   // 404: the sibling holds no result for the digest
+	fetchFailed // transport error, 5xx or other unexpected status, empty body
+)
+
+// fetchOne probes one sibling, reporting its outcome to the link's breaker
+// and to the caller; body is set only for a hit.
+func (g *RemoteGroup) fetchOne(ctx context.Context, peer, digest string) (body []byte, outcome int) {
 	start := time.Now()
 	b := g.breakers[peer]
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/cache/"+digest, nil)
 	if err != nil {
 		b.Observe("fetch", time.Since(start), true)
-		return nil, false
+		return nil, fetchFailed
 	}
 	resp, err := g.hc.Do(req)
 	if err != nil {
 		b.Observe("fetch", time.Since(start), true)
-		return nil, false
+		return nil, fetchFailed
 	}
 	defer resp.Body.Close()
 	switch {
@@ -106,17 +121,17 @@ func (g *RemoteGroup) fetchOne(ctx context.Context, peer, digest string) ([]byte
 		data, rerr := io.ReadAll(resp.Body)
 		if rerr != nil || len(data) == 0 {
 			b.Observe("fetch", time.Since(start), true)
-			return nil, false
+			return nil, fetchFailed
 		}
 		b.Observe("fetch", time.Since(start), false)
-		return data, true
+		return data, fetchHit
 	case resp.StatusCode == http.StatusNotFound:
 		// A miss is a healthy answer: the sibling is fine, it just does
 		// not have the digest. Only transport errors and 5xx trip the link.
 		b.Observe("fetch", time.Since(start), false)
-		return nil, false
+		return nil, fetchMiss
 	default:
 		b.Observe("fetch", time.Since(start), resp.StatusCode >= 500)
-		return nil, false
+		return nil, fetchFailed
 	}
 }

@@ -200,7 +200,9 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_cache_probe_hits_total counter",
 		"# TYPE tlsd_cache_probes_total counter",
 		"# TYPE tlsd_cache_remote_hit_latency_microseconds histogram",
+		"# TYPE tlsd_cache_remote_failures_total counter",
 		"# TYPE tlsd_cache_remote_hits_total counter",
+		"# TYPE tlsd_cache_remote_misses_total counter",
 		"# TYPE tlsd_cas_breaker_opens_total counter",
 		"# TYPE tlsd_cas_breaker_short_circuits_total counter",
 		"# TYPE tlsd_cas_breaker_state gauge",
@@ -254,7 +256,9 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_cache_probe_hits_total{}",
 		"tlsd_cache_probes_total{}",
 		"tlsd_cache_remote_hit_latency_microseconds{}",
+		"tlsd_cache_remote_failures_total{}",
 		"tlsd_cache_remote_hits_total{}",
+		"tlsd_cache_remote_misses_total{}",
 		"tlsd_cas_breaker_opens_total{}",
 		"tlsd_cas_breaker_short_circuits_total{}",
 		"tlsd_cas_breaker_state{state}",
@@ -306,7 +310,9 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"cache_misses",
 		"cache_probe_hits",
 		"cache_probes",
+		"cache_remote_failures",
 		"cache_remote_hits",
+		"cache_remote_misses",
 		"cas",
 		"cas.bytes",
 		"cas.corrupt",

@@ -86,7 +86,7 @@ func TestPCRegistry(t *testing.T) {
 
 // A trace entry holds a PC of at most MaxPC, so the registry issues MaxPC
 // and refuses the site after it, leaving itself as it was. The test starts
-// the registry at MaxPC rather than register 2^27 sites.
+// the registry at MaxPC rather than register 2^20 sites.
 func TestPCRegistryStopsAtMaxPC(t *testing.T) {
 	r := NewPCRegistry()
 	r.next = MaxPC

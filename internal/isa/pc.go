@@ -10,9 +10,10 @@ import "fmt"
 type PC uint32
 
 // MaxPC is the largest PC a registry issues. A trace entry packs its PC into
-// 27 bits (internal/trace), so the registry stops there; real programs
-// register a few hundred sites.
-const MaxPC PC = 1<<27 - 1
+// 20 bits (internal/trace), leaving room for the ALU run fused ahead of it,
+// so the registry stops there; real programs register a few hundred sites
+// (the TPC-C programs fewer than 200).
+const MaxPC PC = 1<<20 - 1
 
 // PCRegistry assigns stable PCs to named instrumentation sites. It is not
 // safe for concurrent use; the simulator is single-goroutine by design

@@ -12,10 +12,12 @@ import (
 // reuses stay memory hits, and an evicted program comes back through the
 // store or a rebuild with the same served bytes.
 
-// novelSpec is the i-th workload of a soak stream: one PAYMENT or ORDER
-// STATUS transaction on a seed no other test uses, so every job builds its
-// program. The jobs run the SEQUENTIAL experiment, whose own run is the
-// reference: one build (a database load) per job keeps the soak cheap.
+// novelSpec is the i-th workload of a soak stream: two PAYMENT or ORDER
+// STATUS transactions on a seed no other test uses, so every job builds its
+// program, about 0.26 MiB of trace entries: the stream fills programBudget
+// by about its 63rd job. The jobs run the SEQUENTIAL experiment, whose own
+// run is the reference: one build (a database load) per job keeps the soak
+// cheap.
 func novelSpec(i int) JobSpec {
 	warmup := 1
 	seed := int64(1_000_000 + i)
@@ -23,7 +25,7 @@ func novelSpec(i int) JobSpec {
 	if i%2 == 1 {
 		bench = "PAYMENT"
 	}
-	return JobSpec{Benchmark: bench, Experiment: "SEQUENTIAL", Txns: 1, Warmup: &warmup, Seed: &seed}
+	return JobSpec{Benchmark: bench, Experiment: "SEQUENTIAL", Txns: 2, Warmup: &warmup, Seed: &seed}
 }
 
 // runAll submits specs in order, at most two in flight, and requires each
@@ -70,15 +72,15 @@ func requireWithinBudget(t *testing.T, b workload.BuildStats) {
 }
 
 // A soak of 200 novel workloads, with and without a store, holds the live
-// heap: the programs stay within programBudget, and what still grows is the
-// job table. Without the budget, this stream grows the live heap to 27.5
-// MiB at job 100 and 55 MiB at job 200. The first job's workload, evicted
-// by the stream, is rebuilt for a variant of it and served byte-identical
-// to tlssim -json.
+// heap: the programs stay within programBudget, full before the soak's
+// second half starts, and what still grows is the job table. Without the
+// budget, this stream grows the live heap to 29 MiB at job 100 and 57.6 MiB
+// at job 200. The first job's workload, evicted by the stream, is rebuilt
+// for a variant of it and served byte-identical to tlssim -json.
 func TestSoakHoldsLiveHeap(t *testing.T) {
 	const (
 		soakJobs = 200
-		// The bounds, from measurement (about 18 and 0.8 MiB on 2 CPUs):
+		// The bounds, from measurement (about 18.9 and 0.9 MiB on 2 CPUs):
 		// 16 MiB of programs, plus the job table at about 8 KB a job.
 		maxGrowth     = 24 << 20 // whole soak
 		maxLateGrowth = 4 << 20  // its second half, once the budget is full
@@ -134,9 +136,10 @@ func mib(n uint64) float64 { return float64(n) / (1 << 20) }
 
 // Under serve's shape, the programs a stream reuses stay memory hits: three
 // NEW ORDER bases, each revisited as a spacing variant, interleaved with
-// single-use PAYMENT workloads whose TLS programs (about 0.35 MB each, 14.8
-// MB in all) push the budget past its 16 MiB beside the bases'. A budget
-// that evicted in fill order instead of by use would rebuild the bases.
+// single-use two-transaction PAYMENT workloads whose TLS programs (about 0.41
+// MB each, 17.2 MB in all) push the budget past its 16 MiB beside the bases'.
+// A budget that evicted in fill order instead of by use would rebuild the
+// bases.
 func TestReusedProgramsStayResident(t *testing.T) {
 	const rounds, novelPerVariant = 7, 2
 	warmup := 1
@@ -153,14 +156,14 @@ func TestReusedProgramsStayResident(t *testing.T) {
 		for k := range bases {
 			stream = append(stream, spec("NEW ORDER", 2, 42+int64(k), uint64(1000+100*r)))
 			for range novelPerVariant {
-				stream = append(stream, spec("PAYMENT", 1, 2_000_000+int64(novel), 0))
+				stream = append(stream, spec("PAYMENT", 2, 2_000_000+int64(novel), 0))
 				novel++
 			}
 		}
 	}
 
 	s, _ := newTestServer(t, Options{Workers: 2, QueueDepth: len(stream)})
-	// The bases build their TLS programs (7.5 MiB together; their
+	// The bases build their TLS programs (3.8 MiB together; their
 	// SEQUENTIAL programs are one-use and never resident); a first variant
 	// of each marks its TLS program as the one in use.
 	runAll(t, s, bases)

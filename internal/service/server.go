@@ -66,11 +66,23 @@ type Options struct {
 	// RemoteFetch, when non-nil, is the cross-node cache tier: on a local
 	// miss (memory and disk both empty), the daemon asks sibling replicas
 	// for the digest's rendered result before falling back to recompute.
-	// It returns the body, the sibling it came from (for the log line),
-	// and whether anything was found. Wired by cmd/tlsd -peers through
-	// internal/cluster's per-node circuit breakers; a fetched body is also
-	// published to the local store so warmth spreads through the cluster.
-	RemoteFetch func(ctx context.Context, digest string) (body []byte, from string, ok bool)
+	// Wired by cmd/tlsd -peers through internal/cluster's per-node circuit
+	// breakers; a fetched body is also published to the local store so
+	// warmth spreads through the cluster.
+	RemoteFetch func(ctx context.Context, digest string) RemoteResult
+}
+
+// RemoteResult is what one sibling-cache lookup found: the result body and
+// the sibling it came from (for the log line), Body nil when no sibling
+// held it, and how many siblings answered that they hold no result for the
+// digest (404) or gave no usable answer: a transport error, a 5xx or other
+// unexpected status, or an empty body. A sibling its breaker skips counts
+// in neither.
+type RemoteResult struct {
+	Body     []byte
+	From     string
+	Misses   uint64
+	Failures uint64
 }
 
 // Cache tiers: where a hit submission's bytes came from. The HTTP layer
@@ -89,11 +101,11 @@ const (
 )
 
 // programBudget bounds the programs the daemon's build cache holds in
-// memory: 16 MiB of trace entries, about twice the programs a serving stream
-// reuses (perfbench serve's three NEW ORDER fork bases take 7.9 MB). Every
-// other program is used once, so holding it would only grow the heap by
-// about half a megabyte per novel workload. An evicted program is rebuilt on
-// its next use.
+// memory: 16 MiB of packed trace entries, about four times the programs a
+// serving stream reuses (perfbench serve's three NEW ORDER fork bases take
+// about 4 MB). Every other program is used once, so holding it would only
+// grow the heap by about a quarter of a megabyte per novel workload. An
+// evicted program is rebuilt on its next use.
 const programBudget = 16 << 20
 
 // casResultNS is the store namespace for rendered result bodies, keyed by
@@ -317,14 +329,17 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	}
 
 	if s.opts.RemoteFetch != nil {
-		if body, peer, ok := s.opts.RemoteFetch(context.Background(), r.Digest); ok {
-			now := time.Now()
-			s.mu.Lock()
+		got := s.opts.RemoteFetch(context.Background(), r.Digest)
+		now := time.Now()
+		s.mu.Lock()
+		s.counters.CacheRemoteMisses += got.Misses
+		s.counters.CacheRemoteFailures += got.Failures
+		if got.Body != nil {
 			if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
 				s.mu.Unlock()
 				return prev, t, "", len(s.queue), nil
 			}
-			j = s.installFinishedLocked(corr, spec, r, start, body, now)
+			j = s.installFinishedLocked(corr, spec, r, start, got.Body, now)
 			s.counters.CacheRemoteHits++
 			s.remoteHitMicros.Observe(uint64(time.Since(start).Microseconds()))
 			queueLen = len(s.queue)
@@ -333,10 +348,11 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 			// restart — and the next sibling probe — finds it on this node.
 			// Outside the lock (disk I/O), gated by the disk breaker.
 			if s.breaker.Allow() {
-				s.store.Put(casResultNS, r.Digest, body)
+				s.store.Put(casResultNS, r.Digest, got.Body)
 			}
-			return j, TierRemote, peer, queueLen, nil
+			return j, TierRemote, got.From, queueLen, nil
 		}
+		s.mu.Unlock()
 	}
 
 	s.mu.Lock()
@@ -896,6 +912,11 @@ type Counters struct {
 	DedupedInFlight uint64 `json:"deduped_in_flight" prom:"cache_deduped_total Submissions attached to an already in-flight duplicate."`
 	CacheProbes     uint64 `json:"cache_probes" prom:"cache_probes_total Sibling-cache probes answered (GET /v1/cache/{digest})."`
 	CacheProbeHits  uint64 `json:"cache_probe_hits" prom:"cache_probe_hits_total Sibling-cache probes that found a stored result."`
+
+	// The -peers tier's sibling fetches that found nothing (RemoteResult):
+	// a sibling up but without the digest, and one that failed.
+	CacheRemoteMisses   uint64 `json:"cache_remote_misses" prom:"cache_remote_misses_total Sibling-cache fetches answered 404: the sibling holds no result for the digest."`
+	CacheRemoteFailures uint64 `json:"cache_remote_failures" prom:"cache_remote_failures_total Sibling-cache fetches that failed: transport error, 5xx or other unexpected status, or an empty body."`
 
 	// JobsForked and JobsReplayed split executed main simulations into
 	// forked and full runs. tlsd no longer forks, so nothing increments

@@ -589,8 +589,9 @@ func (m *machine) retrySync(c *core) {
 }
 
 // execute runs one issue cycle of the core's trace. Each pass of the loop
-// reads the entry at the cursor once: an ALU run is consumed in one call
-// clipped to the issue budget, any other entry by a one-step advance, and a
+// reads the entry at the cursor once: what is pending of the ALU run it
+// carries, fused ahead of its event or on its own, is consumed in one call
+// clipped to the issue budget, the event by a one-step advance, and a
 // trace.Event is decoded only for the accesses and latches that take one.
 func (m *machine) execute(c *core) {
 	// finishEpoch is the only caller of CommitOldest, so no commit
@@ -608,11 +609,13 @@ func (m *machine) execute(c *core) {
 			c.epoch.Completed = true
 			break
 		}
-		kind := p.Kind()
-		n := uint32(1)
-		if kind == isa.ALU {
-			n = cur.TakeALU(budget)
+		kind, n := isa.ALU, uint32(1)
+		if pend := cur.Pending(p); pend != 0 {
+			n = min(pend, budget)
+			cur.TakeALU(p, n)
 		} else {
+			// The entry's run is consumed: issue its event.
+			kind = p.Kind()
 			if kind.IsMemory() && memUsed {
 				break // one data-cache access per cycle
 			}
@@ -681,7 +684,11 @@ func (m *machine) execute(c *core) {
 
 		if c.ifetch != nil {
 			// An ALU run's PC is 0: it continues the current site.
-			if stall := c.ifetch.fetch(m, p.PC(), n); stall > 0 {
+			pc := isa.PC(0)
+			if kind != isa.ALU {
+				pc = p.PC()
+			}
+			if stall := c.ifetch.fetch(m, pc, n); stall > 0 {
 				until := m.cycle + stall
 				if until > c.stallUntil {
 					c.stallUntil = until

@@ -485,9 +485,9 @@ func (m *machine) coreState(s *snapbin.Stream, c *core) {
 		if !s.Reading() {
 			pos = c.cursor.Pos()
 		}
-		posState(s, &pos)
+		ok := posState(s, t, &pos)
 		if s.Reading() {
-			if s.Err() == nil && !t.ValidPos(pos) {
+			if s.Err() == nil && !ok {
 				s.Failf("core %d: cursor position out of range", c.id)
 				return
 			}
@@ -500,12 +500,17 @@ func (m *machine) coreState(s *snapbin.Stream, c *core) {
 		// frame.
 		c.barrier = t != nil && m.prog.Units[c.unit].Barrier
 	}
+	// An idle core's checkpoints are its last unit's, unused until tryStart
+	// resets them. Its cursor still walks that unit's trace, except on a
+	// restored machine, which keeps them in frame coordinates (a nil trace).
+	ct := t
+	if ct == nil && c.cursor != nil {
+		ct = c.cursor.Trace()
+	}
 	snapbin.Slice(s, &c.checkpoints, "core checkpoints", tls.MaxSubthreads)
 	for i := range c.checkpoints {
-		// An idle core's checkpoints are its last unit's, unused until
-		// tryStart resets them.
-		posState(s, &c.checkpoints[i])
-		if s.Reading() && s.Err() == nil && t != nil && !t.ValidPos(c.checkpoints[i]) {
+		ok := posState(s, ct, &c.checkpoints[i])
+		if s.Reading() && s.Err() == nil && !ok {
 			s.Failf("core %d: checkpoint %d out of range", c.id, i)
 			return
 		}
@@ -565,14 +570,24 @@ func (m *machine) coreState(s *snapbin.Stream, c *core) {
 	}
 }
 
-func posState(s *snapbin.Stream, p *trace.Pos) {
-	idx, off, done := p.Index(), p.Offset(), p.Done()
+// posState streams p, a position in t, as the index of the event it lies in
+// within t's unfused event stream, the instructions consumed inside that
+// event and those done before it (trace.EventIndex, trace.PosAt). Frames
+// held these coordinates before trace entries took in the ALU run ahead of
+// them, so every frame keeps its bytes. On restore it reports whether a
+// cursor over t can stand at the position read.
+func posState(s *snapbin.Stream, t *trace.Trace, p *trace.Pos) bool {
+	idx, off := t.EventIndex(*p)
+	done := p.Done()
 	s.Int(&idx, "pos index")
 	snapbin.Uvarint(s, &off, "pos offset")
 	s.Uvarint(&done, "pos done")
-	if s.Reading() {
-		*p = trace.MakePos(idx, off, done)
+	if !s.Reading() {
+		return true
 	}
+	var ok bool
+	*p, ok = t.PosAt(idx, off, done)
+	return ok
 }
 
 // lineSetState streams a generation-stamped line set as its member line

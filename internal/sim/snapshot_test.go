@@ -491,10 +491,15 @@ func TestSnapshotRejectsPositionPastRun(t *testing.T) {
 		t.Fatal("restoring and re-encoding a snapshot changed its payload")
 	}
 	pastRun := func(t *testing.T, p trace.Pos, tr *trace.Trace) trace.Pos {
-		if tr.Events()[p.Index()].Kind() != isa.ALU {
+		if p.Offset() >= tr.Events()[p.Index()].Run() {
 			t.Fatalf("scenario broken: position %+v is not inside an ALU run", p)
 		}
-		return trace.MakePos(p.Index(), p.Offset()+4000, p.Done())
+		idx, off := tr.EventIndex(p)
+		bad, ok := tr.PosAt(idx, off+4000, p.Done())
+		if ok {
+			t.Fatalf("PosAt accepted event %d offset %d, past its run", idx, off+4000)
+		}
+		return bad
 	}
 	cases := map[string]func(*testing.T, *machine){
 		"cursor": func(t *testing.T, m *machine) {

@@ -74,22 +74,28 @@ func (b both) LatchRelease(pc isa.PC, a mem.Addr) { b[0].LatchRelease(pc, a); b[
 
 // recordRandom drives r with a seeded sequence over every kind, PCs up to
 // isa.MaxPC, full-range addresses, and back-to-back ALU calls (merges, and
-// ALU(0), which records nothing). The sequence fills several chunks, and
-// every chunk ends with an ALU run that the next call merges into from
-// across the boundary.
+// ALU(0), which records nothing), some adding up to a run too long to fuse.
+// The sequence fills several chunks; every chunk ends with such a long run,
+// which the next call extends from across the boundary, and the trace ends
+// with a run of its own.
 func recordRandom(r Recorder, b *Builder, rng *rand.Rand) {
 	word := func() uint32 { return rng.Uint32() }
 	pc := func() isa.PC { return isa.PC(rng.Int63n(int64(isa.MaxPC) + 1)) }
 	for b.n < 4*chunkEvents+100 {
 		if b.n%chunkEvents == chunkEvents-2 {
 			r.Op(isa.IntMul)
-			r.ALU(1 + uint32(rng.Intn(9))) // the chunk's last entry
-			r.ALU(1 + uint32(rng.Intn(9))) // merges into it
+			r.ALU(120 + uint32(rng.Intn(8))) // pending
+			r.ALU(10 + uint32(rng.Intn(9)))  // outgrows the prefix: the chunk's last entry
+			r.ALU(1 + uint32(rng.Intn(9)))   // extends it
 		}
 		switch k := isa.Kind(rng.Intn(isa.NumKinds)); k {
 		case isa.ALU:
 			for n := rng.Intn(3); n >= 0; n-- {
-				r.ALU(uint32(rng.Intn(12)))
+				if rng.Intn(20) == 0 {
+					r.ALU(uint32(100 + rng.Intn(200)))
+				} else {
+					r.ALU(uint32(rng.Intn(12)))
+				}
 			}
 		case isa.Load:
 			r.Load(pc(), mem.Addr(word()))
@@ -105,11 +111,49 @@ func recordRandom(r Recorder, b *Builder, rng *rand.Rand) {
 			r.Op(k)
 		}
 	}
+	r.ALU(1 + uint32(rng.Intn(9)))
 }
 
-// TestPackedMatchesReference: a seeded random recording decodes to exactly
-// the Events a plain recorder appends, through Events and every Cursor and
-// Packed accessor.
+// take consumes what the simulator's issue loop would at an issue budget of
+// max: up to max of the ALU instructions pending in p, the entry at the
+// cursor, through Pending and TakeALU. It returns how many, 0 at p's event.
+func take(c *Cursor, p Packed, max uint32) uint32 {
+	n := min(c.Pending(p), max)
+	if n != 0 {
+		c.TakeALU(p, n)
+	}
+	return n
+}
+
+// refEntry is the reference view of one packed entry: the ALU run it
+// carries (Run) and its event (Event).
+type refEntry struct {
+	run uint32
+	ev  Event
+}
+
+// fuseRef lays a reference event list out as the Builder should pack it: an
+// ALU run of at most maxPrefix instructions fused into the event after it,
+// any other run in an entry of its own.
+func fuseRef(evs []Event) []refEntry {
+	var out []refEntry
+	for i := 0; i < len(evs); i++ {
+		switch e := evs[i]; {
+		case e.Kind == isa.ALU && e.N <= maxPrefix && i+1 < len(evs):
+			out = append(out, refEntry{e.N, evs[i+1]})
+			i++
+		case e.Kind == isa.ALU:
+			out = append(out, refEntry{e.N, e})
+		default:
+			out = append(out, refEntry{0, e})
+		}
+	}
+	return out
+}
+
+// TestPackedMatchesReference: a seeded random recording packs into exactly
+// the entries fuseRef lays a plain recorder's Events out as, and decodes to
+// those Events through every Cursor and Packed accessor.
 func TestPackedMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -117,47 +161,55 @@ func TestPackedMatchesReference(t *testing.T) {
 		recordRandom(both{b, ref}, b, rng)
 		tr := b.Finish()
 		want := ref.evs
-		for i := chunkEvents - 1; i < len(want); i += chunkEvents {
-			if want[i].Kind != isa.ALU || want[i].N < 2 {
-				t.Fatalf("seed %d: event %d, the last of its chunk, is %v: not a merged ALU run", seed, i, want[i])
+		evs := tr.Events()
+		for i := chunkEvents - 1; i < len(evs); i += chunkEvents {
+			if p := evs[i]; p.Kind() != isa.ALU || p.Run() <= maxPrefix+1 {
+				t.Fatalf("seed %d: entry %d, the last of its chunk, is %v: not an extended ALU run", seed, i, p)
 			}
 		}
+		if last := evs[len(evs)-1]; last.Kind() != isa.ALU || last.Run() > maxPrefix {
+			t.Fatalf("seed %d: the trace ends with %v, not its short run", seed, last)
+		}
 
-		checkEvents(t, "Events", tr, want)
+		checkEntries(t, tr, want)
 		walkCursor(t, tr, want, rng)
 	}
 }
 
-// checkEvents compares tr's decoded entries and counters with want.
-func checkEvents(t *testing.T, what string, tr *Trace, want []Event) {
+// checkEntries compares tr's packed entries with fuseRef's layout of want,
+// and its counters with want's.
+func checkEntries(t *testing.T, tr *Trace, want []Event) {
 	t.Helper()
-	evs := tr.Events()
-	if len(evs) != len(want) {
-		t.Fatalf("%s: %d events, want %d", what, len(evs), len(want))
+	evs, fused := tr.Events(), fuseRef(want)
+	if len(evs) != len(fused) {
+		t.Fatalf("%d entries, want %d", len(evs), len(fused))
+	}
+	for i, p := range evs {
+		w := fused[i]
+		if p.Run() != w.run || p.Event() != w.ev || p.Kind() != w.ev.Kind || p.PC() != w.ev.PC || p.Taken() != w.ev.Taken {
+			t.Fatalf("entry %d = %v (run %d), want run %d then %v", i, p, p.Run(), w.run, w.ev)
+		}
 	}
 	var instrs uint64
 	var counts [isa.NumKinds]uint64
-	for i, p := range evs {
-		if got := p.Event(); got != want[i] {
-			t.Fatalf("%s: event %d = %v, want %v", what, i, got, want[i])
-		}
-		instrs += uint64(want[i].N)
-		counts[want[i].Kind] += uint64(want[i].N)
+	for _, e := range want {
+		instrs += uint64(e.N)
+		counts[e.Kind] += uint64(e.N)
 	}
 	if tr.Instrs() != instrs {
-		t.Errorf("%s: Instrs = %d, want %d", what, tr.Instrs(), instrs)
+		t.Errorf("Instrs = %d, want %d", tr.Instrs(), instrs)
 	}
 	for k := range counts {
 		if got := tr.Count(isa.Kind(k)); got != counts[k] {
-			t.Errorf("%s: Count(%v) = %d, want %d", what, isa.Kind(k), got, counts[k])
+			t.Errorf("Count(%v) = %d, want %d", isa.Kind(k), got, counts[k])
 		}
 	}
 }
 
 // walkCursor steps a Cursor over tr with random ALU clipping, checking Head
-// and the Packed accessors, Next, TakeALU, Step, Done, Pos and ValidPos
-// against a model position in want, and now and then seeks back to a saved
-// position and replays from it.
+// and the Packed accessors, Next, Pending, TakeALU, Step, Done, and Pos through
+// EventIndex and PosAt against a model position in want, the event stream,
+// and now and then seeks back to a saved position and replays from it.
 func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 	t.Helper()
 	type model struct {
@@ -176,11 +228,23 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 	for m.idx < len(want) {
 		w := want[m.idx]
 		p, ok := c.Head()
-		if !ok || p.Event() != w || p.Kind() != w.Kind || p.PC() != w.PC || p.Taken() != w.Taken {
-			t.Fatalf("at %+v: Head = %v,%v, want %v", m, p, ok, w)
+		// The head entry holds w, as its run or as its event.
+		switch {
+		case !ok:
+			t.Fatalf("at %+v: Head at the end, want %v", m, w)
+		case w.Kind != isa.ALU:
+			if p.Event() != w || p.Kind() != w.Kind || p.PC() != w.PC || p.Taken() != w.Taken || c.Pos().Offset() != p.Run() {
+				t.Fatalf("at %+v: Head = %v at offset %d, want %v", m, p, c.Pos().Offset(), w)
+			}
+		case p.Run() != w.N || p.Kind() == isa.ALU && p.Event() != w ||
+			p.Kind() != isa.ALU && (m.idx+1 >= len(want) || p.Event() != want[m.idx+1]):
+			t.Fatalf("at %+v: Head = %v (run %d), want %v", m, p, p.Run(), w)
 		}
-		if !tr.ValidPos(c.Pos()) {
-			t.Fatalf("at %+v: ValidPos(%+v) = false", m, c.Pos())
+		if idx, off := tr.EventIndex(c.Pos()); idx != m.idx || off != m.off {
+			t.Fatalf("at %+v: EventIndex(%+v) = %d, %d", m, c.Pos(), idx, off)
+		}
+		if pos, ok := tr.PosAt(m.idx, m.off, m.done); !ok || pos != c.Pos() {
+			t.Fatalf("at %+v: PosAt = %+v, %v; the cursor is at %+v", m, pos, ok, c.Pos())
 		}
 		if w.Kind == isa.ALU {
 			if ev, ok := c.Next(0); ok {
@@ -199,7 +263,7 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			m.idx++
 		}
 		m.done += uint64(w.N)
-		// The simulator consumes through TakeALU and Step; Next is
+		// The simulator consumes through Pending, TakeALU and Step; Next is
 		// their composition, and both must agree.
 		switch {
 		case rng.Intn(2) == 0:
@@ -207,14 +271,17 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 				t.Fatalf("Next(%d) = %v,%v, want %v", maxALU, ev, ok, w)
 			}
 		case w.Kind == isa.ALU:
-			if n := c.TakeALU(maxALU); n != w.N {
-				t.Fatalf("TakeALU(%d) = %d, want %d", maxALU, n, w.N)
+			if n := take(c, p, maxALU); n != w.N {
+				t.Fatalf("take(%d) = %d, want %d", maxALU, n, w.N)
 			}
 		default:
+			if n := c.Pending(p); n != 0 {
+				t.Fatalf("Pending at %v = %d, want 0", w, n)
+			}
 			c.Step()
 		}
-		if p := c.Pos(); c.Done() != m.done || p.Done() != m.done || p.Index() != m.idx || p.Offset() != m.off {
-			t.Fatalf("after consuming: pos %+v done %d, want %+v", p, c.Done(), m)
+		if c.Done() != m.done || c.Pos().Done() != m.done {
+			t.Fatalf("after consuming: pos %+v done %d, want %+v", c.Pos(), c.Done(), m)
 		}
 		switch r := rng.Intn(100); {
 		case r < 2:
@@ -226,8 +293,8 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			seeks++
 		}
 	}
-	if !c.AtEnd() || c.Done() != tr.Instrs() || !tr.ValidPos(c.Pos()) {
-		t.Fatalf("walk ended at done %d (at end %v), trace has %d", c.Done(), c.AtEnd(), tr.Instrs())
+	if idx, off := tr.EventIndex(c.Pos()); !c.AtEnd() || c.Done() != tr.Instrs() || idx != len(want) || off != 0 {
+		t.Fatalf("walk ended at done %d (at end %v, event %d), trace has %d", c.Done(), c.AtEnd(), idx, tr.Instrs())
 	}
 	if p, ok := c.Head(); ok {
 		t.Fatalf("Head past the end returned %v", p)

@@ -23,15 +23,21 @@ func buildSample() *Trace {
 	return b.Finish()
 }
 
+// TestBuilderMergesALURuns: consecutive ALU calls merge into one run, which
+// fuses into the entry of the instruction after it, while a run too long to
+// fuse and a run that ends the trace each keep an entry of their own.
 func TestBuilderMergesALURuns(t *testing.T) {
 	tr := buildSample()
 	evs := tr.Events()
-	// alu(10), load, alu(7), store, branch, idiv, latch-acq, latch-rel
-	if len(evs) != 8 {
-		t.Fatalf("got %d events, want 8: %v", len(evs), evs)
+	// alu(10)+load, alu(7)+store, branch, idiv, latch-acq, latch-rel
+	if len(evs) != 6 {
+		t.Fatalf("got %d entries, want 6: %v", len(evs), evs)
 	}
-	if ev := evs[2].Event(); ev.Kind != isa.ALU || ev.N != 7 {
-		t.Errorf("ALU runs did not merge: %v", ev)
+	if p := evs[1]; p.Run() != 7 || p.Kind() != isa.Store || p.PC() != 2 {
+		t.Errorf("ALU runs did not merge into the store's entry: %v", p)
+	}
+	if p := evs[2]; p.Run() != 0 || p.Event() != (Event{Kind: isa.Branch, PC: 3, N: 1, Taken: true}) {
+		t.Errorf("the branch took in a run: %v", p)
 	}
 	if tr.Instrs() != 10+1+7+1+1+1+1+1 {
 		t.Errorf("Instrs = %d", tr.Instrs())
@@ -41,6 +47,39 @@ func TestBuilderMergesALURuns(t *testing.T) {
 	}
 	if tr.MemRefs() != 2 {
 		t.Errorf("MemRefs = %d", tr.MemRefs())
+	}
+	// The stream the cursor yields is the unfused one: eight events.
+	var got []Event
+	for c := NewCursor(tr); ; {
+		ev, ok := c.Next(100)
+		if !ok {
+			break
+		}
+		got = append(got, ev)
+	}
+	if len(got) != 8 || got[2] != (Event{Kind: isa.ALU, N: 7}) {
+		t.Errorf("cursor stream = %v, want 8 events with alu x7 third", got)
+	}
+
+	b := NewBuilder()
+	b.ALU(100)
+	b.ALU(50) // 150: too long to fuse
+	b.Load(1, 0x10)
+	b.ALU(maxPrefix) // the longest run that fuses
+	b.Store(2, 0x20)
+	b.ALU(3) // ends the trace
+	want := []struct {
+		kind isa.Kind
+		run  uint32
+	}{{isa.ALU, 150}, {isa.Load, 0}, {isa.Store, maxPrefix}, {isa.ALU, 3}}
+	evs = b.Finish().Events()
+	if len(evs) != len(want) {
+		t.Fatalf("got entries %v, want %d", evs, len(want))
+	}
+	for i, w := range want {
+		if evs[i].Kind() != w.kind || evs[i].Run() != w.run {
+			t.Errorf("entry %d = %v (run %d), want %v with run %d", i, evs[i], evs[i].Run(), w.kind, w.run)
+		}
 	}
 }
 
@@ -179,8 +218,8 @@ func TestCursorRewind(t *testing.T) {
 func TestCursorHead(t *testing.T) {
 	tr := buildSample()
 	c := NewCursor(tr)
-	if p, ok := c.Head(); !ok || p.Kind() != isa.ALU {
-		t.Errorf("Head = %v,%v", p, ok)
+	if p, ok := c.Head(); !ok || p.Run() != 10 || p.Kind() != isa.Load {
+		t.Errorf("Head = %v,%v, want the load with its run of 10", p, ok)
 	}
 	c.Next(100) // consume the ALU run
 	p, ok := c.Head()
@@ -191,7 +230,8 @@ func TestCursorHead(t *testing.T) {
 		t.Errorf("Head consumed: Done = %d, want 10", c.Done())
 	}
 	c.Step() // the load
-	c.TakeALU(100)
+	p, _ = c.Head()
+	take(c, p, 100)
 	c.Step() // the store
 	if p, ok := c.Head(); !ok || p.Kind() != isa.Branch || p.PC() != 3 || !p.Taken() {
 		t.Errorf("Head at branch = %v,%v", p, ok)
@@ -269,32 +309,61 @@ func TestCursorTakeALU(t *testing.T) {
 	b := NewBuilder()
 	b.ALU(10)
 	b.Load(5, 0x40)
+	b.Store(6, 0x80)
 	c := NewCursor(b.Finish())
-	if n := c.TakeALU(4); n != 4 {
-		t.Fatalf("TakeALU(4) = %d", n)
+	p, _ := c.Head()
+	if n := take(c, p, 4); n != 4 {
+		t.Fatalf("take(4) = %d", n)
 	}
 	// A partly consumed run stays at the head, its offset in Pos.
-	if p, ok := c.Head(); !ok || p.Kind() != isa.ALU || c.Pos().Offset() != 4 {
-		t.Errorf("mid-run Head = %v,%v at offset %d", p, ok, c.Pos().Offset())
+	if q, ok := c.Head(); !ok || q != p || c.Pos().Offset() != 4 {
+		t.Errorf("mid-run Head = %v,%v at offset %d", q, ok, c.Pos().Offset())
 	}
-	if n := c.TakeALU(100); n != 6 {
-		t.Errorf("TakeALU(100) = %d, want the remaining 6", n)
+	if n := take(c, p, 100); n != 6 {
+		t.Errorf("take(100) = %d, want the remaining 6", n)
 	}
-	if p := c.Pos(); p.Index() != 1 || p.Offset() != 0 || p.Done() != 10 {
-		t.Errorf("after the run: pos %+v", p)
+	// The fused run is consumed: the cursor is at the entry's event.
+	if pos := c.Pos(); pos.Index() != 0 || pos.Offset() != 10 || pos.Done() != 10 {
+		t.Errorf("after the run: pos %+v", pos)
 	}
-	if p, ok := c.Head(); !ok || p.Event() != (Event{Kind: isa.Load, PC: 5, Addr: 0x40, N: 1}) {
-		t.Errorf("Head after run = %v,%v", p, ok)
+	if q, ok := c.Head(); !ok || q.Event() != (Event{Kind: isa.Load, PC: 5, Addr: 0x40, N: 1}) {
+		t.Errorf("Head after run = %v,%v", q, ok)
+	}
+	if n := c.Pending(p); n != 0 {
+		t.Errorf("Pending at the event = %d, want 0", n)
 	}
 	c.Step()
-	if _, ok := c.Head(); ok || !c.AtEnd() || c.Done() != 11 {
+	if pos := c.Pos(); pos.Index() != 1 || pos.Offset() != 0 || pos.Done() != 11 {
+		t.Errorf("after the load: pos %+v", pos)
+	}
+	p, _ = c.Head()
+	if n := c.Pending(p); n != 0 {
+		t.Errorf("Pending at an entry without a run = %d, want 0", n)
+	}
+	c.Step()
+	if _, ok := c.Head(); ok || !c.AtEnd() || c.Done() != 12 {
 		t.Errorf("Head at end returned ok (done %d)", c.Done())
+	}
+
+	// An ALU entry's run moves the cursor on once consumed.
+	b = NewBuilder()
+	b.ALU(200)
+	b.Branch(7, false)
+	c = NewCursor(b.Finish())
+	p, _ = c.Head()
+	if n := take(c, p, 150); n != 150 || c.Pos().Index() != 0 {
+		t.Fatalf("take(150) = %d at %+v", n, c.Pos())
+	}
+	if n := take(c, p, 150); n != 50 || c.Pos().Index() != 1 || c.Pos().Offset() != 0 {
+		t.Errorf("take(150) = %d at %+v, want 50 and the next entry", n, c.Pos())
 	}
 }
 
+// TestValidPos: PosAt takes event-stream coordinates, accepts exactly the
+// positions a cursor can stand at, and round-trips with EventIndex.
 func TestValidPos(t *testing.T) {
 	tr := buildSample() // alu(10), load, alu(7), store, branch, idiv, latch-acq, latch-rel
-	end := len(tr.Events())
+	end := 8
 	cases := []struct {
 		idx  int
 		off  uint32
@@ -306,9 +375,10 @@ func TestValidPos(t *testing.T) {
 		{0, 10, 10, false}, // past the run: it would never end
 		{0, 4000, 10, false},
 		{1, 0, 10, true},
-		{1, 1, 11, false}, // one-instruction entries have no offset
+		{1, 1, 11, false}, // one-instruction events have no offset
 		{2, 6, 17, true},
 		{2, 7, 18, false},
+		{3, 0, 18, true},
 		{end, 0, tr.Instrs(), true},
 		{end, 1, tr.Instrs(), false},
 		{end + 1, 0, tr.Instrs(), false},
@@ -316,8 +386,25 @@ func TestValidPos(t *testing.T) {
 		{1, 0, tr.Instrs() + 1, false},
 	}
 	for _, c := range cases {
-		if got := tr.ValidPos(MakePos(c.idx, c.off, c.done)); got != c.want {
-			t.Errorf("ValidPos(%d, %d, %d) = %v, want %v", c.idx, c.off, c.done, got, c.want)
+		p, ok := tr.PosAt(c.idx, c.off, c.done)
+		if ok != c.want {
+			t.Errorf("PosAt(%d, %d, %d) = %+v, %v, want %v", c.idx, c.off, c.done, p, ok, c.want)
+			continue
 		}
+		if idx, off := tr.EventIndex(p); ok && (idx != c.idx || off != c.off || p.Done() != c.done) {
+			t.Errorf("PosAt(%d, %d, %d) = %+v, which EventIndex reads as %d, %d", c.idx, c.off, c.done, p, idx, off)
+		}
+	}
+	// A position past its run still names it, for a test to plant.
+	p, _ := tr.PosAt(2, 4000, 17)
+	if idx, off := tr.EventIndex(p); idx != 2 || off != 4000 {
+		t.Errorf("PosAt(2, 4000) = %+v, which EventIndex reads as %d, %d", p, idx, off)
+	}
+	// A nil trace keeps coordinates as they are.
+	var none *Trace
+	if p, ok := none.PosAt(5, 3, 9); !ok || p.Index() != 5 || p.Offset() != 3 || p.Done() != 9 {
+		t.Errorf("nil PosAt = %+v, %v", p, ok)
+	} else if idx, off := none.EventIndex(p); idx != 5 || off != 3 {
+		t.Errorf("nil EventIndex = %d, %d", idx, off)
 	}
 }

@@ -80,8 +80,10 @@ type Built struct {
 	Outputs [][]int64
 }
 
-// Bytes is the memory the program's trace entries take, 8 bytes each: what
-// a bounded Builder weighs it at. The entries are nearly all of a program's
+// Bytes is the memory the program's packed trace entries take, 8 bytes
+// each: what a bounded Builder weighs it at. An entry holds one non-ALU
+// instruction with the ALU run recorded before it fused in, about two of
+// the events Cursor.Next yields. The entries are nearly all of a program's
 // memory.
 func (b *Built) Bytes() int64 {
 	var n int64
