@@ -84,118 +84,6 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot extends the BenchmarkSimulate alloc guard to the
-// checkpoint path. "capture" is a full run that also serializes a forkable
-// prefix snapshot (its allocs/op must stay within noise of plain Simulate —
-// the capture cost is one buffer serialization amortized over the whole
-// run); "restore" is one decode-plus-fork of the captured snapshot followed
-// by simulation of the remaining program, the warm-start path of tlsd
-// re-runs, with an allocation budget of its own (it rebuilds the machine
-// state the plain path builds incrementally).
-func BenchmarkSnapshot(b *testing.B) {
-	builder := subthreads.NewBuilder()
-	built := builder.Build(benchSpec(subthreads.NewOrder), false)
-	cfg := subthreads.Machine(subthreads.Baseline)
-
-	b.Run("capture", func(b *testing.B) {
-		capCfg := cfg
-		capCfg.SnapshotAtPrefix = true
-		var snap *subthreads.SimSnapshot
-		capCfg.SnapshotSink = func(s *subthreads.SimSnapshot) { snap = s }
-		b.ReportAllocs()
-		b.ResetTimer()
-		var res *subthreads.Result
-		for i := 0; i < b.N; i++ {
-			res = subthreads.Simulate(capCfg, built.Program)
-		}
-		b.ReportMetric(float64(res.EpochCount), "epochs")
-		b.ReportMetric(float64(len(snap.Encode())), "snapshot-bytes")
-	})
-
-	b.Run("restore", func(b *testing.B) {
-		capCfg := cfg
-		capCfg.SnapshotAtPrefix = true
-		var snap *subthreads.SimSnapshot
-		capCfg.SnapshotSink = func(s *subthreads.SimSnapshot) { snap = s }
-		full := subthreads.Simulate(capCfg, built.Program)
-		frame := snap.Encode()
-		b.ReportAllocs()
-		b.ResetTimer()
-		var res *subthreads.Result
-		for i := 0; i < b.N; i++ {
-			decoded, err := subthreads.DecodeSimSnapshot(frame)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err = subthreads.Resume(cfg, built.Program, decoded)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		if res.Cycles != full.Cycles {
-			b.Fatalf("restored run diverged: %d cycles vs %d", res.Cycles, full.Cycles)
-		}
-		b.ReportMetric(float64(res.EpochCount), "epochs")
-	})
-}
-
-// The enforced form of the snapshot alloc guard. Capturing a checkpoint
-// must cost a bounded number of extra allocations per run (one state
-// serialization; measured ~20 on top of ~14k), not per epoch — a per-epoch
-// regression here means capture instrumentation leaked into the simulation
-// loop. Restoring has a budget of its own, expressed per epoch like the
-// simulator's steady-state (~416 allocs/epoch): decode + state rebuild +
-// the remaining simulation.
-const (
-	captureAllocOverhead  = 600 // extra allocs per capturing run vs plain
-	restoreAllocsPerEpoch = 480 // decode + fork + remaining run, per epoch
-)
-
-func TestSnapshotPathStaysWithinAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full simulations")
-	}
-	builder := subthreads.NewBuilder()
-	built := builder.Build(benchSpec(subthreads.NewOrder), false)
-	cfg := subthreads.Machine(subthreads.Baseline)
-	subthreads.Simulate(cfg, built.Program) // warm the page/metadata pools
-
-	plain := testing.AllocsPerRun(3, func() {
-		subthreads.Simulate(cfg, built.Program)
-	})
-
-	capCfg := cfg
-	capCfg.SnapshotAtPrefix = true
-	var snap *subthreads.SimSnapshot
-	capCfg.SnapshotSink = func(s *subthreads.SimSnapshot) { snap = s }
-	var res *subthreads.Result
-	capture := testing.AllocsPerRun(3, func() {
-		res = subthreads.Simulate(capCfg, built.Program)
-	})
-	t.Logf("plain %.0f allocs/run, capturing %.0f (+%.0f, overhead budget %d)",
-		plain, capture, capture-plain, captureAllocOverhead)
-	if capture > plain+captureAllocOverhead {
-		t.Errorf("snapshot capture adds %.0f allocs/run, budget %d", capture-plain, captureAllocOverhead)
-	}
-
-	frame := snap.Encode()
-	restore := testing.AllocsPerRun(3, func() {
-		decoded, err := subthreads.DecodeSimSnapshot(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := subthreads.Resume(cfg, built.Program, decoded); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perEpoch := restore / float64(res.EpochCount)
-	t.Logf("restore %.0f allocs over %d epochs = %.1f allocs/epoch (budget %d)",
-		restore, res.EpochCount, perEpoch, restoreAllocsPerEpoch)
-	if perEpoch > restoreAllocsPerEpoch {
-		t.Errorf("restore path allocates %.1f/epoch, budget %d", perEpoch, restoreAllocsPerEpoch)
-	}
-}
-
 // BenchmarkFigure5 regenerates Figure 5: every benchmark crossed with the
 // five machine configurations; the speedup metric is the bar height inverse.
 func BenchmarkFigure5(b *testing.B) {

@@ -50,7 +50,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn, or error")
 		debugAddr    = flag.String("debug-addr", "", "listen address for the diagnostics server (pprof, /debug/requests); empty disables it")
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
-		flightEvents = flag.Int("flight-events", 4096, "telemetry events the flight recorder dumps from the tail of a failed job's stream")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
 		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies (empty = in-memory only)")
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
@@ -106,7 +105,6 @@ func main() {
 		Inject:           faults.Inject,
 		Logger:           logger,
 		FlightDir:        *flightDir,
-		FlightEvents:     *flightEvents,
 		Store:            store,
 		JobTimeout:       *jobTimeout,
 		Chaos:            chaosSched,

@@ -85,6 +85,11 @@ func parseArgs(args []string, stderr io.Writer) (*options, error) {
 		fmt.Fprintf(stderr, "tlssim: %v\n", err)
 		return nil, err
 	}
+	if o.profTop < 0 {
+		err := fmt.Errorf("-profile must be >= 0, got %d", o.profTop)
+		fmt.Fprintf(stderr, "tlssim: %v\n", err)
+		return nil, err
+	}
 	js.Paranoid, js.Inject = faults.Paranoid, faults.Inject
 	return o, nil
 }

@@ -66,6 +66,7 @@ func TestUsageErrorsMatchTlsd(t *testing.T) {
 		{[]string{"-experiment", "WARP"}, `{"benchmark":"NEW ORDER","experiment":"WARP"}`},
 		{[]string{"-overflow", "explode"}, `{"benchmark":"NEW ORDER","overflow":"explode"}`},
 		{[]string{"-inject", "gibberish"}, `{"benchmark":"NEW ORDER","inject":"gibberish"}`},
+		{[]string{"-inject", "faults=18446744073709551615"}, `{"benchmark":"NEW ORDER","inject":"faults=18446744073709551615"}`},
 	} {
 		_, want := resolveJSON(t, c.body)
 		if want == nil {
@@ -81,11 +82,17 @@ func TestUsageErrorsMatchTlsd(t *testing.T) {
 	}
 
 	// Malformed command lines are usage errors too, including a name whose
-	// space was not quoted.
-	for _, args := range [][]string{{"-no-such-flag"}, {"-benchmark", "NEW", "ORDER"}} {
+	// space was not quoted and a negative profile length, which exits
+	// before anything is built or written.
+	profile := filepath.Join(t.TempDir(), "p.json")
+	for _, args := range [][]string{{"-no-such-flag"}, {"-benchmark", "NEW", "ORDER"},
+		{"-profile", "-1", "-profile-out", profile}} {
 		if code := run(args, io.Discard, io.Discard); code != 2 {
 			t.Errorf("tlssim %q exit %d, want 2", args, code)
 		}
+	}
+	if _, err := os.Stat(profile); !os.IsNotExist(err) {
+		t.Errorf("a rejected command line wrote %s (stat: %v)", profile, err)
 	}
 }
 

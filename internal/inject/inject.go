@@ -39,6 +39,10 @@ type Config struct {
 	LatchDelay uint64
 }
 
+// maxFaults bounds Config.Faults in a parsed spec: New allocates the whole
+// schedule up front, 32 bytes a fault, so this caps it at 2 MiB.
+const maxFaults = 1 << 16
+
 // DefaultConfig returns a moderate schedule: 25 faults over the first 120k
 // cycles with short latch-delay bursts.
 func DefaultConfig() Config {
@@ -48,7 +52,7 @@ func DefaultConfig() Config {
 // Parse reads a "-inject" flag value: comma-separated key=value pairs over
 // the defaults, e.g. "seed=7,faults=40,window=200000,latch-every=128,
 // latch-delay=8". An empty string is an error — injection off is expressed
-// by not passing the flag.
+// by not passing the flag — and so is a fault count above maxFaults.
 func Parse(s string) (Config, error) {
 	cfg := DefaultConfig()
 	if strings.TrimSpace(s) == "" {
@@ -67,6 +71,9 @@ func Parse(s string) (Config, error) {
 		case "seed":
 			cfg.Seed = n
 		case "faults":
+			if n > maxFaults {
+				return cfg, fmt.Errorf("inject: faults=%d exceeds the limit of %d", n, maxFaults)
+			}
 			cfg.Faults = int(n)
 		case "window":
 			cfg.Window = n

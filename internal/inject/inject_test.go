@@ -42,6 +42,33 @@ func TestParseRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestParseBoundsFaults: a fault count up to maxFaults parses, and any
+// larger one, including one that wraps a conversion to int, is an error.
+// Only Parse runs here, so no schedule is allocated.
+func TestParseBoundsFaults(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"faults=0", true},
+		{"faults=40", true},
+		{"faults=65536", true},
+		{"faults=65537", false},
+		{"faults=4294967296", false},
+		{"faults=9223372036854775808", false},
+		{"faults=18446744073709551615", false},
+		{"faults=18446744073709551616", false}, // past uint64
+	} {
+		cfg, err := Parse(c.spec)
+		if (err == nil) != c.ok {
+			t.Errorf("Parse(%q) = %+v, %v; want ok %v", c.spec, cfg, err, c.ok)
+		}
+		if err == nil && (cfg.Faults < 0 || cfg.Faults > maxFaults) {
+			t.Errorf("Parse(%q) faults = %d, outside [0, %d]", c.spec, cfg.Faults, maxFaults)
+		}
+	}
+}
+
 func TestScheduleIsDeterministic(t *testing.T) {
 	cfg := Config{Seed: 11, Faults: 30, Window: 50000, LatchEvery: 64, LatchDelay: 4}
 	a, b := New(cfg), New(cfg)

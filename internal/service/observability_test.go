@@ -390,9 +390,13 @@ func TestFlightRecorderDumpsOnFailure(t *testing.T) {
 	dir := t.TempDir()
 	var sb syncBuffer
 	s, ts := newTestServer(t, Options{
-		Workers: 1, QueueDepth: 4, FlightDir: dir, FlightEvents: 64,
+		Workers: 1, QueueDepth: 4, FlightDir: dir,
 		Logger: slog.New(slog.NewJSONHandler(&sb, nil)),
 	})
+	// A 64-event tail, so both a short stream and one cut to its tail
+	// fit the test's tiny runs. The worker reads it only once a job is
+	// dequeued, after this write.
+	s.flightEvents = 64
 
 	// The acceptance scenario: a seeded injection run whose forward-progress
 	// watchdog trips deterministically mid-run, so the stream has a

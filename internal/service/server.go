@@ -41,13 +41,11 @@ type Options struct {
 	// one branch, keeping the embedded serving path allocation-clean.
 	Logger *slog.Logger
 	// FlightDir enables the failure flight recorder: a job that fails with
-	// a structured *sim.RunError dumps the tail of its telemetry stream
-	// (the one the SSE endpoint replays) as JSONL into this directory
-	// (filename <job>-<correlation>.jsonl, path logged and attached to the
-	// failure). "" disables the recorder.
+	// a structured *sim.RunError dumps the last flightEvents events of its
+	// telemetry stream (the one the SSE endpoint replays) as JSONL into
+	// this directory (filename <job>-<correlation>.jsonl, path logged and
+	// attached to the failure). "" disables the recorder.
 	FlightDir string
-	// FlightEvents is the length of the dumped tail; default 4096.
-	FlightEvents int
 	// Store is the persistent content-addressed tier under the result
 	// cache. With a store, a restarted daemon serves previously-computed
 	// results from byte one — no database load, no trace recording, no
@@ -108,6 +106,10 @@ const (
 // evicted program is rebuilt on its next use.
 const programBudget = 16 << 20
 
+// flightEvents is how many telemetry events the flight recorder dumps
+// from the tail of a failed job's stream.
+const flightEvents = 4096
+
 // casResultNS is the store namespace for rendered result bodies, keyed by
 // the resolved job digest — the same digest that keys the in-memory cache.
 const casResultNS = "result"
@@ -140,6 +142,10 @@ type Server struct {
 	log     *slog.Logger // nil = logging disabled
 	started time.Time
 
+	// flightEvents is the length of the tail a flight record holds: the
+	// constant of that name, or fewer for a test of how a stream is cut.
+	flightEvents int
+
 	queue chan *Job
 	wg    sync.WaitGroup
 
@@ -171,20 +177,18 @@ func New(opts Options) *Server {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.FlightEvents <= 0 {
-		opts.FlightEvents = 4096
-	}
 	s := &Server{
-		opts:     opts,
-		builder:  workload.NewBuilder(),
-		store:    opts.Store,
-		chaos:    opts.Chaos,
-		log:      opts.Logger,
-		started:  time.Now(),
-		queue:    make(chan *Job, opts.QueueDepth),
-		jobs:     make(map[string]*Job),
-		byDigest: make(map[string]*Job),
-		poison:   make(map[string]*poisonEntry),
+		opts:         opts,
+		builder:      workload.NewBuilder(),
+		flightEvents: flightEvents,
+		store:        opts.Store,
+		chaos:        opts.Chaos,
+		log:          opts.Logger,
+		started:      time.Now(),
+		queue:        make(chan *Job, opts.QueueDepth),
+		jobs:         make(map[string]*Job),
+		byDigest:     make(map[string]*Job),
+		poison:       make(map[string]*poisonEntry),
 	}
 	s.builder.SetBudget(programBudget)
 	if opts.Store != nil {
@@ -858,7 +862,7 @@ func (s *Server) abortedFailure(j *Job, cycle uint64) *Failure {
 	}
 }
 
-// dumpFlight writes the last Options.FlightEvents events of the job's
+// dumpFlight writes the last flightEvents events of the job's
 // telemetry stream as JSONL under Options.FlightDir and returns the path ("" when the recorder is disabled
 // or the dump fails — the job's failure is never masked by a dump error).
 func (s *Server) dumpFlight(j *Job) string {
@@ -876,7 +880,7 @@ func (s *Server) dumpFlight(j *Job) string {
 	f, err := os.Create(path)
 	if err == nil {
 		evs := j.fan.Events()
-		err = telemetry.EncodeJSONL(f, evs[max(0, len(evs)-s.opts.FlightEvents):])
+		err = telemetry.EncodeJSONL(f, evs[max(0, len(evs)-s.flightEvents):])
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -661,6 +661,22 @@ func TestReproCommandRoundTrips(t *testing.T) {
 	}
 }
 
+// An injection spec whose fault count passes the injector's limit is a 400:
+// it would wrap to a negative count, or allocate its schedule, before the
+// job could fail.
+func TestSubmitRejectsOversizedInjection(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	resp := postJob(t, ts, JobSpec{Benchmark: "NEW ORDER", Inject: "faults=18446744073709551615"})
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "exceeds") {
+		t.Errorf("HTTP %d %s, want 400 naming the fault limit", resp.StatusCode, reply)
+	}
+	if m := s.MetricsSnapshot(); m.JobsSubmitted != 0 || m.JobsFailed != 0 {
+		t.Errorf("%d jobs submitted, %d failed; want the spec rejected before admission", m.JobsSubmitted, m.JobsFailed)
+	}
+}
+
 // A submission body is one spec object followed by nothing but whitespace.
 // An unknown field, a second object or trailing garbage is a 400 bad job
 // spec that reaches no admission tier.

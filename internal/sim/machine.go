@@ -101,17 +101,17 @@ type machine struct {
 	// for the run loop to surface as a RunError.
 	err error
 
-	// Forward-progress watchdog state. These live on the machine (not as
-	// run-loop locals) so a snapshot carries them and a restored run's
-	// watchdog decisions are cycle-identical to the uninterrupted run's.
+	// Forward-progress and latch-deadlock watchdog state, carried from one
+	// cycle of the run loop to the next. Fields rather than run-loop
+	// locals: the per-core step loop would otherwise reload them on every
+	// core step.
 	wdLastCommitted int
 	wdLastCommitAt  uint64
 	wdSyncRun       bool
 	wdAllSyncSince  uint64
 
-	// snapped is set once a snapshot has been captured (or the machine was
-	// itself restored from one), so a run emits at most one snapshot and a
-	// resumed run never re-captures.
+	// snapped is set once the prefix snapshot has been captured, so a run
+	// hands its sink at most one.
 	snapped bool
 	// snapLeading counts the program's leading barrier units — the shared
 	// prefix a SnapshotAtPrefix capture keys off.
@@ -216,9 +216,8 @@ func (m *machine) run() error {
 	}
 	for m.committed < len(m.prog.Units) {
 		// Snapshot capture sits at the very top of the cycle, before the
-		// inject drain and before any core steps: everything that happens
-		// at cycle N is then replayed identically by a resumed run. The
-		// nil test keeps the hot path at one pointer compare.
+		// inject drain and before any core steps. The nil test keeps the
+		// hot path at one pointer compare.
 		if m.cfg.SnapshotSink != nil && !m.snapped && m.wantSnapshot() {
 			m.snapped = true
 			m.captureSnapshot()

@@ -187,29 +187,3 @@ func TestIssuePathsPinned(t *testing.T) {
 		}
 	}
 }
-
-// TestPrefixCheckpointPinned pins the bytes of a real prefix checkpoint: the
-// Forkable frame a run captures at the end of NEW ORDER's warm-up barrier
-// (Config.SnapshotAtPrefix), which carries the warmed caches, banks and
-// predictors that a sweep forks from.
-func TestPrefixCheckpointPinned(t *testing.T) {
-	spec := workload.DefaultSpec(tpcc.NewOrder)
-	spec.Scale = tpcc.Scale{Districts: 4, CustomersPerDistrict: 60, Items: 400, OrdersPerDistrict: 30}
-	spec.Txns = 1
-	spec.Warmup = 1
-	p := workload.Build(spec, false).Program
-	prog := &sim.Program{Units: append(p.Units[:4:4], p.Units[len(p.Units)-1])}
-	var snap *sim.Snapshot
-	cfg := workload.Machine(workload.Baseline)
-	cfg.SnapshotAtPrefix = true
-	cfg.SnapshotSink = func(s *sim.Snapshot) { snap = s }
-	if _, err := sim.RunE(cfg, prog); err != nil || snap == nil || !snap.Forkable {
-		t.Fatalf("prefix capture: snapshot %v, forkable %v, err %v", snap != nil, snap != nil && snap.Forkable, err)
-	}
-	const wantLen, wantSum = 281978, "375a65c8a1091a4b"
-	frame := snap.Encode()
-	sum := sha256.Sum256(frame)
-	if got := hex.EncodeToString(sum[:8]); got != wantSum || len(frame) != wantLen {
-		t.Errorf("prefix checkpoint: %d bytes, digest %s; want %d bytes, digest %s", len(frame), got, wantLen, wantSum)
-	}
-}

@@ -205,20 +205,13 @@ type Config struct {
 	// excluded from content digests.
 	Cancel func() error `json:"-"`
 
-	// SnapshotAtCycle, when nonzero, captures a whole-machine snapshot at
-	// the top of that simulated cycle — before the cycle's fault drain and
-	// core steps — and hands it to SnapshotSink. A run restored from the
-	// snapshot replays the remainder byte-identically (see ResumeE).
+	// SnapshotAtPrefix hands SnapshotSink a header-only Snapshot at the
+	// prefix boundary: the first cycle at which the program's last leading
+	// barrier unit has consumed its whole trace and is the only live epoch,
+	// but has not yet committed — so no speculative unit has started. A run
+	// without fault injection captures a Forkable one (see ResumeE).
 	// Runtime-only plumbing like Telemetry — excluded from content digests,
 	// and with no effect whatsoever on simulated behavior.
-	SnapshotAtCycle uint64 `json:"-"`
-	// SnapshotAtPrefix captures the snapshot at the prefix boundary
-	// instead: the first cycle at which the program's last leading barrier
-	// unit has consumed its whole trace and is the only live epoch, but has
-	// not yet committed — so no speculative unit has started and nothing
-	// configuration-divergent has happened. Snapshots taken there are
-	// usually Forkable: resumable under any configuration that agrees on
-	// the prefix-invariant machine parameters (see prefixDigest).
 	SnapshotAtPrefix bool `json:"-"`
 	// SnapshotSink receives the at-most-one snapshot a run captures. nil
 	// disables snapshotting entirely (the per-cycle cost is one pointer

@@ -27,74 +27,6 @@ func (p Pos) Index() int { return p.idx }
 // at Index carries.
 func (p Pos) Offset() uint32 { return p.off }
 
-// EventIndex reports p in the coordinates of the unfused event stream that
-// Next yields, where an ALU run fused into an entry and the entry's event
-// count as two events: the index of the event p lies in, and the
-// instructions already consumed inside it. The snapshot codec writes
-// positions in these coordinates; PosAt is the inverse. A nil t stands for
-// a trace not at hand, whose positions keep their coordinates as they are
-// (see PosAt).
-func (t *Trace) EventIndex(p Pos) (idx int, off uint32) {
-	if t == nil {
-		return p.idx, p.off
-	}
-	idx = p.idx
-	for _, e := range t.events[:p.idx] {
-		if e.prefix() != 0 {
-			idx++
-		}
-	}
-	if p.idx < len(t.events) {
-		if n := t.events[p.idx].prefix(); n != 0 && p.off == n {
-			return idx + 1, 0 // at the event the run is fused into
-		}
-	}
-	return idx, p.off
-}
-
-// PosAt returns the position at event idx of t's unfused event stream, off
-// instructions into it, with done instructions before it: the inverse of
-// EventIndex. ok is false where no cursor over t can stand: idx outside the
-// stream or past its end, off not below the run's length inside an ALU run
-// (Pending would wrap there, and the run would never end) or not 0 at any
-// other event or at the end, or more instructions done than t holds. With
-// ok false, p is still the position the coordinates name inside an ALU run,
-// so that a test can build one past its run; elsewhere it is the zero Pos.
-//
-// A nil t stands for a trace not at hand: p then keeps the coordinates as
-// they are, and ok is true. The snapshot codec restores an idle core's
-// checkpoints so; no cursor seeks to them before a new unit replaces them.
-func (t *Trace) PosAt(idx int, off uint32, done uint64) (p Pos, ok bool) {
-	if t == nil {
-		return Pos{idx: idx, off: off, done: done}, true
-	}
-	if idx < 0 {
-		return Pos{}, false
-	}
-	ok = done <= t.instrs
-	rest := idx // events still to pass
-	for i, e := range t.events {
-		n := e.prefix()
-		switch run := e.Run(); {
-		case rest == 0 && run != 0: // in the entry's run
-			return Pos{idx: i, off: off, done: done}, ok && off < run
-		case rest == 0 || rest == 1 && n != 0: // at its event
-			if off != 0 {
-				return Pos{}, false
-			}
-			return Pos{idx: i, off: n, done: done}, ok
-		case n != 0:
-			rest -= 2
-		default:
-			rest--
-		}
-	}
-	if rest != 0 || off != 0 {
-		return Pos{}, false
-	}
-	return Pos{idx: len(t.events), done: done}, ok
-}
-
 // Cursor walks a Trace, supporting checkpoint (Pos) and rewind (Seek). It
 // presents the unfused event stream: an entry's ALU run first, then its
 // event.

@@ -207,9 +207,9 @@ func checkEntries(t *testing.T, tr *Trace, want []Event) {
 }
 
 // walkCursor steps a Cursor over tr with random ALU clipping, checking Head
-// and the Packed accessors, Next, Pending, TakeALU, Step, Done, and Pos through
-// EventIndex and PosAt against a model position in want, the event stream,
-// and now and then seeks back to a saved position and replays from it.
+// and the Packed accessors, Next, Pending, TakeALU, Step, Done and Pos
+// against a model position in want, the event stream, and now and then seeks
+// back to a saved position and replays from it.
 func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 	t.Helper()
 	type model struct {
@@ -239,12 +239,6 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 		case p.Run() != w.N || p.Kind() == isa.ALU && p.Event() != w ||
 			p.Kind() != isa.ALU && (m.idx+1 >= len(want) || p.Event() != want[m.idx+1]):
 			t.Fatalf("at %+v: Head = %v (run %d), want %v", m, p, p.Run(), w)
-		}
-		if idx, off := tr.EventIndex(c.Pos()); idx != m.idx || off != m.off {
-			t.Fatalf("at %+v: EventIndex(%+v) = %d, %d", m, c.Pos(), idx, off)
-		}
-		if pos, ok := tr.PosAt(m.idx, m.off, m.done); !ok || pos != c.Pos() {
-			t.Fatalf("at %+v: PosAt = %+v, %v; the cursor is at %+v", m, pos, ok, c.Pos())
 		}
 		if w.Kind == isa.ALU {
 			if ev, ok := c.Next(0); ok {
@@ -293,8 +287,8 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			seeks++
 		}
 	}
-	if idx, off := tr.EventIndex(c.Pos()); !c.AtEnd() || c.Done() != tr.Instrs() || idx != len(want) || off != 0 {
-		t.Fatalf("walk ended at done %d (at end %v, event %d), trace has %d", c.Done(), c.AtEnd(), idx, tr.Instrs())
+	if !c.AtEnd() || c.Done() != tr.Instrs() || c.Pos().Index() != len(tr.Events()) || c.Pos().Offset() != 0 {
+		t.Fatalf("walk ended at %+v (at end %v), trace has %d instructions", c.Pos(), c.AtEnd(), tr.Instrs())
 	}
 	if p, ok := c.Head(); ok {
 		t.Fatalf("Head past the end returned %v", p)

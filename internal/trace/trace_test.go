@@ -358,53 +358,3 @@ func TestCursorTakeALU(t *testing.T) {
 		t.Errorf("take(150) = %d at %+v, want 50 and the next entry", n, c.Pos())
 	}
 }
-
-// TestValidPos: PosAt takes event-stream coordinates, accepts exactly the
-// positions a cursor can stand at, and round-trips with EventIndex.
-func TestValidPos(t *testing.T) {
-	tr := buildSample() // alu(10), load, alu(7), store, branch, idiv, latch-acq, latch-rel
-	end := 8
-	cases := []struct {
-		idx  int
-		off  uint32
-		done uint64
-		want bool
-	}{
-		{0, 0, 0, true},
-		{0, 9, 9, true},
-		{0, 10, 10, false}, // past the run: it would never end
-		{0, 4000, 10, false},
-		{1, 0, 10, true},
-		{1, 1, 11, false}, // one-instruction events have no offset
-		{2, 6, 17, true},
-		{2, 7, 18, false},
-		{3, 0, 18, true},
-		{end, 0, tr.Instrs(), true},
-		{end, 1, tr.Instrs(), false},
-		{end + 1, 0, tr.Instrs(), false},
-		{-1, 0, 0, false},
-		{1, 0, tr.Instrs() + 1, false},
-	}
-	for _, c := range cases {
-		p, ok := tr.PosAt(c.idx, c.off, c.done)
-		if ok != c.want {
-			t.Errorf("PosAt(%d, %d, %d) = %+v, %v, want %v", c.idx, c.off, c.done, p, ok, c.want)
-			continue
-		}
-		if idx, off := tr.EventIndex(p); ok && (idx != c.idx || off != c.off || p.Done() != c.done) {
-			t.Errorf("PosAt(%d, %d, %d) = %+v, which EventIndex reads as %d, %d", c.idx, c.off, c.done, p, idx, off)
-		}
-	}
-	// A position past its run still names it, for a test to plant.
-	p, _ := tr.PosAt(2, 4000, 17)
-	if idx, off := tr.EventIndex(p); idx != 2 || off != 4000 {
-		t.Errorf("PosAt(2, 4000) = %+v, which EventIndex reads as %d, %d", p, idx, off)
-	}
-	// A nil trace keeps coordinates as they are.
-	var none *Trace
-	if p, ok := none.PosAt(5, 3, 9); !ok || p.Index() != 5 || p.Offset() != 3 || p.Done() != 9 {
-		t.Errorf("nil PosAt = %+v, %v", p, ok)
-	} else if idx, off := none.EventIndex(p); idx != 5 || off != 3 {
-		t.Errorf("nil EventIndex = %d, %d", idx, off)
-	}
-}

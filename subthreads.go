@@ -88,9 +88,6 @@ type (
 	Unit = sim.Unit
 	// Breakdown distributes CPU-cycles across the Figure 5 categories.
 	Breakdown = sim.Breakdown
-	// SimSnapshot is a whole-machine checkpoint captured at a cycle
-	// boundary; Resume continues or forks a run from one.
-	SimSnapshot = sim.Snapshot
 )
 
 // Workload types.
@@ -227,16 +224,6 @@ func NewBuilder() *Builder { return workload.NewBuilder() }
 // Simulate runs an arbitrary program (e.g. hand-built synthetic units) on a
 // machine.
 func Simulate(cfg SimConfig, prog *Program) *Result { return sim.Run(cfg, prog) }
-
-// Resume continues (or, for a forkable prefix checkpoint, forks) a run from
-// a machine snapshot captured via SimConfig.SnapshotAtCycle/SnapshotAtPrefix.
-// The resumed run is byte-identical to the uninterrupted one.
-func Resume(cfg SimConfig, prog *Program, snap *SimSnapshot) (*Result, error) {
-	return sim.ResumeE(cfg, prog, snap)
-}
-
-// DecodeSimSnapshot parses a snapshot previously serialized with Encode.
-func DecodeSimSnapshot(data []byte) (*SimSnapshot, error) { return sim.DecodeSnapshot(data) }
 
 // Benchmarks returns the benchmarks in the paper's presentation order.
 func Benchmarks() []Benchmark { return tpcc.All() }
