@@ -43,7 +43,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker-pool size")
 		queueDepth   = flag.Int("queue", 64, "admission queue capacity (full queue responds 429)")
-		maxCycles    = flag.Uint64("max-cycles", 0, "default per-job cycle budget when the spec sets none (0 = unbounded)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "end-to-end wall-clock deadline per job (queue wait included) when the spec sets no timeout_ms, and the ceiling when it does; 0 = no deadline")
 		drainTimeout = flag.Duration("drain-timeout", 60*time.Second, "shutdown grace period: jobs still live when it expires are cancelled and reported as structured \"drain\" failures")
 		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
@@ -55,9 +54,6 @@ func main() {
 		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
 		showVersion  = cliflags.AddVersion(flag.CommandLine)
 	)
-	// Server-wide hardening defaults, overlaid on jobs that don't set their
-	// own (and therefore part of each job's content address).
-	faults := cliflags.AddFaults(flag.CommandLine)
 	flag.Parse()
 	if err := cliflags.NoArgs(flag.CommandLine); err != nil {
 		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
@@ -69,10 +65,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if _, err := faults.Config(); err != nil {
-		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
-		os.Exit(2)
-	}
 	chaosSched, err := cliflags.OpenChaos(*chaosSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
@@ -98,16 +90,13 @@ func main() {
 	}
 
 	opts := service.Options{
-		Workers:          *workers,
-		QueueDepth:       *queueDepth,
-		DefaultMaxCycles: *maxCycles,
-		Paranoid:         faults.Paranoid,
-		Inject:           faults.Inject,
-		Logger:           logger,
-		FlightDir:        *flightDir,
-		Store:            store,
-		JobTimeout:       *jobTimeout,
-		Chaos:            chaosSched,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		Logger:     logger,
+		FlightDir:  *flightDir,
+		Store:      store,
+		JobTimeout: *jobTimeout,
+		Chaos:      chaosSched,
 	}
 	if peerURLs := cliflags.SplitURLs(*peers); len(peerURLs) > 0 {
 		// The remote cache tier: before recomputing a digest that missed

@@ -36,10 +36,3 @@ func (b *Banks) Access(line mem.Addr, now uint64) (delay uint64) {
 	b.nextFree[bank] = start + b.occupancy
 	return delay
 }
-
-// Reset clears all reservations.
-func (b *Banks) Reset() {
-	for i := range b.nextFree {
-		b.nextFree[i] = 0
-	}
-}

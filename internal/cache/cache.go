@@ -50,9 +50,6 @@ type Config struct {
 	Ways int
 }
 
-// Bytes reports the cache capacity implied by the configuration.
-func (c Config) Bytes() int { return c.Sets * c.Ways * mem.LineSize }
-
 // Cache is a set-associative, LRU-replacement tag store. It tracks only
 // presence, not data: the simulator is trace driven and needs hit/miss
 // behaviour and occupancy, not values.
@@ -77,9 +74,6 @@ func New(cfg Config) *Cache {
 		sets: make([][]Entry, cfg.Sets),
 	}
 }
-
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setIndex(line mem.Addr) int {
 	return int((line / mem.LineSize) & c.mask)
@@ -107,17 +101,6 @@ func (c *Cache) Lookup(e Entry) bool {
 func (c *Cache) Present(e Entry) bool {
 	for _, have := range c.sets[c.setIndex(e.Line)] {
 		if have == e {
-			return true
-		}
-	}
-	return false
-}
-
-// PresentLine reports whether any version of the line is cached, without
-// touching LRU order or statistics.
-func (c *Cache) PresentLine(line mem.Addr) bool {
-	for _, have := range c.sets[c.setIndex(line)] {
-		if have.Line == line {
 			return true
 		}
 	}
@@ -178,26 +161,6 @@ func (c *Cache) Remove(e Entry) bool {
 	return false
 }
 
-// RemoveIf drops every entry for which keep returns true, returning how many
-// were dropped. It is O(cache size); the TLS layer prefers targeted Remove
-// calls and uses this only in tests and full resets.
-func (c *Cache) RemoveIf(drop func(Entry) bool) int {
-	n := 0
-	for idx, set := range c.sets {
-		w := 0
-		for _, e := range set {
-			if drop(e) {
-				n++
-				continue
-			}
-			set[w] = e
-			w++
-		}
-		c.sets[idx] = set[:w]
-	}
-	return n
-}
-
 // ForEach visits every resident entry in deterministic (set, MRU) order
 // without touching LRU state. The TLS auditor uses it to validate version
 // occupancy.
@@ -206,27 +169,6 @@ func (c *Cache) ForEach(fn func(Entry)) {
 		for _, e := range set {
 			fn(e)
 		}
-	}
-}
-
-// Len reports the number of resident entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, set := range c.sets {
-		n += len(set)
-	}
-	return n
-}
-
-// SetLen reports the occupancy of the set holding line.
-func (c *Cache) SetLen(line mem.Addr) int {
-	return len(c.sets[c.setIndex(line)])
-}
-
-// Reset empties the cache, keeping statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
 	}
 }
 

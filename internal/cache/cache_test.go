@@ -10,6 +10,15 @@ import (
 
 func line(n int) mem.Addr { return mem.Addr(n * mem.LineSize) }
 
+// resident counts the entries c holds.
+func resident(c *Cache) int {
+	n := 0
+	for _, set := range c.sets {
+		n += len(set)
+	}
+	return n
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, cfg := range []Config{
 		{Name: "bad-sets", Sets: 3, Ways: 2},
@@ -24,19 +33,6 @@ func TestNewValidation(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-	}
-}
-
-func TestConfigBytes(t *testing.T) {
-	// Table 1 L2: 2MB, 4-way, 32B lines.
-	cfg := Config{Name: "l2", Sets: 16384, Ways: 4}
-	if got := cfg.Bytes(); got != 2<<20 {
-		t.Errorf("L2 bytes = %d, want %d", got, 2<<20)
-	}
-	// Table 1 L1: 32KB, 4-way.
-	cfg = Config{Name: "l1", Sets: 256, Ways: 4}
-	if got := cfg.Bytes(); got != 32<<10 {
-		t.Errorf("L1 bytes = %d, want %d", got, 32<<10)
 	}
 }
 
@@ -61,18 +57,15 @@ func TestVersionsAreDistinctEntries(t *testing.T) {
 	c.Insert(Entry{l, VerCommitted}, nil)
 	c.Insert(Entry{l, 0}, nil)
 	c.Insert(Entry{l, 1}, nil)
-	if c.Len() != 3 {
-		t.Fatalf("Len = %d, want 3 versions resident", c.Len())
+	if n := resident(c); n != 3 {
+		t.Fatalf("%d entries resident, want 3 versions", n)
 	}
 	if !c.Present(Entry{l, 1}) || c.Present(Entry{l, 2}) {
 		t.Error("Present confused versions")
 	}
-	if !c.PresentLine(l) || c.PresentLine(line(5)) {
-		t.Error("PresentLine wrong")
-	}
 	// All three versions live in the same set: they consume ways (§2.1).
-	if c.SetLen(l) != 3 {
-		t.Errorf("SetLen = %d, want 3", c.SetLen(l))
+	if n := len(c.sets[c.setIndex(l)]); n != 3 {
+		t.Errorf("set holds %d entries, want 3", n)
 	}
 }
 
@@ -151,19 +144,8 @@ func TestRemove(t *testing.T) {
 	if c.Remove(e) {
 		t.Fatal("Remove found ghost")
 	}
-	if c.Len() != 0 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestRemoveIf(t *testing.T) {
-	c := New(Config{Name: "t", Sets: 4, Ways: 4})
-	for i := 0; i < 8; i++ {
-		c.Insert(Entry{line(i), Ver(i % 2)}, nil)
-	}
-	n := c.RemoveIf(func(e Entry) bool { return e.Ver == 1 })
-	if n != 4 || c.Len() != 4 {
-		t.Errorf("RemoveIf dropped %d, Len = %d", n, c.Len())
+	if n := resident(c); n != 0 {
+		t.Errorf("%d entries resident", n)
 	}
 }
 
@@ -199,7 +181,7 @@ func TestOccupancyInvariant(t *testing.T) {
 			case 2:
 				c.Remove(e)
 			}
-			if c.Len() > 8 || c.SetLen(e.Line) > 2 {
+			if resident(c) > 8 || len(c.sets[c.setIndex(e.Line)]) > 2 {
 				return false
 			}
 		}
@@ -219,15 +201,15 @@ func TestVictimBasics(t *testing.T) {
 		t.Fatal("overflow on first insert")
 	}
 	v.Insert(b)
-	if !v.Lookup(a) { // refresh a
+	if !v.LookupLine(a.Line) { // refresh a
 		t.Fatal("victim lost entry")
 	}
 	over, overflowed := v.Insert(d)
 	if !overflowed || over != b {
 		t.Fatalf("overflow = %v,%v; want %v", over, overflowed, b)
 	}
-	if v.Len() != 2 {
-		t.Errorf("Len = %d", v.Len())
+	if len(v.entries) != 2 {
+		t.Errorf("%d entries resident", len(v.entries))
 	}
 }
 
@@ -240,17 +222,6 @@ func TestVictimZeroCapacity(t *testing.T) {
 	}
 }
 
-func TestVictimRemoveIf(t *testing.T) {
-	v := NewVictim(8)
-	for i := 0; i < 6; i++ {
-		v.Insert(Entry{line(i), Ver(i % 3)})
-	}
-	n := v.RemoveIf(func(e Entry) bool { return e.Ver == 2 })
-	if n != 2 || v.Len() != 4 {
-		t.Errorf("RemoveIf dropped %d, Len=%d", n, v.Len())
-	}
-}
-
 func TestVictimDuplicateInsert(t *testing.T) {
 	v := NewVictim(2)
 	e := Entry{line(0), 0}
@@ -258,8 +229,8 @@ func TestVictimDuplicateInsert(t *testing.T) {
 	if _, over := v.Insert(e); over {
 		t.Error("duplicate insert overflowed")
 	}
-	if v.Len() != 1 {
-		t.Errorf("Len = %d, want 1", v.Len())
+	if len(v.entries) != 1 {
+		t.Errorf("%d entries resident, want 1", len(v.entries))
 	}
 }
 
@@ -329,8 +300,8 @@ func TestRename(t *testing.T) {
 	if c.Present(spec) {
 		t.Error("old entry survived rename-with-existing")
 	}
-	if c.SetLen(l) != 1 {
-		t.Errorf("SetLen = %d, want 1", c.SetLen(l))
+	if n := len(c.sets[c.setIndex(l)]); n != 1 {
+		t.Errorf("set holds %d entries, want 1", n)
 	}
 	// Renaming a missing entry reports false.
 	if c.Rename(Entry{l, 9}, Entry{l, 10}) {
@@ -351,28 +322,19 @@ func TestRenameAcrossLinesPanics(t *testing.T) {
 func TestVictimLookupLine(t *testing.T) {
 	v := NewVictim(4)
 	l := line(9)
-	if v.LookupLine(l) || v.PresentLine(l) {
+	if v.LookupLine(l) {
 		t.Fatal("hit in empty victim")
 	}
 	v.Insert(Entry{l, 2})
-	if !v.LookupLine(l) || !v.PresentLine(l) {
+	if !v.LookupLine(l) {
 		t.Fatal("victim missed resident line")
 	}
-	if v.PresentLine(line(10)) {
+	if v.LookupLine(line(10)) {
 		t.Error("phantom line present")
 	}
 }
 
 func TestAccessors(t *testing.T) {
-	c := New(Config{Name: "t", Sets: 4, Ways: 2})
-	if c.Config().Sets != 4 {
-		t.Error("Config accessor wrong")
-	}
-	c.Insert(Entry{line(1), 0}, nil)
-	c.Reset()
-	if c.Len() != 0 {
-		t.Error("Reset left entries")
-	}
 	if got := (Entry{line(1), VerCommitted}).String(); got != "0x00000020/committed" {
 		t.Errorf("committed Entry.String = %q", got)
 	}
@@ -380,23 +342,9 @@ func TestAccessors(t *testing.T) {
 		t.Errorf("spec Entry.String = %q", got)
 	}
 	v := NewVictim(3)
-	if v.Capacity() != 3 {
-		t.Error("Capacity wrong")
-	}
 	v.Insert(Entry{line(1), 0})
 	if !v.Remove(Entry{line(1), 0}) || v.Remove(Entry{line(1), 0}) {
 		t.Error("victim Remove wrong")
-	}
-	v.Insert(Entry{line(2), 0})
-	v.Reset()
-	if v.Len() != 0 {
-		t.Error("victim Reset left entries")
-	}
-	b := NewBanks(2, 4)
-	b.Access(line(0), 10)
-	b.Reset()
-	if d := b.Access(line(0), 10); d != 0 {
-		t.Errorf("bank Reset did not clear reservations: delay %d", d)
 	}
 }
 
@@ -415,11 +363,11 @@ func TestVictimFull(t *testing.T) {
 func TestVictimLookupMiss(t *testing.T) {
 	v := NewVictim(2)
 	v.Insert(Entry{line(0), 0})
-	if v.Lookup(Entry{line(0), 9}) {
-		t.Error("version-mismatched lookup hit")
+	if v.LookupLine(line(1)) {
+		t.Error("lookup of an absent line hit")
 	}
-	if v.Misses != 1 {
-		t.Errorf("Misses = %d", v.Misses)
+	if v.Misses != 1 || v.Hits != 0 {
+		t.Errorf("Misses = %d, Hits = %d; want 1, 0", v.Misses, v.Hits)
 	}
 }
 

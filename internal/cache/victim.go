@@ -23,26 +23,6 @@ func NewVictim(capacity int) *Victim {
 	return &Victim{capacity: capacity}
 }
 
-// Capacity reports the configured entry count.
-func (v *Victim) Capacity() int { return v.capacity }
-
-// Len reports current occupancy.
-func (v *Victim) Len() int { return len(v.entries) }
-
-// Lookup reports whether the entry is present, refreshing its LRU position.
-func (v *Victim) Lookup(e Entry) bool {
-	for i, have := range v.entries {
-		if have == e {
-			copy(v.entries[1:i+1], v.entries[:i])
-			v.entries[0] = e
-			v.Hits++
-			return true
-		}
-	}
-	v.Misses++
-	return false
-}
-
 // Insert adds e at the MRU position. If the victim cache is full, the LRU
 // entry is evicted and returned — the caller (TLS layer) must then stall the
 // epoch owning that version, because speculative state cannot be written back
@@ -81,21 +61,6 @@ func (v *Victim) Remove(e Entry) bool {
 	return false
 }
 
-// RemoveIf drops every entry for which drop returns true.
-func (v *Victim) RemoveIf(drop func(Entry) bool) int {
-	n, w := 0, 0
-	for _, e := range v.entries {
-		if drop(e) {
-			n++
-			continue
-		}
-		v.entries[w] = e
-		w++
-	}
-	v.entries = v.entries[:w]
-	return n
-}
-
 // ForEach visits every resident entry in MRU order without touching LRU
 // state.
 func (v *Victim) ForEach(fn func(Entry)) {
@@ -103,9 +68,6 @@ func (v *Victim) ForEach(fn func(Entry)) {
 		fn(e)
 	}
 }
-
-// Reset empties the victim cache, keeping statistics.
-func (v *Victim) Reset() { v.entries = v.entries[:0] }
 
 // LookupLine reports whether any version of the line is resident, refreshing
 // the LRU position of the first match and updating statistics.
@@ -120,17 +82,6 @@ func (v *Victim) LookupLine(line mem.Addr) bool {
 		}
 	}
 	v.Misses++
-	return false
-}
-
-// PresentLine reports whether any version of the line is resident without
-// touching LRU order or statistics.
-func (v *Victim) PresentLine(line mem.Addr) bool {
-	for _, have := range v.entries {
-		if have.Line == line {
-			return true
-		}
-	}
 	return false
 }
 

@@ -1,8 +1,9 @@
 // Package cliflags factors the flag wiring shared by the commands — tlssim,
-// experiments, tlsd and tlsrouter — so the hardening switches (-paranoid,
-// -inject), the repro line printed with every failure, the daemons' logger
-// (-log-format, -log-level) and URL lists (-peers, -workers), and -version
-// behave identically everywhere instead of being re-implemented per main.
+// experiments, tlsd and tlsrouter — so the hardening switches of the two
+// run commands (-paranoid, -inject), the repro line printed with every
+// failure, the daemons' logger (-log-format, -log-level) and URL lists
+// (-peers, -workers), and -version behave identically everywhere instead of
+// being re-implemented per main.
 // tlssim's telemetry captures (-trace-out, -metrics-out, -events-out) live
 // here too.
 package cliflags

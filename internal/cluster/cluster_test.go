@@ -166,6 +166,16 @@ func postVia(t *testing.T, base string, spec service.JobSpec, corr string) *http
 	return resp
 }
 
+// requireDigest fails the test unless a routed response names its job by
+// the digest JobSpec.Resolve computes for the spec: the router routes by
+// that digest, so the worker it reaches must key the job by the same one.
+func requireDigest(t *testing.T, resp *http.Response, spec service.JobSpec) {
+	t.Helper()
+	if got, want := resp.Header.Get("X-Job-Digest"), digestOf(t, spec); got != want {
+		t.Errorf("X-Job-Digest = %q, want Resolve's %q", got, want)
+	}
+}
+
 func readBody(t *testing.T, resp *http.Response) []byte {
 	t.Helper()
 	defer resp.Body.Close()
@@ -178,7 +188,8 @@ func readBody(t *testing.T, resp *http.Response) []byte {
 
 // TestClusterEndToEnd drives a 3-worker fleet behind a router through the
 // scenarios the cluster design promises: digest-stable routing with
-// byte-identical results, the worker-level remote cache tier, failover to
+// byte-identical results, every routed job keyed by its spec's own digest,
+// the worker-level remote cache tier, failover to
 // a worker whose own tiers serve the digest warm when its owner dies, and
 // failover recompute when no replica has the bytes.
 func TestClusterEndToEnd(t *testing.T) {
@@ -194,6 +205,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	specA := specOwnedBy(t, rt.Ring(), fleet.urls[0], "NEW ORDER")
 	wantA := renderExpected(t, specA)
 	resp := postVia(t, rts.URL, specA, "cluster-e2e-routed")
+	requireDigest(t, resp, specA)
 	body := readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed submit: HTTP %d: %s", resp.StatusCode, body)
@@ -210,6 +222,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Resubmit: a memory hit on the same owner, same bytes.
 	resp = postVia(t, rts.URL, specA, "")
+	requireDigest(t, resp, specA)
 	body = readBody(t, resp)
 	if got := resp.Header.Get("X-Cache"); got != "hit" {
 		t.Fatalf("resubmit X-Cache = %q, want hit", got)
@@ -263,6 +276,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	misses := fleet.sum(cacheMisses)
 	failovers := rt.MetricsSnapshot().Failovers
 	resp = postVia(t, rts.URL, specB, "cluster-e2e-failover")
+	requireDigest(t, resp, specB)
 	body = readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("failed-over submit: HTTP %d: %s", resp.StatusCode, body)
@@ -303,6 +317,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	misses = fleet.sum(cacheMisses)
 	resp = postVia(t, rts.URL, specD, "")
+	requireDigest(t, resp, specD)
 	body = readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sibling-warm submit: HTTP %d: %s", resp.StatusCode, body)
@@ -326,6 +341,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	specC := specOwnedBy(t, freshRing, fleet.urls[1], "STOCK LEVEL")
 	wantC := renderExpected(t, specC)
 	resp = postVia(t, rts.URL, specC, "")
+	requireDigest(t, resp, specC)
 	body = readBody(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("failover submit: HTTP %d: %s", resp.StatusCode, body)
@@ -537,6 +553,81 @@ func TestRouterJobProxyAndCancel(t *testing.T) {
 	}
 }
 
+// TestClientGiveUpFailsNoWorker: a client that gives up on a routed
+// ?wait=1 submission says nothing about the worker running it. Five
+// submissions whose clients time out mid-run leave every worker alive, with
+// no proxy error and no failover; each worker cancels the job it was left
+// with, and the next submission is served. The router is not started, so
+// no health probe could readmit a worker the submissions wrongly ejected.
+func TestClientGiveUpFailsNoWorker(t *testing.T) {
+	fleet := newTestFleet(t, 2)
+	rt, err := NewRouter(Options{Workers: fleet.urls})
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+
+	// settled waits until the router has returned from every submission:
+	// its handler releases the node's ring load on return.
+	settled := func() {
+		t.Helper()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			busy := 0
+			for _, n := range rt.Ring().Nodes() {
+				busy += n.Load
+			}
+			if busy == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("router still holds %d routed submissions", busy)
+			}
+		}
+	}
+	const gaveUp = 5
+	for i := 0; i < gaveUp; i++ {
+		warmup := 1
+		seed := int64(300 + i)
+		b, _ := json.Marshal(service.JobSpec{Benchmark: "NEW ORDER", Txns: 32, Warmup: &warmup, Seed: &seed})
+		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, rts.URL+"/v1/jobs?wait=1", bytes.NewReader(b))
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err == nil {
+			body := readBody(t, resp)
+			t.Fatalf("submission %d answered HTTP %d before its client gave up: %s", i, resp.StatusCode, body)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("submission %d: %v, want the client's timeout", i, err)
+		}
+		settled()
+	}
+
+	m := rt.MetricsSnapshot()
+	if m.Failovers != 0 || m.JobsRouted != gaveUp {
+		t.Errorf("failovers %d, jobs routed %d; want 0 and %d", m.Failovers, m.JobsRouted, gaveUp)
+	}
+	for _, n := range m.Nodes {
+		if !n.Alive || n.Errors != 0 {
+			t.Errorf("worker %s alive=%v with %d proxy errors; want alive with none", n.URL, n.Alive, n.Errors)
+		}
+	}
+	cancelled := func(m service.Metrics) uint64 { return m.JobsCancelled }
+	for deadline := time.Now().Add(30 * time.Second); fleet.sum(cancelled) != gaveUp; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers cancelled %d abandoned jobs, want %d", fleet.sum(cancelled), gaveUp)
+		}
+	}
+
+	warmup := 1
+	spec := service.JobSpec{Benchmark: "PAYMENT", Txns: 1, Warmup: &warmup}
+	resp := postVia(t, rts.URL, spec, "")
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || !bytes.Equal(body, renderExpected(t, spec)) {
+		t.Fatalf("fresh submission after the give-ups: HTTP %d: %.200s", resp.StatusCode, body)
+	}
+}
+
 // TestProberEjectsAndReadmits drives the health prober against a worker
 // that flips from healthy to failing and back: probeThreshold (3)
 // consecutive failures eject it, and the first healthy probe readmits it.
@@ -622,7 +713,7 @@ func TestRouterMetricsEndpoint(t *testing.T) {
 		t.Errorf("exposition fails lint: %v\n%s", err, prom)
 	}
 	for _, want := range []string{
-		"tlsrouter_build_info", "tlsrouter_nodes_alive", "tlsrouter_node_breaker_state",
+		"tlsrouter_build_info", "tlsrouter_nodes_alive",
 		"tlsrouter_jobs_routed_total", "tlsrouter_failovers_total",
 	} {
 		if !bytes.Contains(prom, []byte(want)) {

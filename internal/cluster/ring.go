@@ -8,9 +8,9 @@
 //     of the daemon's content-addressed result cache.
 //   - Prober: periodic /healthz probing that ejects dead workers from the
 //     ring and readmits them when they recover.
-//   - Router: the digest-routing proxy with per-worker breakers; when a
-//     digest's owner fails it fails over down the ring, and the failover
-//     worker's own tiers serve a warm digest.
+//   - Router: the digest-routing proxy; when a digest's owner fails it
+//     ejects the owner from the ring and fails over down it, and the
+//     failover worker's own tiers serve a warm digest.
 //   - RemoteGroup: the sibling-rescue tier of `tlsd -peers` — cheap GET
 //     /v1/cache/{digest} probes against sibling replicas, each link
 //     wrapped in its own circuit breaker so a sick replica degrades to

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"log/slog"
 	"net/http"
@@ -21,11 +20,12 @@ import (
 // cluster of them, and result bytes stay byte-identical to
 // `tlssim -json`.
 //
-// Every worker link carries its own circuit breaker. When the owner is
-// down (probe-ejected, breaker-open, or failing right now), a submission
-// fails over to the next preference node, whose own tiers (memory, disk,
-// then its `tlsd -peers` siblings) serve a warm digest without a
-// recompute; only when no node answers is it a 502.
+// A worker's health is the ring's alive bit, written by the prober and
+// by a proxy failure. When the owner is down (probe-ejected, or failing
+// right now), a submission fails over to the next preference node, whose
+// own tiers (memory, disk, then its `tlsd -peers` siblings) serve a warm
+// digest without a recompute; only when no node answers is it a 502. A
+// client that gives up first fails no worker.
 type Router struct {
 	ring   *Ring
 	prober *Prober
@@ -33,8 +33,7 @@ type Router struct {
 	log    *slog.Logger
 	mux    *http.ServeMux
 
-	started  time.Time
-	breakers map[string]*service.Breaker // per-worker proxy link
+	started time.Time
 
 	mu          sync.Mutex
 	jobOwner    map[string]string // job ID -> worker base URL
@@ -57,14 +56,6 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Each worker's proxy-link breaker opens after workerBreakerThreshold
-// consecutive transport errors (a worker's 4xx/5xx is an answer, not a dead
-// link) and rests for workerBreakerCooldown before a half-open trial.
-const (
-	workerBreakerThreshold = 5
-	workerBreakerCooldown  = 10 * time.Second
-)
-
 // NewRouter builds a router over the worker fleet. Call Start to begin
 // health probing and Close to stop it.
 func NewRouter(opts Options) (*Router, error) {
@@ -80,25 +71,12 @@ func NewRouter(opts Options) (*Router, error) {
 		hc:       &http.Client{},
 		log:      opts.Logger,
 		started:  time.Now(),
-		breakers: make(map[string]*service.Breaker, len(opts.Workers)),
 		jobOwner: make(map[string]string),
 		perNode:  make(map[string]*NodeCounters, len(opts.Workers)),
 	}
 	rt.prober = NewProber(ring, opts.Logger)
 	for _, w := range opts.Workers {
-		node := w
-		// Slow-call detection off (simulations take seconds by design):
-		// only transport errors trip a proxy link.
-		b := service.NewBreaker(workerBreakerThreshold, workerBreakerCooldown, 365*24*time.Hour)
-		if rt.log != nil {
-			b.OnChange(func(from, to string) {
-				rt.log.LogAttrs(context.Background(), slog.LevelWarn, "worker breaker transition",
-					slog.String("component", "router"), slog.String("node", node),
-					slog.String("from", from), slog.String("to", to))
-			})
-		}
-		rt.breakers[node] = b
-		rt.perNode[node] = &NodeCounters{}
+		rt.perNode[w] = &NodeCounters{}
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", rt.handleSubmit)
@@ -170,17 +148,15 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	rt.counters.JobsRouted++
 	rt.mu.Unlock()
 
-	if rt.breakers[node].Allow() {
-		if done := rt.proxySubmit(w, r, node, payload); done {
-			return
-		}
-		rt.eject(r, node)
+	if done := rt.proxySubmit(w, r, node, payload); done {
+		return
 	}
+	rt.eject(r, node)
 
 	// Failover: the next preference node serves the digest from its own
 	// tiers (a warm one without a recompute) or recomputes it.
-	for _, cand := range rt.ring.Preference(digest, len(rt.breakers)) {
-		if cand == node || !rt.breakers[cand].Allow() {
+	for _, cand := range rt.ring.Preference(digest, len(rt.perNode)) {
+		if cand == node {
 			continue
 		}
 		rt.mu.Lock()
@@ -211,9 +187,9 @@ func (rt *Router) eject(r *http.Request, node string) {
 }
 
 // proxySubmit forwards the submission to node. It reports done=true when
-// a response (any status) was relayed to the client, and false on a
-// transport failure before any byte was written — the caller may then
-// fail the request over elsewhere.
+// a response (any status) was relayed to the client or the client has
+// gone, and false on a transport failure before any byte was written — the
+// caller may then fail the request over elsewhere.
 func (rt *Router) proxySubmit(w http.ResponseWriter, r *http.Request, node string, payload []byte) bool {
 	url := node + "/v1/jobs"
 	if r.URL.RawQuery != "" {
@@ -258,27 +234,27 @@ func (rt *Router) handleJobProxy(w http.ResponseWriter, r *http.Request) {
 }
 
 // relay performs the proxied request and copies the response through,
-// streaming (with per-chunk flush) so SSE works. It observes the node's
-// breaker and counters, records job ownership from X-Job-Id, and stamps
-// X-Served-By. done=false only on a transport failure with nothing
-// written yet.
+// streaming (with per-chunk flush) so SSE works. It counts the node's
+// requests and transport errors, records job ownership from X-Job-Id, and
+// stamps X-Served-By. done=false only on a transport failure with nothing
+// written yet. A request whose own context is done (the client gave up or
+// went away) is done as well: its failure says nothing about the worker,
+// so it counts no error and leaves nothing to eject or fail over.
 func (rt *Router) relay(w http.ResponseWriter, req *http.Request, node string, recordOwner bool) bool {
 	start := time.Now()
-	b := rt.breakers[node]
 	resp, err := rt.hc.Do(req)
+	gone := err != nil && req.Context().Err() != nil
 	rt.mu.Lock()
 	c := rt.perNode[node]
 	c.Requests++
-	if err != nil {
+	if err != nil && !gone {
 		c.Errors++
 	}
 	rt.mu.Unlock()
 	if err != nil {
-		b.Observe("proxy", time.Since(start), true)
-		return false
+		return gone
 	}
 	defer resp.Body.Close()
-	b.Observe("proxy", time.Since(start), false)
 
 	if recordOwner {
 		if id := resp.Header.Get("X-Job-Id"); id != "" {
@@ -387,7 +363,6 @@ type NodeMetrics struct {
 	Alive bool   `json:"alive" prom:"alive Whether the worker is in the ring (1) or ejected (0)."`
 	Load  int    `json:"load" prom:"load In-flight routed submissions on the worker."`
 	NodeCounters
-	Breaker service.BreakerStats `json:"breaker" prom:"breaker_ state: Worker proxy-link circuit-breaker state (one-hot across the state label). | opens_total: Times the worker's proxy-link breaker tripped open. | short_circuits_total: Submissions diverted while the worker's proxy-link breaker was open."`
 }
 
 // RouterCounters are the router's submission outcomes. Router keeps them
@@ -434,7 +409,6 @@ func (rt *Router) MetricsSnapshot() RouterMetrics {
 		m.Nodes = append(m.Nodes, NodeMetrics{
 			URL: n.URL, Alive: n.Alive, Load: n.Load,
 			NodeCounters: *rt.perNode[n.URL],
-			Breaker:      rt.breakers[n.URL].Stats(),
 		})
 	}
 	rt.mu.Unlock()

@@ -374,9 +374,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"# TYPE tlsrouter_failovers_total counter",
 		"# TYPE tlsrouter_jobs_routed_total counter",
 		"# TYPE tlsrouter_node_alive gauge",
-		"# TYPE tlsrouter_node_breaker_opens_total counter",
-		"# TYPE tlsrouter_node_breaker_short_circuits_total counter", // added: shared breaker stats
-		"# TYPE tlsrouter_node_breaker_state gauge",
 		"# TYPE tlsrouter_node_errors_total counter",
 		"# TYPE tlsrouter_node_load gauge",
 		"# TYPE tlsrouter_node_requests_total counter",
@@ -394,9 +391,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"tlsrouter_failovers_total{}",
 		"tlsrouter_jobs_routed_total{}",
 		"tlsrouter_node_alive{node}",
-		"tlsrouter_node_breaker_opens_total{node}",
-		"tlsrouter_node_breaker_short_circuits_total{node}", // added: shared breaker stats
-		"tlsrouter_node_breaker_state{node,state}",
 		"tlsrouter_node_errors_total{node}",
 		"tlsrouter_node_load{node}",
 		"tlsrouter_node_requests_total{node}",
@@ -414,11 +408,6 @@ func TestRouterMetricsSchema(t *testing.T) {
 		"jobs_routed",
 		"nodes",
 		"nodes[].alive",
-		"nodes[].breaker",
-		"nodes[].breaker.consecutive_failures",
-		"nodes[].breaker.opens",
-		"nodes[].breaker.short_circuits",
-		"nodes[].breaker.state",
 		"nodes[].errors",
 		"nodes[].load",
 		"nodes[].requests",

@@ -96,22 +96,6 @@ func (g *GShare) Predict(pc isa.PC, taken bool) (correct bool) {
 	return correct
 }
 
-// MispredictRate reports the fraction of mispredicted branches so far.
-func (g *GShare) MispredictRate() float64 {
-	if g.Predictions == 0 {
-		return 0
-	}
-	return float64(g.Mispredicts) / float64(g.Predictions)
-}
-
-// Reset clears history and statistics but keeps the trained counters,
-// matching a context that keeps running across measurement intervals.
-func (g *GShare) Reset() {
-	g.history = 0
-	g.Predictions = 0
-	g.Mispredicts = 0
-}
-
 func b2u(b bool) uint32 {
 	if b {
 		return 1

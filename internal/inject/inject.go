@@ -100,12 +100,11 @@ func (c Config) String() string {
 // Injector implements sim.Injector over a pre-generated, sorted fault
 // schedule. Injectors are single-use: construct a fresh one per sim run.
 type Injector struct {
-	cfg    Config
-	sched  []sim.Fault
-	next   int
-	phase  uint64
-	burst  uint64
-	events uint64
+	cfg   Config
+	sched []sim.Fault
+	next  int
+	phase uint64
+	burst uint64
 }
 
 var _ sim.Injector = (*Injector)(nil)
@@ -140,7 +139,6 @@ func (j *Injector) Next(now uint64) (sim.Fault, bool) {
 	}
 	f := j.sched[j.next]
 	j.next++
-	j.events++
 	return f, true
 }
 
@@ -154,9 +152,6 @@ func (j *Injector) LatchDelayed(now uint64) bool {
 	}
 	return (now+j.phase)%j.cfg.LatchEvery < j.burst
 }
-
-// Delivered reports how many scheduled faults Next has handed out.
-func (j *Injector) Delivered() uint64 { return j.events }
 
 // SplitMix64 advances the SplitMix64 generator whose whole state is *x and
 // returns the next value: a tiny, well-distributed PRNG, so schedules derive

@@ -92,8 +92,8 @@ func TestScheduleIsDeterministic(t *testing.T) {
 	if na != cfg.Faults {
 		t.Errorf("delivered %d faults, want %d", na, cfg.Faults)
 	}
-	if a.Delivered() != uint64(cfg.Faults) || nb != na {
-		t.Errorf("Delivered = %d/%d", a.Delivered(), nb)
+	if a.next != cfg.Faults || nb != na {
+		t.Errorf("delivered %d/%d", a.next, nb)
 	}
 }
 

@@ -58,14 +58,3 @@ func (p *Predictor) RecordUseless(pc isa.PC) {
 	}
 	p.Decayed++
 }
-
-// Tracked reports the number of load PCs with nonzero confidence.
-func (p *Predictor) Tracked() int {
-	n := 0
-	for _, c := range p.conf {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}

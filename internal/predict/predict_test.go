@@ -48,7 +48,7 @@ func TestPredictorSaturation(t *testing.T) {
 func TestZeroPCIgnored(t *testing.T) {
 	p := New()
 	p.RecordViolation(0)
-	if p.Tracked() != 0 {
+	if len(p.conf) != 0 {
 		t.Error("zero PC trained the predictor")
 	}
 }
@@ -58,7 +58,7 @@ func TestTracked(t *testing.T) {
 	p.RecordViolation(1)
 	p.RecordViolation(2)
 	p.RecordViolation(2)
-	if p.Tracked() != 2 {
-		t.Errorf("Tracked = %d", p.Tracked())
+	if n := len(p.conf); n != 2 {
+		t.Errorf("%d PCs tracked, want 2", n)
 	}
 }

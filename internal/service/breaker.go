@@ -15,13 +15,14 @@ const (
 )
 
 // Breaker is a hystrix-style circuit breaker around one fallible dependency.
-// The daemon wraps its disk CAS tier in one (an operation counts as a
-// failure if it errors or exceeds slowCall) and internal/cluster wraps each
-// inter-node link in its own, so a sick replica degrades its callers to
-// recompute instead of dragging every request through a dead socket. It
-// trips open after threshold consecutive failures; while open, Allow()
-// short-circuits callers. After cooldown, one probe is let through
-// half-open: its outcome closes or re-opens the circuit.
+// It has two users: the daemon's disk CAS tier (an operation counts as a
+// failure if it errors or exceeds slowCall), and each sibling link of the
+// `tlsd -peers` tier (internal/cluster's RemoteGroup), so a sick replica
+// degrades its callers to recompute instead of dragging every request
+// through a dead socket. It trips open after threshold consecutive
+// failures; while open, Allow() short-circuits callers. After cooldown, one
+// probe is let through half-open: its outcome closes or re-opens the
+// circuit.
 //
 // All methods are safe on a nil Breaker (Allow always true) so callers
 // without a breaker never branch.
@@ -51,8 +52,7 @@ const (
 )
 
 // NewBreaker builds a breaker. A caller whose operations are legitimately
-// slow (e.g. a proxied simulation) should pass a large slowCall so only real
-// errors count.
+// slow should pass a large slowCall so only real errors count.
 func NewBreaker(threshold int, cooldown, slowCall time.Duration) *Breaker {
 	return &Breaker{
 		threshold: threshold,

@@ -28,14 +28,6 @@ type Options struct {
 	// queue rejects submissions (HTTP 429) instead of buffering without
 	// bound — backpressure is the service's overload story.
 	QueueDepth int
-	// DefaultMaxCycles caps jobs that set no cycle budget of their own
-	// (the server-wide deadline); 0 leaves them unbounded.
-	DefaultMaxCycles uint64
-	// Paranoid forces the protocol invariant auditor on every job.
-	Paranoid bool
-	// Inject is a server-wide fault-injection spec applied to jobs that
-	// carry none — the chaos-mode default for soak testing the daemon.
-	Inject string
 	// Logger receives the access and job-lifecycle logs. nil — the library
 	// default — disables logging entirely: every logging site reduces to
 	// one branch, keeping the embedded serving path allocation-clean.
@@ -210,22 +202,6 @@ func New(opts Options) *Server {
 	return s
 }
 
-// normalize overlays the server-wide defaults a spec didn't set itself.
-// This happens before Resolve, so the overlays are part of the digest —
-// content addresses always name exactly what was simulated.
-func (s *Server) normalize(spec JobSpec) JobSpec {
-	if s.opts.Paranoid {
-		spec.Paranoid = true
-	}
-	if spec.Inject == "" {
-		spec.Inject = s.opts.Inject
-	}
-	if spec.MaxCycles == 0 {
-		spec.MaxCycles = s.opts.DefaultMaxCycles
-	}
-	return spec
-}
-
 // Submit admits a spec. On a digest hit it returns the existing job —
 // completed (a cache hit: the stored result serves without re-simulation)
 // or still in flight (deduplicated: the submission attaches to the one run)
@@ -241,7 +217,6 @@ func (s *Server) Submit(spec JobSpec, corr string) (j *Job, tier string, err err
 	if corr == "" {
 		corr = NewCorrelationID()
 	}
-	spec = s.normalize(spec)
 	start := time.Now()
 	r, err := spec.Resolve()
 	if err != nil {

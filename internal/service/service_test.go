@@ -241,6 +241,15 @@ func TestEndToEndSubmitPollResultEvents(t *testing.T) {
 	if st.ID == "" || st.Digest == "" {
 		t.Fatalf("submit returned incomplete status: %+v", st)
 	}
+	// The job's address is the spec's own digest: nothing the daemon was
+	// started with enters it, so tlsrouter routes by the digest tlsd keys.
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	if got := resp.Header.Get("X-Job-Digest"); got != r.Digest || st.Digest != r.Digest {
+		t.Errorf("X-Job-Digest %q, status digest %q; want Resolve's %q", got, st.Digest, r.Digest)
+	}
 
 	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {

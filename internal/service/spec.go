@@ -62,7 +62,7 @@ type JobSpec struct {
 	// Inject is a fault-injection spec (see internal/inject).
 	Inject string `json:"inject,omitempty"`
 	// MaxCycles is the job's hard cycle budget (its deadline, mapped onto
-	// sim.Config.MaxCycles); 0 inherits the server default.
+	// sim.Config.MaxCycles); 0 means no budget.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Watchdog bounds cycles without a commit (sim.Config.WatchdogCycles).
 	Watchdog uint64 `json:"watchdog_cycles,omitempty"`

@@ -159,19 +159,17 @@ func escapeHelp(s string) string {
 //     one family (`faults_total{kind=disk-err}`); HELP may then be left off
 //     all but the first of them.
 //   - A struct, pointer-to-struct or slice-of-struct field is a section whose
-//     NAME prefixes its families. A nil pointer renders nothing. A slice
-//     renders family-major, every element's sample of one family before the
-//     next family, because the exposition format keeps a family's lines in
-//     one group. A section's HELP is an optional " | "-separated list of
-//     "name: help" overrides, for a stats type whose families mean something
-//     else where this section embeds it.
+//     NAME prefixes its families; its fields' tags give their HELP. A nil
+//     pointer renders nothing. A slice renders family-major, every element's
+//     sample of one family before the next family, because the exposition
+//     format keeps a family's lines in one group.
 //   - A string field tagged `prom:"{name}"` adds the label name="field
 //     value" to every family of its struct.
 //   - `prom:"-"` keeps a field out of the exposition, and an untagged
 //     embedded struct renders in place. Any other untagged exported field is
 //     an error, so no field reaches the JSON form alone by accident.
 func (p *PromWriter) Struct(prefix string, v any) {
-	p.section(prefix, []labeled{{v: reflect.ValueOf(v)}}, nil)
+	p.section(prefix, []labeled{{v: reflect.ValueOf(v)}})
 }
 
 // labeled is one struct value of a section with the labels it inherits.
@@ -183,9 +181,8 @@ type labeled struct {
 var histogramType = reflect.TypeOf(HistogramSnapshot{})
 
 // section renders the fields of same-typed struct values one field, and so
-// one family, at a time across all of them. help overrides field HELP by
-// family name.
-func (p *PromWriter) section(prefix string, vs []labeled, help map[string]string) {
+// one family, at a time across all of them.
+func (p *PromWriter) section(prefix string, vs []labeled) {
 	var live []labeled
 	for _, lv := range vs {
 		if lv.v.Kind() == reflect.Pointer {
@@ -216,7 +213,7 @@ func (p *PromWriter) section(prefix string, vs []labeled, help map[string]string
 		case tag == "-" || strings.HasPrefix(tag, "{") || !f.IsExported() && !f.Anonymous:
 			continue
 		case !tagged && f.Anonymous:
-			p.section(prefix, fieldOf(live, i), help)
+			p.section(prefix, fieldOf(live, i))
 			continue
 		case !tagged:
 			p.err = fmt.Errorf("telemetry: field %s.%s has no prom tag", t, f.Name)
@@ -224,9 +221,6 @@ func (p *PromWriter) section(prefix string, vs []labeled, help map[string]string
 		}
 		spec, text, _ := strings.Cut(tag, " ")
 		name, list, _ := strings.Cut(strings.TrimSuffix(spec, "}"), "{")
-		if h, ok := help[name]; ok {
-			text = h
-		}
 		var consts []PromLabel
 		if list != "" {
 			for _, kv := range strings.Split(list, ",") {
@@ -243,10 +237,10 @@ func (p *PromWriter) section(prefix string, vs []labeled, help map[string]string
 					elems = append(elems, labeled{s.Index(j), lv.labels})
 				}
 			}
-			p.section(prefix+name, elems, helpOverrides(text))
+			p.section(prefix+name, elems)
 		case ft.Kind() == reflect.Struct && ft != histogramType ||
 			ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct:
-			p.section(prefix+name, fieldOf(live, i), helpOverrides(text))
+			p.section(prefix+name, fieldOf(live, i))
 		default:
 			for _, lv := range live {
 				p.leaf(prefix+name, text, lv.v.Field(i), append(append([]PromLabel(nil), lv.labels...), consts...))
@@ -284,19 +278,6 @@ func fieldOf(vs []labeled, i int) []labeled {
 		out[k] = labeled{lv.v.Field(i), lv.labels}
 	}
 	return out
-}
-
-// helpOverrides parses a section's "name: help | name: help" HELP list.
-func helpOverrides(text string) map[string]string {
-	if text == "" {
-		return nil
-	}
-	m := make(map[string]string)
-	for _, o := range strings.Split(text, " | ") {
-		name, h, _ := strings.Cut(o, ": ")
-		m[name] = h
-	}
-	return m
 }
 
 func oneIf(b bool) float64 {

@@ -165,7 +165,7 @@ type promTestBreaker struct {
 type promTestNode struct {
 	URL     string          `prom:"{node}"`
 	Up      bool            `prom:"up Whether the node is up."`
-	Breaker promTestBreaker `prom:"breaker_ state: Node link breaker state (one-hot)."`
+	Breaker promTestBreaker `prom:"breaker_"`
 }
 
 type promTestStore struct {
@@ -195,7 +195,7 @@ type promTestUntagged struct {
 // TestPromWriterStruct pins the tag-driven walker: counters, gauges and
 // histograms, constant labels sharing a family, one-hot strings, embedded
 // structs in place, per-element labels rendered family-major across a
-// slice, HELP overrides, and nil sections left out.
+// slice, and nil sections left out.
 func TestPromWriterStruct(t *testing.T) {
 	var h Histogram
 	h.Observe(3)
@@ -237,7 +237,7 @@ func TestPromWriterStruct(t *testing.T) {
 			"# TYPE x_node_up gauge",
 			`x_node_up{node="a"} 1`,
 			`x_node_up{node="b"} 0`,
-			"# HELP x_node_breaker_state Node link breaker state (one-hot).",
+			"# HELP x_node_breaker_state Breaker state (one-hot).",
 			"# TYPE x_node_breaker_state gauge",
 			`x_node_breaker_state{node="a",state="closed"} 1`,
 			`x_node_breaker_state{node="a",state="open"} 0`,

@@ -275,14 +275,3 @@ func (g *Engine) CommitOldest() (*Epoch, []Squash) {
 	g.audit("commit")
 	return e, all
 }
-
-// AbortAll discards every live epoch's state (used when a run is torn down).
-func (g *Engine) AbortAll() {
-	for len(g.order) > 0 {
-		e := g.order[len(g.order)-1]
-		g.rewind(e, 0)
-		g.order = g.order[:len(g.order)-1]
-	}
-	g.lines.reset()
-	g.latches = make(map[mem.Addr]*latchState)
-}

@@ -70,14 +70,6 @@ func (g *Engine) ReleaseLatch(e *Epoch, addr mem.Addr) {
 	}
 }
 
-// LatchHolder reports which epoch holds the latch at addr (nil when free).
-func (g *Engine) LatchHolder(addr mem.Addr) *Epoch {
-	if ls := g.latches[addr]; ls != nil {
-		return ls.holder
-	}
-	return nil
-}
-
 // releaseLatchesFrom force-releases every latch epoch e acquired in context
 // ctx or later (squash path), or all of them when ctx == 0 (commit path uses
 // 0 as well, where any remainder indicates an unbalanced workload trace).

@@ -58,11 +58,6 @@ func (t *lineTab) set(line mem.Addr, lm *lineMeta) {
 	t.pages[p][idx&linePageMask] = lm
 }
 
-// reset drops every page (a full directory flush; used by AbortAll).
-func (t *lineTab) reset() {
-	t.pages = nil
-}
-
 // forEach visits every resident directory entry in ascending line order
 // (audits and tests only — it walks every materialized page).
 func (t *lineTab) forEach(fn func(line mem.Addr, lm *lineMeta)) {

@@ -601,8 +601,8 @@ func TestLatchBasics(t *testing.T) {
 	if !g.AcquireLatch(e1, l) {
 		t.Fatal("released latch refused")
 	}
-	if g.LatchHolder(l) != e1 {
-		t.Error("LatchHolder wrong")
+	if g.latches[l].holder != e1 {
+		t.Error("wrong latch holder")
 	}
 }
 
@@ -616,7 +616,7 @@ func TestLatchReleasedOnSquash(t *testing.T) {
 	g.AcquireLatch(e1, l) // acquired in ctx 1
 	g.Load(e1, a)         // exposed in ctx 1
 	g.Store(e0, 1, a)     // violates e1 at ctx 1
-	if g.LatchHolder(l) != nil {
+	if g.latches[l].holder != nil {
 		t.Error("latch not released by squash of acquiring context")
 	}
 }
@@ -631,7 +631,7 @@ func TestLatchSurvivesLaterSquash(t *testing.T) {
 	g.StartSubthread(e1)
 	g.Load(e1, a)     // exposed in ctx 1
 	g.Store(e0, 1, a) // violates ctx 1 only
-	if g.LatchHolder(l) != e1 {
+	if g.latches[l].holder != e1 {
 		t.Error("latch acquired before the squashed context must survive")
 	}
 }
@@ -652,19 +652,6 @@ func TestCommitReleasesLatches(t *testing.T) {
 	g.CommitOldest()
 	if !g.AcquireLatch(e1, l) {
 		t.Error("latch leaked across commit")
-	}
-}
-
-func TestAbortAll(t *testing.T) {
-	g := NewEngine(smallConfig())
-	e0 := g.StartEpoch(0, 0)
-	e1 := g.StartEpoch(1, 1)
-	g.Load(e1, addr(27, 0))
-	g.Store(e1, 1, addr(28, 0))
-	g.AcquireLatch(e0, addr(29, 0))
-	g.AbortAll()
-	if g.Live() != 0 || g.lines.live() != 0 {
-		t.Error("AbortAll left state behind")
 	}
 }
 
@@ -757,7 +744,11 @@ func TestCommitCascadePromotesVictimVersions(t *testing.T) {
 	g.CommitOldest()
 	e1.Completed = true
 	g.CommitOldest()
-	if !g.L2.PresentLine(addr(1, 0).Line()) && !g.Victim.PresentLine(addr(1, 0).Line()) {
+	resident := false
+	seen := func(e cache.Entry) { resident = resident || e.Line == addr(1, 0).Line() }
+	g.L2.ForEach(seen)
+	g.Victim.ForEach(seen)
+	if !resident {
 		t.Error("committed version lost entirely")
 	}
 }

@@ -8,9 +8,9 @@ import (
 // Pos is a saved cursor position — the state a sub-thread checkpoint needs to
 // restart execution from (the register-file backup of §2.2 is modeled as
 // zero-cost, so a position is all there is to save). A position lies inside
-// an entry: within the ALU run it carries (Offset below the entry's Run), or
-// at its event once that run is consumed (Offset equal to a fused prefix's
-// length, 0 for an entry without one).
+// an entry: within the ALU run it carries (off below the entry's Run), or at
+// its event once that run is consumed (off equal to a fused prefix's length,
+// 0 for an entry without one).
 type Pos struct {
 	idx  int    // entry index
 	off  uint32 // instructions already consumed of the run events[idx] carries
@@ -19,13 +19,6 @@ type Pos struct {
 
 // Done reports how many dynamic instructions precede the position.
 func (p Pos) Done() uint64 { return p.done }
-
-// Index reports the index of the entry the position lies in.
-func (p Pos) Index() int { return p.idx }
-
-// Offset reports the instructions already consumed of the ALU run the entry
-// at Index carries.
-func (p Pos) Offset() uint32 { return p.off }
 
 // Cursor walks a Trace, supporting checkpoint (Pos) and rewind (Seek). It
 // presents the unfused event stream: an entry's ALU run first, then its
@@ -48,9 +41,6 @@ func (c *Cursor) Reset(t *Trace) {
 // Trace returns the trace being walked.
 func (c *Cursor) Trace() *Trace { return c.t }
 
-// AtEnd reports whether the whole trace has been consumed.
-func (c *Cursor) AtEnd() bool { return c.pos.idx >= len(c.t.events) }
-
 // Done reports the number of dynamic instructions consumed so far.
 func (c *Cursor) Done() uint64 { return c.pos.done }
 
@@ -59,9 +49,6 @@ func (c *Cursor) Pos() Pos { return c.pos }
 
 // Seek rewinds (or forwards) the cursor to a previously captured position.
 func (c *Cursor) Seek(p Pos) { c.pos = p }
-
-// Rewind returns the cursor to the start of the trace.
-func (c *Cursor) Rewind() { c.pos = Pos{} }
 
 // Head returns the entry at the cursor without consuming it; ok is false at
 // the end of the trace. The ALU run the entry carries may be partly or

@@ -85,7 +85,7 @@ func FuzzTraceBuilder(f *testing.F) {
 		for budget := uint32(1); budget <= 4; budget++ {
 			c.Reset(tr)
 			var got []Event
-			for !c.AtEnd() {
+			for !atEnd(c) {
 				for left := budget; left > 0; {
 					p, ok := c.Head()
 					if !ok {
@@ -142,7 +142,7 @@ func FuzzTraceBuilder(f *testing.F) {
 			}
 		}
 		all = append(all, at{c.Pos(), len(want), 0, done})
-		if !c.AtEnd() || done != tr.Instrs() {
+		if !atEnd(c) || done != tr.Instrs() {
 			t.Fatalf("stepping every instruction ended at %+v, done %d of %d", c.Pos(), done, tr.Instrs())
 		}
 		for _, a := range all {

@@ -125,6 +125,13 @@ func take(c *Cursor, p Packed, max uint32) uint32 {
 	return n
 }
 
+// atEnd reports whether c has consumed its whole trace: no entry is left
+// at its head.
+func atEnd(c *Cursor) bool {
+	_, ok := c.Head()
+	return !ok
+}
+
 // refEntry is the reference view of one packed entry: the ALU run it
 // carries (Run) and its event (Event).
 type refEntry struct {
@@ -233,8 +240,8 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 		case !ok:
 			t.Fatalf("at %+v: Head at the end, want %v", m, w)
 		case w.Kind != isa.ALU:
-			if p.Event() != w || p.Kind() != w.Kind || p.PC() != w.PC || p.Taken() != w.Taken || c.Pos().Offset() != p.Run() {
-				t.Fatalf("at %+v: Head = %v at offset %d, want %v", m, p, c.Pos().Offset(), w)
+			if p.Event() != w || p.Kind() != w.Kind || p.PC() != w.PC || p.Taken() != w.Taken || c.Pos().off != p.Run() {
+				t.Fatalf("at %+v: Head = %v at offset %d, want %v", m, p, c.Pos().off, w)
 			}
 		case p.Run() != w.N || p.Kind() == isa.ALU && p.Event() != w ||
 			p.Kind() != isa.ALU && (m.idx+1 >= len(want) || p.Event() != want[m.idx+1]):
@@ -287,8 +294,8 @@ func walkCursor(t *testing.T, tr *Trace, want []Event, rng *rand.Rand) {
 			seeks++
 		}
 	}
-	if !c.AtEnd() || c.Done() != tr.Instrs() || c.Pos().Index() != len(tr.Events()) || c.Pos().Offset() != 0 {
-		t.Fatalf("walk ended at %+v (at end %v), trace has %d instructions", c.Pos(), c.AtEnd(), tr.Instrs())
+	if !atEnd(c) || c.Done() != tr.Instrs() || c.Pos().idx != len(tr.Events()) || c.Pos().off != 0 {
+		t.Fatalf("walk ended at %+v (at end %v), trace has %d instructions", c.Pos(), atEnd(c), tr.Instrs())
 	}
 	if p, ok := c.Head(); ok {
 		t.Fatalf("Head past the end returned %v", p)

@@ -116,8 +116,7 @@ type Trace struct {
 	counts [isa.NumKinds]uint64
 }
 
-// Events returns the underlying packed entries (read-only by convention);
-// an entry's index is the Index of the cursor positions inside it.
+// Events returns the underlying packed entries (read-only by convention).
 func (t *Trace) Events() []Packed { return t.events }
 
 // Instrs is the total dynamic instruction count of the trace.

@@ -124,7 +124,7 @@ func TestCursorWalk(t *testing.T) {
 	if instrs != tr.Instrs() {
 		t.Errorf("cursor consumed %d instrs, trace has %d", instrs, tr.Instrs())
 	}
-	if !c.AtEnd() {
+	if !atEnd(c) {
 		t.Error("cursor not at end")
 	}
 	if _, ok := c.Next(4); ok {
@@ -148,7 +148,7 @@ func TestCursorALUClipping(t *testing.T) {
 	if ev.N != 2 {
 		t.Fatalf("final chunk N = %d", ev.N)
 	}
-	if !c.AtEnd() {
+	if !atEnd(c) {
 		t.Error("not at end after consuming run")
 	}
 	if ev, ok := c.Next(0); ok {
@@ -209,9 +209,9 @@ func TestCursorRewind(t *testing.T) {
 			break
 		}
 	}
-	c.Rewind()
-	if c.Done() != 0 || c.AtEnd() {
-		t.Error("Rewind did not reset cursor")
+	c.Seek(Pos{})
+	if c.Done() != 0 || atEnd(c) {
+		t.Error("seeking the zero position did not rewind the cursor")
 	}
 }
 
@@ -316,14 +316,14 @@ func TestCursorTakeALU(t *testing.T) {
 		t.Fatalf("take(4) = %d", n)
 	}
 	// A partly consumed run stays at the head, its offset in Pos.
-	if q, ok := c.Head(); !ok || q != p || c.Pos().Offset() != 4 {
-		t.Errorf("mid-run Head = %v,%v at offset %d", q, ok, c.Pos().Offset())
+	if q, ok := c.Head(); !ok || q != p || c.Pos().off != 4 {
+		t.Errorf("mid-run Head = %v,%v at offset %d", q, ok, c.Pos().off)
 	}
 	if n := take(c, p, 100); n != 6 {
 		t.Errorf("take(100) = %d, want the remaining 6", n)
 	}
 	// The fused run is consumed: the cursor is at the entry's event.
-	if pos := c.Pos(); pos.Index() != 0 || pos.Offset() != 10 || pos.Done() != 10 {
+	if pos := c.Pos(); pos.idx != 0 || pos.off != 10 || pos.Done() != 10 {
 		t.Errorf("after the run: pos %+v", pos)
 	}
 	if q, ok := c.Head(); !ok || q.Event() != (Event{Kind: isa.Load, PC: 5, Addr: 0x40, N: 1}) {
@@ -333,7 +333,7 @@ func TestCursorTakeALU(t *testing.T) {
 		t.Errorf("Pending at the event = %d, want 0", n)
 	}
 	c.Step()
-	if pos := c.Pos(); pos.Index() != 1 || pos.Offset() != 0 || pos.Done() != 11 {
+	if pos := c.Pos(); pos.idx != 1 || pos.off != 0 || pos.Done() != 11 {
 		t.Errorf("after the load: pos %+v", pos)
 	}
 	p, _ = c.Head()
@@ -341,7 +341,7 @@ func TestCursorTakeALU(t *testing.T) {
 		t.Errorf("Pending at an entry without a run = %d, want 0", n)
 	}
 	c.Step()
-	if _, ok := c.Head(); ok || !c.AtEnd() || c.Done() != 12 {
+	if _, ok := c.Head(); ok || !atEnd(c) || c.Done() != 12 {
 		t.Errorf("Head at end returned ok (done %d)", c.Done())
 	}
 
@@ -351,10 +351,10 @@ func TestCursorTakeALU(t *testing.T) {
 	b.Branch(7, false)
 	c = NewCursor(b.Finish())
 	p, _ = c.Head()
-	if n := take(c, p, 150); n != 150 || c.Pos().Index() != 0 {
+	if n := take(c, p, 150); n != 150 || c.Pos().idx != 0 {
 		t.Fatalf("take(150) = %d at %+v", n, c.Pos())
 	}
-	if n := take(c, p, 150); n != 50 || c.Pos().Index() != 1 || c.Pos().Offset() != 0 {
+	if n := take(c, p, 150); n != 50 || c.Pos().idx != 1 || c.Pos().off != 0 {
 		t.Errorf("take(150) = %d at %+v, want 50 and the next entry", n, c.Pos())
 	}
 }

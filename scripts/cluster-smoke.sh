@@ -3,11 +3,12 @@
 # start two tlsd workers peered to each other's caches plus a tlsrouter in
 # front, route a job through the router and require the served bytes to be
 # byte-identical to `tlssim -json`; pull the digest through a worker's
-# remote cache tier (the cross-process -peers wiring); kill the digest's
-# owner and require the router to fail over to the surviving replica, which
-# serves the digest byte-identically as a cache hit; finally scrape the
-# router's /metrics in both JSON and Prometheus form and lint the
-# tlsrouter_* exposition. First, a stray word among either command's flags,
+# remote cache tier (the cross-process -peers wiring); give up on a routed
+# ?wait=1 job mid-run and require the router to eject no worker and fail
+# over nowhere; kill the digest's owner and require the router to fail
+# over to the surviving replica, which serves the digest byte-identically
+# as a cache hit; finally scrape the router's /metrics in both JSON and
+# Prometheus form and lint the tlsrouter_* exposition. First, a stray word among either command's flags,
 # and a tuning flag tlsrouter no longer has, must exit 2.
 set -e
 cd "$(dirname "$0")/.."
@@ -120,6 +121,30 @@ if ! cmp -s "$TMP/remote.json" "$TMP/cli.json"; then
     exit 1
 fi
 
+# A client that gives up says nothing about the worker: a routed ?wait=1
+# job that runs longer than the client waits (curl exits 28 on its
+# timeout) must leave both workers alive, with no failover and no ring
+# change, once the router has let go of the submission.
+LONG='{"benchmark":"NEW ORDER","txns":32,"warmup":1,"seed":7}'
+STATUS=0
+curl -sS --max-time 0.2 -X POST "http://$ADDR_R/v1/jobs?wait=1" -d "$LONG" >/dev/null 2>&1 || STATUS=$?
+if [ "$STATUS" != 28 ]; then
+    echo "cluster-smoke: client-timeout leg: curl exited $STATUS, want its timeout (28)" >&2
+    exit 1
+fi
+for i in $(seq 1 50); do
+    curl -fsS "http://$ADDR_R/metrics" >"$TMP/gaveup.json"
+    [ "$(grep -Ec '"load": *0[,}]?$' "$TMP/gaveup.json")" = 2 ] && break
+    sleep 0.1
+done
+if [ "$(grep -Ec '"alive": *true' "$TMP/gaveup.json")" != 2 ] ||
+    ! grep -Eq '"failovers": *0,' "$TMP/gaveup.json" ||
+    ! grep -Eq '"ring_rebalances": *0,' "$TMP/gaveup.json"; then
+    echo "cluster-smoke: a client's timeout ejected a worker or failed over:" >&2
+    cat "$TMP/gaveup.json" >&2
+    exit 1
+fi
+
 # Kill the owner. The router's proxy to it fails, so it fails over to the
 # survivor, which holds the digest since its remote-tier fetch above: a
 # cache hit with the CLI's bytes, never an error or a recompute.
@@ -152,7 +177,7 @@ grep -q '"jobs_routed"' "$TMP/metrics.json" || {
     exit 1
 }
 curl -fsS -H 'Accept: text/plain' "http://$ADDR_R/metrics" >"$TMP/metrics.prom"
-for FAMILY in tlsrouter_build_info tlsrouter_nodes_alive tlsrouter_node_breaker_state \
+for FAMILY in tlsrouter_build_info tlsrouter_nodes_alive \
     tlsrouter_jobs_routed_total tlsrouter_ring_rebalances_total tlsrouter_probes_total; do
     grep -q "^$FAMILY" "$TMP/metrics.prom" || {
         echo "cluster-smoke: Prometheus exposition missing $FAMILY" >&2
@@ -194,4 +219,4 @@ if [ "$STATUS" != 0 ]; then
     exit 1
 fi
 
-echo "cluster-smoke: ok (usage errors, routed byte-identical, remote tier, owner-death failover hit, clean tlsrouter exposition)"
+echo "cluster-smoke: ok (usage errors, routed byte-identical, remote tier, client timeout ejects nothing, owner-death failover hit, clean tlsrouter exposition)"

@@ -39,9 +39,12 @@ go build -o "$TMP/tlsd" ./cmd/tlsd
 go build -o "$TMP/tlssim" ./cmd/tlssim
 
 # Usage errors exit 2 at once instead of serving: a stray word (flag
-# parsing stops there, so every flag after it would be dropped silently)
-# and a worker pool or queue below 1.
-for ARGS in "-log-format json stray -workers 3 -queue 9" "-workers -4" "-queue 0"; do
+# parsing stops there, so every flag after it would be dropped silently),
+# a worker pool or queue below 1, and the job fields tlsd takes only from
+# the spec (a job's digest depends on its request body alone), which are
+# unknown flags.
+for ARGS in "-log-format json stray -workers 3 -queue 9" "-workers -4" "-queue 0" \
+    "-paranoid" "-inject seed=1" "-max-cycles 5"; do
     STATUS=0
     # shellcheck disable=SC2086 # ARGS is split into words on purpose
     timeout 5 "$TMP/tlsd" -addr "$ADDR" $ARGS >/dev/null 2>"$TMP/usage.err" || STATUS=$?
@@ -50,6 +53,15 @@ for ARGS in "-log-format json stray -workers 3 -queue 9" "-workers -4" "-queue 0
         cat "$TMP/usage.err" >&2
         exit 1
     fi
+    case "$ARGS" in
+    -paranoid* | -inject* | -max-cycles*)
+        if ! grep -q 'flag provided but not defined' "$TMP/usage.err"; then
+            echo "tlsd-smoke: tlsd $ARGS is not an unknown flag" >&2
+            cat "$TMP/usage.err" >&2
+            exit 1
+        fi
+        ;;
+    esac
 done
 
 "$TMP/tlsd" -addr "$ADDR" -debug-addr "$DEBUG_ADDR" -log-format json \
