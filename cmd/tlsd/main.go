@@ -28,12 +28,12 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
 	"subthreads/internal/cas"
 	"subthreads/internal/cliflags"
-	"subthreads/internal/cluster"
 	"subthreads/internal/service"
 	"subthreads/internal/version"
 )
@@ -64,6 +64,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlsd: -workers and -queue must be >= 1, got %d and %d\n", *workers, *queueDepth)
 		os.Exit(2)
 	}
+	peerURLs := cliflags.SplitURLs(*peers)
+	for i, u := range peerURLs {
+		// A sibling listed twice would be asked twice on every local miss.
+		if slices.Contains(peerURLs[:i], u) {
+			fmt.Fprintf(os.Stderr, "tlsd: -peers: duplicate URL %q\n", u)
+			os.Exit(2)
+		}
+	}
 
 	chaosSched, err := cliflags.OpenChaos(*chaosSpec)
 	if err != nil {
@@ -89,7 +97,7 @@ func main() {
 		fmt.Printf("tlsd: persistent cache at %s\n", store.Dir())
 	}
 
-	opts := service.Options{
+	s := service.New(service.Options{
 		Workers:    *workers,
 		QueueDepth: *queueDepth,
 		Logger:     logger,
@@ -97,16 +105,11 @@ func main() {
 		Store:      store,
 		JobTimeout: *jobTimeout,
 		Chaos:      chaosSched,
-	}
-	if peerURLs := cliflags.SplitURLs(*peers); len(peerURLs) > 0 {
-		// The remote cache tier: before recomputing a digest that missed
-		// memory and disk, ask the siblings' caches. Each link has its own
-		// breaker, so a sick sibling degrades to recompute.
-		group := cluster.NewRemoteGroup(peerURLs, logger)
-		opts.RemoteFetch = group.Fetch
+		Peers:      peerURLs,
+	})
+	if len(peerURLs) > 0 {
 		fmt.Printf("tlsd: remote cache tier over %d sibling(s)\n", len(peerURLs))
 	}
-	s := service.New(opts)
 	if chaosSched != nil {
 		fmt.Printf("tlsd: CHAOS ARMED (%s) — injected faults are deliberate\n", chaosSched.Config())
 	}

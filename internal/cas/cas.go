@@ -1,9 +1,9 @@
 // Package cas holds the tiers of the repo's content-addressed caches. Store
 // is the persistent tier: a size-bounded on-disk store of immutable byte
-// entries keyed by (namespace, digest), so a restarted or freshly scaled-out
-// process is warm from byte one. Memo is the memory tier, a keyed
-// single-flight cache of computed values (recorded programs, exact
-// simulation results), unbounded or held to a byte budget by LRU eviction.
+// entries keyed by digest, so a restarted or freshly scaled-out process is
+// warm from byte one. Memo is the memory tier, a keyed single-flight cache
+// of computed values (recorded programs, exact simulation results),
+// unbounded or held to a byte budget by LRU eviction.
 // The serving daemon's job table stays its own memory tier: it tracks live
 // jobs, not just values.
 //
@@ -68,6 +68,11 @@ const maxBytes = 1 << 30
 
 // indexFile is the on-disk LRU index, relative to the store root.
 const indexFile = "index.json"
+
+// entryDir is the directory under the store root that holds the entries.
+// Its name is that of the result documents the serving daemon keeps there,
+// so a store written by an earlier daemon serves from byte one.
+const entryDir = "result"
 
 // Stats is a point-in-time snapshot of the store's counters, exported to
 // the daemon's /metrics (JSON and tlsd_cas_* Prometheus families).
@@ -276,20 +281,20 @@ func (s *Store) persistIndexLocked() {
 	}
 }
 
-// entryPath maps (namespace, key) to the entry's path relative to the store
-// root, fanning out on the first two key characters so one directory never
-// holds the whole store.
-func entryPath(namespace, key string) string {
-	if !safeName(namespace) || !safeName(key) {
-		// Keys are digests and namespaces are package-chosen constants;
-		// anything else is a programming error, not an input error.
-		panic(fmt.Sprintf("cas: unsafe entry name %q/%q", namespace, key))
+// entryPath maps key to the entry's path relative to the store root,
+// fanning out on the first two key characters so one directory never holds
+// the whole store.
+func entryPath(key string) string {
+	if !safeName(key) {
+		// Keys are digests; anything else is a programming error, not an
+		// input error.
+		panic(fmt.Sprintf("cas: unsafe entry name %q", key))
 	}
 	fan := key
 	if len(fan) > 2 {
 		fan = key[:2]
 	}
-	return filepath.Join(namespace, fan, key+entryExt)
+	return filepath.Join(entryDir, fan, key+entryExt)
 }
 
 // safeName accepts the filesystem-safe alphabet entry names may use.
@@ -308,15 +313,15 @@ func safeName(s string) bool {
 	return s[0] != '.'
 }
 
-// Get returns the payload stored under (namespace, key), or ok=false on a
-// miss. The returned bytes are shared and must be treated as read-only.
-// Concurrent Gets of one key share a single disk read; a corrupt entry is
-// quarantined and reported as a miss.
-func (s *Store) Get(namespace, key string) (data []byte, ok bool) {
+// Get returns the payload stored under key, or ok=false on a miss. The
+// returned bytes are shared and must be treated as read-only. Concurrent
+// Gets of one key share a single disk read; a corrupt entry is quarantined
+// and reported as a miss.
+func (s *Store) Get(key string) (data []byte, ok bool) {
 	if s == nil {
 		return nil, false
 	}
-	rel := entryPath(namespace, key)
+	rel := entryPath(key)
 
 	s.mu.Lock()
 	if f := s.flights[rel]; f != nil {
@@ -389,16 +394,16 @@ func (s *Store) loadEntry(rel string) ([]byte, bool) {
 	return payload, true
 }
 
-// Put stores payload under (namespace, key), atomically replacing any
-// previous entry, then evicts past the size budget. The entry is fsync'd;
-// the recency index is not rewritten until Close. Failures are logged and
-// swallowed: the persistent tier is an optimization, never a correctness
-// dependency, so a full disk degrades to cold behavior.
-func (s *Store) Put(namespace, key string, payload []byte) {
+// Put stores payload under key, atomically replacing any previous entry,
+// then evicts past the size budget. The entry is fsync'd; the recency index
+// is not rewritten until Close. Failures are logged and swallowed: the
+// persistent tier is an optimization, never a correctness dependency, so a
+// full disk degrades to cold behavior.
+func (s *Store) Put(key string, payload []byte) {
 	if s == nil {
 		return
 	}
-	rel := entryPath(namespace, key)
+	rel := entryPath(key)
 	fault, injected := s.faultFor("store")
 	start := time.Now()
 	if fault.Delay > 0 {

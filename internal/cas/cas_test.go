@@ -35,15 +35,15 @@ func openCapped(t *testing.T, dir string, budget int64) *Store {
 func TestRoundTrip(t *testing.T) {
 	s := open(t, t.TempDir())
 	payload := []byte("the exact bytes that were stored")
-	s.Put("built", "abc123", payload)
-	got, ok := s.Get("built", "abc123")
+	s.Put("abc123", payload)
+	got, ok := s.Get("abc123")
 	if !ok {
 		t.Fatal("Get missed a freshly stored entry")
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, want %q", got, payload)
 	}
-	if _, ok := s.Get("built", "unknown"); ok {
+	if _, ok := s.Get("unknown"); ok {
 		t.Fatal("Get hit an entry that was never stored")
 	}
 	st := s.Stats()
@@ -71,17 +71,21 @@ func TestEntryFramePinned(t *testing.T) {
 }
 
 // The warm-restart contract: a second store over the same directory serves
-// the first store's entries from byte one.
+// the first store's entries from byte one. The layout is pinned too, so a
+// directory an earlier build wrote stays warm.
 func TestReopenWarm(t *testing.T) {
 	dir := t.TempDir()
 	s1 := open(t, dir)
-	s1.Put("result", "deadbeef", []byte("served body"))
+	s1.Put("deadbeef", []byte("served body"))
 	if err := s1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "result", "de", "deadbeef.cas")); err != nil {
+		t.Fatalf("entry not at DIR/result/<key[:2]>/<key>.cas: %v", err)
+	}
 
 	s2 := open(t, dir)
-	got, ok := s2.Get("result", "deadbeef")
+	got, ok := s2.Get("deadbeef")
 	if !ok || string(got) != "served body" {
 		t.Fatalf("reopened store Get = %q, %v; want the stored body", got, ok)
 	}
@@ -95,9 +99,9 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open(%q): %v", dir, err)
 	}
-	s.Put("built", "feedface", []byte("good payload"))
+	s.Put("feedface", []byte("good payload"))
 
-	path := filepath.Join(dir, entryPath("built", "feedface"))
+	path := filepath.Join(dir, entryPath("feedface"))
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
@@ -123,7 +127,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s.Put("built", "feedface", []byte("good payload"))
+			s.Put("feedface", []byte("good payload"))
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatalf("read entry: %v", err)
@@ -132,7 +136,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 				t.Fatalf("corrupt entry: %v", err)
 			}
 			logbuf.Reset()
-			if _, ok := s.Get("built", "feedface"); ok {
+			if _, ok := s.Get("feedface"); ok {
 				t.Fatal("Get served a corrupted entry")
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -145,8 +149,8 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 				t.Fatalf("no structured quarantine log, got %q", logbuf.String())
 			}
 			// The slot is clean: a rebuild stores and serves again.
-			s.Put("built", "feedface", []byte("rebuilt payload"))
-			if got, ok := s.Get("built", "feedface"); !ok || string(got) != "rebuilt payload" {
+			s.Put("feedface", []byte("rebuilt payload"))
+			if got, ok := s.Get("feedface"); !ok || string(got) != "rebuilt payload" {
 				t.Fatalf("rebuild after quarantine: Get = %q, %v", got, ok)
 			}
 		})
@@ -164,19 +168,19 @@ func TestEvictionUnderSizeCap(t *testing.T) {
 	s := openCapped(t, dir, 3*entrySize)
 
 	for i := 0; i < 3; i++ {
-		s.Put("ns", fmt.Sprintf("key%d", i), payload)
+		s.Put(fmt.Sprintf("key%d", i), payload)
 	}
 	// Touch key0 so key1 becomes the LRU victim.
-	if _, ok := s.Get("ns", "key0"); !ok {
+	if _, ok := s.Get("key0"); !ok {
 		t.Fatal("key0 missing before eviction")
 	}
-	s.Put("ns", "key3", payload)
+	s.Put("key3", payload)
 
-	if _, ok := s.Get("ns", "key1"); ok {
+	if _, ok := s.Get("key1"); ok {
 		t.Fatal("LRU entry key1 survived past the size cap")
 	}
 	for _, k := range []string{"key0", "key2", "key3"} {
-		if _, ok := s.Get("ns", k); !ok {
+		if _, ok := s.Get(k); !ok {
 			t.Fatalf("entry %s evicted out of LRU order", k)
 		}
 	}
@@ -188,7 +192,7 @@ func TestEvictionUnderSizeCap(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 entries within %d bytes", st, 3*entrySize)
 	}
 	// The evicted file is gone from disk, not just from accounting.
-	if _, err := os.Stat(filepath.Join(dir, entryPath("ns", "key1"))); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, entryPath("key1"))); !os.IsNotExist(err) {
 		t.Fatalf("evicted entry file still on disk: %v", err)
 	}
 }
@@ -200,9 +204,9 @@ func TestIndexPersistsRecency(t *testing.T) {
 	payload := bytes.Repeat([]byte("y"), 64)
 	entrySize := int64(headerSize + len(payload))
 	s1 := openCapped(t, dir, 2*entrySize)
-	s1.Put("ns", "older", payload)
-	s1.Put("ns", "newer", payload)
-	if _, ok := s1.Get("ns", "older"); !ok {
+	s1.Put("older", payload)
+	s1.Put("newer", payload)
+	if _, ok := s1.Get("older"); !ok {
 		t.Fatal("older missing")
 	}
 	if err := s1.Close(); err != nil {
@@ -210,11 +214,11 @@ func TestIndexPersistsRecency(t *testing.T) {
 	}
 
 	s2 := openCapped(t, dir, 2*entrySize)
-	s2.Put("ns", "third", payload) // must evict "newer", not the re-touched "older"
-	if _, ok := s2.Get("ns", "newer"); ok {
+	s2.Put("third", payload) // must evict "newer", not the re-touched "older"
+	if _, ok := s2.Get("newer"); ok {
 		t.Fatal("eviction order ignored the persisted index")
 	}
-	if _, ok := s2.Get("ns", "older"); !ok {
+	if _, ok := s2.Get("older"); !ok {
 		t.Fatal("recently-used entry evicted after restart")
 	}
 }
@@ -226,7 +230,7 @@ func TestIndexWrittenOnClose(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir)
 	for i := range 5 {
-		s.Put("ns", fmt.Sprintf("key%d", i), []byte("payload"))
+		s.Put(fmt.Sprintf("key%d", i), []byte("payload"))
 	}
 	index := filepath.Join(dir, indexFile)
 	if _, err := os.Stat(index); !os.IsNotExist(err) {
@@ -262,8 +266,8 @@ func TestConcurrentProcessesSafe(t *testing.T) {
 			}
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("key%d", (w+i)%len(payloads))
-				s.Put("shared", k, payloads[(w+i)%len(payloads)])
-				if got, ok := s.Get("shared", k); ok {
+				s.Put(k, payloads[(w+i)%len(payloads)])
+				if got, ok := s.Get(k); ok {
 					want := payloads[(w+i)%len(payloads)]
 					if !bytes.Equal(got, want) {
 						t.Errorf("torn read: key %s got %d bytes, want %d", k, len(got), len(want))
@@ -280,10 +284,10 @@ func TestConcurrentProcessesSafe(t *testing.T) {
 // branch on whether the persistent tier is enabled.
 func TestNilStore(t *testing.T) {
 	var s *Store
-	if _, ok := s.Get("ns", "key"); ok {
+	if _, ok := s.Get("key"); ok {
 		t.Fatal("nil store Get hit")
 	}
-	s.Put("ns", "key", []byte("data"))
+	s.Put("key", []byte("data"))
 	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 || st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("nil store stats = %+v, want zero", st)
 	}
@@ -298,14 +302,14 @@ func TestNilStore(t *testing.T) {
 func TestSingleFlightSharesLoad(t *testing.T) {
 	s := open(t, t.TempDir())
 	payload := bytes.Repeat([]byte("z"), 1<<16)
-	s.Put("ns", "big", payload)
+	s.Put("big", payload)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got, ok := s.Get("ns", "big"); !ok || !bytes.Equal(got, payload) {
+			if got, ok := s.Get("big"); !ok || !bytes.Equal(got, payload) {
 				t.Error("concurrent Get failed")
 			}
 		}()

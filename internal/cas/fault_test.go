@@ -39,13 +39,13 @@ func (f *stubFaults) Disk(op string) (DiskFault, bool) {
 
 func TestInjectedLoadErrorIsMissNotCorruption(t *testing.T) {
 	s := open(t, t.TempDir())
-	s.Put("built", "aa11", []byte("payload"))
+	s.Put("aa11", []byte("payload"))
 	s.SetFaults(&stubFaults{loadEvery: 1, load: DiskFault{Err: errors.New("injected EIO")}})
-	if _, ok := s.Get("built", "aa11"); ok {
+	if _, ok := s.Get("aa11"); ok {
 		t.Fatal("Get succeeded through an injected read error")
 	}
 	s.SetFaults(nil)
-	got, ok := s.Get("built", "aa11")
+	got, ok := s.Get("aa11")
 	if !ok || string(got) != "payload" {
 		t.Fatalf("entry lost after a transient read error: %q, %v", got, ok)
 	}
@@ -61,10 +61,10 @@ func TestInjectedLoadErrorIsMissNotCorruption(t *testing.T) {
 func TestTornWriteQuarantinedOnRead(t *testing.T) {
 	s := open(t, t.TempDir())
 	s.SetFaults(&stubFaults{storeEvery: 1, store: DiskFault{TornBytes: headerSize + 3}})
-	s.Put("result", "bb22", []byte("a body longer than three bytes"))
+	s.Put("bb22", []byte("a body longer than three bytes"))
 	s.SetFaults(nil)
 
-	if _, ok := s.Get("result", "bb22"); ok {
+	if _, ok := s.Get("bb22"); ok {
 		t.Fatal("Get served a torn entry")
 	}
 	st := s.Stats()
@@ -77,8 +77,8 @@ func TestTornWriteQuarantinedOnRead(t *testing.T) {
 
 	// The slot is clean: a rebuild overwrites and round-trips.
 	body := []byte("rebuilt body")
-	s.Put("result", "bb22", body)
-	got, ok := s.Get("result", "bb22")
+	s.Put("bb22", body)
+	got, ok := s.Get("bb22")
 	if !ok || !bytes.Equal(got, body) {
 		t.Fatalf("rebuild after torn-write quarantine failed: %q, %v", got, ok)
 	}
@@ -87,9 +87,9 @@ func TestTornWriteQuarantinedOnRead(t *testing.T) {
 func TestInjectedStoreErrorDropsPut(t *testing.T) {
 	s := open(t, t.TempDir())
 	s.SetFaults(&stubFaults{storeEvery: 1, store: DiskFault{Err: errors.New("injected ENOSPC")}})
-	s.Put("built", "cc33", []byte("never lands"))
+	s.Put("cc33", []byte("never lands"))
 	s.SetFaults(nil)
-	if _, ok := s.Get("built", "cc33"); ok {
+	if _, ok := s.Get("cc33"); ok {
 		t.Fatal("Get hit an entry whose Put was injected to fail")
 	}
 	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
@@ -114,10 +114,10 @@ func TestObserverSeesLatencyAndFailures(t *testing.T) {
 
 	const spike = 5 * time.Millisecond
 	s.SetFaults(&stubFaults{loadEvery: 2, load: DiskFault{Delay: spike, Err: errors.New("slow EIO")}})
-	s.Put("built", "dd44", []byte("x")) // store, ok
-	s.Get("built", "dd44")              // load 1: clean hit
-	s.Get("built", "dd44")              // load 2: injected slow error
-	s.Get("built", "nope")              // load 3: clean miss — NOT a failure
+	s.Put("dd44", []byte("x")) // store, ok
+	s.Get("dd44")              // load 1: clean hit
+	s.Get("dd44")              // load 2: injected slow error
+	s.Get("nope")              // load 3: clean miss — NOT a failure
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -168,12 +168,12 @@ func TestConcurrentChaosQuarantineAndEviction(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				k := (w + r) % keys
 				key := fmt.Sprintf("k%02d", k)
-				if got, ok := s.Get("chaos", key); ok {
+				if got, ok := s.Get(key); ok {
 					if !bytes.Equal(got, payload(k)) {
 						t.Errorf("key %s served wrong bytes under chaos", key)
 					}
 				} else {
-					s.Put("chaos", key, payload(k))
+					s.Put(key, payload(k))
 				}
 			}
 		}(w)
@@ -185,10 +185,10 @@ func TestConcurrentChaosQuarantineAndEviction(t *testing.T) {
 	// (evicted / torn-then-quarantined); a rebuild always lands.
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("k%02d", k)
-		got, ok := s.Get("chaos", key)
+		got, ok := s.Get(key)
 		if !ok {
-			s.Put("chaos", key, payload(k))
-			got, ok = s.Get("chaos", key)
+			s.Put(key, payload(k))
+			got, ok = s.Get(key)
 		}
 		if !ok || !bytes.Equal(got, payload(k)) {
 			t.Fatalf("key %s does not round-trip after chaos: ok=%v", key, ok)

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -56,45 +57,30 @@ func renderExpected(t *testing.T, spec service.JobSpec) []byte {
 	return buf.Bytes()
 }
 
-// testFleet is a 3-worker in-process cluster: each worker is a real
-// service.Server behind httptest, wired to its siblings' caches through
-// RemoteFetch exactly as `tlsd -peers` would wire it.
+// testFleet is an in-process cluster of n workers: each worker is a real
+// service.Server behind httptest, peered to its siblings' caches exactly as
+// `tlsd -peers` peers it.
 type testFleet struct {
 	servers []*service.Server
 	ts      []*httptest.Server
 	urls    []string
-	groups  []atomic.Pointer[RemoteGroup] // late-bound: URLs exist only after httptest starts
 }
 
 func newTestFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
-	f := &testFleet{groups: make([]atomic.Pointer[RemoteGroup], n)}
+	f := &testFleet{}
+	// Listen first, so each server is built knowing its siblings' URLs.
 	for i := 0; i < n; i++ {
-		idx := i
-		s := service.New(service.Options{
-			Workers:    2,
-			QueueDepth: 16,
-			RemoteFetch: func(ctx context.Context, digest string) service.RemoteResult {
-				g := f.groups[idx].Load()
-				if g == nil {
-					return service.RemoteResult{}
-				}
-				return g.Fetch(ctx, digest)
-			},
-		})
-		ts := httptest.NewServer(s.Handler())
-		f.servers = append(f.servers, s)
+		ts := httptest.NewUnstartedServer(nil)
 		f.ts = append(f.ts, ts)
-		f.urls = append(f.urls, ts.URL)
+		f.urls = append(f.urls, "http://"+ts.Listener.Addr().String())
 	}
-	for i := 0; i < n; i++ {
-		var peers []string
-		for j := 0; j < n; j++ {
-			if j != i {
-				peers = append(peers, f.urls[j])
-			}
-		}
-		f.groups[i].Store(NewRemoteGroup(peers, nil))
+	for i, ts := range f.ts {
+		peers := slices.Delete(slices.Clone(f.urls), i, i+1)
+		s := service.New(service.Options{Workers: 2, QueueDepth: 16, Peers: peers})
+		ts.Config.Handler = s.Handler()
+		ts.Start()
+		f.servers = append(f.servers, s)
 	}
 	t.Cleanup(func() {
 		for i := range f.servers {
@@ -359,49 +345,6 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if m.RingRebalances == 0 {
 		t.Errorf("router RingRebalances = 0 after a worker death")
-	}
-}
-
-// TestRemoteTierCountsMissesAndFailures: a daemon whose -peers tier asks
-// one sibling that holds no result for the digest (404) and one that is
-// down counts one miss and one failure, in JSON and Prometheus alike, and
-// then runs the job itself.
-func TestRemoteTierCountsMissesAndFailures(t *testing.T) {
-	empty := service.New(service.Options{Workers: 1, QueueDepth: 1})
-	emptyTS := httptest.NewServer(empty.Handler())
-	down := httptest.NewServer(http.NotFoundHandler())
-	down.Close()
-	g := NewRemoteGroup([]string{emptyTS.URL, down.URL}, nil)
-	s := service.New(service.Options{Workers: 1, QueueDepth: 4, RemoteFetch: g.Fetch})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		emptyTS.Close()
-		for _, srv := range []*service.Server{s, empty} {
-			if err := srv.Shutdown(context.Background()); err != nil {
-				t.Errorf("Shutdown: %v", err)
-			}
-		}
-	})
-
-	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
-		strings.NewReader(`{"benchmark":"ORDER STATUS","txns":1,"warmup":1}`))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("submit = %d: %s", resp.StatusCode, body)
-	}
-	m := s.MetricsSnapshot()
-	if m.CacheRemoteMisses != 1 || m.CacheRemoteFailures != 1 || m.CacheRemoteHits != 0 || m.CacheMisses != 1 {
-		t.Errorf("remote misses %d, failures %d, hits %d, cache misses %d; want 1, 1, 0, 1",
-			m.CacheRemoteMisses, m.CacheRemoteFailures, m.CacheRemoteHits, m.CacheMisses)
-	}
-	prom := string(scrape(t, s.Handler(), "text/plain"))
-	for _, line := range []string{"\ntlsd_cache_remote_misses_total 1\n", "\ntlsd_cache_remote_failures_total 1\n"} {
-		if !strings.Contains(prom, line) {
-			t.Errorf("exposition lacks %q", strings.TrimSpace(line))
-		}
 	}
 }
 

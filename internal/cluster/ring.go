@@ -1,6 +1,5 @@
-// Package cluster scales tlsd from one process to a small fleet. It
-// provides the pieces the router binary (cmd/tlsrouter) and the daemon's
-// `-peers` flag compose:
+// Package cluster scales tlsd from one process to a small fleet behind
+// the router binary (cmd/tlsrouter):
 //
 //   - Ring: a bounded-load consistent-hash ring over worker base URLs.
 //     Placement is keyed by the job digest, so the same spec always lands
@@ -10,16 +9,13 @@
 //     ring and readmits them when they recover.
 //   - Router: the digest-routing proxy; when a digest's owner fails it
 //     ejects the owner from the ring and fails over down it, and the
-//     failover worker's own tiers serve a warm digest.
-//   - RemoteGroup: the sibling-rescue tier of `tlsd -peers` — cheap GET
-//     /v1/cache/{digest} probes against sibling replicas, each link
-//     wrapped in its own circuit breaker so a sick replica degrades to
-//     recompute, never to an outage.
+//     failover worker's own tiers (memory, disk, and its `tlsd -peers`
+//     siblings, internal/service) serve a warm digest.
 //
-// The package deliberately depends on internal/service only for shared
-// vocabulary (JobSpec, Breaker, correlation rules); service never imports
-// cluster — the daemon learns about its peers through the RemoteFetch
-// function cmd/tlsd wires into service.Options.
+// The package depends on internal/service only for the daemon's shared
+// HTTP front and vocabulary (spec decoding, correlation rules, the
+// /metrics handler); service never imports cluster, and neither does
+// cmd/tlsd.
 package cluster
 
 import (

@@ -15,9 +15,9 @@ const (
 )
 
 // Breaker is a hystrix-style circuit breaker around one fallible dependency.
-// It has two users: the daemon's disk CAS tier (an operation counts as a
-// failure if it errors or exceeds slowCall), and each sibling link of the
-// `tlsd -peers` tier (internal/cluster's RemoteGroup), so a sick replica
+// It has two users, both in this package: the daemon's disk CAS tier (an
+// operation counts as a failure if it errors or exceeds slowCall), and each
+// sibling link of the `tlsd -peers` tier (peers.go), so a sick replica
 // degrades its callers to recompute instead of dragging every request
 // through a dead socket. It trips open after threshold consecutive
 // failures; while open, Allow() short-circuits callers. After cooldown, one
@@ -102,7 +102,7 @@ func (b *Breaker) Allow() bool {
 
 // Observe feeds one operation outcome into the state machine. The daemon
 // wires it as the cas.Store observer, so it sees every result read and
-// write; the cluster layer calls it after each inter-node request. The first
+// write; a sibling link calls it after each of its fetches. The first
 // argument names the operation and exists to satisfy the store's observer
 // signature; the state machine ignores it.
 func (b *Breaker) Observe(_ string, d time.Duration, failed bool) {

@@ -296,12 +296,14 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *Job {
 }
 
 // handleCacheGet serves a previously computed result body by digest — the
-// cheap sibling-cache endpoint behind the cluster's cross-node fetch path
-// (GET /v1/cache/{digest}). It consults only the caches — a completed job in
-// memory, then the breaker-gated persistent store — and never computes, so
-// probing a replica costs a lookup, not a simulation. Responses:
+// cheap sibling-cache endpoint that a `tlsd -peers` sibling fetches from
+// (GET /v1/cache/{digest}). It consults only this node's caches — a
+// completed job in memory, then the breaker-gated persistent store, never
+// its own siblings — and never computes, so probing a replica costs a
+// lookup, not a simulation. Responses:
 //
-//	200  the stored result body (X-Cache-Tier: memory|disk)
+//	200  the stored result body (X-Cache-Tier: memory|disk, and the
+//	     X-Job-Digest a fetching sibling checks)
 //	404  this node has no stored result for the digest
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")

@@ -119,7 +119,7 @@ func TestWarmRestartServesFromDisk(t *testing.T) {
 }
 
 // A cold job writes the store exactly one entry, its rendered result: one
-// Put, under the result namespace. No other namespace is created.
+// Put, under the result directory. No other directory is created.
 func TestColdJobStoresOnlyItsResult(t *testing.T) {
 	dir := t.TempDir()
 	store := openTestStore(t, dir)
@@ -134,25 +134,25 @@ func TestColdJobStoresOnlyItsResult(t *testing.T) {
 	requireResultsOnly(t, dir, 1)
 }
 
-// requireResultsOnly fails unless the store directory's only namespace is
-// the result namespace and it holds n entries.
+// requireResultsOnly fails unless the store directory's only directory is
+// result/ and it holds n entries.
 func requireResultsOnly(t *testing.T, dir string, n int) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("read store dir: %v", err)
 	}
-	var namespaces []string
+	var dirs []string
 	for _, e := range entries {
 		if e.IsDir() {
-			namespaces = append(namespaces, e.Name())
+			dirs = append(dirs, e.Name())
 		}
 	}
-	if want := []string{casResultNS}; !slices.Equal(namespaces, want) {
-		t.Errorf("store namespaces = %q, want %q", namespaces, want)
+	if want := []string{"result"}; !slices.Equal(dirs, want) {
+		t.Errorf("store directories = %q, want %q", dirs, want)
 	}
-	if files, _ := filepath.Glob(filepath.Join(dir, casResultNS, "*", "*.cas")); len(files) != n {
-		t.Errorf("the result namespace holds %d entries, want %d", len(files), n)
+	if files, _ := filepath.Glob(filepath.Join(dir, "result", "*", "*.cas")); len(files) != n {
+		t.Errorf("result/ holds %d entries, want %d", len(files), n)
 	}
 }
 

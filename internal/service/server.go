@@ -53,26 +53,13 @@ type Options struct {
 	// installed as the store's fault injector and consulted per job
 	// execution for worker panics. Test/soak plumbing — see internal/chaos.
 	Chaos *chaos.Chaos
-	// RemoteFetch, when non-nil, is the cross-node cache tier: on a local
-	// miss (memory and disk both empty), the daemon asks sibling replicas
-	// for the digest's rendered result before falling back to recompute.
-	// Wired by cmd/tlsd -peers through internal/cluster's per-node circuit
-	// breakers; a fetched body is also published to the local store so
-	// warmth spreads through the cluster.
-	RemoteFetch func(ctx context.Context, digest string) RemoteResult
-}
-
-// RemoteResult is what one sibling-cache lookup found: the result body and
-// the sibling it came from (for the log line), Body nil when no sibling
-// held it, and how many siblings answered that they hold no result for the
-// digest (404) or gave no usable answer: a transport error, a 5xx or other
-// unexpected status, or an empty body. A sibling its breaker skips counts
-// in neither.
-type RemoteResult struct {
-	Body     []byte
-	From     string
-	Misses   uint64
-	Failures uint64
+	// Peers are the base URLs of sibling replicas (`tlsd -peers`), the
+	// cross-node cache tier: on a local miss (memory and disk both empty),
+	// a submission asks their caches (GET /v1/cache/{digest}) for the
+	// digest's rendered result before falling back to recompute. Each link
+	// has its own circuit breaker (peers.go); a fetched body is also
+	// published to the local store so warmth spreads through the cluster.
+	Peers []string
 }
 
 // Cache tiers: where a hit submission's bytes came from. The HTTP layer
@@ -102,10 +89,6 @@ const programBudget = 16 << 20
 // from the tail of a failed job's stream.
 const flightEvents = 4096
 
-// casResultNS is the store namespace for rendered result bodies, keyed by
-// the resolved job digest — the same digest that keys the in-memory cache.
-const casResultNS = "result"
-
 // ErrQueueFull rejects a submission because the admission queue is at
 // capacity; the HTTP layer maps it to 429 + Retry-After.
 var ErrQueueFull = errors.New("service: queue full")
@@ -129,6 +112,7 @@ type Server struct {
 	builder *workload.Builder
 	store   *cas.Store // nil = no persistent tier
 	breaker *Breaker   // nil = no persistent tier to break around
+	peers   []peer     // the sibling tier; empty without -peers
 	chaos   *chaos.Chaos
 	mux     httpMux
 	log     *slog.Logger // nil = logging disabled
@@ -183,6 +167,7 @@ func New(opts Options) *Server {
 		poison:       make(map[string]*poisonEntry),
 	}
 	s.builder.SetBudget(programBudget)
+	s.peers = s.newPeers(opts.Peers)
 	if opts.Store != nil {
 		s.breaker = NewBreaker(diskBreakerThreshold, diskBreakerCooldown, diskBreakerSlowCall)
 		s.breaker.OnChange(func(from, to string) {
@@ -265,12 +250,11 @@ func (s *Server) Submit(spec JobSpec, corr string) (j *Job, tier string, err err
 	return j, tier, err
 }
 
-// admit is the tiered core of Submit: memory (an existing job for
-// this digest), then the persistent store (a result computed by an earlier
-// process — or an earlier life of this one), then the sibling replicas'
-// caches (a result computed anywhere in the cluster), then a real enqueue.
-// Disk and network I/O happen outside the server lock; cas single-flights
-// concurrent loads of one key, and the locked re-check after each probe
+// admit is the tiered core of Submit: memory (an existing job for this
+// digest), then the warm tiers below the job table (lookup: the persistent
+// store, then the sibling replicas' caches), then a real enqueue. Disk and
+// network I/O happen outside the server lock; cas single-flights
+// concurrent loads of one key, and the locked re-check after the lookup
 // keeps the first installation the winner. from names the sibling that
 // served a TierRemote hit ("" otherwise).
 func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) (j *Job, tier, from string, queueLen int, err error) {
@@ -290,57 +274,42 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	}
 	s.mu.Unlock()
 
-	if s.breaker.Allow() {
-		if body, ok := s.store.Get(casResultNS, r.Digest); ok {
-			now := time.Now()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			// Another submission may have installed this digest while we were
-			// reading the disk; serve that one instead of replacing it.
-			if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
-				return prev, t, "", len(s.queue), nil
-			}
-			j = s.installFinishedLocked(corr, spec, r, start, body, now)
-			s.counters.CacheDiskHits++
-			s.diskHitMicros.Observe(uint64(time.Since(start).Microseconds()))
-			return j, TierDisk, "", len(s.queue), nil
-		}
-	}
-
-	if s.opts.RemoteFetch != nil {
-		got := s.opts.RemoteFetch(context.Background(), r.Digest)
-		now := time.Now()
-		s.mu.Lock()
-		s.counters.CacheRemoteMisses += got.Misses
-		s.counters.CacheRemoteFailures += got.Failures
-		if got.Body != nil {
-			if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
-				s.mu.Unlock()
-				return prev, t, "", len(s.queue), nil
-			}
-			j = s.installFinishedLocked(corr, spec, r, start, got.Body, now)
-			s.counters.CacheRemoteHits++
-			s.remoteHitMicros.Observe(uint64(time.Since(start).Microseconds()))
-			queueLen = len(s.queue)
-			s.mu.Unlock()
-			// Spread the warmth: publish the fetched body locally so the next
-			// restart — and the next sibling probe — finds it on this node.
-			// Outside the lock (disk I/O), gated by the disk breaker.
-			if s.breaker.Allow() {
-				s.store.Put(casResultNS, r.Digest, got.Body)
-			}
-			return j, TierRemote, got.From, queueLen, nil
-		}
-		s.mu.Unlock()
-	}
-
+	body, tier, from := s.lookup(r.Digest, true)
+	now := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Re-check: a duplicate submission may have enqueued while we missed
-	// the disk.
+	// Re-check: another submission may have installed or enqueued this
+	// digest while we read the disk or asked the siblings; serve that one
+	// instead of replacing it.
 	if prev, t := s.memoryHitLocked(r.Digest, start); t != "" {
+		s.mu.Unlock()
 		return prev, t, "", len(s.queue), nil
 	}
+	if body != nil {
+		// A warm hit installs a pre-finished job: the submission's result
+		// serves at once, and later submissions of the digest are memory
+		// hits.
+		j = newJob(newJobID(), corr, spec, r, start)
+		j.finish(body, nil, now)
+		s.jobs[j.id] = j
+		s.byDigest[r.Digest] = j
+		took := uint64(time.Since(start).Microseconds())
+		if tier == TierDisk {
+			s.counters.CacheDiskHits++
+			s.diskHitMicros.Observe(took)
+		} else {
+			s.counters.CacheRemoteHits++
+			s.remoteHitMicros.Observe(took)
+		}
+		queueLen = len(s.queue)
+		s.mu.Unlock()
+		if tier == TierRemote {
+			// Spread the warmth: the next restart, and the next sibling's
+			// probe, find the fetched body on this node too.
+			s.publish(r.Digest, body)
+		}
+		return j, tier, from, queueLen, nil
+	}
+	defer s.mu.Unlock()
 	if s.draining {
 		return nil, "", "", 0, ErrDraining
 	}
@@ -377,16 +346,34 @@ func (s *Server) admit(spec JobSpec, r *Resolved, corr string, start time.Time) 
 	return j, "", "", len(s.queue), nil
 }
 
-// installFinishedLocked installs a pre-finished job for a body fetched from
-// a warm tier (disk or a sibling replica): the submission gets a job whose
-// result serves immediately, and future submissions of the digest are
-// memory hits. Caller holds s.mu.
-func (s *Server) installFinishedLocked(corr string, spec JobSpec, r *Resolved, start time.Time, body []byte, now time.Time) *Job {
-	j := newJob(newJobID(), corr, spec, r, start)
-	j.finish(body, nil, now)
-	s.jobs[j.id] = j
-	s.byDigest[r.Digest] = j
-	return j
+// lookup is the one walk below the job table: the persistent store
+// (breaker-gated), then, when siblings is set, the sibling replicas'
+// caches. It returns the body, the tier that held it (TierDisk or
+// TierRemote, "" on a miss) and the sibling that served a remote hit, and
+// never computes. Only admission asks the siblings; a cache probe does not,
+// so daemons peered to each other never pass a probe on.
+func (s *Server) lookup(digest string, siblings bool) (body []byte, tier, from string) {
+	if s.breaker.Allow() {
+		if body, ok := s.store.Get(digest); ok {
+			return body, TierDisk, ""
+		}
+	}
+	if siblings {
+		if body, from = s.fetchPeers(digest); body != nil {
+			return body, TierRemote, from
+		}
+	}
+	return nil, "", ""
+}
+
+// publish writes a result body to the persistent store, so a restarted
+// daemon, or a sibling's probe, serves the digest from disk. Outside the
+// server lock: Put is disk I/O. Gated by the disk breaker: while the disk
+// is sick, skipping the write is the degradation, not a loss.
+func (s *Server) publish(digest string, body []byte) {
+	if s.breaker.Allow() {
+		s.store.Put(digest, body)
+	}
 }
 
 // memoryHitLocked classifies a digest hit on an existing job and counts it,
@@ -410,29 +397,24 @@ func (s *Server) memoryHitLocked(digest string, start time.Time) (*Job, string) 
 
 // CachedResult answers the sibling-cache probe (GET /v1/cache/{digest}): the
 // stored bytes for a digest if this node already has them — a completed job
-// in memory, or the persistent store (breaker-gated) — and the tier they
-// came from. It never computes and never touches the admission queue, so a
-// sibling probing N replicas costs N lookups, not N simulations.
+// in memory, or the persistent store (lookup without the siblings) — and
+// the tier they came from. It never computes, never touches the admission
+// queue and never asks this node's own siblings, so a sibling probing N
+// replicas costs N lookups, not N simulations.
 func (s *Server) CachedResult(digest string) (body []byte, tier string, ok bool) {
 	s.mu.Lock()
 	s.counters.CacheProbes++
 	prev := s.byDigest[digest]
 	s.mu.Unlock()
 	if prev != nil && prev.State() == StateDone {
-		s.mu.Lock()
-		s.counters.CacheProbeHits++
-		s.mu.Unlock()
-		return prev.Result(), TierMemory, true
+		body, tier = prev.Result(), TierMemory
+	} else if body, tier, _ = s.lookup(digest, false); body == nil {
+		return nil, "", false
 	}
-	if s.breaker.Allow() {
-		if body, ok := s.store.Get(casResultNS, digest); ok {
-			s.mu.Lock()
-			s.counters.CacheProbeHits++
-			s.mu.Unlock()
-			return body, TierDisk, true
-		}
-	}
-	return nil, "", false
+	s.mu.Lock()
+	s.counters.CacheProbeHits++
+	s.mu.Unlock()
+	return body, tier, true
 }
 
 // Job looks a job up by ID.
@@ -543,9 +525,8 @@ func (s *Server) watchCancel(j *Job) {
 		Error: cause.Error(),
 		Repro: j.res.ReproCommand(),
 	}
-	j.finish(nil, failure, now)
-	j.release()
 
+	// Counted before it is finished, as in runJob.
 	s.mu.Lock()
 	s.counters.JobsFailed++
 	if failure.Kind == "timeout" {
@@ -559,6 +540,8 @@ func (s *Server) watchCancel(j *Job) {
 		delete(s.byDigest, j.res.Digest)
 	}
 	s.mu.Unlock()
+	j.finish(nil, failure, now)
+	j.release()
 	s.jlog(slog.LevelWarn, "job cancelled while queued",
 		slog.String("correlation_id", j.corr),
 		slog.String("job", j.id),
@@ -588,10 +571,10 @@ func (s *Server) runJob(j *Job) {
 	}
 	body, ref, failure := s.execute(j)
 	finished := time.Now()
-	j.finish(body, failure, finished)
-	j.release()
 	stages := j.stageDurations()
 
+	// Count the job before publishing its terminal state, so a client that
+	// has seen it end finds it counted in /metrics.
 	s.mu.Lock()
 	s.inFlight--
 	if failure != nil {
@@ -622,13 +605,11 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.coldMicros.Observe(uint64(finished.Sub(j.submitted).Microseconds()))
 	s.mu.Unlock()
+	j.finish(body, failure, finished)
+	j.release()
 
-	if failure == nil && s.breaker.Allow() {
-		// Publish the rendered body so a future process — or this one
-		// after a restart — serves the digest from disk. Outside the lock:
-		// Put is disk I/O. Gated by the breaker: while the disk is sick,
-		// skipping the publish is the degradation, not a loss.
-		s.store.Put(casResultNS, j.res.Digest, body)
+	if failure == nil {
+		s.publish(j.res.Digest, body)
 	}
 
 	if failure != nil {
@@ -892,10 +873,10 @@ type Counters struct {
 	CacheProbes     uint64 `json:"cache_probes" prom:"cache_probes_total Sibling-cache probes answered (GET /v1/cache/{digest})."`
 	CacheProbeHits  uint64 `json:"cache_probe_hits" prom:"cache_probe_hits_total Sibling-cache probes that found a stored result."`
 
-	// The -peers tier's sibling fetches that found nothing (RemoteResult):
+	// The -peers tier's sibling fetches that found nothing (fetchPeers):
 	// a sibling up but without the digest, and one that failed.
 	CacheRemoteMisses   uint64 `json:"cache_remote_misses" prom:"cache_remote_misses_total Sibling-cache fetches answered 404: the sibling holds no result for the digest."`
-	CacheRemoteFailures uint64 `json:"cache_remote_failures" prom:"cache_remote_failures_total Sibling-cache fetches that failed: transport error, 5xx or other unexpected status, or an empty body."`
+	CacheRemoteFailures uint64 `json:"cache_remote_failures" prom:"cache_remote_failures_total Sibling-cache fetches that failed: transport error, 5xx or other unexpected status, or a 200 that is not the digest's result."`
 
 	// JobsForked and JobsReplayed split executed main simulations into
 	// forked and full runs. tlsd no longer forks, so nothing increments

@@ -9,7 +9,8 @@
 # over to the surviving replica, which serves the digest byte-identically
 # as a cache hit; finally scrape the router's /metrics in both JSON and
 # Prometheus form and lint the tlsrouter_* exposition. First, a stray word among either command's flags,
-# and a tuning flag tlsrouter no longer has, must exit 2.
+# a tuning flag tlsrouter no longer has, and a URL listed twice in either
+# command's list must exit 2.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -36,10 +37,13 @@ go build -o "$TMP/tlssim" ./cmd/tlssim
 # A stray word is a usage error (exit 2 at once): flag parsing stops there,
 # so a second unquoted URL would otherwise drop every flag after it and the
 # command would serve on its defaults. tlsrouter's ring and prober settings
-# are constants, so a flag that once set one is a usage error too.
+# are constants, so a flag that once set one is a usage error too. A
+# sibling or worker listed twice is a typo, never a weight.
 for CMD in "tlsd -addr $ADDR_A -peers http://127.0.0.1:1 http://127.0.0.1:2 -workers 3 -queue 9" \
     "tlsrouter -workers http://127.0.0.1:1 stray -addr $ADDR_R" \
-    "tlsrouter -vnodes 64 -workers http://127.0.0.1:1"; do
+    "tlsrouter -vnodes 64 -workers http://127.0.0.1:1" \
+    "tlsd -addr $ADDR_A -peers http://127.0.0.1:1,http://127.0.0.1:1/" \
+    "tlsrouter -addr $ADDR_R -workers http://127.0.0.1:1,http://127.0.0.1:1"; do
     STATUS=0
     # shellcheck disable=SC2086 # CMD is split into words on purpose
     timeout 5 "$TMP"/$CMD >/dev/null 2>"$TMP/usage.err" || STATUS=$?
