@@ -51,7 +51,6 @@ func main() {
 		flightDir    = flag.String("flight-dir", filepath.Join(os.TempDir(), "tlsd-flight"), "directory for failure flight-recorder dumps; empty disables the recorder")
 		peers        = flag.String("peers", "", "comma-separated sibling tlsd base URLs whose caches are probed (GET /v1/cache/{digest}) before recomputing a locally-missed digest")
 		cacheDir     = flag.String("cache-dir", "", "persistent store directory for result bodies (empty = in-memory only)")
-		chaosSpec    = cliflags.AddChaos(flag.CommandLine)
 		showVersion  = cliflags.AddVersion(flag.CommandLine)
 	)
 	flag.Parse()
@@ -64,6 +63,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tlsd: -workers and -queue must be >= 1, got %d and %d\n", *workers, *queueDepth)
 		os.Exit(2)
 	}
+	if *jobTimeout < 0 || *drainTimeout < 0 {
+		// A negative drain timeout would give in-flight jobs no grace at
+		// all: Shutdown's context would be done before it began.
+		fmt.Fprintf(os.Stderr, "tlsd: -job-timeout and -drain-timeout must be >= 0, got %v and %v\n", *jobTimeout, *drainTimeout)
+		os.Exit(2)
+	}
 	peerURLs := cliflags.SplitURLs(*peers)
 	for i, u := range peerURLs {
 		// A sibling listed twice would be asked twice on every local miss.
@@ -71,12 +76,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tlsd: -peers: duplicate URL %q\n", u)
 			os.Exit(2)
 		}
-	}
-
-	chaosSched, err := cliflags.OpenChaos(*chaosSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tlsd: %v\n", err)
-		os.Exit(2)
 	}
 
 	logger, err := cliflags.NewLogger(*logFormat, *logLevel)
@@ -104,14 +103,10 @@ func main() {
 		FlightDir:  *flightDir,
 		Store:      store,
 		JobTimeout: *jobTimeout,
-		Chaos:      chaosSched,
 		Peers:      peerURLs,
 	})
 	if len(peerURLs) > 0 {
 		fmt.Printf("tlsd: remote cache tier over %d sibling(s)\n", len(peerURLs))
-	}
-	if chaosSched != nil {
-		fmt.Printf("tlsd: CHAOS ARMED (%s) — injected faults are deliberate\n", chaosSched.Config())
 	}
 	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
 

@@ -92,9 +92,9 @@ type Stats struct {
 	StoreMicros telemetry.HistogramSnapshot `json:"store_micros" prom:"store_latency_microseconds Latency of persistent-store disk writes."`
 }
 
-// DiskFault is one injected perturbation of a disk operation. The chaos
-// harness (internal/chaos) produces these on a seeded deterministic
-// schedule; the store consults its injector before each disk touch.
+// DiskFault is one injected perturbation of a disk operation. A test's
+// FaultInjector produces these; the store consults its injector before
+// each disk touch.
 type DiskFault struct {
 	// Delay stalls the operation before it runs, modeling a latency spike.
 	// The stall is charged to the operation's observed latency, so slow-call
@@ -117,8 +117,9 @@ type FaultInjector interface {
 	Disk(op string) (DiskFault, bool)
 }
 
-// SetFaults installs (or, with nil, removes) a fault injector. Safe on a
-// nil store. Test/chaos plumbing only — production opens never set one.
+// SetFaults installs (or, with nil, removes) a fault injector: the one way
+// a test injects disk faults, into the store or the daemon above it. Safe
+// on a nil store. Production opens never set one.
 func (s *Store) SetFaults(f FaultInjector) {
 	if s == nil {
 		return

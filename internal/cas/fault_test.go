@@ -11,9 +11,8 @@ import (
 )
 
 // Fault-injection tests: the store's behavior under injected disk errors,
-// torn writes, and latency spikes. A local stub injector is used instead of
-// internal/chaos (which imports cas) so these stay in-package; the seeded
-// schedule itself is covered by the chaos package's tests.
+// torn writes, and latency spikes, through a local stub on the store's fault
+// seam (SetFaults).
 
 // stubFaults injects a fixed fault on every Nth operation of each kind.
 type stubFaults struct {
@@ -139,7 +138,7 @@ func TestObserverSeesLatencyAndFailures(t *testing.T) {
 }
 
 // The satellite requirement: quarantine and eviction stay correct under
-// concurrent chaos-injected I/O errors and torn writes (run under -race by
+// concurrent injected I/O errors and torn writes (run under -race by
 // CI). Every surviving readable entry must round-trip exactly, and the
 // store's accounting must match the directory when the dust settles.
 func TestConcurrentChaosQuarantineAndEviction(t *testing.T) {

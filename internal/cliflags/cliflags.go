@@ -16,7 +16,6 @@ import (
 	"os"
 	"strings"
 
-	"subthreads/internal/chaos"
 	"subthreads/internal/inject"
 	"subthreads/internal/isa"
 	"subthreads/internal/sim"
@@ -130,32 +129,6 @@ func WriteFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// AddChaos registers -chaos on fs: the deterministic infrastructure-fault
-// schedule (disk errors, latency spikes, torn writes, worker panics) for
-// soak-testing the daemon's degraded modes. Distinct from -inject, which
-// perturbs the simulated machine: -chaos perturbs the serving machinery
-// around it and never changes result bytes.
-func AddChaos(fs *flag.FlagSet) *string {
-	return fs.String("chaos", "",
-		"deterministic serving-fault schedule, e.g. seed=1,disk-err=8,slow=8,slow-ms=5,torn=16,panic=10; \"on\" = defaults (see internal/chaos)")
-}
-
-// OpenChaos parses a -chaos value. "" returns nil (chaos off); "on" arms the
-// default schedule.
-func OpenChaos(spec string) (*chaos.Chaos, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if spec == "on" {
-		return chaos.New(chaos.DefaultConfig()), nil
-	}
-	cfg, err := chaos.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	return chaos.New(cfg), nil
 }
 
 // AddVersion registers -version on fs.

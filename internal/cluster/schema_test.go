@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"subthreads/internal/cas"
-	"subthreads/internal/chaos"
 	"subthreads/internal/service"
 	"subthreads/internal/telemetry"
 )
@@ -155,15 +154,15 @@ func checkSchema(t *testing.T, h http.Handler, types, labels, paths []string) {
 }
 
 // TestTlsdMetricsSchema pins the daemon's schema with every optional
-// section present: a store (and so the breaker around it) and an armed,
-// fault-free chaos schedule, after one job has run.
+// section present: a store (and so the breaker around it), after one job
+// has run.
 func TestTlsdMetricsSchema(t *testing.T) {
 	store, err := cas.Open(t.TempDir(), nil)
 	if err != nil {
 		t.Fatalf("cas.Open: %v", err)
 	}
 	defer store.Close()
-	s := service.New(service.Options{Workers: 1, QueueDepth: 4, Store: store, Chaos: chaos.New(chaos.Config{Seed: 1})})
+	s := service.New(service.Options{Workers: 1, QueueDepth: 4, Store: store})
 	ts := httptest.NewServer(s.Handler())
 	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json",
 		strings.NewReader(`{"benchmark":"STOCK LEVEL","txns":2,"warmup":1}`))
@@ -215,7 +214,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"# TYPE tlsd_cas_put_total counter",
 		"# TYPE tlsd_cas_size_bytes gauge",
 		"# TYPE tlsd_cas_store_latency_microseconds histogram",
-		"# TYPE tlsd_chaos_faults_total counter",
 		"# TYPE tlsd_job_cold_latency_microseconds histogram",
 		"# TYPE tlsd_job_stage_latency_microseconds histogram",
 		"# TYPE tlsd_jobs_cancelled_total counter",
@@ -271,7 +269,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"tlsd_cas_put_total{}",
 		"tlsd_cas_size_bytes{}",
 		"tlsd_cas_store_latency_microseconds{}",
-		"tlsd_chaos_faults_total{kind}",
 		"tlsd_job_cold_latency_microseconds{}",
 		"tlsd_job_stage_latency_microseconds{stage}",
 		"tlsd_jobs_cancelled_total{}",
@@ -328,11 +325,6 @@ func TestTlsdMetricsSchema(t *testing.T) {
 		"cas_breaker.opens",
 		"cas_breaker.short_circuits",
 		"cas_breaker.state",
-		"chaos",
-		"chaos.disk_errs",
-		"chaos.disk_slows",
-		"chaos.panics",
-		"chaos.torn_writes",
 		"cold_latency_micros",
 		"deduped_in_flight",
 		"disk_hit_latency_micros",

@@ -155,8 +155,8 @@ func (j *Injector) LatchDelayed(now uint64) bool {
 
 // SplitMix64 advances the SplitMix64 generator whose whole state is *x and
 // returns the next value: a tiny, well-distributed PRNG, so schedules derive
-// from a seed alone. The injection schedule here, the chaos schedule
-// (internal/chaos) and the service client's retry jitter all draw from it.
+// from a seed alone. The injection schedule here and the service client's
+// retry jitter both draw from it.
 func SplitMix64(x *uint64) uint64 {
 	*x += 0x9e3779b97f4a7c15
 	z := *x

@@ -16,7 +16,7 @@ import (
 )
 
 // Client is a minimal retrying client for the daemon's job API, used by the
-// e2e and chaos suites. It submits synchronously (?wait=1), classifies
+// e2e and disk-fault suites. It submits synchronously (?wait=1), classifies
 // responses into permanent and retryable failures, and retries the latter
 // under a bounded budget with exponential backoff, seeded jitter, and
 // respect for the server's Retry-After — the well-behaved client the

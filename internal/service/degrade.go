@@ -72,11 +72,11 @@ type poisonEntry struct {
 
 // deterministicFailure reports whether a failure kind indicts the job
 // itself rather than the circumstances of this run. Timeouts, client
-// cancellations, drain aborts and panics the chaos schedule injected say
-// nothing about what a retry would do, so they never poison a digest.
+// cancellations and drain aborts say nothing about what a retry would do,
+// so they never poison a digest.
 func deterministicFailure(kind string) bool {
 	switch kind {
-	case "timeout", "cancelled", "drain", "chaos":
+	case "timeout", "cancelled", "drain":
 		return false
 	}
 	return true
@@ -86,8 +86,9 @@ func deterministicFailure(kind string) bool {
 // slides: each failure restarts the TTL, so a digest failing steadily stays
 // quarantined. Caller holds s.mu.
 func (s *Server) notePoisonLocked(digest string, f *Failure, now time.Time) {
+	s.prunePoisonLocked(now)
 	e := s.poison[digest]
-	if e == nil || now.After(e.until) {
+	if e == nil {
 		e = &poisonEntry{}
 		s.poison[digest] = e
 	}
@@ -115,6 +116,17 @@ func (s *Server) poisonedLocked(digest string, now time.Time) *PoisonedError {
 		Failures:   e.fails,
 		LastKind:   e.kind,
 		RetryAfter: clampRetryAfter(e.until.Sub(now)),
+	}
+}
+
+// prunePoisonLocked drops every entry whose window has ended at now, so a
+// stream of distinct failing digests does not grow the table for the
+// daemon's life. Caller holds s.mu.
+func (s *Server) prunePoisonLocked(now time.Time) {
+	for d, e := range s.poison {
+		if now.After(e.until) {
+			delete(s.poison, d)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -299,7 +300,7 @@ func TestTimeoutFailuresNeverPoison(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	now := time.Now()
 	s.mu.Lock()
-	for _, kind := range []string{"timeout", "cancelled", "drain", "chaos"} {
+	for _, kind := range []string{"timeout", "cancelled", "drain"} {
 		if deterministicFailure(kind) {
 			t.Errorf("%s counted as deterministic", kind)
 		}
@@ -316,6 +317,37 @@ func TestTimeoutFailuresNeverPoison(t *testing.T) {
 		t.Errorf("non-deterministic kinds quarantined the digest: %v", pe)
 	}
 	s.mu.Unlock()
+}
+
+// The poison table forgets a window once it has ended: the gauge counts
+// live windows only, and noting the next failure drops the ended ones, so
+// distinct failing digests do not grow the table for the daemon's life.
+func TestPoisonTableForgetsEndedWindows(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Shutdown(context.Background())
+	now := time.Now()
+	failure := &Failure{Kind: "max-cycles"}
+	s.mu.Lock()
+	for _, d := range []string{"a", "b", "c"} {
+		s.notePoisonLocked(d, failure, now)
+	}
+	s.poison["a"].until = now.Add(-time.Second) // a's window has ended
+	s.mu.Unlock()
+	if got := s.MetricsSnapshot().PoisonedDigests; got != 2 {
+		t.Errorf("poisoned_digests = %d with one of three windows ended, want 2", got)
+	}
+	s.mu.Lock()
+	s.poison["b"].until = now.Add(-time.Second) // and now b's
+	s.notePoisonLocked("d", failure, now)
+	var live []string
+	for d := range s.poison {
+		live = append(live, d)
+	}
+	s.mu.Unlock()
+	slices.Sort(live)
+	if !slices.Equal(live, []string{"c", "d"}) {
+		t.Errorf("poison table holds %v after the next failure, want [c d]", live)
+	}
 }
 
 // Deadline-aware admission: once the server has observed service latencies,
@@ -385,6 +417,22 @@ func TestJobTimeoutResolution(t *testing.T) {
 	}
 	if got := unlimited.jobTimeout(JobSpec{TimeoutMS: 50}); got != 50*time.Millisecond {
 		t.Errorf("spec timeout without ceiling = %v, want 50ms", got)
+	}
+
+	// The largest timeout_ms a spec may carry is the largest whole number
+	// of milliseconds a time.Duration holds (about 292 years): it resolves
+	// and is honoured, and one more millisecond is rejected.
+	largest := tinySpec("NEW ORDER")
+	largest.TimeoutMS = 9_223_372_036_854
+	if _, err := largest.Resolve(); err != nil {
+		t.Errorf("timeout_ms %d: %v", largest.TimeoutMS, err)
+	}
+	if got, want := unlimited.jobTimeout(largest), 9_223_372_036_854*time.Millisecond; got != want {
+		t.Errorf("jobTimeout(%dms) = %v, want %v", largest.TimeoutMS, got, want)
+	}
+	largest.TimeoutMS++
+	if _, err := largest.Resolve(); err == nil {
+		t.Errorf("timeout_ms %d resolved, want an error", largest.TimeoutMS)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"subthreads/internal/cas"
-	"subthreads/internal/chaos"
 	"subthreads/internal/sim"
 	"subthreads/internal/telemetry"
 	"subthreads/internal/workload"
@@ -49,10 +48,6 @@ type Options struct {
 	// that do. 0 disables the default deadline (paper-scale runs can take
 	// arbitrarily long).
 	JobTimeout time.Duration
-	// Chaos, when non-nil, arms the deterministic fault schedule: it is
-	// installed as the store's fault injector and consulted per job
-	// execution for worker panics. Test/soak plumbing — see internal/chaos.
-	Chaos *chaos.Chaos
 	// Peers are the base URLs of sibling replicas (`tlsd -peers`), the
 	// cross-node cache tier: on a local miss (memory and disk both empty),
 	// a submission asks their caches (GET /v1/cache/{digest}) for the
@@ -113,7 +108,6 @@ type Server struct {
 	store   *cas.Store // nil = no persistent tier
 	breaker *Breaker   // nil = no persistent tier to break around
 	peers   []peer     // the sibling tier; empty without -peers
-	chaos   *chaos.Chaos
 	mux     httpMux
 	log     *slog.Logger // nil = logging disabled
 	started time.Time
@@ -158,7 +152,6 @@ func New(opts Options) *Server {
 		builder:      workload.NewBuilder(),
 		flightEvents: flightEvents,
 		store:        opts.Store,
-		chaos:        opts.Chaos,
 		log:          opts.Logger,
 		started:      time.Now(),
 		queue:        make(chan *Job, opts.QueueDepth),
@@ -175,9 +168,6 @@ func New(opts Options) *Server {
 				slog.String("from", from), slog.String("to", to))
 		})
 		opts.Store.SetObserver(s.breaker.Observe)
-	}
-	if opts.Chaos != nil && opts.Store != nil {
-		opts.Store.SetFaults(opts.Chaos)
 	}
 	s.routes()
 	for i := 0; i < opts.Workers; i++ {
@@ -499,10 +489,11 @@ func (s *Server) worker() {
 	}
 }
 
-// testHookRunning, when set, is called by runJob after the job enters
-// StateRunning and before the simulation starts — the seam the tests use to
-// hold a worker in flight deterministically. Atomic so a test can clear it
-// without synchronizing with every worker.
+// testHookRunning, when set, is called by execute, inside its recover,
+// after the job enters StateRunning and before the simulation starts — the
+// seam the tests use to hold a worker in flight deterministically, or to
+// panic it as an organic bug would. Atomic so a test can clear it without
+// synchronizing with every worker.
 var testHookRunning atomic.Pointer[func(*Job)]
 
 // watchCancel finishes a job whose cancellation fires while it is still
@@ -566,9 +557,6 @@ func (s *Server) runJob(j *Job) {
 		slog.String("job", j.id),
 		slog.Float64("queue_wait_ms", ms(wait)))
 
-	if hook := testHookRunning.Load(); hook != nil {
-		(*hook)(j)
-	}
 	body, ref, failure := s.execute(j)
 	finished := time.Now()
 	stages := j.stageDurations()
@@ -590,9 +578,8 @@ func (s *Server) runJob(j *Job) {
 		if s.byDigest[j.res.Digest] == j {
 			delete(s.byDigest, j.res.Digest)
 		}
-		// Deterministic failures feed the poison quarantine; timeouts,
-		// cancellations and injected chaos say nothing about a retry and
-		// never do.
+		// Deterministic failures feed the poison quarantine; timeouts and
+		// cancellations say nothing about a retry and never do.
 		if deterministicFailure(failure.Kind) {
 			s.notePoisonLocked(j.res.Digest, failure, finished)
 		}
@@ -643,9 +630,8 @@ func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 // execute runs the simulation for j and renders the result document — the
 // exact bytes `tlssim -json` prints for the same spec — and names the tier
 // its SEQUENTIAL reference came from. A structured *sim.RunError (and,
-// defensively, any other panic) becomes a Failure; the daemon never dies
-// with a job. A panic the chaos schedule injected fails as kind "chaos",
-// which says nothing about a retry; an organic one as kind "panic".
+// defensively, any other panic, as kind "panic") becomes a Failure; the
+// daemon never dies with a job.
 func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -653,24 +639,16 @@ func (s *Server) execute(j *Job) (body []byte, ref string, failure *Failure) {
 				failure = s.failureFrom(j, re)
 				return
 			}
-			kind := "panic"
-			if _, ok := p.(chaos.Panic); ok {
-				kind = "chaos"
-			}
 			failure = &Failure{
-				Kind:  kind,
+				Kind:  "panic",
 				Error: fmt.Sprint(p),
 				Repro: j.res.ReproCommand(),
 			}
 		}
 	}()
 
-	if s.chaos != nil {
-		if p, ok := s.chaos.WorkerPanic(); ok {
-			// The scheduled worker fault: thrown here so it travels the
-			// same recover path an organic worker bug would.
-			panic(p)
-		}
+	if hook := testHookRunning.Load(); hook != nil {
+		(*hook)(j)
 	}
 
 	r := j.res
@@ -915,9 +893,6 @@ type Metrics struct {
 	// Breaker is the disk-tier circuit breaker's state and counters. nil
 	// without a persistent store.
 	Breaker *BreakerStats `json:"cas_breaker,omitempty" prom:"cas_breaker_"`
-	// Chaos counts the faults the -chaos schedule has delivered. nil when
-	// chaos is off.
-	Chaos *chaos.Stats `json:"chaos,omitempty" prom:"chaos_"`
 	// Builder is the workload build cache's tier split: programs from
 	// memory and built, and SEQUENTIAL references from memory and from a
 	// run.
@@ -931,10 +906,12 @@ type Metrics struct {
 	RenderLatencyMicros telemetry.HistogramSnapshot `json:"render_latency_micros" prom:"job_stage_latency_microseconds{stage=render}"`
 }
 
-// MetricsSnapshot captures the current serving metrics.
+// MetricsSnapshot captures the current serving metrics. It drops the
+// poison windows that have ended, so PoisonedDigests counts live ones.
 func (s *Server) MetricsSnapshot() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.prunePoisonLocked(time.Now())
 	m := Metrics{
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		Workers:         s.opts.Workers,
@@ -962,10 +939,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 		m.CAS = &st
 		bs := s.breaker.Stats()
 		m.Breaker = &bs
-	}
-	if s.chaos != nil {
-		cs := s.chaos.Stats()
-		m.Chaos = &cs
 	}
 	if served := m.CacheHits + m.CacheDiskHits + m.CacheRemoteHits + m.DedupedInFlight + m.CacheMisses; served > 0 {
 		m.CacheHitRatio = float64(m.CacheHits+m.CacheDiskHits+m.CacheRemoteHits+m.DedupedInFlight) / float64(served)

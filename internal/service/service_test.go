@@ -686,6 +686,24 @@ func TestSubmitRejectsOversizedInjection(t *testing.T) {
 	}
 }
 
+// A timeout_ms above the largest whole number of milliseconds a
+// time.Duration holds is a 400 naming that bound: the deadline would wrap
+// to zero or below, and the 10 ms floor would then fail the job.
+func TestSubmitRejectsOversizedTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 1})
+	spec := tinySpec("NEW ORDER")
+	spec.TimeoutMS = 10_000_000_000_000
+	resp := postJob(t, ts, spec)
+	reply, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "maximum 9223372036854") {
+		t.Errorf("HTTP %d %s, want 400 naming the bound 9223372036854", resp.StatusCode, reply)
+	}
+	if m := s.MetricsSnapshot(); m.JobsSubmitted != 0 || m.JobsFailed != 0 {
+		t.Errorf("%d jobs submitted, %d failed; want the spec rejected before admission", m.JobsSubmitted, m.JobsFailed)
+	}
+}
+
 // A submission body is one spec object followed by nothing but whitespace.
 // An unknown field, a second object or trailing garbage is a 400 bad job
 // spec that reaches no admission tier.

@@ -16,7 +16,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
+	"time"
 
 	"subthreads/internal/cliflags"
 	"subthreads/internal/db"
@@ -68,13 +70,19 @@ type JobSpec struct {
 	Watchdog uint64 `json:"watchdog_cycles,omitempty"`
 	// TimeoutMS is the submission's end-to-end wall-clock deadline in
 	// milliseconds, covering queue wait, build, simulation, and render. A
-	// serving parameter, not a simulation parameter: it is floored at 10ms,
-	// ceilinged by the daemon's -job-timeout, and deliberately excluded
-	// from the content digest — the same simulation under a different
-	// deadline is still the same simulation, so it shares cache entries.
-	// 0 inherits the server-wide -job-timeout (which may be "none").
+	// serving parameter, not a simulation parameter: it is at most
+	// maxTimeoutMS, floored at 10ms, ceilinged by the daemon's
+	// -job-timeout, and deliberately excluded from the content digest — the
+	// same simulation under a different deadline is still the same
+	// simulation, so it shares cache entries. 0 inherits the server-wide
+	// -job-timeout (which may be "none").
 	TimeoutMS uint64 `json:"timeout_ms,omitempty"`
 }
+
+// maxTimeoutMS is the largest timeout_ms a time.Duration holds,
+// 9,223,372,036,854 ms (about 292 years); a larger one would wrap to a zero
+// or negative deadline.
+const maxTimeoutMS = math.MaxInt64 / uint64(time.Millisecond)
 
 // Resolved is a fully-determined simulation: every default applied, the
 // machine configured, and the content address computed. Cfg's runtime
@@ -155,6 +163,9 @@ func (js JobSpec) Resolve() (*Resolved, error) {
 		cfg.TLS.OverflowPolicy = tls.OverflowSquash
 	default:
 		return nil, fmt.Errorf("service: overflow must be stall or squash, not %q", js.Overflow)
+	}
+	if js.TimeoutMS > maxTimeoutMS {
+		return nil, fmt.Errorf("service: timeout_ms %d exceeds the maximum %d", js.TimeoutMS, maxTimeoutMS)
 	}
 	cfg.Paranoid = js.Paranoid
 	cfg.MaxCycles = js.MaxCycles

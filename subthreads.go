@@ -46,7 +46,7 @@ import (
 type VersionInfo = version.Info
 
 // Version reports the module version and VCS revision the Go toolchain
-// embedded in this binary (runtime/debug.ReadBuildInfo). All five commands
+// embedded in this binary (runtime/debug.ReadBuildInfo). All four commands
 // surface it via -version, and the serving daemon via GET /healthz.
 func Version() VersionInfo { return version.Get() }
 
